@@ -1,18 +1,20 @@
 """qbattery benchmark: three workloads, measured end to end and per module.
 
-    python3 bench/run.py --workload jch_sparse --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload jch_sparse --seed 1 --seconds 33 --trace 0
 
 Run from anywhere inside a checkout; the program is imported from the
-checkout's ``src/``.  Every round of a workload runs in a fresh worker
-process (see ``worker.py``) that imports qbattery, finishes a warm-up
-quench and then runs the workload's configurations once.  Rounds follow
-one another while the next one is expected to end within ``--seconds``
-(at least one round).  Further workers only set up, for ``setup_s``.  The
-outputs of every round are checked afterwards, outside the timed region,
-against the independent models in ``checks.py``.  With ``--trace 1`` the
-run makes one plain and one traced round and reports the per-module
-metrics of the traced one together with the difference of the two round
-times.
+checkout's ``src/``.  Three worker processes (see ``worker.py``), one after
+the other, each import qbattery, finish a warm-up quench and then run the
+workload's configurations round after round for a third of ``--seconds``
+(at least one round each).  Every step of a round (one configuration, one
+sweep or one preset) is timed between two runs of a fixed reference
+computation; ``wall_ref`` is the median round time in units of the
+reference time, which cancels the drift in speed of a shared machine.
+Further workers only set up, for ``setup_s``.  The outputs of every round
+are checked afterwards, outside the timed region, against the independent
+models in ``checks.py``.  With ``--trace 1`` the run makes one plain and
+one traced round and reports the per-module metrics of the traced one,
+the plain round time and the difference of the two round times.
 
 The last line of stdout is one JSON object: ``correct``, ``attempted``
 and ``failed`` (configurations) and ``metrics``.  Exit code 0 when that
@@ -41,11 +43,15 @@ sys.path.insert(0, HERE)
 import checks  # noqa: E402
 from workloads import CLI_PRESETS, WORKLOADS, configurations  # noqa: E402
 
-# Processes that only set up, started before the first round, after every
-# round and after the checks.  Start-up time drifts with the load on the
-# machine, so the samples are spread over the run; setup_s is the median over
-# these and the round processes.
-SETUP_BATCH = 2
+# Workers that run rounds, one after the other, each for its share of
+# --seconds.  The pool of cli_presets makes a process's peak memory depend on
+# which points happen to overlap, so peak_rss_mb is the median over workers.
+ROUND_WORKERS = 3
+# Processes that only set up, started before the first round worker and
+# again after the checks.  Start-up time drifts with the load on the machine,
+# so the samples come from both ends of the run; setup_s is the median over
+# these and the round workers.
+SETUP_BATCH = 1
 # Every worker must have finished this long after the run started.
 DEADLINE_S = 170.0
 
@@ -77,10 +83,12 @@ def spawn(args: list[str], deadline: float) -> tuple[float, str]:
     return ready, rest
 
 
-def run_round(workload: str, seed: int, trace: bool, out_dir: str, deadline: float) -> tuple[float, dict]:
-    """One worker process running one round; returns (its setup time, its summary)."""
+def run_rounds(
+    workload: str, seed: int, seconds: float, trace: bool, out_dir: str, deadline: float
+) -> tuple[float, dict]:
+    """One worker process running rounds for ``seconds``; returns (its setup time, its summary)."""
     os.makedirs(out_dir)
-    flags = ["--workload", workload, "--seed", str(seed), "--out", out_dir]
+    flags = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--out", out_dir]
     if trace:
         flags += ["--trace", "1"]
     ready, out = spawn(flags, deadline)
@@ -91,10 +99,20 @@ def run_round(workload: str, seed: int, trace: bool, out_dir: str, deadline: flo
 
 
 def verify(workload: str, outputs_path: str, checker: checks.Checker) -> tuple[int, int]:
-    """Check every configuration of one round; returns (attempted, failed)."""
+    """Check every configuration of every round of one worker; returns (attempted, failed)."""
     with open(outputs_path, encoding="utf-8") as fh:
         data = json.load(fh)
-    configs, outputs = data["configs"], data["outputs"]
+    configs = data["configs"]
+    attempted = failed = 0
+    for outputs in data["rounds"]:
+        done, bad = verify_round(workload, configs, outputs, checker)
+        attempted += done
+        failed += bad
+    return attempted, failed
+
+
+def verify_round(workload: str, configs: list[dict], outputs: list[dict], checker: checks.Checker) -> tuple[int, int]:
+    """Check every configuration of one round; returns (attempted, failed)."""
     attempted = failed = 0
     if workload == "jch_sparse":
         for cfg, res in zip(configs, outputs, strict=True):
@@ -151,7 +169,7 @@ def main() -> int:
     scratch = tempfile.mkdtemp(prefix=f"{args.workload}-", dir=os.path.join(HERE, "out"))
     checker = checks.Checker()
     setups: list[float] = []
-    rounds: list[dict] = []
+    workers: list[dict] = []
     attempted = failed = 0
 
     def setup_only() -> None:
@@ -162,40 +180,40 @@ def main() -> int:
         if args.trace:
             for traced in (False, True):
                 out_dir = os.path.join(scratch, "traced" if traced else "plain")
-                rounds.append(run_round(args.workload, args.seed, traced, out_dir, deadline)[1])
+                workers.append(run_rounds(args.workload, args.seed, 0.0, traced, out_dir, deadline)[1])
         else:
             setup_only()
-            started = time.monotonic()
-            while True:
-                t0 = time.monotonic()
-                ready, summary = run_round(
-                    args.workload, args.seed, False, os.path.join(scratch, f"round{len(rounds)}"), deadline
+            for k in range(ROUND_WORKERS):
+                ready, summary = run_rounds(
+                    args.workload,
+                    args.seed,
+                    args.seconds / ROUND_WORKERS,
+                    False,
+                    os.path.join(scratch, f"worker{k}"),
+                    deadline,
                 )
                 setups.append(ready)
-                rounds.append(summary)
-                setup_only()
-                now = time.monotonic()
-                if now - started + (now - t0) > args.seconds:
-                    break
-        for summary in rounds:
+                workers.append(summary)
+        for summary in workers:
             done, bad = verify(args.workload, summary["outputs"], checker)
             attempted += done
             failed += bad
         if checker.last is not None and not checks.check_of_checks(*checker.last):
             checker.fail("check of checks", "a p_max perturbed by 1e-6 relative passed")
         if args.trace:
-            plain, traced = rounds
+            plain, traced = workers
             shutil.copyfile(traced["trace"], os.path.join(HERE, "out", f"trace-{args.workload}-seed{args.seed}.jsonl"))
             for name in traced["absent"]:
                 print(f"absent: {name}", file=sys.stderr)
             metrics = dict(traced["layer"])
-            metrics["trace.overhead_s"] = {"value": traced["wall"] - plain["wall"], "unit": "s"}
+            metrics["trace.overhead_s"] = {"value": traced["walls"][0] - plain["walls"][0], "unit": "s"}
+            metrics["round.wall_s"] = {"value": plain["walls"][0], "unit": "s"}
         else:
             setup_only()
             metrics = {
-                "wall_s": {"value": statistics.median(r["wall"] for r in rounds), "unit": "s"},
+                "wall_ref": {"value": statistics.median(x for w in workers for x in w["in_ref"]), "unit": "ref"},
                 "setup_s": {"value": statistics.median(setups), "unit": "s"},
-                "peak_rss_mb": {"value": statistics.median(r["peak_rss_mb"] for r in rounds), "unit": "MB"},
+                "peak_rss_mb": {"value": statistics.median(w["peak_rss_mb"] for w in workers), "unit": "MB"},
             }
     except WorkerError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -206,7 +224,10 @@ def main() -> int:
         print(f"check failed: {failure}", file=sys.stderr)
     print(
         f"{args.workload}: seed {args.seed}, {attempted} configurations checked, "
-        f"round times {[round(r['wall'], 3) for r in rounds]}, setup times {[round(t, 3) for t in setups]}",
+        f"round times {[round(w, 3) for r in workers for w in r['walls']]} s, "
+        f"in reference units {[round(x, 3) for r in workers for x in r['in_ref']]}, "
+        f"reference times {[round(x, 3) for r in workers for x in r['refs']]} s, "
+        f"setup times {[round(t, 3) for t in setups]} s",
         file=sys.stderr,
     )
     print(json.dumps({"correct": not checker.failures, "attempted": attempted, "failed": failed, "metrics": metrics}))

@@ -1,10 +1,13 @@
-"""One benchmark process: import qbattery from the checkout, warm up, run one round.
+"""One benchmark process: import qbattery from the checkout, warm up, run rounds.
 
 Started by ``run.py``; not meant to be run by hand.  Protocol on stdout:
 the line ``ready`` once the import and the warm-up quench are done, then,
-after the timed round, one JSON line with the round time, the peak
-resident memory of this process and where the outputs went.  Everything
-the program itself prints goes to stderr.
+after the timed rounds, one JSON line with the time of each round in
+seconds and in reference units, the reference times, the peak resident
+memory of this process and where the outputs went.
+Rounds follow one another while the next one is expected to end within
+``--seconds`` of the first one's start; there is always at least one.
+Everything the program itself prints goes to stderr.
 """
 
 from __future__ import annotations
@@ -15,9 +18,17 @@ import json
 import os
 import resource
 import sys
+import threading
 import time
 
+import numpy as np
+
 sys.dont_write_bytecode = True
+
+# Size of the reference computation: about 0.3 s on the machine in README.md.
+REF_LOOP = 1_200_000
+REF_ARRAY = 100_000
+REF_PASSES = 120
 
 
 def _import_qbattery(root: str):
@@ -32,36 +43,58 @@ def _import_qbattery(root: str):
     return qbattery
 
 
-def _jch_round(qb, configs: list[dict]) -> list[dict]:
-    out = []
-    for cfg in configs:
-        params = qb.ModelParams(
-            model=qb.Model.JCH,
-            n=cfg["n"],
-            m=cfg["m"],
-            beta=cfg["beta"],
-            kappa=cfg["kappa"],
-            topology=qb.Topology(cfg["topology"]),
-        )
-        try:
-            result = qb.charge(params)
-        except Exception as err:  # a failed configuration is counted, not fatal
-            out.append({"error": f"{type(err).__name__}: {err}"})
-            continue
-        out.append(
-            {
-                "p_max": result.p_max,
-                "tau": result.tau,
-                "e_max": result.e_max,
-                "series": result.series[:, 1].tolist(),
-                "error": "",
-            }
-        )
-    return out
+def _passes(x: np.ndarray) -> None:
+    y = x.copy()
+    for _ in range(REF_PASSES):
+        y = np.sin(y) * 0.5 + x
 
 
-def _dicke_round(qb, configs: list[dict]) -> list[dict]:
-    cfg = configs[0]
+def _reference() -> float:
+    """Seconds for a fixed computation that does not touch qbattery.
+
+    Interpreter work on one thread, then numpy element-wise passes on two
+    threads at once (numpy lets go of the GIL in them), as the pool and
+    multithreaded BLAS use both cores; no BLAS, so the program's thread
+    settings cannot change it.  Timed between the steps of every round, it
+    tracks the speed the shared machine gives this process at that moment.
+    """
+    t0 = time.perf_counter()
+    total = 0
+    for i in range(REF_LOOP):
+        total += i * i
+    threads = [threading.Thread(target=_passes, args=(np.linspace(0.0, k, REF_ARRAY),)) for k in (1.0, 2.0)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return time.perf_counter() - t0
+
+
+def _jch_point(qb, cfg: dict) -> list[dict]:
+    params = qb.ModelParams(
+        model=qb.Model.JCH,
+        n=cfg["n"],
+        m=cfg["m"],
+        beta=cfg["beta"],
+        kappa=cfg["kappa"],
+        topology=qb.Topology(cfg["topology"]),
+    )
+    try:
+        result = qb.charge(params)
+    except Exception as err:  # a failed configuration is counted, not fatal
+        return [{"error": f"{type(err).__name__}: {err}"}]
+    return [
+        {
+            "p_max": result.p_max,
+            "tau": result.tau,
+            "e_max": result.e_max,
+            "series": result.series[:, 1].tolist(),
+            "error": "",
+        }
+    ]
+
+
+def _dicke_sweep(qb, cfg: dict) -> list[dict]:
     spec = qb.SweepSpec(
         base=qb.ModelParams(model=qb.Model.DICKE, n=cfg["ns"][0], m=1, beta=cfg["beta"]),
         axis=qb.Axis.N,
@@ -74,15 +107,22 @@ def _dicke_round(qb, configs: list[dict]) -> list[dict]:
     return [{k: getattr(r, k) for k in keys} for r in rows]
 
 
-def _cli_round(qb, configs: list[dict], out_dir: str) -> list[dict]:
+def _cli_preset(qb, cfg: dict, out_dir: str) -> list[dict]:
     jobs = len(os.sched_getaffinity(0))
-    out = []
-    for cfg in configs:
-        path = os.path.join(out_dir, f"{cfg['preset']}.csv")
-        with contextlib.redirect_stdout(sys.stderr):
-            code = qb.cli.main(["sweep", "--preset", cfg["preset"], "--out", path, "--jobs", str(jobs)])
-        out.append({"preset": cfg["preset"], "exit_code": code, "csv": path})
-    return out
+    path = os.path.join(out_dir, f"{cfg['preset']}.csv")
+    with contextlib.redirect_stdout(sys.stderr):
+        code = qb.cli.main(["sweep", "--preset", cfg["preset"], "--out", path, "--jobs", str(jobs)])
+    return [{"preset": cfg["preset"], "exit_code": code, "csv": path}]
+
+
+def _steps(qb, workload: str, configs: list[dict], round_dir: str) -> list:
+    """One round as a list of calls, each returning a list of outputs."""
+    if workload == "jch_sparse":
+        return [lambda cfg=cfg: _jch_point(qb, cfg) for cfg in configs]
+    if workload == "dicke_dense":
+        return [lambda: _dicke_sweep(qb, configs[0])]
+    os.makedirs(round_dir)
+    return [lambda cfg=cfg: _cli_preset(qb, cfg, round_dir) for cfg in configs]
 
 
 def main() -> int:
@@ -92,6 +132,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int)
     ap.add_argument("--trace", type=int, default=0)
     ap.add_argument("--out")
+    ap.add_argument("--seconds", type=float, default=0.0)
     ap.add_argument("--setup-only", action="store_true")
     args = ap.parse_args()
 
@@ -113,20 +154,38 @@ def main() -> int:
         tracer = Tracer()
         instrument(qb, tracer)
 
-    t0 = time.perf_counter()
-    if args.workload == "jch_sparse":
-        outputs = _jch_round(qb, configs)
-    elif args.workload == "dicke_dense":
-        outputs = _dicke_round(qb, configs)
-    else:
-        outputs = _cli_round(qb, configs, args.out)
-    wall = time.perf_counter() - t0
+    # Each step of a round is timed on its own and set against the mean of the
+    # reference times just before and after it.
+    walls: list[float] = []
+    in_ref: list[float] = []
+    refs = [_reference()]
+    rounds: list[list[dict]] = []
+    started = time.perf_counter()
+    while True:
+        outputs: list[dict] = []
+        wall = ratio = 0.0
+        round_start = time.perf_counter()
+        for step in _steps(qb, args.workload, configs, os.path.join(args.out, f"round{len(rounds)}")):
+            t0 = time.perf_counter()
+            outputs += step()
+            took = time.perf_counter() - t0
+            refs.append(_reference())
+            wall += took
+            ratio += took / (0.5 * (refs[-2] + refs[-1]))
+        walls.append(wall)
+        in_ref.append(ratio)
+        rounds.append(outputs)
+        now = time.perf_counter()
+        if now - started + (now - round_start) > args.seconds:
+            break
 
     outputs_path = os.path.join(args.out, "outputs.json")
     with open(outputs_path, "w", encoding="utf-8") as fh:
-        json.dump({"configs": configs, "outputs": outputs}, fh)
+        json.dump({"configs": configs, "rounds": rounds}, fh)
     summary = {
-        "wall": wall,
+        "walls": walls,
+        "in_ref": in_ref,
+        "refs": refs,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "outputs": outputs_path,
     }

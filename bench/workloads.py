@@ -16,23 +16,23 @@ WORKLOADS = ("jch_sparse", "dicke_dense", "cli_presets")
 # Relative half-width of the band the seed draws beta and kappa from.
 BAND = 0.01
 
-# Rounds are kept near 8-13 s so that a 30 s run holds one to three of them
-# and reports their median: on a shared 2-core machine single rounds of
-# 15-20 s spread by 15 % from run to run.
+# A run repeats one round for --seconds and reports the median round time.
+# The rounds of jch_sparse and dicke_dense are kept at 3-5 s so that a run
+# holds six or more of them.
 
-# jch_sparse: two sectors above the dense limit (Chebyshev engine): the
-# largest line sector, where Python basis and CSR assembly weigh most, and an
-# all-to-all sector with hopping.
+# jch_sparse: two sectors above the dense limit (Chebyshev engine): a large
+# line sector without hopping, where Python basis and CSR assembly weigh
+# most, and an all-to-all sector with hopping.
 JCH_SPARSE = (
     # name, N, m, beta, kappa, topology
-    ("N8_m1_line", 8, 1, 0.05, 0.0, "line"),  # 157,184 states
+    ("N7_m1_line", 7, 1, 0.05, 0.0, "line"),  # 28,814 states
     ("N6_m1_all", 6, 1, 0.05, 0.05, "all"),  # 5,336 states
 )
 
-# dicke_dense: the fig5 beta = 0.5 curve at N = 2, 5, 10, 20, cutoffs 4 and 5
-# times n*m: 8 points of 33 to 2,121 states, all on the dense engine.
+# dicke_dense: the fig5 beta = 0.5 curve at N = 2, 5, 10, 15, cutoffs 4 and 5
+# times n*m: 8 points of 33 to 1,216 states, all on the dense engine.
 DICKE_BETA = 0.5
-DICKE_NS = (2, 5, 10, 20)
+DICKE_NS = (2, 5, 10, 15)
 DICKE_CUTOFFS = (4, 5)
 
 # cli_presets: presets fix their own parameters, so the seed has no effect.
