@@ -13,8 +13,8 @@ from .basis import (
     DEFAULT_MAX_DIM,
     BasisIndex,
     CapacityError,
-    DickeState,
-    JchState,
+    DickeBasis,
+    JchBasis,
     build_dicke_basis,
     build_jch_sector,
     dicke_dim,
@@ -32,7 +32,6 @@ from .battery import (
     charge,
     default_horizon,
     energy_series,
-    max_derivative_power,
     max_power,
     rabi_oracle,
 )
@@ -51,14 +50,9 @@ from .hamiltonians import (
     Model,
     ModelParams,
     Normalization,
-    SymmetricOperatorMatrix,
     Topology,
     build_basis,
     build_csr,
-    build_dicke,
-    build_hamiltonian,
-    build_jch,
-    build_jz,
     initial_index,
     initial_state,
     jz_diagonal,
@@ -87,8 +81,8 @@ __all__ = [
     "DEFAULT_MAX_DIM",
     "BasisIndex",
     "CapacityError",
-    "DickeState",
-    "JchState",
+    "DickeBasis",
+    "JchBasis",
     "build_dicke_basis",
     "build_jch_sector",
     "dicke_dim",
@@ -100,14 +94,9 @@ __all__ = [
     "Model",
     "ModelParams",
     "Normalization",
-    "SymmetricOperatorMatrix",
     "Topology",
     "build_basis",
     "build_csr",
-    "build_dicke",
-    "build_hamiltonian",
-    "build_jch",
-    "build_jz",
     "initial_index",
     "initial_state",
     "jz_diagonal",
@@ -130,7 +119,6 @@ __all__ = [
     "charge",
     "default_horizon",
     "energy_series",
-    "max_derivative_power",
     "max_power",
     "rabi_oracle",
     # sweeps

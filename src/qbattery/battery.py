@@ -38,7 +38,6 @@ from .hamiltonians import (
     ModelParams,
     build_basis,
     build_csr,
-    build_hamiltonian,
     initial_index,
     initial_state,
     jz_diagonal,
@@ -55,7 +54,6 @@ __all__ = [
     "QuenchSystem",
     "energy_series",
     "max_power",
-    "max_derivative_power",
     "charge",
     "DENSE_LIMIT_DEFAULT",
 ]
@@ -169,14 +167,15 @@ class QuenchSystem:
         self._jz0 = float(self._jz[initial_index(params, self.basis)])
         psi0 = initial_state(params, self.basis)
         limit = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
+        h = build_csr(params, self.basis)
         if self.dim <= limit:
             self.engine = "dense"
-            self.spectrum = diagonalize(build_hamiltonian(params, self.basis))
+            self.spectrum = diagonalize(h.toarray())
             self._eval = EigenEngine(prepare(self.spectrum, psi0), self._jz)
         else:
             self.engine = "chebyshev"
             self.spectrum = None
-            self._eval = ChebyshevEngine(build_csr(params, self.basis), psi0, [self._jz])
+            self._eval = ChebyshevEngine(h, psi0, [self._jz])
 
     def jz_at(self, t: float) -> float:
         return self._eval.at(t)
@@ -187,10 +186,7 @@ class QuenchSystem:
     def energy_grid(self, ts: np.ndarray) -> np.ndarray:
         return self.params.omega_c * (self._eval.on_grid(ts) - self._jz0)
 
-    def rebase(self, t0: float) -> None:
-        self._eval.rebase(t0)
-
-    # max_power duck-type: at / on_grid / rebase
+    # max_power duck-type: at / on_grid
     at = energy_at
     on_grid = energy_grid
 
@@ -253,9 +249,9 @@ def _first_peak_index(energies: np.ndarray) -> int:
 def max_power(evaluator, config: SearchConfig, t_max: float | None = None) -> PowerResult:
     """Locate max E(t)/t by coarse scan plus golden-section refinement.
 
-    ``evaluator`` provides ``on_grid``, ``at`` and ``rebase`` (any
-    QuenchSystem works).  ``t_max`` overrides the window when the config
-    leaves it unset.
+    ``evaluator`` provides ``on_grid`` and ``at`` (any QuenchSystem
+    works).  ``t_max`` overrides the window when the config leaves it
+    unset.
     """
     horizon = config.t_max if config.t_max is not None else t_max
     if horizon is None or not horizon > 0:
@@ -297,8 +293,8 @@ def max_power(evaluator, config: SearchConfig, t_max: float | None = None) -> Po
         )
     lo = ts[k - 1] if k > 0 else ts[0]
     hi = ts[k + 1] if k < n - 1 else ts[n - 1]
-    evaluator.rebase(lo)
-    cache: dict[float, float] = {}
+    # Seeded with the grid sample, so tau has a cached energy wherever it lands.
+    cache: dict[float, float] = {ts[k]: energies[k]}
 
     def quotient(t: float) -> float:
         e = evaluator.at(t)
@@ -308,7 +304,7 @@ def max_power(evaluator, config: SearchConfig, t_max: float | None = None) -> Po
     tau, p_max = _golden_max(
         quotient, lo, hi, config.rel_tol, seeds=[(ts[k], quotients[k])]
     )
-    e_at_tau = cache.get(tau, energies[k] if tau == ts[k] else evaluator.at(tau))
+    e_at_tau = cache[tau]
     # Refine the first full charging peak as well; E is smooth, so a local
     # golden search around the first near-top sample pins it down.
     j = _first_peak_index(energies)
@@ -325,39 +321,6 @@ def max_power(evaluator, config: SearchConfig, t_max: float | None = None) -> Po
         t_e_max=t_e_max,
         series=np.column_stack([ts, energies]),
     )
-
-
-def max_derivative_power(evaluator, config: SearchConfig, t_max: float | None = None) -> tuple[float, float]:
-    """Diagnostic alternative metric: the maximum of dE/dt instead of E(t)/t.
-
-    Estimates the derivative by central differences on the coarse grid,
-    then golden-refines a smoothed central-difference evaluator around the
-    grid argmax.  Returns ``(power, time)``.  Kept separate from max_power
-    because the quotient is the reported figure of merit; this exists for
-    sensitivity comparisons only.
-    """
-    horizon = config.t_max if config.t_max is not None else t_max
-    if horizon is None or not horizon > 0:
-        raise ValueError("a positive scan window is required")
-    n = config.n_samples
-    ts = horizon * np.arange(1, n + 1) / n
-    energies = evaluator.on_grid(ts)
-    if energies.max() < _FLAT_TOL:
-        return 0.0, math.nan
-    slopes = (energies[2:] - energies[:-2]) / (ts[2:] - ts[:-2])
-    k = _first_peak_index(slopes) + 1
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, n - 1)]
-    step = (horizon / n) / 8.0
-    evaluator.rebase(max(lo - step, 0.0))
-
-    def slope(t: float) -> float:
-        return (evaluator.at(t + step) - evaluator.at(max(t - step, step / 16.0))) / (
-            t + step - max(t - step, step / 16.0)
-        )
-
-    t_best, p_best = _golden_max(slope, lo, hi, config.rel_tol, seeds=[(ts[k], slopes[k - 1])])
-    return p_best, t_best
 
 
 def charge(

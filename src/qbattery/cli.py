@@ -37,7 +37,15 @@ from .battery import (
     rabi_oracle,
 )
 from .hamiltonians import Model, ModelParams, Normalization, Topology
-from .sweeps import SweepRow, convergence_check, preset_names, preset_specs, run_sweep
+from .sweeps import (
+    Axis,
+    SweepRow,
+    convergence_check,
+    preset_names,
+    preset_specs,
+    run_sweep,
+    sweep_row,
+)
 
 __all__ = [
     "RunConfig",
@@ -517,33 +525,6 @@ def emit_series_plot(series_path: str, image_path: str | None = None) -> str:
 # Command drivers.
 
 
-def _single_run_row(system: QuenchSystem, result, run: RunConfig) -> SweepRow:
-    from .sweeps import Axis, scaled_power, Scaling
-
-    p = run.params
-    is_dicke = p.model is Model.DICKE
-    return SweepRow(
-        model=p.model.value,
-        topology=None if is_dicke else p.topology.value,
-        normalization=p.normalization.value if is_dicke else None,
-        n=p.n,
-        m=p.m,
-        beta=p.beta,
-        beta_prime=p.beta_prime_value if is_dicke else None,
-        kappa=None if is_dicke else p.kappa,
-        n_max=p.n_max_value if is_dicke else None,
-        dim=system.dim,
-        p_max=result.p_max,
-        tau=result.tau,
-        e_max=result.e_max,
-        p_scaled=result.p_max,
-        cutoff_converged=None,
-        wall_time_s=0.0,
-        axis=Axis.N,
-        axis_value=float(p.n),
-    )
-
-
 def _run_single(run: RunConfig) -> int:
     system = QuenchSystem(run.params, max_dim=run.max_dim, dense_limit=run.dense_limit)
     with warnings.catch_warnings(record=True) as notes:
@@ -559,7 +540,8 @@ def _run_single(run: RunConfig) -> int:
     if run.series_out:
         write_series(result.series, run.series_out)
     if run.out:
-        write_table([_single_run_row(system, result, run)], run.out, include_timing=run.timing)
+        row = sweep_row(run.params, Axis.N, run.params.n, 0.0, dim=system.dim, result=result)
+        write_table([row], run.out, include_timing=run.timing)
     if run.plot_out:
         with open(run.plot_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(emit_series_plot(run.series_out))

@@ -20,6 +20,11 @@ tracked diagonal observable into a small Gram matrix
 after which the observable at *any* time inside the window is a cheap
 bilinear form in Bessel-function coefficients.  No randomness is involved
 anywhere, so results are bit-reproducible run to run.
+
+Both engines take the Hamiltonian from the one sparse assembly path (the
+eigendecomposition gets its ``toarray()``), take observables as 1-D arrays
+holding their diagonals, and answer the same two calls: ``at(t)`` and
+``on_grid(ts)``.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 from scipy.special import jv
-
-from .hamiltonians import SymmetricOperatorMatrix
 
 __all__ = [
     "Spectrum",
@@ -55,9 +58,9 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def diagonalize(matrix: SymmetricOperatorMatrix | np.ndarray) -> Spectrum:
+def diagonalize(matrix: np.ndarray) -> Spectrum:
     """Full symmetric eigendecomposition; LAPACK convergence failures propagate."""
-    entries = matrix.entries if isinstance(matrix, SymmetricOperatorMatrix) else np.asarray(matrix)
+    entries = np.asarray(matrix)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     eigenvalues, eigenvectors = np.linalg.eigh(entries)
@@ -83,22 +86,9 @@ def prepare(spectrum: Spectrum, psi0: np.ndarray) -> EvolvedState:
     return EvolvedState(spectrum=spectrum, coeffs=spectrum.eigenvectors.T @ psi0)
 
 
-def _as_diagonal(observable) -> np.ndarray:
-    if isinstance(observable, SymmetricOperatorMatrix):
-        entries = observable.entries
-        diag = np.diag(entries).copy()
-        if np.count_nonzero(entries - np.diag(diag)):
-            raise ValueError("observable must be diagonal in the computational basis")
-        return diag
-    diag = np.asarray(observable, dtype=float)
-    if diag.ndim != 1:
-        raise ValueError("diagonal observable must be a 1-D array of basis-state values")
-    return diag
-
-
-def expectation_diag(state: EvolvedState, observable, t):
-    """<psi(t)|O|psi(t)> for a diagonal observable at scalar or array times."""
-    engine = EigenEngine(state, _as_diagonal(observable))
+def expectation_diag(state: EvolvedState, observable: np.ndarray, t):
+    """<psi(t)|O|psi(t)> at scalar or array times; ``observable`` is the diagonal of O."""
+    engine = EigenEngine(state, observable)
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim == 0:
         return engine.at(float(t_arr))
@@ -111,7 +101,7 @@ class EigenEngine:
     def __init__(self, state: EvolvedState, diag: np.ndarray):
         diag = np.asarray(diag, dtype=float)
         if diag.shape != (state.dim,):
-            raise ValueError("observable length does not match the basis")
+            raise ValueError("diagonal observable must hold one value per basis state")
         self._v = state.spectrum.eigenvectors
         self._lam = state.spectrum.eigenvalues
         self._c = state.coeffs
@@ -132,9 +122,6 @@ class EigenEngine:
             psi = self._v @ u
             out[start : start + chunk.shape[0]] = self._diag @ (psi.real**2 + psi.imag**2)
         return out
-
-    def rebase(self, t0: float) -> None:
-        """No-op: the eigenbasis gives every time at equal cost."""
 
 
 @dataclass
@@ -280,12 +267,9 @@ class ChebyshevEngine:
             out[sel] = self._value_in_window(window, which, ts[sel] - window.t0)
         return out
 
-    # Single-observable convenience mirroring EigenEngine.
+    # The evaluator protocol shared with EigenEngine: first observable only.
     def at(self, t: float) -> float:
         return self.value_at(0, t)
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         return self.values_on_grid(0, np.asarray(ts, dtype=float))
-
-    def rebase(self, t0: float) -> None:
-        self.extend(t0)

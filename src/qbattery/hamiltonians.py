@@ -17,9 +17,14 @@ collective weight j = N/2, m_j = N/2 - q):
             + g' * [a J- + a+ J+]        counter-rotating, g' from beta'
 
 where g = beta / sqrt(N) under the default normalization and g = beta when
-normalization is NONE (same for beta').  All matrices are real symmetric
-and assembled on the upper triangle once, then mirrored, so exact bitwise
-symmetry holds.
+normalization is NONE (same for beta').
+
+Both models are assembled by one path, ``build_csr``: numpy computes the
+diagonal and one half of every Hermitian pair of off-diagonal elements
+over the whole array basis at once, locating each target state with the
+basis ``rank``; the pairs are then mirrored, so exact bitwise symmetry
+holds.  The dense matrix of the exact engine is the same CSR's
+``toarray()``.
 """
 
 from __future__ import annotations
@@ -33,13 +38,12 @@ import scipy.sparse
 
 from .basis import (
     BasisIndex,
-    DickeState,
-    JchState,
+    DickeBasis,
+    JchBasis,
     build_dicke_basis,
     build_jch_sector,
     dicke_dim,
     jch_sector_dim,
-    total_excitations,
 )
 
 __all__ = [
@@ -47,16 +51,11 @@ __all__ = [
     "Topology",
     "Normalization",
     "ModelParams",
-    "SymmetricOperatorMatrix",
     "BasisMismatchError",
     "MissingStateError",
     "build_basis",
-    "build_hamiltonian",
-    "build_jch",
-    "build_dicke",
     "build_csr",
     "jz_diagonal",
-    "build_jz",
     "initial_index",
     "initial_state",
 ]
@@ -152,20 +151,6 @@ class ModelParams:
         return replace(self, n_max=multiplier * self.n * self.m)
 
 
-@dataclass(frozen=True)
-class SymmetricOperatorMatrix:
-    """Dense real symmetric operator tied to the basis it was built in."""
-
-    basis: BasisIndex
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.entries.shape != (self.basis.dim, self.basis.dim):
-            raise ValueError(
-                f"entries shape {self.entries.shape} does not match basis dim {self.basis.dim}"
-            )
-
-
 def build_basis(params: ModelParams, max_dim: int | None = None) -> BasisIndex:
     """Build the basis matching ``params`` (sector for JCH, truncated ladder for DICKE)."""
     kwargs = {} if max_dim is None else {"max_dim": max_dim}
@@ -174,27 +159,24 @@ def build_basis(params: ModelParams, max_dim: int | None = None) -> BasisIndex:
     return build_dicke_basis(params.n, params.n_max_value, **kwargs)
 
 
-def _check_jch_basis(params: ModelParams, basis: BasisIndex) -> None:
-    first = basis.states[0]
-    if not isinstance(first, JchState) or len(first.photons) != params.n:
-        raise BasisMismatchError("basis does not describe a chain with n cavities")
-    if total_excitations(first) != params.n * params.m:
-        raise BasisMismatchError(
-            f"basis sector has {total_excitations(first)} excitations, expected {params.n * params.m}"
-        )
-    if basis.dim != jch_sector_dim(params.n, params.m):
-        raise BasisMismatchError("basis size does not match the full excitation sector")
-
-
-def _check_dicke_basis(params: ModelParams, basis: BasisIndex) -> None:
-    last = basis.states[-1]
-    if not isinstance(last, DickeState):
+def _check_basis(params: ModelParams, basis: BasisIndex) -> None:
+    if params.model is Model.JCH:
+        if not isinstance(basis, JchBasis) or basis.photons.shape[1] != params.n:
+            raise BasisMismatchError("basis does not describe a chain with n cavities")
+        if basis.excitations != params.n * params.m:
+            raise BasisMismatchError(
+                f"basis sector has {basis.excitations} excitations, expected {params.n * params.m}"
+            )
+        if basis.dim != jch_sector_dim(params.n, params.m):
+            raise BasisMismatchError("basis size does not match the full excitation sector")
+        return
+    if not isinstance(basis, DickeBasis):
         raise BasisMismatchError("basis does not hold collective (n, q) states")
-    if last.q != params.n or basis.dim != dicke_dim(params.n, last.n):
+    if basis.n_systems != params.n or basis.dim != dicke_dim(params.n, basis.n_max):
         raise BasisMismatchError("basis was built for a different system size")
-    if last.n != params.n_max_value:
+    if basis.n_max != params.n_max_value:
         raise BasisMismatchError(
-            f"basis photon cutoff {last.n} does not match requested {params.n_max_value}"
+            f"basis photon cutoff {basis.n_max} does not match requested {params.n_max_value}"
         )
 
 
@@ -211,50 +193,47 @@ def _jch_bonds(params: ModelParams) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _jch_triplets(params: ModelParams, basis: BasisIndex):
-    """Upper-triangle entries (i <= j) of the lattice Hamiltonian.
+def _jch_entries(params: ModelParams, basis: JchBasis):
+    """Diagonal, and (source, target, value) of the off-diagonal pairs, of the lattice model.
 
-    Only photon-removing halves of each Hermitian term pair are walked, so
-    every off-diagonal matrix element is produced exactly once.
+    Only photon-removing halves of each Hermitian term pair are listed, so
+    every off-diagonal matrix element appears once (the doubled bond of a
+    two-cavity ring twice).
     """
-    bonds = _jch_bonds(params)
-    index_of = basis.index_of
-    beta, kappa = params.beta, params.kappa
-    for i, state in enumerate(basis.states):
-        photons, spins = state.photons, state.spins
-        yield i, i, params.omega_c * sum(photons) + params.omega_a * sum(spins)
-        if beta != 0.0:
-            for c, (p, s) in enumerate(zip(photons, spins)):
-                if p > 0 and s == 0:
-                    target = JchState(
-                        photons=photons[:c] + (p - 1,) + photons[c + 1 :],
-                        spins=spins[:c] + (1,) + spins[c + 1 :],
-                    )
-                    j = index_of[target]
-                    a, b = (i, j) if i <= j else (j, i)
-                    yield a, b, beta * math.sqrt(p)
-        if kappa != 0.0:
-            for src, dst in bonds:
-                p = photons[src]
-                if p > 0:
-                    moved = list(photons)
-                    moved[src] -= 1
-                    moved[dst] += 1
-                    j = index_of[JchState(photons=tuple(moved), spins=spins)]
-                    a, b = (i, j) if i <= j else (j, i)
-                    yield a, b, -kappa * math.sqrt(p) * math.sqrt(photons[dst] + 1)
+    photons, spins = basis.photons, basis.spins
+    diag = params.omega_c * photons.sum(axis=1) + params.omega_a * spins.sum(axis=1)
+    src, dst, vals = [], [], []
+    if params.beta != 0.0:
+        for c in range(params.n):
+            rows = np.flatnonzero((photons[:, c] > 0) & (spins[:, c] == 0))
+            p, s = photons[rows], spins[rows]
+            vals.append(params.beta * np.sqrt(p[:, c]))
+            p[:, c] -= 1
+            s[:, c] = 1
+            src.append(rows)
+            dst.append(basis.rank(p, s))
+    if params.kappa != 0.0:
+        for a, b in _jch_bonds(params):
+            rows = np.flatnonzero(photons[:, a] > 0)
+            p = photons[rows]
+            vals.append(-params.kappa * np.sqrt(p[:, a]) * np.sqrt(p[:, b] + 1))
+            p[:, a] -= 1
+            p[:, b] += 1
+            src.append(rows)
+            dst.append(basis.rank(p, spins[rows]))
+    return diag, src, dst, vals
 
 
-def _dicke_triplets(params: ModelParams, basis: BasisIndex):
-    """Upper-triangle entries (i <= j) of the collective Hamiltonian.
+def _dicke_entries(params: ModelParams, basis: DickeBasis):
+    """Diagonal, and (source, target, value) of the off-diagonal pairs, of the collective model.
 
     Ladder amplitudes use j = N/2, m_j = N/2 - q:
 
         photon absorbed, spin raised  (n, q) -> (n-1, q-1):  sqrt(n) * J+ amplitude, weight g
         photon absorbed, spin lowered (n, q) -> (n-1, q+1):  sqrt(n) * J- amplitude, weight g'
 
-    Their Hermitian partners land on the mirrored triangle.  Emission
-    targets above the photon cutoff are dropped by the truncation.
+    Their Hermitian partners are the mirrored entries.  Emission targets
+    above the photon cutoff are dropped by the truncation.
     """
     nsys = params.n
     scale = 1.0 / math.sqrt(nsys) if params.normalization is Normalization.SQRT_N else 1.0
@@ -265,99 +244,59 @@ def _dicke_triplets(params: ModelParams, basis: BasisIndex):
         g_cnt *= params.omega_c
     j = nsys / 2.0
     jj = j * (j + 1.0)
-    for i, state in enumerate(basis.states):
-        n, q = state.n, state.q
-        mj = j - q
-        if params.literal_elements:
-            yield i, i, params.omega_c * (n + mj)
-        else:
-            yield i, i, params.omega_c * n + params.omega_a * (nsys - q)
-        if n == 0:
+    n, q = basis.n, basis.q
+    mj = j - q
+    if params.literal_elements:
+        diag = params.omega_c * (n + mj)
+    else:
+        diag = params.omega_c * n + params.omega_a * (nsys - q)
+    src, dst, vals = [], [], []
+    for g, dq, allowed in ((g_rot, -1, q >= 1), (g_cnt, 1, q <= nsys - 1)):
+        if g == 0.0:
             continue
-        if g_rot != 0.0 and q >= 1:
-            amp = math.sqrt(n * (jj - mj * (mj + 1.0)))
-            if amp != 0.0:
-                yield basis.index_of[DickeState(n - 1, q - 1)], i, g_rot * amp
-        if g_cnt != 0.0 and q <= nsys - 1:
-            amp = math.sqrt(n * (jj - mj * (mj - 1.0)))
-            if amp != 0.0:
-                yield basis.index_of[DickeState(n - 1, q + 1)], i, g_cnt * amp
-
-
-def _triplets(params: ModelParams, basis: BasisIndex):
-    if params.model is Model.JCH:
-        _check_jch_basis(params, basis)
-        return _jch_triplets(params, basis)
-    _check_dicke_basis(params, basis)
-    return _dicke_triplets(params, basis)
-
-
-def build_hamiltonian(params: ModelParams, basis: BasisIndex) -> SymmetricOperatorMatrix:
-    """Dense symmetric Hamiltonian for either model."""
-    h = np.zeros((basis.dim, basis.dim))
-    for i, j, v in _triplets(params, basis):
-        h[i, j] += v
-    lower = np.tril_indices(basis.dim, -1)
-    h[lower] = h.T[lower]
-    return SymmetricOperatorMatrix(basis=basis, entries=h)
-
-
-def build_jch(params: ModelParams, basis: BasisIndex) -> SymmetricOperatorMatrix:
-    if params.model is not Model.JCH:
-        raise ValueError("build_jch requires lattice-model parameters")
-    return build_hamiltonian(params, basis)
-
-
-def build_dicke(params: ModelParams, basis: BasisIndex) -> SymmetricOperatorMatrix:
-    if params.model is not Model.DICKE:
-        raise ValueError("build_dicke requires collective-model parameters")
-    return build_hamiltonian(params, basis)
+        # m_j (m_j + 1) for J+, m_j (m_j - 1) for J-.
+        amp = np.sqrt(n * (jj - mj * (mj - dq)))
+        rows = np.flatnonzero((n > 0) & allowed & (amp != 0.0))
+        vals.append(g * amp[rows])
+        src.append(rows)
+        dst.append(basis.rank(n[rows] - 1, q[rows] + dq))
+    return diag, src, dst, vals
 
 
 def build_csr(params: ModelParams, basis: BasisIndex) -> scipy.sparse.csr_array:
-    """Sparse symmetric Hamiltonian, used when the sector outgrows dense storage."""
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, j, v in _triplets(params, basis):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-        if i != j:
-            rows.append(j)
-            cols.append(i)
-            vals.append(v)
-    coo = scipy.sparse.coo_array(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-        shape=(basis.dim, basis.dim),
-    )
-    return coo.tocsr()
+    """Sparse symmetric Hamiltonian of either model; ``.toarray()`` gives the dense matrix.
+
+    Each off-diagonal pair is listed once and mirrored; duplicate entries
+    are summed by the conversion to CSR.
+    """
+    _check_basis(params, basis)
+    entries = _jch_entries if params.model is Model.JCH else _dicke_entries
+    diag, src, dst, vals = entries(params, basis)
+    idx = np.arange(basis.dim)
+    rows = np.concatenate([idx, *src, *dst])
+    cols = np.concatenate([idx, *dst, *src])
+    data = np.concatenate([diag, *vals, *vals])
+    return scipy.sparse.coo_array((data, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
 
 
 def jz_diagonal(params: ModelParams, basis: BasisIndex) -> np.ndarray:
     """Diagonal of the stored-energy observable: w_a times the number of excited systems."""
+    _check_basis(params, basis)
     if params.model is Model.JCH:
-        _check_jch_basis(params, basis)
-        return np.array([params.omega_a * sum(s.spins) for s in basis.states])
-    _check_dicke_basis(params, basis)
-    return np.array([params.omega_a * (params.n - s.q) for s in basis.states])
-
-
-def build_jz(params: ModelParams, basis: BasisIndex) -> SymmetricOperatorMatrix:
-    return SymmetricOperatorMatrix(basis=basis, entries=np.diag(jz_diagonal(params, basis)))
+        return params.omega_a * basis.spins.sum(axis=1)
+    return params.omega_a * (params.n - basis.q)
 
 
 def initial_index(params: ModelParams, basis: BasisIndex) -> int:
     """Index of the quench state: m photons in every cavity, all systems in the ground state."""
-    if params.model is Model.JCH:
-        state = JchState(photons=(params.m,) * params.n, spins=(0,) * params.n)
-    else:
-        state = DickeState(n=params.n * params.m, q=params.n)
+    _check_basis(params, basis)
     try:
-        return basis.index_of[state]
+        if params.model is Model.JCH:
+            return int(basis.rank([params.m] * params.n, [0] * params.n))
+        return int(basis.rank(params.n * params.m, params.n))
     except KeyError:
         raise MissingStateError(
-            f"initial state {state} is outside the basis; "
+            f"initial state ({params.m} photons per cavity, n = {params.n}) is outside the basis; "
             f"for the collective model the cutoff must satisfy n_max >= n * m"
         ) from None
 

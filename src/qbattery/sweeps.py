@@ -30,6 +30,7 @@ __all__ = [
     "Scaling",
     "SweepSpec",
     "SweepRow",
+    "sweep_row",
     "InsufficientDataError",
     "NonpositiveValueError",
     "CONVERGENCE_THRESHOLD",
@@ -147,29 +148,41 @@ def _point_params(spec: SweepSpec, value, mult: int | None) -> ModelParams:
     return params
 
 
-def _empty_row(spec: SweepSpec, value, params: ModelParams | None, err: Exception, wall: float) -> SweepRow:
-    shown = params if params is not None else spec.base
-    is_dicke = shown.model is Model.DICKE
+def sweep_row(
+    params: ModelParams,
+    axis: Axis,
+    axis_value: float,
+    wall_time_s: float,
+    dim: int | None = None,
+    result: PowerResult | None = None,
+    scaling: Scaling = Scaling.NONE,
+    error: str = "",
+) -> SweepRow:
+    """The table row of one run of ``params``; without a result its figures are NaN."""
+    is_dicke = params.model is Model.DICKE
+    p_max, tau, e_max = (math.nan,) * 3
+    if result is not None:
+        p_max, tau, e_max = result.p_max, result.tau, result.e_max
     return SweepRow(
-        model=shown.model.value,
-        topology=None if is_dicke else shown.topology.value,
-        normalization=shown.normalization.value if is_dicke else None,
-        n=shown.n,
-        m=shown.m,
-        beta=shown.beta,
-        beta_prime=shown.beta_prime_value if is_dicke else None,
-        kappa=None if is_dicke else shown.kappa,
-        n_max=shown.n_max_value if is_dicke else None,
-        dim=None,
-        p_max=math.nan,
-        tau=math.nan,
-        e_max=math.nan,
-        p_scaled=math.nan,
+        model=params.model.value,
+        topology=None if is_dicke else params.topology.value,
+        normalization=params.normalization.value if is_dicke else None,
+        n=params.n,
+        m=params.m,
+        beta=params.beta,
+        beta_prime=params.beta_prime_value if is_dicke else None,
+        kappa=None if is_dicke else params.kappa,
+        n_max=params.n_max_value if is_dicke else None,
+        dim=dim,
+        p_max=p_max,
+        tau=tau,
+        e_max=e_max,
+        p_scaled=scaled_power(params, p_max, scaling),
         cutoff_converged=None,
-        wall_time_s=wall,
-        axis=spec.axis,
-        axis_value=float(value),
-        error=f"{type(err).__name__}: {err}",
+        wall_time_s=wall_time_s,
+        axis=axis,
+        axis_value=float(axis_value),
+        error=error,
     )
 
 
@@ -186,29 +199,15 @@ def _run_point(
         params = _point_params(spec, value, mult)
         system = QuenchSystem(params, max_dim=max_dim, dense_limit=dense_limit)
         config = spec.search if spec.search is not None else SearchConfig()
-        result: PowerResult = max_power(system, config, t_max=default_horizon(params))
+        result = max_power(system, config, t_max=default_horizon(params))
     except Exception as err:  # recorded, never fatal for the sweep
-        return _empty_row(spec, value, params, err, time.perf_counter() - start)
-    is_dicke = params.model is Model.DICKE
-    return SweepRow(
-        model=params.model.value,
-        topology=None if is_dicke else params.topology.value,
-        normalization=params.normalization.value if is_dicke else None,
-        n=params.n,
-        m=params.m,
-        beta=params.beta,
-        beta_prime=params.beta_prime_value if is_dicke else None,
-        kappa=None if is_dicke else params.kappa,
-        n_max=params.n_max_value if is_dicke else None,
-        dim=system.dim,
-        p_max=result.p_max,
-        tau=result.tau,
-        e_max=result.e_max,
-        p_scaled=scaled_power(params, result.p_max, spec.scaling),
-        cutoff_converged=None,
-        wall_time_s=time.perf_counter() - start,
-        axis=spec.axis,
-        axis_value=float(value),
+        shown = params if params is not None else spec.base
+        wall = time.perf_counter() - start
+        error = f"{type(err).__name__}: {err}"
+        return sweep_row(shown, spec.axis, value, wall, scaling=spec.scaling, error=error)
+    wall = time.perf_counter() - start
+    return sweep_row(
+        params, spec.axis, value, wall, dim=system.dim, result=result, scaling=spec.scaling
     )
 
 

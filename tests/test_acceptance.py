@@ -34,8 +34,6 @@ from qbattery.hamiltonians import (
     Topology,
     build_basis,
     build_csr,
-    build_dicke,
-    build_hamiltonian,
     initial_state,
     jz_diagonal,
 )
@@ -308,10 +306,10 @@ def _full_space_chain(n_cavities, cutoff, beta, kappa):
     return h, excitations
 
 
-def _flat_position(state, cutoff):
-    idx = 0
-    for p, s in zip(state.photons, state.spins):
-        idx = idx * (2 * (cutoff + 1)) + (p * 2 + s)
+def _flat_position(photons, spins, cutoff):
+    idx = np.zeros(photons.shape[0], dtype=np.int64)
+    for c in range(photons.shape[1]):
+        idx = idx * (2 * (cutoff + 1)) + (photons[:, c] * 2 + spins[:, c])
     return idx
 
 
@@ -332,26 +330,26 @@ def test_07_conservation_laws():
             assert _diag_commutator_max(h_full, excitations) == 0.0
             params = jch(n=n, m=m, beta=BETA, kappa=0.05)
             basis = build_basis(params)
-            assert len({total_excitations(s) for s in basis.states}) == 1
-            pos = [_flat_position(s, cutoff) for s in basis.states]
+            assert np.unique(total_excitations(basis.photons, basis.spins)).size == 1
+            pos = _flat_position(basis.photons, basis.spins, cutoff)
             sub = h_full.toarray()[np.ix_(pos, pos)]
-            assert np.allclose(sub, build_hamiltonian(params, basis).entries, rtol=0.0, atol=1e-13)
+            assert np.allclose(sub, build_csr(params, basis).toarray(), rtol=0.0, atol=1e-13)
 
     # Collective model without counter-rotating terms conserves n + (N - q);
     # with only counter-rotating terms it strictly violates it.
     rotating = dicke(n=3, m=1, beta=0.5, beta_prime=0.0, n_max=12)
     basis = build_basis(rotating)
-    x_vec = np.array([s.n + (3 - s.q) for s in basis.states], dtype=float)
-    h_rot = build_dicke(rotating, basis).entries
-    assert _diag_commutator_max(sp.csr_array(h_rot), x_vec) == 0.0
+    x_vec = (basis.n + (3 - basis.q)).astype(float)
+    h_rot = build_csr(rotating, basis)
+    assert _diag_commutator_max(h_rot, x_vec) == 0.0
     counter = dicke(n=3, m=1, beta=0.0, beta_prime=0.5, n_max=12)
-    h_cnt = build_dicke(counter, build_basis(counter)).entries
-    assert _diag_commutator_max(sp.csr_array(h_cnt), x_vec) > 0.0
+    h_cnt = build_csr(counter, build_basis(counter))
+    assert _diag_commutator_max(h_cnt, x_vec) > 0.0
 
     # Trajectories: unitarity and energy conservation.
     for params in (jch(n=3, m=1, beta=BETA, kappa=0.05), dicke(n=4, m=1, beta=0.5)):
         basis = build_basis(params)
-        h = build_hamiltonian(params, basis).entries
+        h = build_csr(params, basis).toarray()
         spectrum = diagonalize(h)
         psi0 = initial_state(params, basis)
         coeffs = spectrum.eigenvectors.T @ psi0
@@ -414,7 +412,7 @@ def test_08_small_instance_integrator_oracle():
     for params in SMALL_CONFIGS:
         basis = build_basis(params)
         assert basis.dim <= 32
-        h = build_hamiltonian(params, basis).entries
+        h = build_csr(params, basis).toarray()
         jz = jz_diagonal(params, basis)
         reference = _rk4_jz(h, initial_state(params, basis), jz, dt, 100_000, 1000)
         system = QuenchSystem(params)

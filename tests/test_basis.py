@@ -2,14 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from qbattery.basis import (
     DEFAULT_MAX_DIM,
     BasisIndex,
     CapacityError,
-    DickeState,
-    JchState,
     build_dicke_basis,
     build_jch_sector,
     dicke_dim,
@@ -43,7 +42,7 @@ def test_jch_sector_dimensions(n, m, expected):
 def test_jch_sector_matches_brute_force(n, m):
     basis = build_jch_sector(n, m)
     expected = brute_force_sector(n, m)
-    got = {(s.photons, s.spins) for s in basis.states}
+    got = {(tuple(p), tuple(s)) for p, s in zip(basis.photons.tolist(), basis.spins.tolist())}
     assert got == expected
     assert basis.dim == len(expected)
 
@@ -51,63 +50,64 @@ def test_jch_sector_matches_brute_force(n, m):
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (2, 2), (4, 1)])
 def test_jch_bijectivity_and_invariants(n, m):
     basis = build_jch_sector(n, m)
-    assert len(set(basis.states)) == basis.dim
-    for i, state in enumerate(basis.states):
-        assert basis.index_of[state] == i
-        assert basis.index(state) == i
-        assert len(state.photons) == len(state.spins) == n
-        assert all(p >= 0 for p in state.photons)
-        assert all(s in (0, 1) for s in state.spins)
-        assert total_excitations(state) == n * m
+    rows = np.hstack([basis.photons, basis.spins])
+    assert len({tuple(r) for r in rows.tolist()}) == basis.dim
+    assert np.array_equal(basis.rank(basis.photons, basis.spins), np.arange(basis.dim))
+    for i in range(basis.dim):
+        assert basis.rank(basis.photons[i], basis.spins[i]) == i
+    assert basis.photons.shape == basis.spins.shape == (basis.dim, n)
+    assert np.all(basis.photons >= 0)
+    assert np.all((basis.spins == 0) | (basis.spins == 1))
+    assert np.all(total_excitations(basis.photons, basis.spins) == n * m)
 
 
 def test_jch_enumeration_order_documented():
     # Spins ordered as little-endian bit integers, then photons lexicographic.
     basis = build_jch_sector(2, 1)
-    assert basis.states[0] == JchState(photons=(0, 2), spins=(0, 0))
-    assert basis.states[1] == JchState(photons=(1, 1), spins=(0, 0))
-    assert basis.states[2] == JchState(photons=(2, 0), spins=(0, 0))
+
+    def state(i):
+        return basis.photons[i].tolist(), basis.spins[i].tolist()
+
+    assert state(0) == ([0, 2], [0, 0])
+    assert state(1) == ([1, 1], [0, 0])
+    assert state(2) == ([2, 0], [0, 0])
     # spin_bits = 1 means cavity 0 excited.
-    assert basis.states[3] == JchState(photons=(0, 1), spins=(1, 0))
-    assert basis.states[-1] == JchState(photons=(0, 0), spins=(1, 1))
+    assert state(3) == ([0, 1], [1, 0])
+    assert state(-1) == ([0, 0], [1, 1])
 
 
 def test_determinism_same_ordering():
     a = build_jch_sector(3, 2)
     b = build_jch_sector(3, 2)
-    assert a.states == b.states
+    assert np.array_equal(a.photons, b.photons)
+    assert np.array_equal(a.spins, b.spins)
     d1 = build_dicke_basis(4, 11)
     d2 = build_dicke_basis(4, 11)
-    assert d1.states == d2.states
+    assert np.array_equal(d1.n, d2.n)
+    assert np.array_equal(d1.q, d2.q)
 
 
-def _jch_neighbors(state):
-    """All states reachable by one Hamiltonian term: photon<->spin swap or a hop."""
-    n = len(state.photons)
+def _jch_neighbors(photons, spins):
+    """All (photons, spins) reachable by one Hamiltonian term: photon<->spin swap or a hop."""
+    n = len(photons)
     out = []
     for c in range(n):
-        p, s = state.photons[c], state.spins[c]
+        p, s = photons[c], spins[c]
         if p > 0 and s == 0:  # photon absorbed, system excited
             out.append(
-                JchState(
-                    photons=state.photons[:c] + (p - 1,) + state.photons[c + 1 :],
-                    spins=state.spins[:c] + (1,) + state.spins[c + 1 :],
-                )
+                (photons[:c] + [p - 1] + photons[c + 1 :], spins[:c] + [1] + spins[c + 1 :])
             )
         if s == 1:  # system relaxes, photon emitted
             out.append(
-                JchState(
-                    photons=state.photons[:c] + (p + 1,) + state.photons[c + 1 :],
-                    spins=state.spins[:c] + (0,) + state.spins[c + 1 :],
-                )
+                (photons[:c] + [p + 1] + photons[c + 1 :], spins[:c] + [0] + spins[c + 1 :])
             )
     for src in range(n):
         for dst in range(n):
-            if src != dst and state.photons[src] > 0:
-                photons = list(state.photons)
-                photons[src] -= 1
-                photons[dst] += 1
-                out.append(JchState(photons=tuple(photons), spins=state.spins))
+            if src != dst and photons[src] > 0:
+                moved = list(photons)
+                moved[src] -= 1
+                moved[dst] += 1
+                out.append((moved, spins))
     return out
 
 
@@ -115,9 +115,9 @@ def _jch_neighbors(state):
 @pytest.mark.parametrize("m", [1, 2])
 def test_jch_sector_closed_under_generators(n, m):
     basis = build_jch_sector(n, m)
-    for state in basis.states:
-        for neighbor in _jch_neighbors(state):
-            assert neighbor in basis.index_of
+    for photons, spins in zip(basis.photons.tolist(), basis.spins.tolist()):
+        for neighbor in _jch_neighbors(photons, spins):
+            basis.rank(*neighbor)  # raises KeyError outside the sector
 
 
 def test_capacity_cap():
@@ -128,6 +128,15 @@ def test_capacity_cap():
     assert jch_sector_dim(8, 1) < DEFAULT_MAX_DIM
 
 
+def test_key_overflow_raises_before_enumeration():
+    # 2^16 spin patterns times 17^16 photon digits cannot be packed into int64.
+    # The sector (1.5e11 states) would not fit in memory, so the error must
+    # come before any enumeration.
+    assert jch_sector_dim(16, 1) > 10**11
+    with pytest.raises(CapacityError, match="64-bit"):
+        build_jch_sector(16, 1, max_dim=10**30)
+
+
 @pytest.mark.parametrize("n, m", [(0, 1), (1, 0), (-2, 1)])
 def test_jch_validation(n, m):
     with pytest.raises(ValueError):
@@ -135,8 +144,11 @@ def test_jch_validation(n, m):
 
 
 def test_jch_state_length_mismatch():
+    basis = build_jch_sector(2, 1)
     with pytest.raises(ValueError):
-        JchState(photons=(1, 0), spins=(0,))
+        basis.rank(photons=(1, 0), spins=(0,))
+    with pytest.raises(ValueError):
+        basis.rank(photons=(1, 0, 0), spins=(0, 0, 0))
 
 
 @pytest.mark.parametrize(
@@ -151,12 +163,12 @@ def test_dicke_dimensions(n, n_max, expected):
 def test_dicke_ordering_and_index_formula():
     n_sys, n_max = 3, 6
     basis = build_dicke_basis(n_sys, n_max)
-    for state in basis.states:
-        assert 0 <= state.n <= n_max
-        assert 0 <= state.q <= n_sys
-        assert basis.index_of[state] == state.n * (n_sys + 1) + state.q
-    assert basis.states[0] == DickeState(n=0, q=0)
-    assert basis.states[-1] == DickeState(n=n_max, q=n_sys)
+    assert np.all((0 <= basis.n) & (basis.n <= n_max))
+    assert np.all((0 <= basis.q) & (basis.q <= n_sys))
+    assert np.array_equal(basis.rank(basis.n, basis.q), basis.n * (n_sys + 1) + basis.q)
+    assert np.array_equal(basis.rank(basis.n, basis.q), np.arange(basis.dim))
+    assert (basis.n[0], basis.q[0]) == (0, 0)
+    assert (basis.n[-1], basis.q[-1]) == (n_max, n_sys)
 
 
 def test_dicke_validation():
@@ -171,16 +183,32 @@ def test_dicke_validation():
     [((1, 1), (0, 0), 2), ((0, 0), (1, 1), 2), ((3, 0, 2), (1, 0, 1), 7)],
 )
 def test_total_excitations(photons, spins, expected):
-    assert total_excitations(JchState(photons=photons, spins=spins)) == expected
+    assert total_excitations(photons, spins) == expected
 
 
 def test_basis_index_unknown_state():
     basis = build_jch_sector(2, 1)
+    # Photon numbers beyond the packing base.
     with pytest.raises(KeyError):
-        basis.index(JchState(photons=(5, 5), spins=(0, 0)))
+        basis.rank(photons=(5, 5), spins=(0, 0))
+    # Valid digits, but the wrong excitation number: the binary search lands
+    # on a neighbouring key, which must be told apart from a match.
+    for photons, spins in [((0, 0), (0, 0)), ((2, 2), (1, 1)), ((0, 1), (0, 0))]:
+        with pytest.raises(KeyError):
+            basis.rank(photons=photons, spins=spins)
+    # One bad row among valid ones.
+    with pytest.raises(KeyError):
+        basis.rank(photons=[[1, 1], [0, 0]], spins=[[0, 0], [0, 0]])
+    with pytest.raises(KeyError):
+        basis.rank(photons=(1, 1), spins=(0, 2))
+    dicke = build_dicke_basis(2, 3)
+    for n, q in [(4, 0), (0, 3), (-1, 1)]:
+        with pytest.raises(KeyError):
+            dicke.rank(n, q)
 
 
 def test_basis_index_is_reusable_mapping():
     basis = build_dicke_basis(2, 3)
     assert isinstance(basis, BasisIndex)
-    assert basis.dim == len(basis.states) == 12
+    assert isinstance(build_jch_sector(2, 1), BasisIndex)
+    assert basis.dim == len(basis.n) == len(basis.q) == 12

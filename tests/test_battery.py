@@ -16,7 +16,6 @@ from qbattery.battery import (
     charge,
     default_horizon,
     energy_series,
-    max_derivative_power,
     max_power,
     rabi_oracle,
 )
@@ -59,9 +58,6 @@ class SyntheticOscillation:
 
     def on_grid(self, ts):
         return self.amplitude * np.sin(self.omega * np.asarray(ts)) ** 2
-
-    def rebase(self, t0):
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +151,6 @@ def test_constant_energy_emits_edge_notice():
         def on_grid(self, ts):
             return np.full(np.asarray(ts).shape, 0.7)
 
-        def rebase(self, t0):
-            pass
-
     config = SearchConfig(t_max=10.0, n_samples=64)
     with pytest.warns(SearchNotice, match="lower"):
         result = max_power(Constant(), config)
@@ -196,13 +189,20 @@ def test_search_config_validation():
         max_power(SyntheticOscillation(0.1), SearchConfig())  # no window anywhere
 
 
-def test_derivative_metric_on_synthetic_signal():
-    omega = 0.05
-    evaluator = SyntheticOscillation(omega)
-    # dE/dt = omega sin(2 omega t) peaks at omega, at t = pi/(4 omega).
-    p, t = max_derivative_power(evaluator, SearchConfig(t_max=2.0 * math.pi / omega))
-    assert p == pytest.approx(omega, rel=1e-4)
-    assert t == pytest.approx(math.pi / (4.0 * omega), rel=1e-3)
+def test_search_evaluates_no_time_twice():
+    class Counting(SyntheticOscillation):
+        def __init__(self, omega):
+            super().__init__(omega)
+            self.times = []
+
+        def at(self, t):
+            self.times.append(t)
+            return super().at(t)
+
+    evaluator = Counting(0.05)
+    result = max_power(evaluator, SearchConfig(t_max=200.0, n_samples=256))
+    assert result.tau == pytest.approx(X_STAR / 0.05, rel=1e-5)
+    assert len(evaluator.times) == len(set(evaluator.times))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qbattery.basis import DickeState, JchState, build_dicke_basis, build_jch_sector
+from qbattery.basis import build_dicke_basis, build_jch_sector
 from qbattery.hamiltonians import (
     BasisMismatchError,
     MissingStateError,
@@ -15,10 +15,6 @@ from qbattery.hamiltonians import (
     Topology,
     build_basis,
     build_csr,
-    build_dicke,
-    build_hamiltonian,
-    build_jch,
-    build_jz,
     initial_index,
     initial_state,
     jz_diagonal,
@@ -31,6 +27,10 @@ def jch(**kw):
 
 def dicke(**kw):
     return ModelParams(model=Model.DICKE, **kw)
+
+
+def dense(params, basis):
+    return build_csr(params, basis).toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +89,10 @@ def oracle_jch_full(n, cut, beta, kappa, omega_c, omega_a, bonds):
     return h
 
 
-def _flat_index(state, cut):
-    idx = 0
-    for p, s in zip(state.photons, state.spins):
-        idx = (idx * (cut + 1) + p) * 2 + s
+def _flat_index(photons, spins, cut):
+    idx = np.zeros(photons.shape[0], dtype=np.int64)
+    for c in range(photons.shape[1]):
+        idx = (idx * (cut + 1) + photons[:, c]) * 2 + spins[:, c]
     return idx
 
 
@@ -108,7 +108,7 @@ def oracle_jch_sector(params, basis):
     full = oracle_jch_full(
         params.n, cut, params.beta, params.kappa, params.omega_c, params.omega_a, bonds
     )
-    rows = [_flat_index(s, cut) for s in basis.states]
+    rows = _flat_index(basis.photons, basis.spins, cut)
     return full[np.ix_(rows, rows)]
 
 
@@ -123,6 +123,67 @@ def oracle_rabi(n_max, beta, beta_prime, omega_c, omega_a):
     return h
 
 
+def reference_dense(params, basis):
+    """Element-by-element loop over the states, with a dict from state to row.
+
+    Same arithmetic as the vectorized assembly, so the two must agree bit
+    for bit.
+    """
+    h = np.zeros((basis.dim, basis.dim))
+    if params.model is Model.JCH:
+        rows = zip(basis.photons.tolist(), basis.spins.tolist())
+        states = [(tuple(p), tuple(s)) for p, s in rows]
+        index_of = {st: i for i, st in enumerate(states)}
+        n = params.n
+        bonds = {
+            Topology.LINE: [(c, c + 1) for c in range(n - 1)],
+            Topology.RING: [(c, (c + 1) % n) for c in range(n)] if n > 1 else [],
+            Topology.ALL_TO_ALL: [(i, j) for i in range(n) for j in range(i + 1, n)],
+        }[params.topology]
+        for i, (photons, spins) in enumerate(states):
+            h[i, i] += params.omega_c * sum(photons) + params.omega_a * sum(spins)
+            for c, (p, s) in enumerate(zip(photons, spins)):
+                if params.beta != 0.0 and p > 0 and s == 0:
+                    target = (
+                        photons[:c] + (p - 1,) + photons[c + 1 :],
+                        spins[:c] + (1,) + spins[c + 1 :],
+                    )
+                    j = index_of[target]
+                    h[min(i, j), max(i, j)] += params.beta * math.sqrt(p)
+            for src, dst in bonds:
+                p = photons[src]
+                if params.kappa != 0.0 and p > 0:
+                    moved = list(photons)
+                    moved[src] -= 1
+                    moved[dst] += 1
+                    j = index_of[(tuple(moved), spins)]
+                    value = -params.kappa * math.sqrt(p) * math.sqrt(photons[dst] + 1)
+                    h[min(i, j), max(i, j)] += value
+    else:
+        nsys = params.n
+        scale = 1.0 / math.sqrt(nsys) if params.normalization is Normalization.SQRT_N else 1.0
+        g_rot = params.beta * scale
+        g_cnt = params.beta_prime_value * scale
+        if params.literal_elements:
+            g_rot *= params.omega_c
+            g_cnt *= params.omega_c
+        j = nsys / 2.0
+        jj = j * (j + 1.0)
+        for i, (n, q) in enumerate(zip(basis.n.tolist(), basis.q.tolist())):
+            mj = j - q
+            if params.literal_elements:
+                h[i, i] = params.omega_c * (n + mj)
+            else:
+                h[i, i] = params.omega_c * n + params.omega_a * (nsys - q)
+            if n > 0 and g_rot != 0.0 and q >= 1:
+                h[(n - 1) * (nsys + 1) + q - 1, i] += g_rot * math.sqrt(n * (jj - mj * (mj + 1.0)))
+            if n > 0 and g_cnt != 0.0 and q <= nsys - 1:
+                h[(n - 1) * (nsys + 1) + q + 1, i] += g_cnt * math.sqrt(n * (jj - mj * (mj - 1.0)))
+    lower = np.tril_indices(basis.dim, -1)
+    h[lower] = h.T[lower]
+    return h
+
+
 # ---------------------------------------------------------------------------
 # Lattice model.
 
@@ -130,17 +191,16 @@ def oracle_rabi(n_max, beta, beta_prime, omega_c, omega_a):
 def test_single_cavity_matrix_exact():
     params = jch(n=1, m=1, beta=0.05)
     basis = build_basis(params)
-    h = build_jch(params, basis).entries
+    h = dense(params, basis)
     assert np.array_equal(h, np.array([[1.0, 0.05], [0.05, 1.0]]))
 
 
 def test_uncoupled_is_diagonal():
     params = jch(n=3, m=1, beta=0.0, kappa=0.0)
     basis = build_basis(params)
-    h = build_hamiltonian(params, basis).entries
+    h = dense(params, basis)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-    for i, s in enumerate(basis.states):
-        assert h[i, i] == pytest.approx(sum(s.photons) + sum(s.spins))
+    assert np.array_equal(np.diag(h), basis.photons.sum(axis=1) + basis.spins.sum(axis=1))
 
 
 @pytest.mark.parametrize("topology", [Topology.LINE, Topology.RING, Topology.ALL_TO_ALL])
@@ -151,7 +211,7 @@ def test_uncoupled_is_diagonal():
 def test_jch_matches_operator_oracle(n, m, beta, kappa, topology):
     params = jch(n=n, m=m, beta=beta, kappa=kappa, topology=topology)
     basis = build_basis(params)
-    h = build_hamiltonian(params, basis).entries
+    h = dense(params, basis)
     expected = oracle_jch_sector(params, basis)
     assert np.max(np.abs(h - expected)) < 1e-14
 
@@ -159,7 +219,7 @@ def test_jch_matches_operator_oracle(n, m, beta, kappa, topology):
 def test_jch_detuned_matches_oracle():
     params = jch(n=2, m=1, beta=0.2, kappa=0.15, omega_a=1.4, omega_c=0.9)
     basis = build_basis(params)
-    h = build_hamiltonian(params, basis).entries
+    h = dense(params, basis)
     expected = oracle_jch_sector(params, basis)
     assert np.max(np.abs(h - expected)) < 1e-14
     assert params.delta == pytest.approx(0.5)
@@ -168,23 +228,20 @@ def test_jch_detuned_matches_oracle():
 def test_topology_reduction_at_two_cavities():
     base = dict(n=2, m=1, beta=0.05, kappa=0.3)
     basis = build_jch_sector(2, 1)
-    line = build_hamiltonian(jch(**base, topology=Topology.LINE), basis).entries
-    alltoall = build_hamiltonian(jch(**base, topology=Topology.ALL_TO_ALL), basis).entries
-    ring = build_hamiltonian(jch(**base, topology=Topology.RING), basis).entries
+    line = dense(jch(**base, topology=Topology.LINE), basis)
+    alltoall = dense(jch(**base, topology=Topology.ALL_TO_ALL), basis)
+    ring = dense(jch(**base, topology=Topology.RING), basis)
     assert np.array_equal(line, alltoall)
     # Closing a two-site ring duplicates the single bond: hopping doubles.
-    hop_line = line - build_hamiltonian(jch(n=2, m=1, beta=0.05, kappa=0.0), basis).entries
-    hop_ring = ring - build_hamiltonian(jch(n=2, m=1, beta=0.05, kappa=0.0), basis).entries
+    hop_line = line - dense(jch(n=2, m=1, beta=0.05, kappa=0.0), basis)
+    hop_ring = ring - dense(jch(n=2, m=1, beta=0.05, kappa=0.0), basis)
     assert np.allclose(hop_ring, 2.0 * hop_line)
     assert not np.array_equal(ring, line)
 
 
 def test_topologies_differ_at_three_cavities():
     basis = build_jch_sector(3, 1)
-    mats = {
-        t: build_hamiltonian(jch(n=3, m=1, beta=0.05, kappa=0.2, topology=t), basis).entries
-        for t in Topology
-    }
+    mats = {t: dense(jch(n=3, m=1, beta=0.05, kappa=0.2, topology=t), basis) for t in Topology}
     assert not np.array_equal(mats[Topology.LINE], mats[Topology.RING])
     # A three-site ring is the complete graph on three nodes.
     assert np.array_equal(mats[Topology.RING], mats[Topology.ALL_TO_ALL])
@@ -192,12 +249,8 @@ def test_topologies_differ_at_three_cavities():
 
 def test_ring_and_complete_graph_differ_at_four_cavities():
     basis = build_jch_sector(4, 1)
-    ring = build_hamiltonian(
-        jch(n=4, m=1, beta=0.05, kappa=0.2, topology=Topology.RING), basis
-    ).entries
-    alltoall = build_hamiltonian(
-        jch(n=4, m=1, beta=0.05, kappa=0.2, topology=Topology.ALL_TO_ALL), basis
-    ).entries
+    ring = dense(jch(n=4, m=1, beta=0.05, kappa=0.2, topology=Topology.RING), basis)
+    alltoall = dense(jch(n=4, m=1, beta=0.05, kappa=0.2, topology=Topology.ALL_TO_ALL), basis)
     assert not np.array_equal(ring, alltoall)
 
 
@@ -208,19 +261,21 @@ def test_ring_and_complete_graph_differ_at_four_cavities():
 def test_dicke_single_system_matches_rabi_oracle():
     params = dicke(n=1, m=1, beta=0.5, n_max=8)
     basis = build_basis(params)
-    h = build_dicke(params, basis).entries
+    h = dense(params, basis)
     expected = oracle_rabi(8, 0.5, 0.5, 1.0, 1.0)
     # (n, q) index 2n + q; oracle index 2n + s with s = 1 - q.
-    perm = [basis.index_of[DickeState(n=k // 2, q=1 - (k % 2))] for k in range(h.shape[0])]
+    k = np.arange(h.shape[0])
+    perm = basis.rank(k // 2, 1 - (k % 2))
     assert np.max(np.abs(h[np.ix_(perm, perm)] - expected)) < 1e-14
 
 
 def test_dicke_counter_rotating_only_matches_oracle():
     params = dicke(n=1, m=1, beta=0.0, beta_prime=0.7, n_max=6)
     basis = build_basis(params)
-    h = build_dicke(params, basis).entries
+    h = dense(params, basis)
     expected = oracle_rabi(6, 0.0, 0.7, 1.0, 1.0)
-    perm = [basis.index_of[DickeState(n=k // 2, q=1 - (k % 2))] for k in range(h.shape[0])]
+    k = np.arange(h.shape[0])
+    perm = basis.rank(k // 2, 1 - (k % 2))
     assert np.max(np.abs(h[np.ix_(perm, perm)] - expected)) < 1e-14
 
 
@@ -230,26 +285,25 @@ def test_ladder_amplitude_example():
     beta = 0.7
     params = dicke(n=2, m=1, beta=beta, beta_prime=0.0, n_max=10)
     basis = build_basis(params)
-    h = build_dicke(params, basis).entries
-    i = basis.index_of[DickeState(n=1, q=1)]
-    j = basis.index_of[DickeState(n=2, q=2)]
+    h = dense(params, basis)
+    i = basis.rank(1, 1)
+    j = basis.rank(2, 2)
     assert h[i, j] == pytest.approx(beta / math.sqrt(2.0) * 2.0, rel=1e-15)
 
 
 def test_dicke_uncoupled_diagonal():
     params = dicke(n=3, m=1, beta=0.0, beta_prime=0.0, n_max=5)
     basis = build_basis(params)
-    h = build_hamiltonian(params, basis).entries
+    h = dense(params, basis)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-    for i, s in enumerate(basis.states):
-        assert h[i, i] == pytest.approx(s.n + (3 - s.q))
+    assert np.array_equal(np.diag(h), basis.n + (3 - basis.q))
 
 
 def test_normalization_scales_couplings():
     base = dict(n=4, m=1, beta=0.3, beta_prime=0.1, n_max=8)
     basis = build_dicke_basis(4, 8)
-    h_sqrt = build_hamiltonian(dicke(**base, normalization=Normalization.SQRT_N), basis).entries
-    h_none = build_hamiltonian(dicke(**base, normalization=Normalization.NONE), basis).entries
+    h_sqrt = dense(dicke(**base, normalization=Normalization.SQRT_N), basis)
+    h_none = dense(dicke(**base, normalization=Normalization.NONE), basis)
     off_sqrt = h_sqrt - np.diag(np.diag(h_sqrt))
     off_none = h_none - np.diag(np.diag(h_none))
     assert np.allclose(off_none, 2.0 * off_sqrt, rtol=1e-14, atol=0)
@@ -259,25 +313,23 @@ def test_normalization_scales_couplings():
 def test_truncation_drops_elements_above_cutoff():
     # With cutoff 3 the counter-rotating pair (3, q) <-> (4, q-1) must vanish,
     # while the same entry exists under a larger cutoff.
-    small = build_hamiltonian(dicke(n=2, m=1, beta=0.5, n_max=3), build_dicke_basis(2, 3))
-    large = build_hamiltonian(dicke(n=2, m=1, beta=0.5, n_max=8), build_dicke_basis(2, 8))
-    b_small, b_large = small.basis, large.basis
-    i = b_large.index_of[DickeState(n=4, q=1)]
-    j = b_large.index_of[DickeState(n=3, q=2)]
-    assert large.entries[i, j] != 0.0
-    for a in range(b_small.dim):
-        row_state = b_small.states[a]
-        assert row_state.n <= 3  # no (4, *) entries exist at all
-    assert small.entries.shape == (12, 12)
+    b_small, b_large = build_dicke_basis(2, 3), build_dicke_basis(2, 8)
+    small = dense(dicke(n=2, m=1, beta=0.5, n_max=3), b_small)
+    large = dense(dicke(n=2, m=1, beta=0.5, n_max=8), b_large)
+    i = b_large.rank(4, 1)
+    j = b_large.rank(3, 2)
+    assert large[i, j] != 0.0
+    assert np.all(b_small.n <= 3)  # no (4, *) entries exist at all
+    assert small.shape == (12, 12)
 
 
 def test_literal_convention_is_constant_diagonal_shift_at_unit_energies():
     params = dicke(n=3, m=1, beta=0.4, beta_prime=0.2, n_max=6)
     basis = build_basis(params)
-    physical = build_hamiltonian(params, basis).entries
-    literal = build_hamiltonian(
+    physical = dense(params, basis)
+    literal = dense(
         dicke(n=3, m=1, beta=0.4, beta_prime=0.2, n_max=6, literal_elements=True), basis
-    ).entries
+    )
     diff = physical - literal
     off = diff - np.diag(np.diag(diff))
     assert np.max(np.abs(off)) == 0.0
@@ -299,7 +351,7 @@ def test_literal_convention_is_constant_diagonal_shift_at_unit_energies():
     ],
 )
 def test_bitwise_symmetry(params):
-    h = build_hamiltonian(params, build_basis(params)).entries
+    h = dense(params, build_basis(params))
     assert np.array_equal(h, h.T)
     assert np.all(np.isfinite(h))
 
@@ -314,32 +366,31 @@ def test_bitwise_symmetry(params):
 )
 def test_sparse_equals_dense(params):
     basis = build_basis(params)
-    dense = build_hamiltonian(params, basis).entries
     sparse = build_csr(params, basis).toarray()
-    assert np.array_equal(dense, sparse)
+    assert np.array_equal(reference_dense(params, basis), sparse)
 
 
 def test_commutes_with_excitation_number_in_sector():
     params = jch(n=3, m=2, beta=0.3, kappa=0.4)
     basis = build_basis(params)
-    h = build_hamiltonian(params, basis).entries
-    x = np.diag([float(sum(s.photons) + sum(s.spins)) for s in basis.states])
+    h = dense(params, basis)
+    x = np.diag((basis.photons.sum(axis=1) + basis.spins.sum(axis=1)).astype(float))
     assert np.max(np.abs(h @ x - x @ h)) == 0.0
 
 
 def test_excitation_conserving_collective_commutes():
     params = dicke(n=3, m=1, beta=0.5, beta_prime=0.0, n_max=9)
     basis = build_basis(params)
-    h = build_hamiltonian(params, basis).entries
-    x = np.diag([float(s.n + (3 - s.q)) for s in basis.states])
+    h = dense(params, basis)
+    x = np.diag((basis.n + (3 - basis.q)).astype(float))
     assert np.max(np.abs(h @ x - x @ h)) == 0.0
 
 
 def test_counter_rotating_violates_excitation_number():
     params = dicke(n=2, m=1, beta=0.0, beta_prime=0.4, n_max=6)
     basis = build_basis(params)
-    h = build_hamiltonian(params, basis).entries
-    x = np.diag([float(s.n + (2 - s.q)) for s in basis.states])
+    h = dense(params, basis)
+    x = np.diag((basis.n + (2 - basis.q)).astype(float))
     assert np.max(np.abs(h @ x - x @ h)) > 0.0
 
 
@@ -351,22 +402,21 @@ def test_jz_diagonal_values():
     params = jch(n=2, m=1, beta=0.05)
     basis = build_basis(params)
     jz = jz_diagonal(params, basis)
-    assert jz[basis.index_of[JchState(photons=(1, 1), spins=(0, 0))]] == 0.0
-    assert jz[basis.index_of[JchState(photons=(0, 0), spins=(1, 1))]] == 2.0
+    assert jz[basis.rank((1, 1), (0, 0))] == 0.0
+    assert jz[basis.rank((0, 0), (1, 1))] == 2.0
     d_params = dicke(n=4, m=1, beta=0.5, n_max=6)
     d_basis = build_basis(d_params)
     d_jz = jz_diagonal(d_params, d_basis)
-    assert d_jz[d_basis.index_of[DickeState(n=0, q=0)]] == 4.0
-    assert d_jz[d_basis.index_of[DickeState(n=0, q=4)]] == 0.0
-    full = build_jz(d_params, d_basis).entries
-    assert np.array_equal(full, np.diag(d_jz))
+    assert d_jz[d_basis.rank(0, 0)] == 4.0
+    assert d_jz[d_basis.rank(0, 4)] == 0.0
+    assert d_jz.shape == (d_basis.dim,)
 
 
 def test_initial_state_lattice():
     params = jch(n=2, m=1, beta=0.05)
     basis = build_basis(params)
     psi = initial_state(params, basis)
-    k = basis.index_of[JchState(photons=(1, 1), spins=(0, 0))]
+    k = basis.rank((1, 1), (0, 0))
     assert psi[k] == 1.0
     assert np.sum(psi != 0) == 1
     assert initial_index(params, basis) == k
@@ -376,7 +426,7 @@ def test_initial_state_collective():
     params = dicke(n=3, m=1, beta=0.5, n_max=15)
     basis = build_basis(params)
     k = initial_index(params, basis)
-    assert basis.states[k] == DickeState(n=3, q=3)
+    assert (basis.n[k], basis.q[k]) == (3, 3)
 
 
 def test_initial_state_missing_when_cutoff_too_small():
@@ -390,19 +440,21 @@ def test_basis_mismatch_raises():
     params = jch(n=2, m=1, beta=0.05)
     wrong = build_jch_sector(2, 2)
     with pytest.raises(BasisMismatchError):
-        build_hamiltonian(params, wrong)
+        build_csr(params, wrong)
     with pytest.raises(BasisMismatchError):
         jz_diagonal(params, build_dicke_basis(2, 5))
     d_params = dicke(n=2, m=1, beta=0.5, n_max=10)
     with pytest.raises(BasisMismatchError):
-        build_hamiltonian(d_params, build_dicke_basis(2, 8))
+        build_csr(d_params, build_dicke_basis(2, 8))
 
 
 def test_model_specific_builders_check_model():
-    with pytest.raises(ValueError):
-        build_jch(dicke(n=2, m=1, beta=0.5), build_dicke_basis(2, 10))
-    with pytest.raises(ValueError):
-        build_dicke(jch(n=2, m=1, beta=0.5), build_jch_sector(2, 1))
+    with pytest.raises(BasisMismatchError):
+        build_csr(dicke(n=2, m=1, beta=0.5, n_max=10), build_jch_sector(2, 1))
+    with pytest.raises(BasisMismatchError):
+        build_csr(jch(n=2, m=1, beta=0.5), build_dicke_basis(2, 10))
+    with pytest.raises(BasisMismatchError):
+        initial_index(jch(n=2, m=1, beta=0.5), build_dicke_basis(2, 10))
 
 
 def test_params_validation_and_derived_fields():
