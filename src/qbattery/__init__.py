@@ -35,15 +35,7 @@ from .battery import (
     max_power,
     rabi_oracle,
 )
-from .dynamics import (
-    ChebyshevEngine,
-    EigenEngine,
-    EvolvedState,
-    Spectrum,
-    diagonalize,
-    expectation_diag,
-    prepare,
-)
+from .dynamics import ChebyshevEngine, EigenEngine, Spectrum, diagonalize
 from .hamiltonians import (
     BasisMismatchError,
     MissingStateError,
@@ -103,11 +95,8 @@ __all__ = [
     # dynamics
     "ChebyshevEngine",
     "EigenEngine",
-    "EvolvedState",
     "Spectrum",
     "diagonalize",
-    "expectation_diag",
-    "prepare",
     # battery
     "DENSE_LIMIT_DEFAULT",
     "DegenerateRabiError",

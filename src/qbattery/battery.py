@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisIndex
-from .dynamics import ChebyshevEngine, EigenEngine, diagonalize, prepare
+from .dynamics import ChebyshevEngine, EigenEngine, diagonalize
 from .hamiltonians import (
     Model,
     ModelParams,
@@ -152,7 +152,11 @@ def default_horizon(params: ModelParams) -> float:
 
 
 class QuenchSystem:
-    """One configured battery: basis, Hamiltonian engine, and energy evaluation."""
+    """One configured battery: basis, Hamiltonian engine, and energy evaluation.
+
+    ``at(t)`` and ``on_grid(ts)`` return the stored energy E(t), the
+    evaluator protocol that ``max_power`` reads.
+    """
 
     def __init__(
         self,
@@ -163,32 +167,23 @@ class QuenchSystem:
         self.params = params
         self.basis: BasisIndex = build_basis(params, max_dim)
         self.dim = self.basis.dim
-        self._jz = jz_diagonal(params, self.basis)
-        self._jz0 = float(self._jz[initial_index(params, self.basis)])
+        jz = jz_diagonal(params, self.basis)
+        self._jz0 = float(jz[initial_index(params, self.basis)])
         psi0 = initial_state(params, self.basis)
         limit = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
         h = build_csr(params, self.basis)
         if self.dim <= limit:
             self.engine = "dense"
-            self.spectrum = diagonalize(h.toarray())
-            self._eval = EigenEngine(prepare(self.spectrum, psi0), self._jz)
+            self._eval = EigenEngine(diagonalize(h.toarray()), psi0, jz)
         else:
             self.engine = "chebyshev"
-            self.spectrum = None
-            self._eval = ChebyshevEngine(h, psi0, [self._jz])
+            self._eval = ChebyshevEngine(h, psi0, [jz])
 
-    def jz_at(self, t: float) -> float:
-        return self._eval.at(t)
-
-    def energy_at(self, t: float) -> float:
+    def at(self, t: float) -> float:
         return self.params.omega_c * (self._eval.at(t) - self._jz0)
 
-    def energy_grid(self, ts: np.ndarray) -> np.ndarray:
+    def on_grid(self, ts: np.ndarray) -> np.ndarray:
         return self.params.omega_c * (self._eval.on_grid(ts) - self._jz0)
-
-    # max_power duck-type: at / on_grid
-    at = energy_at
-    on_grid = energy_grid
 
 
 def energy_series(params: ModelParams, t_grid: np.ndarray, **system_kwargs) -> np.ndarray:
@@ -199,7 +194,7 @@ def energy_series(params: ModelParams, t_grid: np.ndarray, **system_kwargs) -> n
     if not ts[0] > 0 or np.any(np.diff(ts) <= 0):
         raise ValueError("time grid must be strictly increasing and positive")
     system = QuenchSystem(params, **system_kwargs)
-    return np.column_stack([ts, system.energy_grid(ts)])
+    return np.column_stack([ts, system.on_grid(ts)])
 
 
 def _golden_max(fn, lo: float, hi: float, rel_tol: float, seeds):

@@ -80,7 +80,6 @@ class RunConfig:
     search: SearchConfig
     preset: str | None
     multipliers: tuple[int, ...] | None
-    jobs: int | None
     timing: bool
     out: str | None
     series_out: str | None
@@ -122,7 +121,7 @@ _DEFAULTS: dict = {
     "out": None,
     "series_out": None,
     "plot_out": None,
-    "jobs": None,
+    "jobs": None,  # accepted and ignored: sweep points run serially
     "literal_eq10": False,
     "timing": False,
     "max_dim": None,
@@ -165,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--series-out", help="energy series CSV path")
         p.add_argument("--plot-out", help="plot script path")
         p.add_argument("--config", help="JSON file of flag values; flags win on conflict")
-        p.add_argument("--jobs", type=int, help="sweep worker count (default: CPU count)")
+        p.add_argument("--jobs", type=int, help="accepted and ignored; sweep points run serially")
         p.add_argument(
             "--literal-eq10",
             action="store_true",
@@ -287,8 +286,20 @@ _PRESET_OVERRIDDEN = ("n", "m", "beta", "beta_prime", "kappa", "topology", "norm
 
 
 def parse_run(argv: list[str]) -> RunConfig:
-    """Parse argv (without the program name) into a resolved RunConfig."""
+    """Parse argv (without the program name) into a resolved RunConfig.
+
+    Every rejected value, from a flag or the config file, raises ConfigError.
+    """
     args = _build_parser().parse_args(argv)
+    try:
+        return _resolve(args)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(str(err)) from err
+
+
+def _resolve(args: argparse.Namespace) -> RunConfig:
     file_values = _load_config_file(args.config) if args.config else {}
     merged = _merge(args, file_values)
     command = args.command
@@ -312,6 +323,9 @@ def parse_run(argv: list[str]) -> RunConfig:
         )
     elif command == "sweep":
         preset = _require(merged, "preset", command)
+        if preset not in preset_names():
+            names = ", ".join(preset_names())
+            raise ConfigError(f"unknown preset {preset!r}; choose from {names}")
         overridden = [k for k in _PRESET_OVERRIDDEN if merged[k] not in (None, _DEFAULTS[k])]
         if overridden:
             flags = ", ".join("--" + k.replace("_", "-") for k in overridden)
@@ -337,7 +351,6 @@ def parse_run(argv: list[str]) -> RunConfig:
         search=search,
         preset=preset,
         multipliers=multipliers,
-        jobs=None if merged["jobs"] is None else int(merged["jobs"]),
         timing=bool(merged["timing"]),
         out=out,
         series_out=series_out,
@@ -380,7 +393,6 @@ def serialize_config(run: RunConfig) -> dict:
         ("out", run.out),
         ("series-out", run.series_out),
         ("plot-out", run.plot_out),
-        ("jobs", run.jobs),
         ("max-dim", run.max_dim),
         ("dense-limit", run.dense_limit),
     ):
@@ -567,9 +579,7 @@ def _run_sweep(run: RunConfig) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec in preset_specs(run.preset):
-            rows.extend(
-                run_sweep(spec, jobs=run.jobs, max_dim=run.max_dim, dense_limit=run.dense_limit)
-            )
+            rows.extend(run_sweep(spec, max_dim=run.max_dim, dense_limit=run.dense_limit))
     write_table(rows, run.out, include_timing=run.timing)
     failures = sum(1 for r in rows if r.error)
     print(f"preset: {run.preset}   rows: {len(rows)}   failed points: {failures}")

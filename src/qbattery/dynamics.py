@@ -37,10 +37,7 @@ from scipy.special import jv
 
 __all__ = [
     "Spectrum",
-    "EvolvedState",
     "diagonalize",
-    "prepare",
-    "expectation_diag",
     "EigenEngine",
     "ChebyshevEngine",
 ]
@@ -67,44 +64,20 @@ def diagonalize(matrix: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-@dataclass(frozen=True)
-class EvolvedState:
-    """Initial vector resolved onto the eigenbasis."""
-
-    spectrum: Spectrum
-    coeffs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-
-def prepare(spectrum: Spectrum, psi0: np.ndarray) -> EvolvedState:
-    psi0 = np.asarray(psi0, dtype=float)
-    if psi0.shape != (spectrum.eigenvalues.shape[0],):
-        raise ValueError("initial vector length does not match the spectrum")
-    return EvolvedState(spectrum=spectrum, coeffs=spectrum.eigenvectors.T @ psi0)
-
-
-def expectation_diag(state: EvolvedState, observable: np.ndarray, t):
-    """<psi(t)|O|psi(t)> at scalar or array times; ``observable`` is the diagonal of O."""
-    engine = EigenEngine(state, observable)
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim == 0:
-        return engine.at(float(t_arr))
-    return engine.on_grid(t_arr)
-
-
 class EigenEngine:
-    """Diagonal-observable evaluator backed by a full spectrum."""
+    """Diagonal-observable evaluator backed by a full spectrum; projects ``psi0`` once."""
 
-    def __init__(self, state: EvolvedState, diag: np.ndarray):
+    def __init__(self, spectrum: Spectrum, psi0: np.ndarray, diag: np.ndarray):
+        dim = spectrum.eigenvalues.shape[0]
+        psi0 = np.asarray(psi0, dtype=float)
+        if psi0.shape != (dim,):
+            raise ValueError("initial vector length does not match the spectrum")
         diag = np.asarray(diag, dtype=float)
-        if diag.shape != (state.dim,):
+        if diag.shape != (dim,):
             raise ValueError("diagonal observable must hold one value per basis state")
-        self._v = state.spectrum.eigenvectors
-        self._lam = state.spectrum.eigenvalues
-        self._c = state.coeffs
+        self._v = spectrum.eigenvectors
+        self._lam = spectrum.eigenvalues
+        self._c = spectrum.eigenvectors.T @ psi0
         self._diag = diag
 
     def at(self, t: float) -> float:
@@ -128,7 +101,6 @@ class EigenEngine:
 class _Window:
     t0: float
     t1: float
-    scaled_halfwidth: float
     grams: list[np.ndarray]
 
 
@@ -215,12 +187,7 @@ class ChebyshevEngine:
             g_ii = wi @ q_im.T
             # G = Q^H diag Q with Q = q_re + i q_im (rows are vectors).
             grams.append((g_rr + g_ii) + 1j * (g_ri - g_ri.T))
-        window = _Window(
-            t0=self._t_end,
-            t1=self._t_end + self._dt,
-            scaled_halfwidth=self._half,
-            grams=grams,
-        )
+        window = _Window(t0=self._t_end, t1=self._t_end + self._dt, grams=grams)
         c = self._coeffs(np.array([self._dt]))[:, 0]
         # exp(-i*center*dt) is a global phase; it cancels in every bilinear
         # form evaluated here, so the stored state simply omits it.

@@ -1,10 +1,10 @@
 """Parameter sweeps over system size, photon filling, hopping, and coupling.
 
 Each sweep point is an independent pure computation (build basis, build
-Hamiltonian, evolve, extract the power maximum), so points run on a
-bounded thread pool and are reassembled in specification order; running
-with one worker or many gives identical rows.  A failing point is recorded
-in its row rather than aborting the sweep.
+Hamiltonian, evolve, extract the power maximum).  Points run one after
+the other in specification order; the dense path's BLAS already uses
+every core, so running points side by side only oversubscribes them.  A
+failing point is recorded in its row rather than aborting the sweep.
 
 The scaled-power column makes the expected scaling collapses visible
 directly in the output table: P/N against N, P/sqrt(m) against m, and
@@ -14,15 +14,13 @@ P*kappa against kappa.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .battery import PowerResult, QuenchSystem, SearchConfig, default_horizon, max_power
+from .battery import PowerResult, QuenchSystem, SearchConfig, charge, default_horizon, max_power
 from .hamiltonians import Model, ModelParams
 
 __all__ = [
@@ -94,6 +92,10 @@ class SweepSpec:
             raise ValueError("cutoff multipliers only apply to the collective model")
         if any(mult < 1 for mult in self.cutoff_multipliers):
             raise ValueError("cutoff multipliers must be positive integers")
+        if len(set(self.cutoff_multipliers)) != len(self.cutoff_multipliers):
+            raise ValueError("cutoff multipliers must be distinct")
+        if self.axis in (Axis.N, Axis.M) and any(not float(v).is_integer() for v in self.values):
+            raise ValueError(f"{self.axis.name} axis values must be integers")
 
 
 @dataclass
@@ -241,17 +243,13 @@ def run_sweep(
     max_dim: int | None = None,
     dense_limit: int | None = None,
 ) -> list[SweepRow]:
-    """All rows for one sweep spec, ordered by (axis value, cutoff multiplier)."""
+    """All rows for one sweep spec, ordered by (axis value, cutoff multiplier).
+
+    ``jobs`` is accepted for compatibility and has no effect: points run serially.
+    """
     mults: tuple = spec.cutoff_multipliers if spec.cutoff_multipliers else (None,)
     points = [(value, mult) for value in spec.values for mult in mults]
-    workers = jobs if jobs is not None else (os.cpu_count() or 1)
-    if workers < 2 or len(points) < 2:
-        rows = [_run_point(spec, v, mult, max_dim, dense_limit) for v, mult in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda pt: _run_point(spec, pt[0], pt[1], max_dim, dense_limit), points)
-            )
+    rows = [_run_point(spec, value, mult, max_dim, dense_limit) for value, mult in points]
     if spec.cutoff_multipliers:
         _mark_convergence(spec, rows)
     return rows
@@ -298,12 +296,9 @@ def convergence_check(
     mults = sorted(set(multipliers))
     if len(mults) < 2:
         raise InsufficientDataError("need at least two cutoff multipliers to compare")
-    config = search if search is not None else SearchConfig()
-    powers = []
-    for mult in mults:
-        point = params.with_cutoff(mult)
-        system = QuenchSystem(point, dense_limit=dense_limit)
-        powers.append(max_power(system, config, t_max=default_horizon(point)).p_max)
+    powers = [
+        charge(params.with_cutoff(mult), search, dense_limit=dense_limit).p_max for mult in mults
+    ]
     diffs = [_relative_difference(a, b) for a, b in zip(powers[1:], powers[:-1])]
     return bool(diffs[-1] < threshold), float(max(diffs))
 

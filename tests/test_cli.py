@@ -48,7 +48,6 @@ def test_parse_defaults():
     assert run.search.n_samples == 4096
     assert run.search.rel_tol == 1e-6
     assert run.timing is False
-    assert run.jobs is None
     assert run.out is None and run.series_out is None and run.plot_out is None
 
 
@@ -139,6 +138,11 @@ def test_config_file_rejections(tmp_path):
         parse_run(["jch", "--n", "2", "--beta", "0.05", "--config", str(not_json)])
     with pytest.raises(ConfigError):
         parse_run(["jch", "--n", "2", "--beta", "0.05", "--config", str(tmp_path / "absent.json")])
+    for i, values in enumerate(({"normalization": "bogus"}, {"samples": "many"}, {"m": 0})):
+        bad_value = tmp_path / f"d{i}.json"
+        bad_value.write_text(json.dumps(values))
+        with pytest.raises(ConfigError):
+            parse_run(["dicke", "--n", "2", "--beta", "0.5", "--config", str(bad_value)])
 
 
 @pytest.mark.parametrize(
@@ -277,6 +281,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["jch", "--n", "2"]) == 2  # missing --beta
     assert main(["jch", "--n", "40", "--beta", "0.05"]) == 1  # sector too large
     capsys.readouterr()
+    bad_value = tmp_path / "bad.json"
+    bad_value.write_text(json.dumps({"normalization": "bogus"}))
+    bad_preset = tmp_path / "preset.json"
+    bad_preset.write_text(json.dumps({"preset": "bogus"}))
+    for argv in (
+        ["jch", "--n", "2", "--beta", "0.05", "--samples", "3"],  # SearchConfig
+        ["jch", "--n", "2", "--beta", "0.05", "--m", "0"],  # ModelParams
+        ["dicke", "--n", "2", "--beta", "0.5", "--config", str(bad_value)],  # enum
+        ["sweep", "--config", str(bad_preset), "--out", str(tmp_path / "t.csv")],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_timing_column_only_with_flag(tmp_path):

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from qbattery.dynamics import (
-    ChebyshevEngine,
-    EigenEngine,
-    Spectrum,
-    diagonalize,
-    expectation_diag,
-    prepare,
-)
+from qbattery.dynamics import ChebyshevEngine, EigenEngine, Spectrum, diagonalize
 from qbattery.hamiltonians import (
     Model,
     ModelParams,
@@ -71,13 +64,18 @@ def test_diagonalize_rejects_nonsquare():
 
 
 # ---------------------------------------------------------------------------
-# State preparation.
+# State preparation: the engine projects the initial vector itself.
 
 
 def test_prepare_on_eigenvector_gives_indicator():
     spec = diagonalize(np.array([[1.0, 0.05], [0.05, 1.0]]))
-    state = prepare(spec, spec.eigenvectors[:, 1])
-    assert np.allclose(np.abs(state.coeffs), [0.0, 1.0], atol=1e-12)
+    v1 = spec.eigenvectors[:, 1]
+    # An eigenvector is stationary: every basis weight keeps its initial value.
+    ts = np.linspace(0.0, 100.0, 41)
+    for b in range(2):
+        indicator = np.eye(2)[b]
+        weights = EigenEngine(spec, v1, indicator).on_grid(ts)
+        assert np.allclose(weights, v1[b] ** 2, atol=1e-12)
 
 
 def test_prepare_preserves_norm():
@@ -86,23 +84,27 @@ def test_prepare_preserves_norm():
     h = (h + h.T) / 2.0
     psi0 = rng.standard_normal(12)
     psi0 /= np.linalg.norm(psi0)
-    state = prepare(diagonalize(h), psi0)
-    assert abs(np.sum(np.abs(state.coeffs) ** 2) - 1.0) <= 1e-10
+    engine = EigenEngine(diagonalize(h), psi0, np.ones(12))
+    assert np.max(np.abs(engine.on_grid(np.linspace(0.0, 50.0, 11)) - 1.0)) <= 1e-10
 
 
 def test_prepare_dimension_mismatch():
     spec = diagonalize(np.eye(3))
     with pytest.raises(ValueError):
-        prepare(spec, np.array([1.0, 0.0]))
+        EigenEngine(spec, np.array([1.0, 0.0]), np.ones(3))
+    with pytest.raises(ValueError):
+        EigenEngine(spec, np.array([1.0, 0.0, 0.0]), np.ones(2))
 
 
 def test_prepare_matches_direct_projection():
     params = jch(n=2, m=1, beta=0.05, kappa=0.1)
-    basis, h, _, psi0 = _system(params)
+    basis, h, jz, psi0 = _system(params)
     spec = diagonalize(h)
-    state = prepare(spec, psi0)
+    engine = EigenEngine(spec, psi0, jz)
     direct = np.array([spec.eigenvectors[:, j] @ psi0 for j in range(basis.dim)])
-    assert np.allclose(state.coeffs, direct, atol=1e-14)
+    for t in (0.0, 0.9, 13.0):
+        psi = spec.eigenvectors @ (direct * np.exp(-1j * spec.eigenvalues * t))
+        assert engine.at(t) == pytest.approx(float(jz @ np.abs(psi) ** 2), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -112,34 +114,31 @@ def test_prepare_matches_direct_projection():
 def test_expectation_at_zero_matches_initial_value():
     params = jch(n=2, m=2, beta=0.3, kappa=0.2)
     _, h, jz, psi0 = _system(params)
-    state = prepare(diagonalize(h), psi0)
-    assert expectation_diag(state, jz, 0.0) == pytest.approx(float(jz @ psi0**2), abs=1e-12)
+    engine = EigenEngine(diagonalize(h), psi0, jz)
+    assert engine.at(0.0) == pytest.approx(float(jz @ psi0**2), abs=1e-12)
 
 
 def test_identity_observable_is_one_for_all_times():
     params = jch(n=2, m=1, beta=0.4, kappa=0.3)
     _, h, _, psi0 = _system(params)
-    state = prepare(diagonalize(h), psi0)
+    engine = EigenEngine(diagonalize(h), psi0, np.ones(h.shape[0]))
     ts = np.linspace(0.0, 40.0, 64)
-    ones = expectation_diag(state, np.ones(h.shape[0]), ts)
-    assert np.max(np.abs(ones - 1.0)) <= 1e-10
+    assert np.max(np.abs(engine.on_grid(ts) - 1.0)) <= 1e-10
 
 
 def test_single_cavity_oscillation_closed_form():
     params = jch(n=1, m=1, beta=0.05)
     _, h, jz, psi0 = _system(params)
-    state = prepare(diagonalize(h), psi0)
     ts = np.linspace(0.0, 200.0, 400)
-    got = expectation_diag(state, jz, ts)
+    got = EigenEngine(diagonalize(h), psi0, jz).on_grid(ts)
     assert np.max(np.abs(got - np.sin(0.05 * ts) ** 2)) <= 1e-12
 
 
 def test_expectation_rejects_nondiagonal_observable():
     params = jch(n=2, m=1, beta=0.05, kappa=0.1)
     _, h, _, psi0 = _system(params)
-    state = prepare(diagonalize(h), psi0)
     with pytest.raises(ValueError):
-        expectation_diag(state, h, 1.0)
+        EigenEngine(diagonalize(h), psi0, h)
 
 
 @pytest.mark.parametrize(
@@ -149,22 +148,23 @@ def test_expectation_rejects_nondiagonal_observable():
 def test_unitarity_energy_conservation_and_bounds(params):
     basis, h, jz, psi0 = _system(params)
     spec = diagonalize(h)
-    state = prepare(spec, psi0)
-    v, lam, c = spec.eigenvectors, spec.eigenvalues, state.coeffs
+    engine = EigenEngine(spec, psi0, jz)
+    v, lam = spec.eigenvectors, spec.eigenvalues
+    c = v.T @ psi0
     h_norm = np.max(np.abs(h))
     e0 = float(c @ (lam * c))
     for t in np.linspace(0.0, 60.0, 31):
         psi = v @ (c * np.exp(-1j * lam * t))
         assert abs(np.vdot(psi, psi).real - 1.0) <= 1e-10
         assert abs((np.vdot(psi, h @ psi)).real - e0) <= 1e-9 * h_norm
-        val = expectation_diag(state, jz, float(t))
+        val = engine.at(float(t))
         assert -1e-9 <= val <= params.n * params.omega_a + 1e-9
 
 
 def test_engine_grid_matches_scalar_calls():
     params = jch(n=2, m=1, beta=0.11, kappa=0.23)
     _, h, jz, psi0 = _system(params)
-    engine = EigenEngine(prepare(diagonalize(h), psi0), jz)
+    engine = EigenEngine(diagonalize(h), psi0, jz)
     ts = np.array([0.0, 0.7, 3.1, 17.0, 44.4])
     grid = engine.on_grid(ts)
     for t, val in zip(ts, grid):
@@ -187,7 +187,7 @@ def test_engine_grid_matches_scalar_calls():
 )
 def test_chebyshev_matches_eigenbasis(params):
     basis, h, jz, psi0 = _system(params)
-    exact = EigenEngine(prepare(diagonalize(h), psi0), jz)
+    exact = EigenEngine(diagonalize(h), psi0, jz)
     cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
     ts = np.linspace(0.0, 150.0, 301)
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
@@ -201,7 +201,7 @@ def test_chebyshev_unsorted_grid_and_revisits():
     cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
     ts = np.array([40.0, 1.0, 90.0, 1.0, 0.0])
     got = cheb.on_grid(ts)
-    exact = EigenEngine(prepare(diagonalize(h), psi0), jz)
+    exact = EigenEngine(diagonalize(h), psi0, jz)
     assert np.max(np.abs(got - exact.on_grid(ts))) <= 1e-10
     # Asking for an earlier time after extension must not disturb anything.
     assert cheb.at(1.0) == pytest.approx(got[1], abs=1e-14)
@@ -225,12 +225,11 @@ def test_chebyshev_tracks_multiple_observables():
     basis, h, jz, psi0 = _system(params)
     photons = basis.photons.sum(axis=1).astype(float)
     cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz, photons])
-    state = prepare(diagonalize(h), psi0)
+    spec = diagonalize(h)
     ts = np.linspace(0.0, 30.0, 61)
-    assert np.max(np.abs(cheb.values_on_grid(0, ts) - expectation_diag(state, jz, ts))) <= 1e-10
-    assert (
-        np.max(np.abs(cheb.values_on_grid(1, ts) - expectation_diag(state, photons, ts))) <= 1e-10
-    )
+    for which, diag in enumerate((jz, photons)):
+        exact = EigenEngine(spec, psi0, diag)
+        assert np.max(np.abs(cheb.values_on_grid(which, ts) - exact.on_grid(ts))) <= 1e-10
 
 
 def test_chebyshev_rejects_negative_times():

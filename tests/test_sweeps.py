@@ -86,6 +86,20 @@ def test_spec_validation():
             values=(2, 3),
             cutoff_multipliers=(0,),
         )
+    with pytest.raises(ValueError):
+        SweepSpec(
+            base=dicke(n=2, m=1, beta=2.0),
+            axis=Axis.N,
+            values=(2, 3),
+            cutoff_multipliers=(1, 1),
+        )
+    with pytest.raises(ValueError):
+        SweepSpec(base=base, axis=Axis.N, values=(2.5, 3))
+    with pytest.raises(ValueError):
+        SweepSpec(base=base, axis=Axis.M, values=(1, 1.5))
+    # Integral floats are fine on the integer axes, any float on the others.
+    SweepSpec(base=base, axis=Axis.N, values=(2.0, 3.0))
+    SweepSpec(base=base, axis=Axis.KAPPA, values=(0.5, 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +136,7 @@ def test_failed_point_is_recorded_not_raised():
     assert math.isnan(rows[1].p_max)
 
 
-def test_parallel_matches_serial():
+def test_jobs_changes_no_row():
     spec = SweepSpec(
         base=jch(n=2, m=1, beta=0.05, kappa=0.05),
         axis=Axis.M,
@@ -130,9 +144,10 @@ def test_parallel_matches_serial():
         scaling=Scaling.PER_SQRT_M,
         search=SearchConfig(n_samples=512),
     )
-    serial = run_sweep(spec, jobs=1)
-    parallel = run_sweep(spec, jobs=3)
-    for a, b in zip(serial, parallel):
+    one = run_sweep(spec, jobs=1)
+    many = run_sweep(spec, jobs=3)
+    assert len(one) == len(many) == 3
+    for a, b in zip(one, many):
         assert a.p_max == b.p_max
         assert a.tau == b.tau
         assert a.dim == b.dim
