@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 # Guard against accidentally enumerating sectors far beyond what a dense or
-# even sparse treatment can handle.  Generous on purpose; memory pressure is
-# handled separately by the engine dispatch.
+# even sparse treatment can handle.  Generous on purpose; the engine's own
+# memory is checked against physical memory by ``QuenchSystem`` before it
+# is allocated.
 DEFAULT_MAX_DIM = 200_000
 
 

@@ -26,12 +26,14 @@ maximum solves tan(x) = 2x with x = Omega t.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .basis import BasisIndex
+from .basis import BasisIndex, CapacityError
 from .dynamics import ChebyshevEngine, EigenEngine, diagonalize
 from .hamiltonians import (
     Model,
@@ -39,7 +41,6 @@ from .hamiltonians import (
     build_basis,
     build_csr,
     initial_index,
-    initial_state,
     jz_diagonal,
 )
 
@@ -58,10 +59,16 @@ __all__ = [
     "DENSE_LIMIT_DEFAULT",
 ]
 
-# Sectors at or below this size are handled by full dense diagonalization;
-# larger ones fall back to sparse Chebyshev propagation.  On a single core
-# the crossover where propagation of one quench beats a full eigh sits near
-# 1e3; the margin keeps small systems on the exactly-analyzable path.
+# Blocks of at most this many states are diagonalized densely; larger ones
+# are propagated with sparse Chebyshev windows.  The limit counts the states
+# of the block the quench can reach, not the full basis.  One charge() on a
+# 2-vCPU host with OpenBLAS, dense against Chebyshev: 0.60 s against 0.74 s
+# at 1,002 states (JCH N=5, kappa=0.05), 0.73 s against 1.54 s at 1,061
+# (Dicke N=20, beta=0.5), 1.18 s against 1.59 s at 1,381 and 2.38 s against
+# 2.32 s at 2,756 (Dicke N=10, beta=0.5).  Chebyshev wins at 1,381 states
+# with beta=2 (1.01 s against 1.25 s) but needs many more windows at small
+# beta (8.0 s against 1.3 s at beta=0.05), so a limit of 1,200 made the
+# dicke_m preset take 258 s instead of 123 s.
 DENSE_LIMIT_DEFAULT = 2500
 
 _FLAT_TOL = 1e-12
@@ -151,11 +158,40 @@ def default_horizon(params: ModelParams) -> float:
     return 100.0
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _reachable_block(h: scipy.sparse.csr_array, start: int) -> np.ndarray:
+    """Sorted indices of the states that the nonzeros of ``h`` connect to ``start``.
+
+    A breadth-first walk over the CSR rows, one numpy step per level.  The
+    block is a connected component of the sparsity graph, so H maps it into
+    itself and a quench from ``start`` never leaves it.
+    """
+    indptr, indices = h.indptr, h.indices
+    seen = np.zeros(h.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        lo = indptr[frontier]
+        counts = indptr[frontier + 1] - lo
+        # Position of every stored entry of the frontier rows in ``indices``.
+        pos = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        neighbors = indices[pos]
+        frontier = np.unique(neighbors[~seen[neighbors]])
+        seen[frontier] = True
+    return np.flatnonzero(seen)
+
+
 class QuenchSystem:
     """One configured battery: basis, Hamiltonian engine, and energy evaluation.
 
-    ``at(t)`` and ``on_grid(ts)`` return the stored energy E(t), the
-    evaluator protocol that ``max_power`` reads.
+    The engine evolves only the block of basis states that the Hamiltonian
+    connects to the initial state: ``dim`` is the size of the full basis,
+    ``block_dim`` the size of that block, and ``dense_limit`` is compared
+    with ``block_dim``.  ``at(t)`` and ``on_grid(ts)`` return the stored
+    energy E(t), the evaluator protocol that ``max_power`` reads.
     """
 
     def __init__(
@@ -168,15 +204,30 @@ class QuenchSystem:
         self.basis: BasisIndex = build_basis(params, max_dim)
         self.dim = self.basis.dim
         jz = jz_diagonal(params, self.basis)
-        self._jz0 = float(jz[initial_index(params, self.basis)])
-        psi0 = initial_state(params, self.basis)
-        limit = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
+        start = initial_index(params, self.basis)
+        self._jz0 = float(jz[start])
         h = build_csr(params, self.basis)
-        if self.dim <= limit:
-            self.engine = "dense"
+        block = _reachable_block(h, start)
+        self.block_dim = int(block.shape[0])
+        if self.block_dim < self.dim:
+            h = h[block][:, block]
+            jz = jz[block]
+        psi0 = (block == start).astype(float)
+        limit = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
+        dense = self.block_dim <= limit
+        self.engine = "dense" if dense else "chebyshev"
+        # Dense: H, its eigenvectors and the LAPACK workspace.
+        need = 24 * self.block_dim**2 if dense else ChebyshevEngine.window_bytes(self.block_dim)
+        available = _physical_memory()
+        if need > available:
+            raise CapacityError(
+                f"the {self.engine} engine needs about {need / 2**30:.1f} GiB for "
+                f"{self.block_dim} states, more than the {available / 2**30:.1f} GiB "
+                f"of physical memory"
+            )
+        if dense:
             self._eval = EigenEngine(diagonalize(h.toarray()), psi0, jz)
         else:
-            self.engine = "chebyshev"
             self._eval = ChebyshevEngine(h, psi0, [jz])
 
     def at(self, t: float) -> float:

@@ -178,7 +178,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help="include wall-clock timings in the table (breaks byte reproducibility)",
         )
         p.add_argument("--max-dim", type=int, help=f"basis size cap (default {DEFAULT_MAX_DIM})")
-        p.add_argument("--dense-limit", type=int, help="largest basis diagonalized densely")
+        p.add_argument(
+            "--dense-limit",
+            type=int,
+            help="largest block of reachable states diagonalized densely (0: always Chebyshev)",
+        )
 
     for name, desc in (
         ("jch", "cavity-array battery quench"),
@@ -344,6 +348,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("sweep needs --out for the results table")
     if command in ("jch", "dicke", "rabi") and plot_out is not None and series_out is None:
         raise ConfigError("--plot-out for a single run needs --series-out")
+    max_dim = None if merged["max_dim"] is None else int(merged["max_dim"])
+    if max_dim is not None and max_dim < 1:
+        raise ConfigError(f"--max-dim must be at least 1, got {max_dim}")
+    dense_limit = None if merged["dense_limit"] is None else int(merged["dense_limit"])
+    if dense_limit is not None and dense_limit < 0:
+        raise ConfigError(f"--dense-limit must be nonnegative, got {dense_limit}")
     return RunConfig(
         command=command,
         params=params,
@@ -355,8 +365,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         out=out,
         series_out=series_out,
         plot_out=plot_out,
-        max_dim=None if merged["max_dim"] is None else int(merged["max_dim"]),
-        dense_limit=None if merged["dense_limit"] is None else int(merged["dense_limit"]),
+        max_dim=max_dim,
+        dense_limit=dense_limit,
     )
 
 

@@ -1,13 +1,15 @@
 """Time evolution after the quench.
 
 The workhorse is a full symmetric eigendecomposition: with H = V L V^T and
-the initial vector written as c = V^T psi0, any expectation of a diagonal
-observable O at time t is
+the real initial vector written as c = V^T psi0, any expectation of a
+diagonal observable O at time t is
 
-    <psi(t)| O |psi(t)>  =  sum_b O_b |psi_b(t)|^2,
-    psi(t) = V (c * exp(-i * eigenvalues * t)),
+    <psi(t)| O |psi(t)>  =  sum_b O_b (x_b(t)^2 + y_b(t)^2),
+    x(t) = V (c * cos(L t)),    y(t) = V (c * sin(L t)),
 
-which costs O(dim^2) per requested time and is exact for every t.
+the real and imaginary parts of psi(t) = V (c * exp(-i L t)) up to the
+sign of y.  V stays real, so a grid of times costs two real matrix
+products, O(dim^2) per requested time, and is exact for every t.
 
 Sectors too large to diagonalize densely are handled by a Chebyshev
 polynomial propagator on the sparse Hamiltonian.  Evolution proceeds in
@@ -42,9 +44,10 @@ __all__ = [
     "ChebyshevEngine",
 ]
 
-# Cap on the scratch block used when evaluating a dense-path expectation on
-# a long time grid (complex entries).
-_GRID_BLOCK_ENTRIES = 4_000_000
+# Cap on the entries of each real (dim, times) scratch array used when
+# evaluating a dense-path expectation on a long time grid; about six such
+# arrays are alive at once, so a block takes at most about 100 MB.
+_GRID_BLOCK_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -81,19 +84,22 @@ class EigenEngine:
         self._diag = diag
 
     def at(self, t: float) -> float:
-        u = self._c * np.exp(-1j * self._lam * t)
-        psi = self._v @ u
-        return float(self._diag @ (psi.real**2 + psi.imag**2))
+        phase = self._lam * t
+        x = self._v @ (self._c * np.cos(phase))
+        y = self._v @ (self._c * np.sin(phase))
+        return float(self._diag @ (x * x + y * y))
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         out = np.empty(ts.shape[0])
         block = max(1, _GRID_BLOCK_ENTRIES // max(1, self._lam.shape[0]))
+        c = self._c[:, None]
         for start in range(0, ts.shape[0], block):
             chunk = ts[start : start + block]
-            u = self._c[:, None] * np.exp(-1j * np.outer(self._lam, chunk))
-            psi = self._v @ u
-            out[start : start + chunk.shape[0]] = self._diag @ (psi.real**2 + psi.imag**2)
+            phase = np.outer(self._lam, chunk)
+            x = self._v @ (c * np.cos(phase))
+            y = self._v @ (c * np.sin(phase))
+            out[start : start + chunk.shape[0]] = self._diag @ (x * x + y * y)
         return out
 
 
@@ -143,6 +149,11 @@ class ChebyshevEngine:
         self._t_end = 0.0
         self._state_re = psi0.copy()
         self._state_im = np.zeros(dim)
+
+    @classmethod
+    def window_bytes(cls, dim: int) -> int:
+        """Bytes of the real and imaginary expansion vectors one window holds."""
+        return 2 * cls._pick_order(cls._WINDOW_PHASE) * dim * 8
 
     @staticmethod
     def _gershgorin(h: scipy.sparse.csr_array) -> tuple[float, float]:

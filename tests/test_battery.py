@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from qbattery import battery
+from qbattery.basis import CapacityError
 from qbattery.battery import (
     DegenerateRabiError,
     PowerResult,
@@ -19,7 +21,18 @@ from qbattery.battery import (
     max_power,
     rabi_oracle,
 )
-from qbattery.hamiltonians import Model, ModelParams
+from qbattery.cli import main
+from qbattery.dynamics import ChebyshevEngine, EigenEngine, diagonalize
+from qbattery.hamiltonians import (
+    Model,
+    ModelParams,
+    Topology,
+    build_basis,
+    build_csr,
+    initial_index,
+    initial_state,
+    jz_diagonal,
+)
 
 
 def jch(**kw):
@@ -290,3 +303,91 @@ def test_energy_series_validation():
         energy_series(params, np.array([2.0, 1.0]))
     out = energy_series(params, np.array([1.0, 2.0]))
     assert out.shape == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# The block the quench reaches, against the full basis.
+
+
+def full_basis_energy(params, ts):
+    """E(t) from an eigendecomposition of the whole basis, with no block taken."""
+    basis = build_basis(params)
+    jz = jz_diagonal(params, basis)
+    engine = EigenEngine(diagonalize(build_csr(params, basis).toarray()), initial_state(params, basis), jz)
+    return params.omega_c * (engine.on_grid(ts) - jz[initial_index(params, basis)])
+
+
+@pytest.mark.parametrize(
+    "params, block_dim",
+    [
+        (dicke(n=15, m=1, beta=0.5, n_max=75), 608),  # parity halves 1,216
+        (dicke(n=10, m=1, beta=0.5, n_max=50), 281),  # of 561
+        (dicke(n=6, m=1, beta=0.5, beta_prime=0.0), 7),  # excitations conserved: N + 1
+        (jch(n=4, m=1, beta=0.05), 16),  # independent cavities: 2^N of 192
+        (jch(n=4, m=1, beta=0.05, kappa=0.1), 192),
+        (jch(n=4, m=1, beta=0.05, kappa=0.1, topology=Topology.RING), 192),
+        (jch(n=4, m=1, beta=0.05, kappa=0.1, topology=Topology.ALL_TO_ALL), 192),
+        (jch(n=2, m=2, beta=0.3, kappa=0.7, topology=Topology.RING), 16),  # doubled bond
+    ],
+)
+def test_block_matches_full_basis(params, block_dim):
+    system = QuenchSystem(params)
+    assert system.dim == build_basis(params).dim
+    assert system.block_dim == block_dim
+    ts = np.linspace(0.25, default_horizon(params), 173)
+    assert np.max(np.abs(system.on_grid(ts) - full_basis_energy(params, ts))) <= 1e-12
+
+
+def test_uncoupled_cavities_evolve_two_states_each():
+    # The full sector (28,814 states) is too large for a dense reference; at
+    # kappa = 0 each cavity swaps its photon with its two-level system.
+    params = jch(n=7, m=1, beta=0.05)
+    system = QuenchSystem(params)
+    assert (system.dim, system.block_dim, system.engine) == (28_814, 128, "dense")
+    ts = np.linspace(0.25, default_horizon(params), 173)
+    assert np.max(np.abs(system.on_grid(ts) - 7 * np.sin(0.05 * ts) ** 2)) <= 1e-12
+
+
+def test_uncoupled_collective_system_keeps_one_state():
+    params = dicke(n=6, m=1, beta=0.0)
+    system = QuenchSystem(params)
+    assert (system.dim, system.block_dim) == (217, 1)
+    with pytest.warns(SearchNotice, match="flat"):
+        result = charge(params)
+    assert result.p_max == 0.0 and result.e_max == 0.0
+
+
+def test_block_sets_the_diagonalized_size(monkeypatch):
+    shapes = []
+
+    def recording(matrix):
+        shapes.append(matrix.shape)
+        return diagonalize(matrix)
+
+    monkeypatch.setattr(battery, "diagonalize", recording)
+    system = QuenchSystem(dicke(n=20, m=1, beta=0.5, n_max=100))
+    assert system.dim == 2121
+    assert shapes == [(1061, 1061)]
+
+
+def test_memory_guard_raises_before_allocating(monkeypatch, capsys):
+    params = dicke(n=10, m=1, beta=0.5, n_max=50)  # a block of 281 states
+    dense_need = 3 * 8 * 281**2
+    cheb_need = ChebyshevEngine.window_bytes(281)
+
+    def refuse(matrix):
+        raise AssertionError("diagonalized past the memory guard")
+
+    monkeypatch.setattr(battery, "diagonalize", refuse)
+    monkeypatch.setattr(battery, "_physical_memory", lambda: dense_need - 1)
+    with pytest.raises(CapacityError, match="physical memory"):
+        QuenchSystem(params)
+    monkeypatch.setattr(battery, "_physical_memory", lambda: cheb_need - 1)
+    with pytest.raises(CapacityError, match="physical memory"):
+        QuenchSystem(params, dense_limit=0)
+    monkeypatch.setattr(battery, "_physical_memory", lambda: cheb_need)
+    assert QuenchSystem(params, dense_limit=0).engine == "chebyshev"
+    monkeypatch.setattr(battery, "_physical_memory", lambda: dense_need - 1)
+    argv = ["dicke", "--n", "10", "--beta", "0.5", "--dense-limit", "200000"]
+    assert main(argv) == 1
+    assert "physical memory" in capsys.readouterr().err

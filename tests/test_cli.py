@@ -290,9 +290,13 @@ def test_exit_codes(tmp_path, capsys):
         ["jch", "--n", "2", "--beta", "0.05", "--m", "0"],  # ModelParams
         ["dicke", "--n", "2", "--beta", "0.5", "--config", str(bad_value)],  # enum
         ["sweep", "--config", str(bad_preset), "--out", str(tmp_path / "t.csv")],
+        ["jch", "--n", "2", "--beta", "0.05", "--dense-limit", "-5"],
+        ["jch", "--n", "2", "--beta", "0.05", "--max-dim", "0"],
     ):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    assert main(["jch", "--n", "2", "--beta", "0.05", "--dense-limit", "0"]) == 0
+    assert "engine: chebyshev" in capsys.readouterr().out
 
 
 def test_timing_column_only_with_flag(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qbattery import dynamics
 from qbattery.dynamics import ChebyshevEngine, EigenEngine, Spectrum, diagonalize
 from qbattery.hamiltonians import (
     Model,
@@ -169,6 +170,22 @@ def test_engine_grid_matches_scalar_calls():
     grid = engine.on_grid(ts)
     for t, val in zip(ts, grid):
         assert engine.at(float(t)) == pytest.approx(val, abs=1e-12)
+
+
+def test_real_products_match_complex_formula(monkeypatch):
+    params = dicke(n=4, m=1, beta=0.5, beta_prime=0.2, n_max=20)
+    _, h, jz, psi0 = _system(params)
+    spectrum = diagonalize(h)
+    v, lam = spectrum.eigenvectors, spectrum.eigenvalues
+    ts = np.linspace(0.0, 150.0, 301)
+    psi = v @ ((v.T @ psi0)[:, None] * np.exp(-1j * np.outer(lam, ts)))
+    expected = jz @ np.abs(psi) ** 2
+    # Small scratch blocks, so the grid runs through several of them.
+    monkeypatch.setattr(dynamics, "_GRID_BLOCK_ENTRIES", 20 * lam.shape[0])
+    engine = EigenEngine(spectrum, psi0, jz)
+    assert np.max(np.abs(engine.on_grid(ts) - expected)) <= 1e-13
+    for t, e in zip(ts[::37], expected[::37]):
+        assert engine.at(float(t)) == pytest.approx(e, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
