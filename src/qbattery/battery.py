@@ -190,8 +190,9 @@ class QuenchSystem:
     The engine evolves only the block of basis states that the Hamiltonian
     connects to the initial state: ``dim`` is the size of the full basis,
     ``block_dim`` the size of that block, and ``dense_limit`` is compared
-    with ``block_dim``.  ``at(t)`` and ``on_grid(ts)`` return the stored
-    energy E(t), the evaluator protocol that ``max_power`` reads.
+    with ``block_dim``.  ``on_grid(ts)`` returns the stored energy E(t) at
+    each time and, with ``params``, is the evaluator protocol that
+    ``max_power`` reads.
     """
 
     def __init__(
@@ -229,9 +230,6 @@ class QuenchSystem:
             self._eval = EigenEngine(diagonalize(h.toarray()), psi0, jz)
         else:
             self._eval = ChebyshevEngine(h, psi0, [jz])
-
-    def at(self, t: float) -> float:
-        return self.params.omega_c * (self._eval.at(t) - self._jz0)
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         return self.params.omega_c * (self._eval.on_grid(ts) - self._jz0)
@@ -292,16 +290,15 @@ def _first_peak_index(energies: np.ndarray) -> int:
     return k_top
 
 
-def max_power(evaluator, config: SearchConfig, t_max: float | None = None) -> PowerResult:
+def max_power(evaluator, config: SearchConfig) -> PowerResult:
     """Locate max E(t)/t by coarse scan plus golden-section refinement.
 
-    ``evaluator`` provides ``on_grid`` and ``at`` (any QuenchSystem
-    works).  ``t_max`` overrides the window when the config leaves it
-    unset.
+    ``evaluator`` provides ``on_grid(ts)``, the energy at each time (any
+    QuenchSystem works); the refinement asks it for one time at a time.
+    The window is ``config.t_max``, or ``default_horizon(evaluator.params)``
+    when the config leaves it unset.
     """
-    horizon = config.t_max if config.t_max is not None else t_max
-    if horizon is None or not horizon > 0:
-        raise ValueError("a positive scan window is required")
+    horizon = config.t_max if config.t_max is not None else default_horizon(evaluator.params)
     n = config.n_samples
     extensions_left = config.edge_extensions
     while True:
@@ -339,26 +336,26 @@ def max_power(evaluator, config: SearchConfig, t_max: float | None = None) -> Po
         )
     lo = ts[k - 1] if k > 0 else ts[0]
     hi = ts[k + 1] if k < n - 1 else ts[n - 1]
-    # Seeded with the grid sample, so tau has a cached energy wherever it lands.
+    # Seeded with the grid sample, so tau has a cached energy wherever it lands;
+    # both refinements share it, so no time is evaluated twice.
     cache: dict[float, float] = {ts[k]: energies[k]}
 
-    def quotient(t: float) -> float:
-        e = evaluator.at(t)
-        cache[t] = e
-        return e / t
+    def energy(t: float) -> float:
+        if t not in cache:
+            cache[t] = float(evaluator.on_grid(np.array([t]))[0])
+        return cache[t]
 
-    tau, p_max = _golden_max(
-        quotient, lo, hi, config.rel_tol, seeds=[(ts[k], quotients[k])]
-    )
+    def quotient(t: float) -> float:
+        return energy(t) / t
+
+    tau, p_max = _golden_max(quotient, lo, hi, config.rel_tol, seeds=[(ts[k], quotients[k])])
     e_at_tau = cache[tau]
     # Refine the first full charging peak as well; E is smooth, so a local
     # golden search around the first near-top sample pins it down.
     j = _first_peak_index(energies)
     p_lo = ts[j - 1] if j > 0 else ts[0]
     p_hi = ts[j + 1] if j < n - 1 else ts[n - 1]
-    t_e_max, e_peak = _golden_max(
-        lambda t: evaluator.at(t), p_lo, p_hi, config.rel_tol, seeds=[(ts[j], energies[j])]
-    )
+    t_e_max, e_peak = _golden_max(energy, p_lo, p_hi, config.rel_tol, seeds=[(ts[j], energies[j])])
     return PowerResult(
         p_max=e_at_tau / tau,
         tau=tau,
@@ -378,4 +375,4 @@ def charge(
     """Build the system for ``params`` and run the power search on it."""
     config = search if search is not None else SearchConfig()
     system = QuenchSystem(params, max_dim=max_dim, dense_limit=dense_limit)
-    return max_power(system, config, t_max=default_horizon(params))
+    return max_power(system, config)

@@ -10,7 +10,8 @@ Subcommands:
 * ``convergence``: compare collective-model photon cutoffs.
 
 Flags override values read from ``--config`` (a flat JSON object whose
-keys are the long flag names).  All file output is plain CSV with
+keys are the long flag names).  A value the command does not read prints
+a notice on stderr.  All file output is plain CSV with
 deterministic formatting: identical invocations produce identical bytes.
 Wall-clock timings are only written when ``--timing`` is given, precisely
 to keep the default output reproducible.
@@ -28,17 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DEFAULT_MAX_DIM, CapacityError
-from .battery import (
-    QuenchSystem,
-    RabiParams,
-    SearchConfig,
-    default_horizon,
-    max_power,
-    rabi_oracle,
-)
+from .battery import QuenchSystem, RabiParams, SearchConfig, max_power, rabi_oracle
 from .hamiltonians import Model, ModelParams, Normalization, Topology
 from .sweeps import (
-    Axis,
     SweepRow,
     convergence_check,
     preset_names,
@@ -286,7 +279,19 @@ def _build_params(command: str, merged: dict) -> ModelParams:
     return params
 
 
-_PRESET_OVERRIDDEN = ("n", "m", "beta", "beta_prime", "kappa", "topology", "normalization", "cutoff_mult")
+_COLLECTIVE_ONLY = ("beta_prime", "normalization", "cutoff_mult", "literal_eq10")
+_CHAIN_ONLY = ("kappa", "topology")
+
+# Per command, the values it does not read.  Giving one of them with a value
+# other than its default prints a notice; --jobs is accepted silently everywhere.
+_UNREAD = {
+    "jch": _COLLECTIVE_ONLY + ("delta", "preset"),
+    "dicke": _CHAIN_ONLY + ("delta", "preset"),
+    "rabi": tuple(k for k in _MODEL_KEYS if k not in ("m", "beta"))
+    + ("rel_tol", "preset", "out", "timing", "max_dim", "dense_limit"),
+    "sweep": _MODEL_KEYS + ("t_max", "samples", "rel_tol", "delta", "series_out"),
+    "convergence": _CHAIN_ONLY + ("delta", "preset", "out", "series_out", "plot_out", "timing"),
+}
 
 
 def parse_run(argv: list[str]) -> RunConfig:
@@ -330,10 +335,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if preset not in preset_names():
             names = ", ".join(preset_names())
             raise ConfigError(f"unknown preset {preset!r}; choose from {names}")
-        overridden = [k for k in _PRESET_OVERRIDDEN if merged[k] not in (None, _DEFAULTS[k])]
-        if overridden:
-            flags = ", ".join("--" + k.replace("_", "-") for k in overridden)
-            print(f"notice: preset '{preset}' overrides {flags}", file=sys.stderr)
     elif command == "convergence":
         if merged["n"] is None or merged["beta"] is None:
             raise ConfigError(f"--n and --beta are required for '{command}'")
@@ -354,6 +355,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     dense_limit = None if merged["dense_limit"] is None else int(merged["dense_limit"])
     if dense_limit is not None and dense_limit < 0:
         raise ConfigError(f"--dense-limit must be nonnegative, got {dense_limit}")
+    unread = [k for k in _UNREAD[command] if merged[k] != _DEFAULTS[k]]
+    if unread:
+        flags = ", ".join("--" + k.replace("_", "-") for k in unread)
+        print(f"notice: '{command}' ignores {flags}", file=sys.stderr)
     return RunConfig(
         command=command,
         params=params,
@@ -551,7 +556,7 @@ def _run_single(run: RunConfig) -> int:
     system = QuenchSystem(run.params, max_dim=run.max_dim, dense_limit=run.dense_limit)
     with warnings.catch_warnings(record=True) as notes:
         warnings.simplefilter("always")
-        result = max_power(system, run.search, t_max=default_horizon(run.params))
+        result = max_power(system, run.search)
     for note in notes:
         print(f"notice: {note.message}", file=sys.stderr)
     print(f"model: {run.params.model.value}   dim: {system.dim}   engine: {system.engine}")
@@ -562,7 +567,7 @@ def _run_single(run: RunConfig) -> int:
     if run.series_out:
         write_series(result.series, run.series_out)
     if run.out:
-        row = sweep_row(run.params, Axis.N, run.params.n, 0.0, dim=system.dim, result=result)
+        row = sweep_row(run.params, run.params.n, 0.0, dim=system.dim, result=result)
         write_table([row], run.out, include_timing=run.timing)
     if run.plot_out:
         with open(run.plot_out, "w", encoding="utf-8", newline="\n") as fh:
@@ -604,6 +609,7 @@ def _run_convergence(run: RunConfig) -> int:
         run.params,
         multipliers=run.multipliers,
         search=run.search,
+        max_dim=run.max_dim,
         dense_limit=run.dense_limit,
     )
     print(f"converged: {'true' if converged else 'false'}")

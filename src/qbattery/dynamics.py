@@ -25,8 +25,8 @@ anywhere, so results are bit-reproducible run to run.
 
 Both engines take the Hamiltonian from the one sparse assembly path (the
 eigendecomposition gets its ``toarray()``), take observables as 1-D arrays
-holding their diagonals, and answer the same two calls: ``at(t)`` and
-``on_grid(ts)``.
+holding their diagonals, and answer one call, ``on_grid(ts)``: the first
+observable at every requested time.  A single time is a grid of one.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ class EigenEngine:
         self._lam = spectrum.eigenvalues
         self._c = spectrum.eigenvectors.T @ psi0
         self._diag = diag
-
-    def at(self, t: float) -> float:
-        phase = self._lam * t
-        x = self._v @ (self._c * np.cos(phase))
-        y = self._v @ (self._c * np.sin(phase))
-        return float(self._diag @ (x * x + y * y))
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -213,21 +207,10 @@ class ChebyshevEngine:
         while self._t_end < t_target or not self._windows:
             self._advance_window()
 
-    def _window_index(self, t: float) -> int:
-        idx = int(np.searchsorted(self._starts, t, side="right")) - 1
-        return max(idx, 0)
-
     def _value_in_window(self, window: _Window, which: int, dts: np.ndarray) -> np.ndarray:
         c = self._coeffs(dts)
         g = window.grams[which]
         return np.einsum("ks,ks->s", c.conj(), g @ c).real
-
-    def value_at(self, which: int, t: float) -> float:
-        if t < 0:
-            raise ValueError("negative times are not covered")
-        self.extend(t)
-        window = self._windows[self._window_index(t)]
-        return float(self._value_in_window(window, which, np.array([t - window.t0]))[0])
 
     def values_on_grid(self, which: int, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -246,8 +229,5 @@ class ChebyshevEngine:
         return out
 
     # The evaluator protocol shared with EigenEngine: first observable only.
-    def at(self, t: float) -> float:
-        return self.value_at(0, t)
-
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         return self.values_on_grid(0, np.asarray(ts, dtype=float))

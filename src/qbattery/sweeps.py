@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .battery import PowerResult, QuenchSystem, SearchConfig, charge, default_horizon, max_power
+from .battery import PowerResult, QuenchSystem, SearchConfig, charge, max_power
 from .hamiltonians import Model, ModelParams
 
 __all__ = [
@@ -81,7 +81,6 @@ class SweepSpec:
     scaling: Scaling = Scaling.NONE
     cutoff_multipliers: tuple[int, ...] = ()
     search: SearchConfig | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         if len(self.values) == 0:
@@ -118,7 +117,6 @@ class SweepRow:
     p_scaled: float
     cutoff_converged: bool | None
     wall_time_s: float
-    axis: Axis
     axis_value: float
     error: str = ""
 
@@ -152,7 +150,6 @@ def _point_params(spec: SweepSpec, value, mult: int | None) -> ModelParams:
 
 def sweep_row(
     params: ModelParams,
-    axis: Axis,
     axis_value: float,
     wall_time_s: float,
     dim: int | None = None,
@@ -182,7 +179,6 @@ def sweep_row(
         p_scaled=scaled_power(params, p_max, scaling),
         cutoff_converged=None,
         wall_time_s=wall_time_s,
-        axis=axis,
         axis_value=float(axis_value),
         error=error,
     )
@@ -201,16 +197,14 @@ def _run_point(
         params = _point_params(spec, value, mult)
         system = QuenchSystem(params, max_dim=max_dim, dense_limit=dense_limit)
         config = spec.search if spec.search is not None else SearchConfig()
-        result = max_power(system, config, t_max=default_horizon(params))
+        result = max_power(system, config)
     except Exception as err:  # recorded, never fatal for the sweep
         shown = params if params is not None else spec.base
         wall = time.perf_counter() - start
         error = f"{type(err).__name__}: {err}"
-        return sweep_row(shown, spec.axis, value, wall, scaling=spec.scaling, error=error)
+        return sweep_row(shown, value, wall, scaling=spec.scaling, error=error)
     wall = time.perf_counter() - start
-    return sweep_row(
-        params, spec.axis, value, wall, dim=system.dim, result=result, scaling=spec.scaling
-    )
+    return sweep_row(params, value, wall, dim=system.dim, result=result, scaling=spec.scaling)
 
 
 def _relative_difference(a: float, b: float) -> float:
@@ -283,6 +277,7 @@ def convergence_check(
     multipliers: tuple[int, ...] = (4, 5),
     threshold: float = CONVERGENCE_THRESHOLD,
     search: SearchConfig | None = None,
+    max_dim: int | None = None,
     dense_limit: int | None = None,
 ) -> tuple[bool, float]:
     """Compare p_max across photon cutoffs ``mult * n * m`` for the collective model.
@@ -297,7 +292,8 @@ def convergence_check(
     if len(mults) < 2:
         raise InsufficientDataError("need at least two cutoff multipliers to compare")
     powers = [
-        charge(params.with_cutoff(mult), search, dense_limit=dense_limit).p_max for mult in mults
+        charge(params.with_cutoff(mult), search, max_dim=max_dim, dense_limit=dense_limit).p_max
+        for mult in mults
     ]
     diffs = [_relative_difference(a, b) for a, b in zip(powers[1:], powers[:-1])]
     return bool(diffs[-1] < threshold), float(max(diffs))
@@ -328,7 +324,6 @@ def preset_specs(name: str) -> list[SweepSpec]:
                 axis=Axis.N,
                 values=tuple(range(2, 7)),
                 scaling=Scaling.PER_N,
-                label=f"kappa={kappa:g}",
             )
             for kappa in (0.0, 0.05, 0.5)
         ]
@@ -342,7 +337,6 @@ def preset_specs(name: str) -> list[SweepSpec]:
                         axis=Axis.M,
                         values=tuple(range(1, top_m + 1)),
                         scaling=Scaling.PER_SQRT_M,
-                        label=f"N={n} kappa={kappa:g}",
                     )
                 )
         return specs
@@ -354,7 +348,6 @@ def preset_specs(name: str) -> list[SweepSpec]:
                 axis=Axis.KAPPA,
                 values=kappas,
                 scaling=Scaling.TIMES_KAPPA,
-                label=f"N={n}",
             )
             for n in (2, 3)
         ]
@@ -366,7 +359,6 @@ def preset_specs(name: str) -> list[SweepSpec]:
                 values=tuple(range(2, 21)),
                 scaling=Scaling.PER_N,
                 cutoff_multipliers=(4, 5),
-                label=f"beta={beta:g}",
             )
             for beta in (0.0, 0.05, 0.5, 2.0)
         ]
@@ -378,7 +370,6 @@ def preset_specs(name: str) -> list[SweepSpec]:
                 values=tuple(range(1, 11)),
                 scaling=Scaling.PER_SQRT_M,
                 cutoff_multipliers=(4, 5),
-                label=f"beta={beta:g}",
             )
             for beta in (0.05, 0.5, 2.0)
         ]

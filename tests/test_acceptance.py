@@ -424,7 +424,7 @@ def test_08_small_instance_integrator_oracle():
         reference = params.omega_c * (jz_ref - jz[initial_index(params, basis)])
         system = QuenchSystem(params)
         assert system.engine == "dense"
-        ours = np.array([system.at(t) for t in checkpoints])
+        ours = system.on_grid(checkpoints)
         worst = max(worst, float(np.max(np.abs(ours - reference))))
     assert worst <= 1e-6
     finish(8, t0, 60.0, f"max |E| deviation over {len(SMALL_CONFIGS)} configs = {worst:.2e}")

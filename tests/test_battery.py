@@ -66,9 +66,6 @@ class SyntheticOscillation:
         self.omega = omega
         self.amplitude = amplitude
 
-    def at(self, t):
-        return self.amplitude * math.sin(self.omega * t) ** 2
-
     def on_grid(self, ts):
         return self.amplitude * np.sin(self.omega * np.asarray(ts)) ** 2
 
@@ -158,9 +155,6 @@ def test_flat_signal_returns_zero_power_with_notice():
 
 def test_constant_energy_emits_edge_notice():
     class Constant:
-        def at(self, t):
-            return 0.7
-
         def on_grid(self, ts):
             return np.full(np.asarray(ts).shape, 0.7)
 
@@ -198,8 +192,6 @@ def test_search_config_validation():
         SearchConfig(rel_tol=2.0)
     with pytest.raises(ValueError):
         SearchConfig(edge_extensions=-1)
-    with pytest.raises(ValueError):
-        max_power(SyntheticOscillation(0.1), SearchConfig())  # no window anywhere
 
 
 def test_search_evaluates_no_time_twice():
@@ -208,9 +200,9 @@ def test_search_evaluates_no_time_twice():
             super().__init__(omega)
             self.times = []
 
-        def at(self, t):
-            self.times.append(t)
-            return super().at(t)
+        def on_grid(self, ts):
+            self.times.extend(np.asarray(ts).tolist())
+            return super().on_grid(ts)
 
     evaluator = Counting(0.05)
     result = max_power(evaluator, SearchConfig(t_max=200.0, n_samples=256))
@@ -220,6 +212,13 @@ def test_search_evaluates_no_time_twice():
 
 # ---------------------------------------------------------------------------
 # Real systems.
+
+
+def test_search_window_defaults_to_horizon_of_system():
+    params = jch(n=2, m=1, beta=0.05, kappa=0.05)
+    result = max_power(QuenchSystem(params), SearchConfig())
+    assert result.series[-1, 0] == default_horizon(params)
+    assert result.series.shape == (4096, 2)
 
 
 def test_uncoupled_cavities_factorize():
@@ -279,8 +278,8 @@ def test_dense_and_sparse_engines_agree_on_power():
     sparse = QuenchSystem(params, dense_limit=1)
     assert dense.engine == "dense"
     assert sparse.engine == "chebyshev"
-    r1 = max_power(dense, config, t_max=default_horizon(params))
-    r2 = max_power(sparse, config, t_max=default_horizon(params))
+    r1 = max_power(dense, config)
+    r2 = max_power(sparse, config)
     assert r1.p_max == pytest.approx(r2.p_max, abs=1e-9)
     assert r1.tau == pytest.approx(r2.tau, rel=1e-6)
 

@@ -19,7 +19,7 @@ from qbattery.cli import (
     write_table,
 )
 from qbattery.hamiltonians import Model, Normalization, Topology
-from qbattery.sweeps import Axis, SweepRow
+from qbattery.sweeps import SweepRow
 
 
 def row_template(**overrides):
@@ -27,7 +27,7 @@ def row_template(**overrides):
         model="jch", topology="line", normalization=None, n=2, m=1, beta=0.05,
         beta_prime=None, kappa=0.0, n_max=None, dim=8, p_max=0.1, tau=2.5,
         e_max=1.9, p_scaled=0.05, cutoff_converged=None, wall_time_s=1.25,
-        axis=Axis.N, axis_value=2.0,
+        axis_value=2.0,
     )
     fields.update(overrides)
     return SweepRow(**fields)
@@ -107,10 +107,27 @@ def test_sweep_requires_table_path():
 
 
 def test_sweep_preset_override_notice(tmp_path, capsys):
-    parse_run(["sweep", "--preset", "fig2", "--beta", "0.1", "--out", str(tmp_path / "t.csv")])
+    table = str(tmp_path / "t.csv")
+    parse_run(["sweep", "--preset", "fig2", "--beta", "0.1", "--out", table])
     err = capsys.readouterr().err
     assert "notice" in err and "--beta" in err
-    parse_run(["sweep", "--preset", "fig2", "--out", str(tmp_path / "t.csv")])
+    parse_run(["sweep", "--preset", "fig2", "--out", table])
+    assert capsys.readouterr().err == ""
+    # The preset carries its own search settings and model.
+    parse_run(["sweep", "--preset", "fig4", "--samples", "64", "--omega-a", "1.3", "--out", table])
+    err = capsys.readouterr().err
+    assert "notice" in err and "--samples" in err and "--omega-a" in err
+    # A collective-only value on the chain, and a chain-only value on the collective model.
+    parse_run(["jch", "--n", "2", "--beta", "0.05", "--cutoff-mult", "4"])
+    err = capsys.readouterr().err
+    assert "notice" in err and "--cutoff-mult" in err
+    parse_run(["dicke", "--n", "2", "--beta", "0.5", "--kappa", "0.3"])
+    err = capsys.readouterr().err
+    assert "notice" in err and "--kappa" in err
+    # Values the command reads, defaults and --jobs draw no notice.
+    parse_run(["jch", "--n", "2", "--beta", "0.05", "--kappa", "0.3", "--beta-prime", "same"])
+    parse_run(["dicke", "--n", "2", "--beta", "0.5", "--cutoff-mult", "4", "--kappa", "0"])
+    parse_run(["sweep", "--preset", "fig2", "--out", table, "--jobs", "2", "--m", "1"])
     assert capsys.readouterr().err == ""
 
 
@@ -280,6 +297,7 @@ def test_convergence_command_reports_verdict(capsys):
 def test_exit_codes(tmp_path, capsys):
     assert main(["jch", "--n", "2"]) == 2  # missing --beta
     assert main(["jch", "--n", "40", "--beta", "0.05"]) == 1  # sector too large
+    assert main(["convergence", "--n", "4", "--beta", "0.5", "--max-dim", "5"]) == 1  # 105 states
     capsys.readouterr()
     bad_value = tmp_path / "bad.json"
     bad_value.write_text(json.dumps({"normalization": "bogus"}))

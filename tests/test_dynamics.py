@@ -15,6 +15,11 @@ from qbattery.hamiltonians import (
 )
 
 
+def one_point(engine, t):
+    """The engine's value at a single time, asked as a grid of one."""
+    return float(engine.on_grid(np.array([t]))[0])
+
+
 def _system(params):
     basis = build_basis(params)
     h = build_csr(params, basis).toarray()
@@ -105,7 +110,7 @@ def test_prepare_matches_direct_projection():
     direct = np.array([spec.eigenvectors[:, j] @ psi0 for j in range(basis.dim)])
     for t in (0.0, 0.9, 13.0):
         psi = spec.eigenvectors @ (direct * np.exp(-1j * spec.eigenvalues * t))
-        assert engine.at(t) == pytest.approx(float(jz @ np.abs(psi) ** 2), abs=1e-14)
+        assert one_point(engine, t) == pytest.approx(float(jz @ np.abs(psi) ** 2), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +121,7 @@ def test_expectation_at_zero_matches_initial_value():
     params = jch(n=2, m=2, beta=0.3, kappa=0.2)
     _, h, jz, psi0 = _system(params)
     engine = EigenEngine(diagonalize(h), psi0, jz)
-    assert engine.at(0.0) == pytest.approx(float(jz @ psi0**2), abs=1e-12)
+    assert one_point(engine, 0.0) == pytest.approx(float(jz @ psi0**2), abs=1e-12)
 
 
 def test_identity_observable_is_one_for_all_times():
@@ -158,7 +163,7 @@ def test_unitarity_energy_conservation_and_bounds(params):
         psi = v @ (c * np.exp(-1j * lam * t))
         assert abs(np.vdot(psi, psi).real - 1.0) <= 1e-10
         assert abs((np.vdot(psi, h @ psi)).real - e0) <= 1e-9 * h_norm
-        val = engine.at(float(t))
+        val = one_point(engine, float(t))
         assert -1e-9 <= val <= params.n * params.omega_a + 1e-9
 
 
@@ -169,7 +174,7 @@ def test_engine_grid_matches_scalar_calls():
     ts = np.array([0.0, 0.7, 3.1, 17.0, 44.4])
     grid = engine.on_grid(ts)
     for t, val in zip(ts, grid):
-        assert engine.at(float(t)) == pytest.approx(val, abs=1e-12)
+        assert one_point(engine, float(t)) == pytest.approx(val, abs=1e-12)
 
 
 def test_real_products_match_complex_formula(monkeypatch):
@@ -185,7 +190,7 @@ def test_real_products_match_complex_formula(monkeypatch):
     engine = EigenEngine(spectrum, psi0, jz)
     assert np.max(np.abs(engine.on_grid(ts) - expected)) <= 1e-13
     for t, e in zip(ts[::37], expected[::37]):
-        assert engine.at(float(t)) == pytest.approx(e, abs=1e-13)
+        assert one_point(engine, float(t)) == pytest.approx(e, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +214,7 @@ def test_chebyshev_matches_eigenbasis(params):
     ts = np.linspace(0.0, 150.0, 301)
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
     for t in (0.0, 0.05, 1.7, 149.3):
-        assert cheb.at(t) == pytest.approx(exact.at(t), abs=1e-10)
+        assert one_point(cheb, t) == pytest.approx(one_point(exact, t), abs=1e-10)
 
 
 def test_chebyshev_unsorted_grid_and_revisits():
@@ -221,7 +226,7 @@ def test_chebyshev_unsorted_grid_and_revisits():
     exact = EigenEngine(diagonalize(h), psi0, jz)
     assert np.max(np.abs(got - exact.on_grid(ts))) <= 1e-10
     # Asking for an earlier time after extension must not disturb anything.
-    assert cheb.at(1.0) == pytest.approx(got[1], abs=1e-14)
+    assert one_point(cheb, 1.0) == pytest.approx(got[1], abs=1e-14)
 
 
 def test_chebyshev_deterministic_across_instances():
@@ -256,7 +261,7 @@ def test_chebyshev_rejects_negative_times():
         build_csr(params, basis), initial_state(params, basis), [jz_diagonal(params, basis)]
     )
     with pytest.raises(ValueError):
-        engine.at(-1.0)
+        engine.on_grid(np.array([-1.0]))
     with pytest.raises(ValueError):
         engine.on_grid(np.array([1.0, -2.0]))
 

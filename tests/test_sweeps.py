@@ -41,7 +41,7 @@ def make_rows(ns, p_of_n):
             model="jch", topology="line", normalization="", n=n, m=1, beta=0.05,
             beta_prime=None, kappa=0.0, n_max=None, dim=1, p_max=p_of_n(n),
             tau=1.0, e_max=1.0, p_scaled=p_of_n(n), cutoff_converged=None,
-            wall_time_s=0.0, axis=Axis.N, axis_value=float(n),
+            wall_time_s=0.0, axis_value=float(n),
         )
         rows.append(row)
     return rows
