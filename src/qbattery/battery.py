@@ -115,15 +115,11 @@ class SearchConfig:
     """Scan window and refinement settings for the power search.
 
     ``t_max=None`` picks the default horizon for the model parameters.
-    ``edge_extensions`` allows that many doublings of the window when the
-    quotient maximum lands on the last grid point, guarding against a
-    horizon chosen too short.
     """
 
     t_max: float | None = None
     n_samples: int = 4096
     rel_tol: float = 1e-6
-    edge_extensions: int = 0
 
     def __post_init__(self) -> None:
         if self.t_max is not None and not self.t_max > 0:
@@ -132,8 +128,6 @@ class SearchConfig:
             raise ValueError("need at least four scan samples")
         if not 0 < self.rel_tol < 1:
             raise ValueError("rel_tol must sit in (0, 1)")
-        if self.edge_extensions < 0:
-            raise ValueError("edge_extensions must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -300,33 +294,25 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
     """
     horizon = config.t_max if config.t_max is not None else default_horizon(evaluator.params)
     n = config.n_samples
-    extensions_left = config.edge_extensions
-    while True:
-        ts = horizon * np.arange(1, n + 1) / n
-        energies = evaluator.on_grid(ts)
-        e_top = energies.max()
-        if e_top < _FLAT_TOL:
-            warnings.warn(
-                "energy stayed flat over the scan window; no charging happens",
-                SearchNotice,
-                stacklevel=2,
-            )
-            return PowerResult(
-                p_max=0.0,
-                tau=math.nan,
-                e_max=float(max(e_top, 0.0)),
-                e_at_tau=0.0,
-                t_e_max=math.nan,
-                series=np.column_stack([ts, energies]),
-            )
-        quotients = energies / ts
-        k = int(np.argmax(quotients))
-        if k == n - 1 and extensions_left > 0:
-            extensions_left -= 1
-            horizon *= 2.0
-            n *= 2
-            continue
-        break
+    ts = horizon * np.arange(1, n + 1) / n
+    energies = evaluator.on_grid(ts)
+    e_top = energies.max()
+    if e_top < _FLAT_TOL:
+        warnings.warn(
+            "energy stayed flat over the scan window; no charging happens",
+            SearchNotice,
+            stacklevel=2,
+        )
+        return PowerResult(
+            p_max=0.0,
+            tau=math.nan,
+            e_max=float(max(e_top, 0.0)),
+            e_at_tau=0.0,
+            t_e_max=math.nan,
+            series=np.column_stack([ts, energies]),
+        )
+    quotients = energies / ts
+    k = int(np.argmax(quotients))
     if k == 0 or k == n - 1:
         where = "lower" if k == 0 else "upper"
         warnings.warn(

@@ -9,9 +9,14 @@ Subcommands:
 * ``sweep``: run a named preset and write the results table.
 * ``convergence``: compare collective-model photon cutoffs.
 
-Flags override values read from ``--config`` (a flat JSON object whose
-keys are the long flag names).  A value the command does not read prints
-a notice on stderr.  All file output is plain CSV with
+Each flag is declared once, in ``_FLAGS``: its name, default, help and
+argparse keywords.  That table builds every subcommand's parser and names
+the keys ``--config`` accepts (a flat JSON object whose keys are the long
+flag names); flags given override the file, which overrides the defaults.
+A value the command does not read prints a notice on stderr.  The results
+table's columns are declared once too, in ``_COLUMNS``, and a sweep's
+``--plot-out`` script draws one curve per sweep of the preset, derived
+from ``preset_specs``.  All file output is plain CSV with
 deterministic formatting: identical invocations produce identical bytes.
 Wall-clock timings are only written when ``--timing`` is given, precisely
 to keep the default output reproducible.
@@ -23,8 +28,10 @@ import argparse
 import json
 import math
 import sys
+import time
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .basis import DEFAULT_MAX_DIM, CapacityError
 from .battery import QuenchSystem, RabiParams, SearchConfig, max_power, rabi_oracle
 from .hamiltonians import Model, ModelParams, Normalization, Topology
 from .sweeps import (
+    Scaling,
     SweepRow,
     convergence_check,
     preset_names,
@@ -44,7 +52,6 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "parse_run",
-    "serialize_config",
     "format_float",
     "write_series",
     "write_table",
@@ -53,10 +60,18 @@ __all__ = [
     "main",
 ]
 
-TABLE_HEADER = (
-    "model,topology,normalization,N,m,beta,beta_prime,kappa,n_max,dim,"
-    "p_max,tau,e_max,p_scaled,cutoff_converged,wall_time_s"
+# The results table's columns: (header name, SweepRow field).
+_COLUMNS = (
+    ("model", "model"), ("topology", "topology"), ("normalization", "normalization"),
+    ("N", "n"), ("m", "m"), ("beta", "beta"), ("beta_prime", "beta_prime"), ("kappa", "kappa"),
+    ("n_max", "n_max"), ("dim", "dim"), ("p_max", "p_max"), ("tau", "tau"), ("e_max", "e_max"),
+    ("p_scaled", "p_scaled"), ("cutoff_converged", "cutoff_converged"),
+    ("wall_time_s", "wall_time_s"),
 )
+TABLE_HEADER = ",".join(name for name, _ in _COLUMNS)
+# Each field's header name and 1-based column number, for plot scripts.
+_HEADER = {field: name for name, field in _COLUMNS}
+_COL = {field: k for k, (_, field) in enumerate(_COLUMNS, 1)}
 
 
 class ConfigError(ValueError):
@@ -81,45 +96,72 @@ class RunConfig:
     dense_limit: int | None
 
 
-_MODEL_KEYS = (
-    "n",
-    "m",
-    "beta",
-    "beta_prime",
-    "kappa",
-    "omega_c",
-    "omega_a",
-    "topology",
-    "normalization",
-    "cutoff_mult",
-    "literal_eq10",
+class _Flag(NamedTuple):
+    """One flag, ``--name`` with dashes; but for ``config``, ``name`` is also a config key."""
+
+    name: str
+    default: object
+    help: str
+    options: dict = {}  # further argparse keywords
+    model: bool = False  # a model value, which 'rabi' and 'sweep' do not read
+    command: str | None = None  # the only command that takes it
+
+
+# Every flag, in --help order.
+_FLAGS = (
+    _Flag("n", None, "number of cavities / two-level systems", {"type": int}, model=True),
+    _Flag("m", 1, "photons prepared per cavity (default 1)", {"type": int}, model=True),
+    _Flag("beta", None, "rotating coupling strength", {"type": float}, model=True),
+    _Flag(
+        "beta_prime", "same", "counter-rotating coupling: a number, or 'same' to mirror beta",
+        model=True,
+    ),
+    _Flag("kappa", 0.0, "photon hopping between cavities", {"type": float}, model=True),
+    _Flag("omega_c", 1.0, "mode energy (default 1)", {"type": float}, model=True),
+    _Flag("omega_a", 1.0, "two-level splitting (default 1)", {"type": float}, model=True),
+    _Flag("topology", "line", "hopping graph", {"choices": ["line", "ring", "all"]}, model=True),
+    _Flag(
+        "normalization", "sqrt-n", "collective coupling normalization",
+        {"choices": ["sqrt-n", "none"]}, model=True,
+    ),
+    _Flag("cutoff_mult", None, "photon cutoff multiplier(s) of n*m, e.g. '5' or '4,5'", model=True),
+    _Flag("t_max", None, "scan window length", {"type": float}),
+    _Flag("samples", 4096, "coarse scan sample count (default 4096)", {"type": int}),
+    _Flag("rel_tol", 1e-6, "refinement tolerance (default 1e-6)", {"type": float}),
+    _Flag("out", None, "results table CSV path"),
+    _Flag("series_out", None, "energy series CSV path"),
+    _Flag("plot_out", None, "plot script path"),
+    _Flag("config", None, "JSON file of flag values; flags win on conflict"),
+    _Flag("jobs", None, "accepted and ignored; sweep points run serially", {"type": int}),
+    _Flag(
+        "literal_eq10", False, "collective model: use the alternative printed matrix convention",
+        {"action": "store_true"}, model=True,
+    ),
+    _Flag(
+        "timing", False, "include wall-clock timings in the table (breaks byte reproducibility)",
+        {"action": "store_true"},
+    ),
+    _Flag("max_dim", None, f"basis size cap (default {DEFAULT_MAX_DIM})", {"type": int}),
+    _Flag(
+        "dense_limit", None,
+        "largest block of reachable states diagonalized densely (0: always Chebyshev)",
+        {"type": int},
+    ),
+    _Flag("delta", 0.0, "two-level/mode detuning (default 0)", {"type": float}, command="rabi"),
+    _Flag("preset", None, "which sweep to run", {"choices": list(preset_names())}, command="sweep"),
 )
 
-_DEFAULTS: dict = {
-    "n": None,
-    "m": 1,
-    "beta": None,
-    "beta_prime": "same",
-    "kappa": 0.0,
-    "omega_c": 1.0,
-    "omega_a": 1.0,
-    "delta": 0.0,
-    "topology": "line",
-    "normalization": "sqrt-n",
-    "cutoff_mult": None,
-    "t_max": None,
-    "samples": 4096,
-    "rel_tol": 1e-6,
-    "preset": None,
-    "out": None,
-    "series_out": None,
-    "plot_out": None,
-    "jobs": None,  # accepted and ignored: sweep points run serially
-    "literal_eq10": False,
-    "timing": False,
-    "max_dim": None,
-    "dense_limit": None,
-}
+# The value of every config key when neither a flag nor the config file sets it.
+_DEFAULTS = {f.name: f.default for f in _FLAGS if f.name != "config"}
+_MODEL_KEYS = tuple(f.name for f in _FLAGS if f.model)
+
+_COMMANDS = (
+    ("jch", "cavity-array battery quench"),
+    ("dicke", "collective battery quench"),
+    ("rabi", "closed-form single-cavity oscillation check"),
+    ("sweep", "run a named parameter sweep preset"),
+    ("convergence", "collective-model photon cutoff comparison"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,68 +170,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Charging quench dynamics of cavity-array and collective quantum batteries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, help="number of cavities / two-level systems")
-        p.add_argument("--m", type=int, help="photons prepared per cavity (default 1)")
-        p.add_argument("--beta", type=float, help="rotating coupling strength")
-        p.add_argument(
-            "--beta-prime",
-            help="counter-rotating coupling: a number, or 'same' to mirror beta",
-        )
-        p.add_argument("--kappa", type=float, help="photon hopping between cavities")
-        p.add_argument("--omega-c", type=float, help="mode energy (default 1)")
-        p.add_argument("--omega-a", type=float, help="two-level splitting (default 1)")
-        p.add_argument("--topology", choices=["line", "ring", "all"], help="hopping graph")
-        p.add_argument(
-            "--normalization",
-            choices=["sqrt-n", "none"],
-            help="collective coupling normalization",
-        )
-        p.add_argument(
-            "--cutoff-mult",
-            help="photon cutoff multiplier(s) of n*m, e.g. '5' or '4,5'",
-        )
-        p.add_argument("--t-max", type=float, help="scan window length")
-        p.add_argument("--samples", type=int, help="coarse scan sample count (default 4096)")
-        p.add_argument("--rel-tol", type=float, help="refinement tolerance (default 1e-6)")
-        p.add_argument("--out", help="results table CSV path")
-        p.add_argument("--series-out", help="energy series CSV path")
-        p.add_argument("--plot-out", help="plot script path")
-        p.add_argument("--config", help="JSON file of flag values; flags win on conflict")
-        p.add_argument("--jobs", type=int, help="accepted and ignored; sweep points run serially")
-        p.add_argument(
-            "--literal-eq10",
-            action="store_true",
-            default=None,
-            help="collective model: use the alternative printed matrix convention",
-        )
-        p.add_argument(
-            "--timing",
-            action="store_true",
-            default=None,
-            help="include wall-clock timings in the table (breaks byte reproducibility)",
-        )
-        p.add_argument("--max-dim", type=int, help=f"basis size cap (default {DEFAULT_MAX_DIM})")
-        p.add_argument(
-            "--dense-limit",
-            type=int,
-            help="largest block of reachable states diagonalized densely (0: always Chebyshev)",
-        )
-
-    for name, desc in (
-        ("jch", "cavity-array battery quench"),
-        ("dicke", "collective battery quench"),
-        ("rabi", "closed-form single-cavity oscillation check"),
-        ("sweep", "run a named parameter sweep preset"),
-        ("convergence", "collective-model photon cutoff comparison"),
-    ):
-        p = sub.add_parser(name, help=desc)
-        add_shared(p)
-        if name == "rabi":
-            p.add_argument("--delta", type=float, help="two-level/mode detuning (default 0)")
-        if name == "sweep":
-            p.add_argument("--preset", choices=list(preset_names()), help="which sweep to run")
+    for command, desc in _COMMANDS:
+        # Flags not given stay unset, so a config-file value can stand in for them.
+        p = sub.add_parser(command, help=desc, argument_default=argparse.SUPPRESS)
+        for f in _FLAGS:
+            if f.command in (None, command):
+                p.add_argument("--" + f.name.replace("_", "-"), help=f.help, **f.options)
     return parser
 
 
@@ -208,21 +194,9 @@ def _load_config_file(path: str) -> dict:
         norm = key.replace("-", "_")
         if norm not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
-        values[norm] = value
+        if value is not None:  # null leaves the default
+            values[norm] = value
     return values
-
-
-def _merge(args: argparse.Namespace, file_values: dict) -> dict:
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        cli = getattr(args, key, None)
-        if cli is not None:
-            merged[key] = cli
-        elif key in file_values and file_values[key] is not None:
-            merged[key] = file_values[key]
-        else:
-            merged[key] = default
-    return merged
 
 
 def _parse_beta_prime(value) -> float | None:
@@ -309,9 +283,11 @@ def parse_run(argv: list[str]) -> RunConfig:
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-    merged = _merge(args, file_values)
-    command = args.command
+    given = vars(args)
+    command = given.pop("command")
+    config = given.pop("config", None)
+    file_values = _load_config_file(config) if config else {}
+    merged = {**_DEFAULTS, **file_values, **given}
 
     search = SearchConfig(
         t_max=None if merged["t_max"] is None else float(merged["t_max"]),
@@ -375,49 +351,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def serialize_config(run: RunConfig) -> dict:
-    """Flat JSON-able mapping that reparses to an identical RunConfig."""
-    out: dict = {}
-    p = run.params
-    if p is not None:
-        out["n"] = p.n
-        out["m"] = p.m
-        out["beta"] = p.beta
-        out["beta-prime"] = "same" if p.beta_prime is None else p.beta_prime
-        out["kappa"] = p.kappa
-        out["omega-c"] = p.omega_c
-        out["omega-a"] = p.omega_a
-        out["topology"] = p.topology.value
-        out["normalization"] = p.normalization.value
-        out["literal-eq10"] = p.literal_elements
-        if run.command == "dicke" and p.n_max is not None:
-            out["cutoff-mult"] = [p.n_max // (p.n * p.m)]
-    if run.rabi is not None:
-        out["delta"] = run.rabi.delta
-        out["beta"] = run.rabi.beta
-        out["m"] = run.rabi.m
-    if run.command == "convergence" and run.multipliers is not None:
-        out["cutoff-mult"] = list(run.multipliers)
-    if run.search.t_max is not None:
-        out["t-max"] = run.search.t_max
-    out["samples"] = run.search.n_samples
-    out["rel-tol"] = run.search.rel_tol
-    if run.preset is not None:
-        out["preset"] = run.preset
-    for key, value in (
-        ("out", run.out),
-        ("series-out", run.series_out),
-        ("plot-out", run.plot_out),
-        ("max-dim", run.max_dim),
-        ("dense-limit", run.dense_limit),
-    ):
-        if value is not None:
-            out[key] = value
-    if run.timing:
-        out["timing"] = True
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Output formatting.
 
@@ -452,41 +385,32 @@ def write_table(rows: list[SweepRow], path: str, include_timing: bool = False) -
     lines = [TABLE_HEADER]
     for r in rows:
         cells = [
-            _cell(r.model),
-            _cell(r.topology),
-            _cell(r.normalization),
-            _cell(r.n),
-            _cell(r.m),
-            _cell(r.beta),
-            _cell(r.beta_prime),
-            _cell(r.kappa),
-            _cell(r.n_max),
-            _cell(r.dim),
-            _cell(r.p_max),
-            _cell(r.tau),
-            _cell(r.e_max),
-            _cell(r.p_scaled),
-            _cell(r.cutoff_converged),
-            _cell(r.wall_time_s) if include_timing else "",
+            _cell(getattr(r, field)) if include_timing or field != "wall_time_s" else ""
+            for _, field in _COLUMNS
         ]
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-# Column indices (1-based) in the results table, for plot scripts.
-_COL_N, _COL_M, _COL_BETA, _COL_KAPPA, _COL_NMAX, _COL_PSCALED = 4, 5, 6, 8, 9, 14
-
-
-def _curve(table: str, x_col: int, select: str, title: str) -> str:
-    return (
-        f"  '{table}' every ::1 using {x_col}:({select} ? ${_COL_PSCALED} : 1/0) "
-        f"with linespoints title '{title}'"
-    )
+_YLABELS = {
+    Scaling.NONE: "P_max",
+    Scaling.PER_N: "P_max / N",
+    Scaling.PER_SQRT_M: "P_max / sqrt(m)",
+    Scaling.TIMES_KAPPA: "P_max * kappa",
+}
 
 
 def emit_plot_script(preset: str, table_path: str, image_path: str | None = None) -> str:
-    """gnuplot script for a preset's results table."""
+    """gnuplot script for a preset's results table, one curve per sweep of the preset.
+
+    The swept column is the x axis (log scale for kappa) and the scaled power
+    the y axis.  Each curve selects its rows by the base values of N, kappa
+    and beta that tell the preset's sweeps apart and, for a sweep with
+    cutoff multipliers, by the largest cutoff.
+    """
+    specs = preset_specs(preset)
+    axis = specs[0].axis.value
     image = image_path if image_path is not None else f"{preset}.png"
     head = [
         "# gnuplot script; run as: gnuplot <this file>",
@@ -494,43 +418,26 @@ def emit_plot_script(preset: str, table_path: str, image_path: str | None = None
         "set terminal pngcairo size 960,640",
         f"set output '{image}'",
         "set key top left",
-    ]
-    curves: list[str] = []
-    if preset == "fig2":
-        head += ["set xlabel 'N'", "set ylabel 'P_max / N'"]
-        for kappa in (0.0, 0.05, 0.5):
-            curves.append(
-                _curve(table_path, _COL_N, f"abs(${_COL_KAPPA} - {kappa:g}) < 1e-12", f"kappa = {kappa:g}")
-            )
-    elif preset == "fig3":
-        head += ["set xlabel 'm'", "set ylabel 'P_max / sqrt(m)'"]
-        for n in (2, 4):
-            for kappa in (0.0, 0.05):
-                select = f"${_COL_N} == {n} && abs(${_COL_KAPPA} - {kappa:g}) < 1e-12"
-                curves.append(_curve(table_path, _COL_M, select, f"N = {n}, kappa = {kappa:g}"))
-    elif preset == "fig4":
-        head += ["set xlabel 'kappa'", "set ylabel 'P_max * kappa'", "set logscale x"]
-        for n in (2, 3):
-            curves.append(_curve(table_path, _COL_KAPPA, f"${_COL_N} == {n}", f"N = {n}"))
-    elif preset == "fig5":
-        head += ["set xlabel 'N'", "set ylabel 'P_max / N'"]
-        for beta in (0.0, 0.05, 0.5, 2.0):
-            select = (
-                f"abs(${_COL_BETA} - {beta:g}) < 1e-12 && "
-                f"${_COL_NMAX} == 5*${_COL_N}*${_COL_M}"
-            )
-            curves.append(_curve(table_path, _COL_N, select, f"beta = {beta:g}"))
-    elif preset == "dicke_m":
-        head += ["set xlabel 'm'", "set ylabel 'P_max / sqrt(m)'"]
-        for beta in (0.05, 0.5, 2.0):
-            select = (
-                f"abs(${_COL_BETA} - {beta:g}) < 1e-12 && "
-                f"${_COL_NMAX} == 5*${_COL_N}*${_COL_M}"
-            )
-            curves.append(_curve(table_path, _COL_M, select, f"beta = {beta:g}"))
-    else:
-        raise ValueError(f"unknown preset {preset!r}; choose from {', '.join(preset_names())}")
-    return "\n".join(head + ["plot \\"] + [", \\\n".join(curves)]) + "\n"
+        f"set xlabel '{_HEADER[axis]}'",
+        f"set ylabel '{_YLABELS[specs[0].scaling]}'",
+    ] + (["set logscale x"] if axis == "kappa" else [])
+    keys = [key for key in ("n", "kappa", "beta") if len({getattr(s.base, key) for s in specs}) > 1]
+    curves = []
+    for spec in specs:
+        tests, titles = [], []
+        for key in keys:
+            value, col = getattr(spec.base, key), _COL[key]
+            tests.append(f"${col} == {value}" if key == "n" else f"abs(${col} - {value:g}) < 1e-12")
+            titles.append(f"{_HEADER[key]} = {value:g}")
+        if spec.cutoff_multipliers:
+            n_max = f"{max(spec.cutoff_multipliers)}*${_COL['n']}*${_COL['m']}"
+            tests.append(f"${_COL['n_max']} == {n_max}")
+        select = " && ".join(tests) or "1"
+        curves.append(
+            f"  '{table_path}' every ::1 using {_COL[axis]}:({select} ? ${_COL['p_scaled']} : 1/0) "
+            f"with linespoints title '{', '.join(titles) or preset}'"
+        )
+    return "\n".join(head + ["plot \\", ", \\\n".join(curves)]) + "\n"
 
 
 def emit_series_plot(series_path: str, image_path: str | None = None) -> str:
@@ -553,10 +460,12 @@ def emit_series_plot(series_path: str, image_path: str | None = None) -> str:
 
 
 def _run_single(run: RunConfig) -> int:
+    start = time.perf_counter()
     system = QuenchSystem(run.params, max_dim=run.max_dim, dense_limit=run.dense_limit)
     with warnings.catch_warnings(record=True) as notes:
         warnings.simplefilter("always")
         result = max_power(system, run.search)
+    wall = time.perf_counter() - start
     for note in notes:
         print(f"notice: {note.message}", file=sys.stderr)
     print(f"model: {run.params.model.value}   dim: {system.dim}   engine: {system.engine}")
@@ -567,7 +476,7 @@ def _run_single(run: RunConfig) -> int:
     if run.series_out:
         write_series(result.series, run.series_out)
     if run.out:
-        row = sweep_row(run.params, run.params.n, 0.0, dim=system.dim, result=result)
+        row = sweep_row(run.params, run.params.n, wall, dim=system.dim, result=result)
         write_table([row], run.out, include_timing=run.timing)
     if run.plot_out:
         with open(run.plot_out, "w", encoding="utf-8", newline="\n") as fh:

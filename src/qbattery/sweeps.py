@@ -249,14 +249,13 @@ def run_sweep(
     return rows
 
 
-def fit_power_law(rows: list[SweepRow], window: slice | None = None) -> tuple[float, float]:
+def fit_power_law(rows: list[SweepRow]) -> tuple[float, float]:
     """Least-squares exponent of p_max against the axis value on log-log axes.
 
     Returns ``(exponent, r_squared)``.  Requires at least three points with
     strictly positive axis values and powers.
     """
-    picked = rows[window] if window is not None else rows
-    usable = [r for r in picked if not r.error]
+    usable = [r for r in rows if not r.error]
     if len(usable) < 3:
         raise InsufficientDataError(f"need at least three points to fit, have {len(usable)}")
     xs = np.array([r.axis_value for r in usable])
@@ -275,7 +274,6 @@ def fit_power_law(rows: list[SweepRow], window: slice | None = None) -> tuple[fl
 def convergence_check(
     params: ModelParams,
     multipliers: tuple[int, ...] = (4, 5),
-    threshold: float = CONVERGENCE_THRESHOLD,
     search: SearchConfig | None = None,
     max_dim: int | None = None,
     dense_limit: int | None = None,
@@ -296,7 +294,7 @@ def convergence_check(
         for mult in mults
     ]
     diffs = [_relative_difference(a, b) for a, b in zip(powers[1:], powers[:-1])]
-    return bool(diffs[-1] < threshold), float(max(diffs))
+    return bool(diffs[-1] < CONVERGENCE_THRESHOLD), float(max(diffs))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qbattery import cli
 from qbattery.cli import (
     TABLE_HEADER,
     ConfigError,
@@ -14,12 +15,11 @@ from qbattery.cli import (
     format_float,
     main,
     parse_run,
-    serialize_config,
     write_series,
     write_table,
 )
-from qbattery.hamiltonians import Model, Normalization, Topology
-from qbattery.sweeps import SweepRow
+from qbattery.hamiltonians import Model, ModelParams, Topology
+from qbattery.sweeps import Axis, SweepRow, SweepSpec, preset_names, preset_specs
 
 
 def row_template(**overrides):
@@ -177,11 +177,17 @@ def test_config_file_rejections(tmp_path):
     ],
 )
 def test_config_round_trip(tmp_path, argv):
-    first = parse_run(argv)
+    # The same flags as config keys: a flag's value, or true for a switch.
+    values, rest = {}, argv[1:]
+    while rest:
+        key, rest = rest[0][2:], rest[1:]
+        if rest and not rest[0].startswith("--"):
+            values[key], rest = rest[0], rest[1:]
+        else:
+            values[key] = True
     cfg = tmp_path / "roundtrip.json"
-    cfg.write_text(json.dumps(serialize_config(first)))
-    second = parse_run([argv[0], "--config", str(cfg)])
-    assert second == first
+    cfg.write_text(json.dumps(values))
+    assert parse_run([argv[0], "--config", str(cfg)]) == parse_run(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +244,22 @@ def test_plot_scripts_mention_data_and_filters(tmp_path):
     assert "== 5*$4*$5" in emit_plot_script("fig5", "t.csv")
     with pytest.raises(ValueError):
         emit_plot_script("fig9", "t.csv")
+    for preset in preset_names():
+        script = emit_plot_script(preset, "t.csv")
+        assert script.count("linespoints") == len(preset_specs(preset))
     series = emit_series_plot("series.csv", "out.png")
     assert "using 1:2" in series
     assert "set output 'out.png'" in series
+
+
+def test_plot_script_follows_an_unseen_preset(monkeypatch):
+    spec = SweepSpec(base=ModelParams(model=Model.JCH, n=2, m=1, beta=0.1), axis=Axis.BETA,
+                     values=(0.1, 0.2))
+    monkeypatch.setattr(cli, "preset_specs", lambda name: [spec])
+    script = emit_plot_script("beta_only", "t.csv")
+    assert "set xlabel 'beta'" in script and "set ylabel 'P_max'" in script
+    assert script.endswith("  't.csv' every ::1 using 6:(1 ? $14 : 1/0) "
+                           "with linespoints title 'beta_only'\n")
 
 
 # ---------------------------------------------------------------------------
@@ -325,4 +344,4 @@ def test_timing_column_only_with_flag(tmp_path):
     assert main(base + ["--out", str(timed), "--timing"]) == 0
     assert quiet.read_text().splitlines()[1].endswith(",")
     last = timed.read_text().splitlines()[1].rsplit(",", 1)[1]
-    assert last != "" and float(last) >= 0.0
+    assert last != "" and float(last) > 0.0
