@@ -90,8 +90,10 @@ class RabiParams:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
 
 
 def rabi_oracle(params: RabiParams) -> tuple[float, float]:
@@ -122,8 +124,8 @@ class SearchConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.t_max is not None and not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+        if self.t_max is not None and not 0 < self.t_max < math.inf:
+            raise ValueError("t_max must be finite and positive")
         if self.n_samples < 4:
             raise ValueError("need at least four scan samples")
         if not 0 < self.rel_tol < 1:

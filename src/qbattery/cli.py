@@ -10,10 +10,13 @@ Subcommands:
 * ``convergence``: compare collective-model photon cutoffs.
 
 Each flag is declared once, in ``_FLAGS``: its name, default, help and
-argparse keywords.  That table builds every subcommand's parser and names
-the keys ``--config`` accepts (a flat JSON object whose keys are the long
-flag names); flags given override the file, which overrides the defaults.
-A value the command does not read prints a notice on stderr.  The results
+argparse keywords.  That table builds every subcommand's parser and the
+parser of ``--config`` files: a flat JSON object keyed by the long flag
+names, whose values become ``--name=value`` tokens (``true`` adds a
+switch; ``false`` and ``null`` add nothing; a list joins with commas), so
+a file value meets the same rule as the flag, whatever the command.
+Flags given override the file, which overrides the defaults.  A value
+the command does not read prints a notice on stderr.  The results
 table's columns are declared once too, in ``_COLUMNS``, and a sweep's
 ``--plot-out`` script draws one curve per sweep of the preset, derived
 from ``preset_specs``.  All file output is plain CSV with
@@ -164,6 +167,14 @@ _COMMANDS = (
 )
 
 
+def _add_flags(parser: argparse.ArgumentParser, command: str | None = None):
+    """Add the flags ``command`` takes (every flag for None) to ``parser``."""
+    for f in _FLAGS:
+        if command is None or f.command in (None, command):
+            parser.add_argument("--" + f.name.replace("_", "-"), help=f.help, **f.options)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbattery",
@@ -172,14 +183,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, desc in _COMMANDS:
         # Flags not given stay unset, so a config-file value can stand in for them.
-        p = sub.add_parser(command, help=desc, argument_default=argparse.SUPPRESS)
-        for f in _FLAGS:
-            if f.command in (None, command):
-                p.add_argument("--" + f.name.replace("_", "-"), help=f.help, **f.options)
+        _add_flags(sub.add_parser(command, help=desc, argument_default=argparse.SUPPRESS), command)
     return parser
 
 
 def _load_config_file(path: str) -> dict:
+    """The file's values, each parsed by its flag's rule as if given as ``--name=value``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -189,37 +198,42 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a flat JSON object")
-    values = {}
+    tokens = []
     for key, value in raw.items():
-        norm = key.replace("-", "_")
-        if norm not in _DEFAULTS:
+        name = key.replace("-", "_")
+        if name not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
-        if value is not None:  # null leaves the default
-            values[norm] = value
-    return values
+        # true adds the switch, false and null add nothing, a list joins with commas.
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not None and value is not False:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            tokens.append(f"{flag}={text}")
+    parser = argparse.ArgumentParser(argument_default=argparse.SUPPRESS, exit_on_error=False)
+    try:
+        return vars(_add_flags(parser).parse_args(tokens))
+    except argparse.ArgumentError as err:
+        raise ConfigError(f"config file {path}: {err}") from None
 
 
-def _parse_beta_prime(value) -> float | None:
-    if value is None or (isinstance(value, str) and value.strip().lower() == "same"):
+def _parse_beta_prime(value: str) -> float | None:
+    if value.strip().lower() == "same":
         return None
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"beta-prime must be a number or 'same', got {value!r}") from None
 
 
-def _parse_multipliers(value) -> tuple[int, ...] | None:
+def _parse_multipliers(value: str | None) -> tuple[int, ...] | None:
     if value is None:
         return None
-    if isinstance(value, (list, tuple)):
-        items = value
-    else:
-        items = str(value).split(",")
     try:
-        mults = tuple(int(item) for item in items)
-    except (TypeError, ValueError):
+        mults = tuple(int(item) for item in value.split(","))
+    except ValueError:
         raise ConfigError(f"cutoff-mult must be integers, got {value!r}") from None
-    if not mults or any(m < 1 for m in mults):
+    if any(m < 1 for m in mults):
         raise ConfigError("cutoff multipliers must be positive integers")
     return mults
 
@@ -234,16 +248,16 @@ def _build_params(command: str, merged: dict) -> ModelParams:
     model = Model.JCH if command == "jch" else Model.DICKE
     params = ModelParams(
         model=model,
-        n=int(_require(merged, "n", command)),
-        m=int(merged["m"]),
-        beta=float(_require(merged, "beta", command)),
+        n=_require(merged, "n", command),
+        m=merged["m"],
+        beta=_require(merged, "beta", command),
         beta_prime=_parse_beta_prime(merged["beta_prime"]),
-        kappa=float(merged["kappa"]),
-        omega_c=float(merged["omega_c"]),
-        omega_a=float(merged["omega_a"]),
+        kappa=merged["kappa"],
+        omega_c=merged["omega_c"],
+        omega_a=merged["omega_a"],
         topology=Topology(merged["topology"]),
         normalization=Normalization(merged["normalization"]),
-        literal_elements=bool(merged["literal_eq10"]),
+        literal_elements=merged["literal_eq10"],
     )
     mults = _parse_multipliers(merged["cutoff_mult"])
     if command == "dicke" and mults is not None:
@@ -271,7 +285,9 @@ _UNREAD = {
 def parse_run(argv: list[str]) -> RunConfig:
     """Parse argv (without the program name) into a resolved RunConfig.
 
-    Every rejected value, from a flag or the config file, raises ConfigError.
+    An unknown or badly typed flag exits with argparse's usage message;
+    every other rejected value, from a flag or the config file, raises
+    ConfigError.
     """
     args = _build_parser().parse_args(argv)
     try:
@@ -289,11 +305,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     file_values = _load_config_file(config) if config else {}
     merged = {**_DEFAULTS, **file_values, **given}
 
-    search = SearchConfig(
-        t_max=None if merged["t_max"] is None else float(merged["t_max"]),
-        n_samples=int(merged["samples"]),
-        rel_tol=float(merged["rel_tol"]),
-    )
+    search = SearchConfig(merged["t_max"], merged["samples"], merged["rel_tol"])
     params = None
     rabi = None
     preset = None
@@ -301,21 +313,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if command in ("jch", "dicke"):
         params = _build_params(command, merged)
     elif command == "rabi":
-        rabi = RabiParams(
-            delta=float(merged["delta"]),
-            beta=float(_require(merged, "beta", command)),
-            m=int(merged["m"]),
-        )
+        rabi = RabiParams(merged["delta"], _require(merged, "beta", command), merged["m"])
     elif command == "sweep":
         preset = _require(merged, "preset", command)
-        if preset not in preset_names():
-            names = ", ".join(preset_names())
-            raise ConfigError(f"unknown preset {preset!r}; choose from {names}")
     elif command == "convergence":
         if merged["n"] is None or merged["beta"] is None:
             raise ConfigError(f"--n and --beta are required for '{command}'")
         params = _build_params("dicke", {**merged, "cutoff_mult": None})
         multipliers = _parse_multipliers(merged["cutoff_mult"]) or (4, 5)
+        if len(set(multipliers)) < 2:
+            raise ConfigError("convergence needs at least two distinct cutoff multipliers")
 
     out, series_out, plot_out = merged["out"], merged["series_out"], merged["plot_out"]
     given = [p for p in (out, series_out, plot_out) if p is not None]
@@ -325,10 +332,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("sweep needs --out for the results table")
     if command in ("jch", "dicke", "rabi") and plot_out is not None and series_out is None:
         raise ConfigError("--plot-out for a single run needs --series-out")
-    max_dim = None if merged["max_dim"] is None else int(merged["max_dim"])
+    max_dim, dense_limit = merged["max_dim"], merged["dense_limit"]
     if max_dim is not None and max_dim < 1:
         raise ConfigError(f"--max-dim must be at least 1, got {max_dim}")
-    dense_limit = None if merged["dense_limit"] is None else int(merged["dense_limit"])
     if dense_limit is not None and dense_limit < 0:
         raise ConfigError(f"--dense-limit must be nonnegative, got {dense_limit}")
     unread = [k for k in _UNREAD[command] if merged[k] != _DEFAULTS[k]]
@@ -342,7 +348,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         search=search,
         preset=preset,
         multipliers=multipliers,
-        timing=bool(merged["timing"]),
+        timing=merged["timing"],
         out=out,
         series_out=series_out,
         plot_out=plot_out,
@@ -371,13 +377,17 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_series(series: np.ndarray, path: str) -> None:
     """Two-column CSV of the scanned energy, header ``t,energy``."""
     lines = ["t,energy"]
     for t, e in np.asarray(series):
         lines.append(f"{format_float(float(t))},{format_float(float(e))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_table(rows: list[SweepRow], path: str, include_timing: bool = False) -> None:
@@ -389,8 +399,7 @@ def write_table(rows: list[SweepRow], path: str, include_timing: bool = False) -
             for _, field in _COLUMNS
         ]
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 _YLABELS = {
@@ -479,8 +488,7 @@ def _run_single(run: RunConfig) -> int:
         row = sweep_row(run.params, run.params.n, wall, dim=system.dim, result=result)
         write_table([row], run.out, include_timing=run.timing)
     if run.plot_out:
-        with open(run.plot_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(emit_series_plot(run.series_out))
+        _write(run.plot_out, emit_series_plot(run.series_out))
     return 0
 
 
@@ -493,8 +501,7 @@ def _run_rabi(run: RunConfig) -> int:
         ts = t_max * np.arange(1, run.search.n_samples + 1) / run.search.n_samples
         write_series(np.column_stack([ts, np.sin(omega * ts) ** 2]), run.series_out)
     if run.plot_out:
-        with open(run.plot_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(emit_series_plot(run.series_out))
+        _write(run.plot_out, emit_series_plot(run.series_out))
     return 0
 
 
@@ -508,8 +515,7 @@ def _run_sweep(run: RunConfig) -> int:
     failures = sum(1 for r in rows if r.error)
     print(f"preset: {run.preset}   rows: {len(rows)}   failed points: {failures}")
     if run.plot_out:
-        with open(run.plot_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(emit_plot_script(run.preset, run.out))
+        _write(run.plot_out, emit_plot_script(run.preset, run.out))
     return 0
 
 

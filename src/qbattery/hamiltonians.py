@@ -120,14 +120,13 @@ class ModelParams:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if self.beta_prime is not None and self.beta_prime < 0:
-            raise ValueError(f"beta_prime must be nonnegative, got {self.beta_prime}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.omega_c <= 0 or self.omega_a <= 0:
-            raise ValueError("mode and two-level energies must be positive")
+        # Each comparison is false for NaN, so these also reject NaN and infinity.
+        for name in ("beta", "beta_prime", "kappa"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not (0 < self.omega_c < math.inf and 0 < self.omega_a < math.inf):
+            raise ValueError("mode and two-level energies must be finite and positive")
         if self.n_max is not None and self.n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
 

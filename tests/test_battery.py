@@ -97,6 +97,11 @@ def test_rabi_params_validation():
         RabiParams(delta=0.0, beta=-0.1)
     with pytest.raises(ValueError):
         RabiParams(delta=0.0, beta=0.1, m=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            RabiParams(delta=0.0, beta=bad)
+        with pytest.raises(ValueError):
+            RabiParams(delta=bad, beta=0.1)
 
 
 def test_default_horizon_rules():
@@ -178,6 +183,9 @@ def test_search_config_validation():
         SearchConfig(n_samples=2)
     with pytest.raises(ValueError):
         SearchConfig(rel_tol=2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SearchConfig(t_max=bad)
 
 
 def test_search_evaluates_no_time_twice():

@@ -155,11 +155,16 @@ def test_config_file_rejections(tmp_path):
         parse_run(["jch", "--n", "2", "--beta", "0.05", "--config", str(not_json)])
     with pytest.raises(ConfigError):
         parse_run(["jch", "--n", "2", "--beta", "0.05", "--config", str(tmp_path / "absent.json")])
-    for i, values in enumerate(({"normalization": "bogus"}, {"samples": "many"}, {"m": 0})):
+    # Each value meets its flag's rule: none is rounded, coerced to a bool or dropped.
+    for i, values in enumerate((
+        {"normalization": "bogus"}, {"samples": "many"}, {"m": 0},
+        {"timing": "false"}, {"literal_eq10": "false"}, {"n": 2.7},
+        {"samples": 512.9}, {"cutoff_mult": [4.7]}, {"m": True},
+    )):
         bad_value = tmp_path / f"d{i}.json"
-        bad_value.write_text(json.dumps(values))
+        bad_value.write_text(json.dumps({"n": 2, **values}))
         with pytest.raises(ConfigError):
-            parse_run(["dicke", "--n", "2", "--beta", "0.5", "--config", str(bad_value)])
+            parse_run(["dicke", "--beta", "0.5", "--config", str(bad_value)])
 
 
 @pytest.mark.parametrize(
@@ -329,6 +334,11 @@ def test_exit_codes(tmp_path, capsys):
         ["sweep", "--config", str(bad_preset), "--out", str(tmp_path / "t.csv")],
         ["jch", "--n", "2", "--beta", "0.05", "--dense-limit", "-5"],
         ["jch", "--n", "2", "--beta", "0.05", "--max-dim", "0"],
+        ["jch", "--n", "2", "--beta", "0.05", "--t-max", "inf"],  # non-finite floats
+        ["jch", "--n", "2", "--beta", "nan"],
+        ["rabi", "--beta", "nan"],
+        ["convergence", "--n", "2", "--beta", "0.5", "--cutoff-mult", "5"],  # one cutoff
+        ["convergence", "--n", "2", "--beta", "0.5", "--cutoff-mult", "4,4"],
     ):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

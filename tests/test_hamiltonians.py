@@ -468,6 +468,12 @@ def test_params_validation_and_derived_fields():
         dicke(n=1, m=1, beta=0.1, beta_prime=-0.5)
     with pytest.raises(ValueError):
         jch(n=1, m=1, beta=0.1, omega_c=0.0)
+    for bad in (math.nan, math.inf):
+        for values in ({"beta": bad}, {"kappa": bad}, {"omega_c": bad}, {"omega_a": bad}):
+            with pytest.raises(ValueError):
+                jch(**{"n": 1, "m": 1, "beta": 0.1, **values})
+        with pytest.raises(ValueError):
+            dicke(n=1, m=1, beta=0.1, beta_prime=bad)
     p = dicke(n=4, m=2, beta=0.5)
     assert p.beta_prime_value == 0.5
     assert dicke(n=4, m=2, beta=0.5, beta_prime=0.0).beta_prime_value == 0.0
