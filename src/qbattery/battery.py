@@ -11,9 +11,13 @@ derivative dE/dt; the headline quantity is its maximum over a scan window,
     P_max = max_t E(t) / t,      tau = argmax_t E(t) / t.
 
 A uniform coarse scan locates the global quotient maximum, then
-golden-section search refines it.  The time of the first full charging
-peak (maximum of E itself) is refined the same way and reported as a
-diagnostic alongside.
+golden-section search refines it.  The scan runs in chunks of increasing
+t and stops once no later sample can win: E(t) never exceeds the bound
+E_bound = w_c * (max Jz - <Jz>(0)) over the evolved block, so past
+t* = E_bound / P_best every quotient lies below the best one seen.  The
+first charging peak after tau (the first local maximum of E past the
+quotient maximum) is refined the same way and reported as a diagnostic
+alongside.
 
 For a single cavity at zero hopping the closed-form check is
 
@@ -68,10 +72,17 @@ __all__ = [
 # 2.32 s at 2,756 (Dicke N=10, beta=0.5).  Chebyshev wins at 1,381 states
 # with beta=2 (1.01 s against 1.25 s) but needs many more windows at small
 # beta (8.0 s against 1.3 s at beta=0.05), so a limit of 1,200 made the
-# dicke_m preset take 258 s instead of 123 s.
+# dicke_m preset take 258 s instead of 123 s.  These timings predate the
+# stopped scan (``_SCAN_CHUNK``), which cuts the grid work of both engines
+# but not the dense eigh, so the crossover now sits lower.
 DENSE_LIMIT_DEFAULT = 2500
 
 _FLAT_TOL = 1e-12
+# The scan evaluates this many grid times per call before it tests whether
+# it may stop; the relative slack on the energy bound keeps an engine's
+# rounding above the bound from stopping the scan before a winning sample.
+_SCAN_CHUNK = 128
+_BOUND_SLACK = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -131,10 +142,23 @@ class SearchConfig:
         if not 0 < self.rel_tol < 1:
             raise ValueError("rel_tol must sit in (0, 1)")
 
+    def grid(self, params: ModelParams | None) -> np.ndarray:
+        """The scan times horizon * k / n_samples, k = 1..n_samples.
+
+        The horizon is ``t_max``, or ``default_horizon(params)`` when unset.
+        """
+        horizon = self.t_max if self.t_max is not None else default_horizon(params)
+        return horizon * np.arange(1, self.n_samples + 1) / self.n_samples
+
 
 @dataclass(frozen=True)
 class PowerResult:
-    """Outcome of one power search; ``series`` holds the scanned (t, E) samples."""
+    """Outcome of one power search.
+
+    ``e_max`` and ``t_e_max`` locate the first charging peak after ``tau``,
+    so ``0 <= e_at_tau <= e_max``.  ``series`` holds the (t, E) samples the
+    scan evaluated: the leading samples of the grid, up to where it stopped.
+    """
 
     p_max: float
     tau: float
@@ -188,7 +212,8 @@ class QuenchSystem:
     ``block_dim`` the size of that block, and ``dense_limit`` is compared
     with ``block_dim``.  ``on_grid(ts)`` returns the stored energy E(t) at
     each time and, with ``params``, is the evaluator protocol that
-    ``max_power`` reads.
+    ``max_power`` reads.  ``energy_bound`` is the largest energy any state
+    of the block stores, an upper bound on E(t) that lets the search stop.
     """
 
     def __init__(
@@ -209,6 +234,7 @@ class QuenchSystem:
         if self.block_dim < self.dim:
             h = h[block][:, block]
             jz = jz[block]
+        self.energy_bound = params.omega_c * (float(jz.max()) - self._jz0)
         psi0 = (block == start).astype(float)
         limit = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
         dense = self.block_dim <= limit
@@ -268,22 +294,39 @@ def _golden_max(fn, lo: float, hi: float, rel_tol: float, seeds):
     return best_t, best_f
 
 
-def _first_peak_index(energies: np.ndarray) -> int:
-    """First interior local maximum whose height matches the global one.
+def _peak_after(energies: np.ndarray, k: int) -> int:
+    """First j >= k with E[j] >= E[j + 1], the first grid maximum of E from k on.
 
-    Samples rarely land exactly on a crest, so equal-height peaks come out
-    slightly unequal on the grid.  The gap between the global argmax and its
-    neighbors bounds that discretization error from above, which gives a
-    floor that adapts to the grid instead of a fixed tolerance.
+    The last index when E keeps rising to the end of the samples.
     """
-    top = energies.max()
-    k_top = int(np.argmax(energies))
-    neighbors = energies[max(k_top - 1, 0) : k_top + 2]
-    floor = min(float(neighbors.min()), top * (1.0 - 1e-12))
-    for k in range(1, energies.shape[0] - 1):
-        if energies[k] >= floor and energies[k] >= energies[k - 1] and energies[k] >= energies[k + 1]:
-            return k
-    return k_top
+    falls = np.flatnonzero(energies[k + 1 :] <= energies[k:-1])
+    return k + int(falls[0]) if falls.size else energies.shape[0] - 1
+
+
+def _scan(evaluator, ts: np.ndarray) -> np.ndarray:
+    """E on the leading samples of ``ts``, up to where no later sample can win.
+
+    An evaluator without ``energy_bound`` gets every sample in one call.
+    Otherwise the scan runs in chunks and stops before ``ts[end]`` once that
+    time lies past E_bound / P_best, where E(t) / t <= E_bound / t stays
+    below the best quotient seen, and the first maximum of E after the
+    quotient maximum has a scanned sample on its right.
+    """
+    n = ts.shape[0]
+    bound = getattr(evaluator, "energy_bound", None)
+    step = n if bound is None else _SCAN_CHUNK
+    energies = np.empty(n)
+    end = 0
+    while end < n:
+        energies[end : end + step] = evaluator.on_grid(ts[end : end + step])
+        end = min(end + step, n)
+        if end < n and energies[:end].max() >= _FLAT_TOL:
+            quotients = energies[:end] / ts[:end]
+            k = int(np.argmax(quotients))
+            past = ts[end] > bound * (1.0 + _BOUND_SLACK) / quotients[k]
+            if past and _peak_after(energies[:end], k) < end - 1:
+                break
+    return energies[:end]
 
 
 def max_power(evaluator, config: SearchConfig) -> PowerResult:
@@ -291,13 +334,17 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
 
     ``evaluator`` provides ``on_grid(ts)``, the energy at each time (any
     QuenchSystem works); the refinement asks it for one time at a time.
-    The window is ``config.t_max``, or ``default_horizon(evaluator.params)``
-    when the config leaves it unset.
+    The grid is ``config.grid(evaluator.params)``; ``params`` is read only
+    when ``config.t_max`` is unset.  With an ``energy_bound`` on the
+    evaluator the scan stops where no later time can beat the best
+    quotient; the result is the full scan's, bit for bit.  ``e_max`` and
+    ``t_e_max`` refine the first grid maximum of E at or after the quotient
+    maximum.
     """
-    horizon = config.t_max if config.t_max is not None else default_horizon(evaluator.params)
     n = config.n_samples
-    ts = horizon * np.arange(1, n + 1) / n
-    energies = evaluator.on_grid(ts)
+    grid = config.grid(evaluator.params if config.t_max is None else None)
+    energies = _scan(evaluator, grid)
+    ts = grid[: energies.shape[0]]
     e_top = energies.max()
     if e_top < _FLAT_TOL:
         warnings.warn(
@@ -322,8 +369,9 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
             SearchNotice,
             stacklevel=2,
         )
+    last = ts.shape[0] - 1
     lo = ts[k - 1] if k > 0 else ts[0]
-    hi = ts[k + 1] if k < n - 1 else ts[n - 1]
+    hi = ts[k + 1] if k < last else ts[last]
     # Seeded with the grid sample, so tau has a cached energy wherever it lands;
     # both refinements share it, so no time is evaluated twice.
     cache: dict[float, float] = {ts[k]: energies[k]}
@@ -338,16 +386,17 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
 
     tau, p_max = _golden_max(quotient, lo, hi, config.rel_tol, seeds=[(ts[k], quotients[k])])
     e_at_tau = cache[tau]
-    # Refine the first full charging peak as well; E is smooth, so a local
-    # golden search around the first near-top sample pins it down.
-    j = _first_peak_index(energies)
+    # E rises at tau (E'(tau) = E(tau) / tau > 0); refine its first peak
+    # after tau, seeded with tau itself so that e_at_tau <= e_max.
+    j = _peak_after(energies, k)
     p_lo = ts[j - 1] if j > 0 else ts[0]
-    p_hi = ts[j + 1] if j < n - 1 else ts[n - 1]
-    t_e_max, e_peak = _golden_max(energy, p_lo, p_hi, config.rel_tol, seeds=[(ts[j], energies[j])])
+    p_hi = ts[j + 1] if j < last else ts[last]
+    seeds = [(ts[j], energies[j]), (tau, e_at_tau)]
+    t_e_max, e_max = _golden_max(energy, p_lo, p_hi, config.rel_tol, seeds=seeds)
     return PowerResult(
         p_max=e_at_tau / tau,
         tau=tau,
-        e_max=float(max(e_top, e_at_tau, e_peak)),
+        e_max=float(e_max),
         e_at_tau=float(e_at_tau),
         t_e_max=t_e_max,
         series=np.column_stack([ts, energies]),

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``jch`` / ``dicke``: one quench run; prints a summary and optionally
-  writes the scanned energy series and a one-row results table.
+  writes the energy series on the whole scan grid and a one-row results
+  table.
 * ``rabi``: closed-form single-cavity check (frequency, first peak time,
   optional sin^2 series).
 * ``sweep``: run a named preset and write the results table.
@@ -13,8 +14,9 @@ Each flag is declared once, in ``_FLAGS``: its name, default, help and
 argparse keywords.  That table builds every subcommand's parser and the
 parser of ``--config`` files: a flat JSON object keyed by the long flag
 names, whose values become ``--name=value`` tokens (``true`` adds a
-switch; ``false`` and ``null`` add nothing; a list joins with commas), so
-a file value meets the same rule as the flag, whatever the command.
+switch and ``false`` leaves it off, a ``false`` on any other flag is an
+error; ``null`` adds nothing; a list joins with commas), so a file value
+meets the same rule as the flag, whatever the command.
 Flags given override the file, which overrides the defaults.  A value
 the command does not read prints a notice on stderr.  The results
 table's columns are declared once too, in ``_COLUMNS``, and a sweep's
@@ -156,6 +158,7 @@ _FLAGS = (
 
 # The value of every config key when neither a flag nor the config file sets it.
 _DEFAULTS = {f.name: f.default for f in _FLAGS if f.name != "config"}
+_SWITCHES = {f.name for f in _FLAGS if f.options.get("action") == "store_true"}
 _MODEL_KEYS = tuple(f.name for f in _FLAGS if f.model)
 
 _COMMANDS = (
@@ -203,8 +206,10 @@ def _load_config_file(path: str) -> dict:
         name = key.replace("-", "_")
         if name not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
-        # true adds the switch, false and null add nothing, a list joins with commas.
+        # true adds the switch, null adds nothing, a list joins with commas.
         flag = "--" + name.replace("_", "-")
+        if value is False and name not in _SWITCHES:
+            raise ConfigError(f"config key {key!r} is not a switch and takes no false")
         if value is True:
             tokens.append(flag)
         elif value is not None and value is not False:
@@ -383,7 +388,7 @@ def _write(path: str, text: str) -> None:
 
 
 def write_series(series: np.ndarray, path: str) -> None:
-    """Two-column CSV of the scanned energy, header ``t,energy``."""
+    """Two-column CSV of the energy series, header ``t,energy``."""
     lines = ["t,energy"]
     for t, e in np.asarray(series):
         lines.append(f"{format_float(float(t))},{format_float(float(e))}")
@@ -483,7 +488,9 @@ def _run_single(run: RunConfig) -> int:
     print(f"e_max: {format_float(result.e_max)}")
     print(f"t_e_max: {format_float(result.t_e_max)}")
     if run.series_out:
-        write_series(result.series, run.series_out)
+        # The search stops early; the series file covers the whole window.
+        ts = run.search.grid(run.params)
+        write_series(np.column_stack([ts, system.on_grid(ts)]), run.series_out)
     if run.out:
         row = sweep_row(run.params, run.params.n, wall, dim=system.dim, result=result)
         write_table([row], run.out, include_timing=run.timing)

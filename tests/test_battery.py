@@ -211,8 +211,97 @@ def test_search_evaluates_no_time_twice():
 def test_search_window_defaults_to_horizon_of_system():
     params = jch(n=2, m=1, beta=0.05, kappa=0.05)
     result = max_power(QuenchSystem(params), SearchConfig())
-    assert result.series[-1, 0] == default_horizon(params)
-    assert result.series.shape == (4096, 2)
+    grid = default_horizon(params) * np.arange(1, 4097) / 4096
+    scanned = result.series[:, 0]
+    assert 0 < scanned.shape[0] <= 4096
+    assert np.array_equal(scanned, grid[: scanned.shape[0]])
+
+
+class HiddenBound:
+    """Wraps a system and records the times it is asked for; shows no energy bound."""
+
+    def __init__(self, system):
+        self.system = system
+        self.params = system.params
+        self.times = 0
+
+    def on_grid(self, ts):
+        self.times += len(ts)
+        return self.system.on_grid(ts)
+
+
+class Recording(HiddenBound):
+    """The same wrapper with the system's energy bound, so the search may stop."""
+
+    @property
+    def energy_bound(self):
+        return self.system.energy_bound
+
+
+@pytest.mark.parametrize(
+    "params, engine",
+    [
+        (jch(n=6, m=1, beta=0.05, kappa=0.05), "chebyshev"),
+        (dicke(n=15, m=1, beta=0.5, n_max=75), "dense"),
+    ],
+)
+def test_energy_bound_stops_the_scan_with_the_same_result(params, engine):
+    system = QuenchSystem(params)
+    assert system.engine == engine
+    stopped, full = Recording(system), HiddenBound(system)
+    a = max_power(stopped, SearchConfig())
+    b = max_power(full, SearchConfig())
+    # Grid samples plus the two golden refinements.
+    assert stopped.times < 1024
+    assert full.times > 4096
+    assert a.series.shape[0] < 1024
+    assert np.array_equal(a.series, b.series[: a.series.shape[0]])
+    assert (a.p_max, a.tau) == (b.p_max, b.tau)
+    assert (a.e_max, a.t_e_max, a.e_at_tau) == (b.e_max, b.t_e_max, b.e_at_tau)
+
+
+class BoundTouching:
+    """Reaches its declared energy bound at t = 256.5 and rounds 1e-10 above it.
+
+    Before that, a narrow bump at t = 11 holds a quotient just below the
+    plateau's quotient at the grid time 257, so the scan may only stop
+    past 257 if it allows for the rounding.
+    """
+
+    energy_bound = 1.0
+
+    def on_grid(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        p_bump = (1.0 + 5e-11) / 257.0
+        return np.where(ts < 256.5, p_bump * ts * np.exp(-(((ts - 11.0) / 2.0) ** 2)), 1.0 + 1e-10)
+
+
+def test_energy_bound_slack_covers_rounding_above_it():
+    class Hidden:
+        on_grid = BoundTouching.on_grid
+
+    config = SearchConfig(t_max=1024.0, n_samples=1024)
+    stopped = max_power(BoundTouching(), config)
+    full = max_power(Hidden(), config)
+    assert stopped.series.shape[0] == 384
+    assert 256.5 <= full.tau <= 258.0
+    assert (stopped.p_max, stopped.tau) == (full.p_max, full.tau)
+
+
+def test_stopped_scan_runs_on_to_the_first_peak():
+    # No quotient can win past t* = 1.38 (0.7246 is the best quotient), but E
+    # still rises to its peak at pi/2, past the first chunk's end at 1.46.
+    class Bounded(SyntheticOscillation):
+        energy_bound = 1.0
+
+    config = SearchConfig(t_max=1024 * 1.45 / 128, n_samples=1024)
+    stopped = max_power(Bounded(1.0), config)
+    full = max_power(SyntheticOscillation(1.0), config)
+    assert stopped.series.shape[0] == 256
+    assert stopped.t_e_max == pytest.approx(math.pi / 2.0, rel=1e-6)
+    assert (stopped.p_max, stopped.tau, stopped.e_max, stopped.t_e_max) == (
+        full.p_max, full.tau, full.e_max, full.t_e_max
+    )
 
 
 def test_uncoupled_cavities_factorize():

@@ -160,11 +160,17 @@ def test_config_file_rejections(tmp_path):
         {"normalization": "bogus"}, {"samples": "many"}, {"m": 0},
         {"timing": "false"}, {"literal_eq10": "false"}, {"n": 2.7},
         {"samples": 512.9}, {"cutoff_mult": [4.7]}, {"m": True},
+        {"kappa": False}, {"out": False},
     )):
         bad_value = tmp_path / f"d{i}.json"
         bad_value.write_text(json.dumps({"n": 2, **values}))
         with pytest.raises(ConfigError):
             parse_run(["dicke", "--beta", "0.5", "--config", str(bad_value)])
+    # A switch alone takes false.
+    switches_off = tmp_path / "e.json"
+    switches_off.write_text(json.dumps({"n": 2, "timing": False, "literal_eq10": False}))
+    run = parse_run(["dicke", "--beta", "0.5", "--config", str(switches_off)])
+    assert run.timing is False and run.params.literal_elements is False
 
 
 @pytest.mark.parametrize(
@@ -293,6 +299,26 @@ def test_single_run_writes_deterministic_outputs(tmp_path, capsys):
     first = (table.read_bytes(), series.read_bytes(), plot.read_bytes())
     assert main(argv) == 0
     assert (table.read_bytes(), series.read_bytes(), plot.read_bytes()) == first
+
+
+@pytest.mark.parametrize(
+    "argv, engine",
+    [
+        (["--n", "2", "--kappa", "0.05"], "dense"),
+        (["--topology", "all", "--n", "6", "--kappa", "0.05"], "chebyshev"),
+    ],
+)
+def test_series_covers_the_whole_window(tmp_path, capsys, argv, engine):
+    # The search stops early; the series file still holds every grid time.
+    series = tmp_path / "series.csv"
+    assert main(["jch", "--beta", "0.05", "--series-out", str(series)] + argv) == 0
+    assert f"engine: {engine}" in capsys.readouterr().out
+    lines = series.read_text().splitlines()
+    assert lines[0] == "t,energy"
+    data = np.loadtxt(series, delimiter=",", skiprows=1)
+    assert data.shape == (4096, 2)
+    assert data[-1, 0] == 10.0 * math.pi / 0.05
+    assert np.array_equal(data[:, 0], data[-1, 0] * np.arange(1, 4097) / 4096)
 
 
 def test_plot_requires_series(tmp_path):
