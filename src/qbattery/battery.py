@@ -306,20 +306,19 @@ def _peak_after(energies: np.ndarray, k: int) -> int:
 def _scan(evaluator, ts: np.ndarray) -> np.ndarray:
     """E on the leading samples of ``ts``, up to where no later sample can win.
 
-    An evaluator without ``energy_bound`` gets every sample in one call.
-    Otherwise the scan runs in chunks and stops before ``ts[end]`` once that
-    time lies past E_bound / P_best, where E(t) / t <= E_bound / t stays
-    below the best quotient seen, and the first maximum of E after the
-    quotient maximum has a scanned sample on its right.
+    The scan runs in chunks and stops before ``ts[end]`` once that time lies
+    past E_bound / P_best, where E(t) / t <= E_bound / t stays below the
+    best quotient seen, and the first maximum of E after the quotient
+    maximum has a scanned sample on its right.  An evaluator without
+    ``energy_bound`` has an infinite bound, so every sample is scanned.
     """
     n = ts.shape[0]
-    bound = getattr(evaluator, "energy_bound", None)
-    step = n if bound is None else _SCAN_CHUNK
+    bound = getattr(evaluator, "energy_bound", math.inf)
     energies = np.empty(n)
     end = 0
     while end < n:
-        energies[end : end + step] = evaluator.on_grid(ts[end : end + step])
-        end = min(end + step, n)
+        energies[end : end + _SCAN_CHUNK] = evaluator.on_grid(ts[end : end + _SCAN_CHUNK])
+        end = min(end + _SCAN_CHUNK, n)
         if end < n and energies[:end].max() >= _FLAT_TOL:
             quotients = energies[:end] / ts[:end]
             k = int(np.argmax(quotients))
@@ -337,11 +336,12 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
     The grid is ``config.grid(evaluator.params)``; ``params`` is read only
     when ``config.t_max`` is unset.  With an ``energy_bound`` on the
     evaluator the scan stops where no later time can beat the best
-    quotient; the result is the full scan's, bit for bit.  ``e_max`` and
-    ``t_e_max`` refine the first grid maximum of E at or after the quotient
-    maximum.
+    quotient.  The result then matches the full scan's wherever ``on_grid``
+    gives a time the same value whatever chunk it comes in, as
+    ``test_energy_bound_stops_the_scan_with_the_same_result`` checks for
+    both engines.  ``e_max`` and ``t_e_max`` refine the first grid maximum
+    of E at or after the quotient maximum.
     """
-    n = config.n_samples
     grid = config.grid(evaluator.params if config.t_max is None else None)
     energies = _scan(evaluator, grid)
     ts = grid[: energies.shape[0]]
@@ -362,14 +362,14 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
         )
     quotients = energies / ts
     k = int(np.argmax(quotients))
-    if k == 0 or k == n - 1:
+    last = ts.shape[0] - 1
+    if k == 0 or k == last:
         where = "lower" if k == 0 else "upper"
         warnings.warn(
             f"quotient maximum sits at the {where} scan edge; treat tau as a bound",
             SearchNotice,
             stacklevel=2,
         )
-    last = ts.shape[0] - 1
     lo = ts[k - 1] if k > 0 else ts[0]
     hi = ts[k + 1] if k < last else ts[last]
     # Seeded with the grid sample, so tau has a cached energy wherever it lands;

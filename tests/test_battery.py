@@ -256,6 +256,9 @@ def test_energy_bound_stops_the_scan_with_the_same_result(params, engine):
     assert full.times > 4096
     assert a.series.shape[0] < 1024
     assert np.array_equal(a.series, b.series[: a.series.shape[0]])
+    # Both scans evaluate in chunks; the whole grid in one call gives the same bits.
+    whole = system.on_grid(SearchConfig().grid(params))
+    assert np.array_equal(a.series[:, 1], whole[: a.series.shape[0]])
     assert (a.p_max, a.tau) == (b.p_max, b.tau)
     assert (a.e_max, a.t_e_max, a.e_at_tau) == (b.e_max, b.t_e_max, b.e_at_tau)
 
