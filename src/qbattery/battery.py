@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse
 
 from .basis import BasisIndex, CapacityError
-from .dynamics import ChebyshevEngine, EigenEngine, diagonalize
+from .dynamics import _SCAN_CHUNK, ChebyshevEngine, EigenEngine, diagonalize
 from .hamiltonians import (
     Model,
     ModelParams,
@@ -46,6 +46,7 @@ from .hamiltonians import (
     build_csr,
     initial_index,
     jz_diagonal,
+    symmetry_orbits,
 )
 
 __all__ = [
@@ -65,7 +66,9 @@ __all__ = [
 
 # Blocks of at most this many states are diagonalized densely; larger ones
 # are propagated with sparse Chebyshev windows.  The limit counts the states
-# of the block the quench can reach, not the full basis.  One charge() on a
+# of the block the quench can reach, not the full basis; for a chain those
+# are states of the symmetric sector (65 of the 5,336 of the N=6 all-to-all
+# sector).  One charge() on a
 # 2-vCPU host with OpenBLAS, dense against Chebyshev: 0.60 s against 0.74 s
 # at 1,002 states (JCH N=5, kappa=0.05), 0.73 s against 1.54 s at 1,061
 # (Dicke N=20, beta=0.5), 1.18 s against 1.59 s at 1,381 and 2.38 s against
@@ -78,10 +81,10 @@ __all__ = [
 DENSE_LIMIT_DEFAULT = 2500
 
 _FLAT_TOL = 1e-12
-# The scan evaluates this many grid times per call before it tests whether
-# it may stop; the relative slack on the energy bound keeps an engine's
-# rounding above the bound from stopping the scan before a winning sample.
-_SCAN_CHUNK = 128
+# The scan evaluates ``_SCAN_CHUNK`` grid times per call before it tests
+# whether it may stop; the relative slack on the energy bound keeps an
+# engine's rounding above the bound from stopping the scan before a winning
+# sample.
 _BOUND_SLACK = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -207,8 +210,11 @@ def _reachable_block(h: scipy.sparse.csr_array, start: int) -> np.ndarray:
 class QuenchSystem:
     """One configured battery: basis, Hamiltonian engine, and energy evaluation.
 
-    The engine evolves only the block of basis states that the Hamiltonian
-    connects to the initial state: ``dim`` is the size of the full basis,
+    The quench state and the stored energy are unchanged by every
+    automorphism of the hopping graph, so a chain first projects H onto the
+    normalized orbit sums of ``symmetry_orbits``: the fully symmetric sector.
+    The engine then evolves only the block of those states that H connects
+    to the initial state: ``dim`` is the size of the full basis,
     ``block_dim`` the size of that block, and ``dense_limit`` is compared
     with ``block_dim``.  ``on_grid(ts)`` returns the stored energy E(t) at
     each time and, with ``params``, is the evaluator protocol that
@@ -229,9 +235,22 @@ class QuenchSystem:
         start = initial_index(params, self.basis)
         self._jz0 = float(jz[start])
         h = build_csr(params, self.basis)
+        reps, orbit = np.unique(symmetry_orbits(params, self.basis), return_inverse=True)
+        if reps.shape[0] < self.dim:
+            # P[s, o] = 1 / sqrt(|o|) for the orbit o of each state s.  Its
+            # columns, the normalized orbit sums, span the symmetric sector,
+            # which holds the quench state (an orbit of its own) and which H
+            # maps into itself.
+            weight = 1.0 / np.sqrt(np.bincount(orbit)[orbit])
+            p = scipy.sparse.csr_array(
+                (weight, orbit, np.arange(self.dim + 1)), shape=(self.dim, reps.shape[0])
+            )
+            h = (p.T @ h @ p).tocsr()
+            jz = jz[reps]
+            start = int(orbit[start])
         block = _reachable_block(h, start)
         self.block_dim = int(block.shape[0])
-        if self.block_dim < self.dim:
+        if self.block_dim < h.shape[0]:
             h = h[block][:, block]
             jz = jz[block]
         self.energy_bound = params.omega_c * (float(jz.max()) - self._jz0)
@@ -336,11 +355,12 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
     The grid is ``config.grid(evaluator.params)``; ``params`` is read only
     when ``config.t_max`` is unset.  With an ``energy_bound`` on the
     evaluator the scan stops where no later time can beat the best
-    quotient.  The result then matches the full scan's wherever ``on_grid``
-    gives a time the same value whatever chunk it comes in, as
-    ``test_energy_bound_stops_the_scan_with_the_same_result`` checks for
-    both engines.  ``e_max`` and ``t_e_max`` refine the first grid maximum
-    of E at or after the quotient maximum.
+    quotient.  The result then matches the full scan's, because both
+    engines shape their products so that a time's value does not depend on
+    the other times in its call, as
+    ``test_grid_values_do_not_depend_on_the_other_times_in_the_call``
+    checks on every sample of the window.  ``e_max`` and ``t_e_max``
+    refine the first grid maximum of E at or after the quotient maximum.
     """
     grid = config.grid(evaluator.params if config.t_max is None else None)
     energies = _scan(evaluator, grid)

@@ -482,7 +482,10 @@ def _run_single(run: RunConfig) -> int:
     wall = time.perf_counter() - start
     for note in notes:
         print(f"notice: {note.message}", file=sys.stderr)
-    print(f"model: {run.params.model.value}   dim: {system.dim}   engine: {system.engine}")
+    print(
+        f"model: {run.params.model.value}   dim: {system.dim}   block: {system.block_dim}   "
+        f"engine: {system.engine}"
+    )
     print(f"p_max: {format_float(result.p_max)}")
     print(f"tau: {format_float(result.tau)}")
     print(f"e_max: {format_float(result.e_max)}")

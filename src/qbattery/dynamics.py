@@ -49,6 +49,16 @@ __all__ = [
 # arrays are alive at once, so a block takes at most about 100 MB.
 _GRID_BLOCK_ENTRIES = 2_000_000
 
+# The power scan asks for this many times per call.  A time's value must
+# not depend on the other times in its call, or the stopped scan would
+# differ from the whole grid; matrix products round a column the same way
+# only when its neighbours fill the same kernel shapes.  So the dense engine
+# cuts a long grid into column blocks that are a multiple of this, and the
+# Chebyshev engine pads each window's times to a multiple of
+# ``_PAD_COLUMNS``.
+_SCAN_CHUNK = 128
+_PAD_COLUMNS = 8
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -86,7 +96,8 @@ class EigenEngine:
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         out = np.empty(ts.shape[0])
-        block = max(1, _GRID_BLOCK_ENTRIES // max(1, self._lam.shape[0]))
+        block = _GRID_BLOCK_ENTRIES // max(1, self._lam.shape[0])
+        block = max(_SCAN_CHUNK, block - block % _SCAN_CHUNK)
         c = self._c[:, None]
         for start in range(0, ts.shape[0], block):
             chunk = ts[start : start + block]
@@ -208,9 +219,12 @@ class ChebyshevEngine:
             self._advance_window()
 
     def _value_in_window(self, window: _Window, which: int, dts: np.ndarray) -> np.ndarray:
-        c = self._coeffs(dts)
+        n = dts.shape[0]
+        padded = np.zeros(-(-n // _PAD_COLUMNS) * _PAD_COLUMNS)
+        padded[:n] = dts
+        c = self._coeffs(padded)
         g = window.grams[which]
-        return np.einsum("ks,ks->s", c.conj(), g @ c).real
+        return np.einsum("ks,ks->s", c.conj(), g @ c).real[:n]
 
     def values_on_grid(self, which: int, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)

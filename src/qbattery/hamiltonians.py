@@ -25,6 +25,12 @@ over the whole array basis at once, locating each target state with the
 basis ``rank``; the pairs are then mirrored, so exact bitwise symmetry
 holds.  The dense matrix of the exact engine is the same CSR's
 ``toarray()``.
+
+Every automorphism of the hopping graph permutes the cavities without
+changing H, the quench state or the stored energy.  ``symmetry_orbits``
+labels each chain state with its orbit under the group those site
+permutations generate, from which the engine builds the fully symmetric
+sector that the quench never leaves.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ __all__ = [
     "MissingStateError",
     "build_basis",
     "build_csr",
+    "symmetry_orbits",
     "jz_diagonal",
     "initial_index",
     "initial_state",
@@ -190,6 +197,48 @@ def _jch_bonds(params: ModelParams) -> list[tuple[int, int]]:
         # closing the ring adds a second copy of the only bond.
         return [(c, (c + 1) % n) for c in range(n)]
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _jch_symmetries(params: ModelParams) -> list[np.ndarray]:
+    """Site permutations that generate the automorphisms of the hopping graph.
+
+    The reversal for the line, the rotation and the reversal for the ring
+    (D_N), the rotation and one transposition for all-to-all (S_N); none
+    for the collective model or a single cavity.
+    """
+    n = params.n
+    if params.model is not Model.JCH or n == 1:
+        return []
+    sites = np.arange(n)
+    if params.topology is Topology.LINE:
+        return [sites[::-1]]
+    rotation = np.roll(sites, -1)
+    if params.topology is Topology.RING:
+        return [rotation, sites[::-1]]
+    return [rotation, np.r_[1, 0, sites[2:]]]
+
+
+def symmetry_orbits(params: ModelParams, basis: BasisIndex) -> np.ndarray:
+    """Smallest row of each basis row's orbit under the automorphisms of the hopping graph.
+
+    Every row is its own orbit for a trivial group.  Each generator's image
+    of every row comes from the basis ``rank``; the labels then take the
+    minimum over those images, and over themselves, until nothing changes.
+    A label never exceeds its row, so the fixed point is constant on each
+    orbit and equal to the orbit's smallest row.
+    """
+    _check_basis(params, basis)
+    labels = np.arange(basis.dim)
+    images = [basis.rank(basis.photons[:, g], basis.spins[:, g]) for g in _jch_symmetries(params)]
+    while images:
+        new = labels
+        for image in images:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return labels
 
 
 def _jch_entries(params: ModelParams, basis: JchBasis):

@@ -31,6 +31,7 @@ from qbattery.hamiltonians import (
     initial_index,
     initial_state,
     jz_diagonal,
+    symmetry_orbits,
 )
 
 
@@ -263,6 +264,26 @@ def test_energy_bound_stops_the_scan_with_the_same_result(params, engine):
     assert (a.e_max, a.t_e_max, a.e_at_tau) == (b.e_max, b.t_e_max, b.e_at_tau)
 
 
+@pytest.mark.parametrize(
+    "params, dense_limit, engine",
+    [
+        (jch(n=6, m=1, beta=0.05, kappa=0.05), None, "chebyshev"),
+        (dicke(n=15, m=1, beta=0.5, n_max=75), None, "dense"),
+        (jch(n=4, m=1, beta=0.05, kappa=0.1, topology=Topology.RING), None, "dense"),
+        (dicke(n=10, m=1, beta=0.5, n_max=50), 0, "chebyshev"),
+        (jch(n=3, m=2, beta=0.05, kappa=0.5, topology=Topology.ALL_TO_ALL), 0, "chebyshev"),
+    ],
+)
+def test_grid_values_do_not_depend_on_the_other_times_in_the_call(params, dense_limit, engine):
+    # Every sample of the window, not only those a stopped scan reaches.
+    system = QuenchSystem(params, dense_limit=dense_limit)
+    assert system.engine == engine
+    grid = SearchConfig().grid(params)
+    whole = system.on_grid(grid)
+    chunks = [system.on_grid(grid[i : i + 128]) for i in range(0, grid.shape[0], 128)]
+    assert np.array_equal(whole, np.concatenate(chunks))
+
+
 class BoundTouching:
     """Reaches its declared energy bound at t = 256.5 and rounds 1e-10 above it.
 
@@ -408,11 +429,14 @@ def full_basis_energy(params, ts):
         (dicke(n=15, m=1, beta=0.5, n_max=75), 608),  # parity halves 1,216
         (dicke(n=10, m=1, beta=0.5, n_max=50), 281),  # of 561
         (dicke(n=6, m=1, beta=0.5, beta_prime=0.0), 7),  # excitations conserved: N + 1
-        (jch(n=4, m=1, beta=0.05), 16),  # independent cavities: 2^N of 192
-        (jch(n=4, m=1, beta=0.05, kappa=0.1), 192),
-        (jch(n=4, m=1, beta=0.05, kappa=0.1, topology=Topology.RING), 192),
-        (jch(n=4, m=1, beta=0.05, kappa=0.1, topology=Topology.ALL_TO_ALL), 192),
-        (jch(n=2, m=2, beta=0.3, kappa=0.7, topology=Topology.RING), 16),  # doubled bond
+        # Independent cavities reach 2^N = 16 of 192 states; the reversal
+        # pairs them into 10 symmetric states.
+        (jch(n=4, m=1, beta=0.05), 10),
+        # The symmetric sector of the reversal, D_4 and S_4.
+        (jch(n=4, m=1, beta=0.05, kappa=0.1), 100),
+        (jch(n=4, m=1, beta=0.05, kappa=0.1, topology=Topology.RING), 36),
+        (jch(n=4, m=1, beta=0.05, kappa=0.1, topology=Topology.ALL_TO_ALL), 20),
+        (jch(n=2, m=2, beta=0.3, kappa=0.7, topology=Topology.RING), 9),  # doubled bond
     ],
 )
 def test_block_matches_full_basis(params, block_dim):
@@ -425,12 +449,54 @@ def test_block_matches_full_basis(params, block_dim):
 
 def test_uncoupled_cavities_evolve_two_states_each():
     # The full sector (28,814 states) is too large for a dense reference; at
-    # kappa = 0 each cavity swaps its photon with its two-level system.
+    # kappa = 0 each cavity swaps its photon with its two-level system, and
+    # the reversal pairs the 2^7 = 128 products into 72 symmetric states.
     params = jch(n=7, m=1, beta=0.05)
     system = QuenchSystem(params)
-    assert (system.dim, system.block_dim, system.engine) == (28_814, 128, "dense")
+    assert (system.dim, system.block_dim, system.engine) == (28_814, 72, "dense")
     ts = np.linspace(0.25, default_horizon(params), 173)
     assert np.max(np.abs(system.on_grid(ts) - 7 * np.sin(0.05 * ts) ** 2)) <= 1e-12
+
+
+SYMMETRIC_CASES = [
+    jch(n=3, m=2, beta=0.05, kappa=0.2),
+    jch(n=3, m=2, beta=0.05, kappa=0.1, topology=Topology.RING),
+    jch(n=4, m=1, beta=0.05, kappa=0.3, topology=Topology.ALL_TO_ALL),
+    jch(n=3, m=1, beta=0.05, kappa=0.3, topology=Topology.ALL_TO_ALL),
+    jch(n=4, m=1, beta=0.05, topology=Topology.RING),  # kappa = 0
+    jch(n=4, m=1, beta=0.05, kappa=0.2, omega_a=1.3, topology=Topology.RING),  # detuned
+    jch(n=2, m=3, beta=0.2, kappa=0.4, topology=Topology.RING),  # doubled bond
+    jch(n=1, m=3, beta=0.05),
+]
+
+
+@pytest.mark.parametrize("dense_limit", [None, 0])
+@pytest.mark.parametrize("params", SYMMETRIC_CASES)
+def test_symmetric_sector_matches_full_basis(params, dense_limit):
+    system = QuenchSystem(params, dense_limit=dense_limit)
+    assert system.engine == ("chebyshev" if dense_limit == 0 else "dense")
+    ts = np.linspace(0.25, default_horizon(params), 173)
+    assert np.max(np.abs(system.on_grid(ts) - full_basis_energy(params, ts))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, m, counts",
+    [(6, 1, (2_687, 500, 65)), (4, 8, (43_808, 11_481, 4_183)), (8, 1, (78_688, 10_094, 185))],
+)
+def test_symmetry_orbits_count_the_symmetric_sector(n, m, counts):
+    for topology, count, order in zip(Topology, counts, (2, 2 * n, math.factorial(n))):
+        params = jch(n=n, m=m, beta=0.05, kappa=0.1, topology=topology)
+        basis = build_basis(params)
+        labels = symmetry_orbits(params, basis)
+        assert np.all(labels <= np.arange(basis.dim)) and np.array_equal(labels[labels], labels)
+        reps, sizes = np.unique(labels, return_counts=True)
+        assert reps.shape[0] == count
+        assert sizes.sum() == basis.dim
+        # Orbit-stabilizer: each orbit's size divides the order of the group.
+        assert np.all(order % sizes == 0)
+        # The quench state is an orbit of its own.
+        start = initial_index(params, basis)
+        assert labels[start] == start and np.count_nonzero(labels == start) == 1
 
 
 def test_uncoupled_collective_system_keeps_one_state():

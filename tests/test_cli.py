@@ -288,7 +288,8 @@ def test_single_run_writes_deterministic_outputs(tmp_path, capsys):
     ]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "p_max:" in out and "engine: dense" in out
+    # The reversal pairs the 8 states of the sector into 5 symmetric ones.
+    assert "p_max:" in out and "dim: 8   block: 5   engine: dense" in out
     lines = table.read_text().splitlines()
     assert lines[0] == TABLE_HEADER
     assert len(lines) == 2
@@ -305,7 +306,7 @@ def test_single_run_writes_deterministic_outputs(tmp_path, capsys):
     "argv, engine",
     [
         (["--n", "2", "--kappa", "0.05"], "dense"),
-        (["--topology", "all", "--n", "6", "--kappa", "0.05"], "chebyshev"),
+        (["--topology", "all", "--n", "6", "--kappa", "0.05", "--dense-limit", "0"], "chebyshev"),
     ],
 )
 def test_series_covers_the_whole_window(tmp_path, capsys, argv, engine):

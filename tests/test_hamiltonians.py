@@ -1,10 +1,12 @@
 """Hamiltonian assembly against independent operator-level oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qbattery import hamiltonians
 from qbattery.basis import build_dicke_basis, build_jch_sector
 from qbattery.hamiltonians import (
     BasisMismatchError,
@@ -18,6 +20,7 @@ from qbattery.hamiltonians import (
     initial_index,
     initial_state,
     jz_diagonal,
+    symmetry_orbits,
 )
 
 
@@ -368,6 +371,51 @@ def test_sparse_equals_dense(params):
     basis = build_basis(params)
     sparse = build_csr(params, basis).toarray()
     assert np.array_equal(reference_dense(params, basis), sparse)
+
+
+def _generated_group(generators, n):
+    """Every site permutation that products of ``generators`` reach."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        perm = frontier.pop()
+        for g in generators:
+            new = tuple(perm[i] for i in g)
+            if new not in group:
+                group.add(new)
+                frontier.append(new)
+    return group
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_symmetries_generate_the_automorphisms_of_the_hopping_graph(n, topology):
+    params = jch(n=n, m=1, beta=0.05, kappa=0.1, omega_a=1.2, topology=topology)
+    generators = [tuple(int(i) for i in g) for g in hamiltonians._jch_symmetries(params)]
+    # Brute force: the relabellings of the cavities that keep the bond multiset.
+    bonds = sorted(tuple(sorted(b)) for b in hamiltonians._jch_bonds(params))
+    automorphisms = {
+        perm
+        for perm in itertools.permutations(range(n))
+        if sorted(tuple(sorted((perm[a], perm[b]))) for a, b in bonds) == bonds
+    }
+    assert _generated_group(generators, n) == automorphisms
+    # Each generator relabels the basis without changing H (up to the order
+    # of the factors in a hopping element), and the orbit labels are
+    # constant along its images.
+    basis = build_basis(params)
+    h = dense(params, basis)
+    labels = symmetry_orbits(params, basis)
+    for g in generators:
+        image = basis.rank(basis.photons[:, g], basis.spins[:, g])
+        assert np.max(np.abs(h[np.ix_(image, image)] - h)) <= 1e-16
+        assert np.array_equal(labels[image], labels)
+
+
+def test_collective_model_and_single_cavity_have_trivial_orbits():
+    for params in (dicke(n=3, m=1, beta=0.5, n_max=7), jch(n=1, m=2, beta=0.05)):
+        basis = build_basis(params)
+        assert np.array_equal(symmetry_orbits(params, basis), np.arange(basis.dim))
 
 
 def test_commutes_with_excitation_number_in_sector():

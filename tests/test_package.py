@@ -1,4 +1,8 @@
-"""The package surface: what ``import qbattery`` exports."""
+"""The package surface: what ``import qbattery`` exports, and what a first quench imports."""
+
+import os
+import subprocess
+import sys
 
 import qbattery
 import qbattery.cli
@@ -24,3 +28,22 @@ def test_benchmark_worker_names_exist():
         assert name in qbattery.__all__, name
     assert qbattery.battery is battery and qbattery.sweeps is sweeps
     assert callable(qbattery.cli.main)
+
+
+def test_first_quench_leaves_csgraph_unimported():
+    # Importing scipy.sparse.csgraph alone takes about 45 ms, a sixth of the
+    # start-up cost of a first quench; the orbits and the reachable block
+    # are found with numpy instead.
+    code = (
+        "import sys, qbattery, qbattery.cli\n"
+        "from qbattery import Model, ModelParams, charge\n"
+        "charge(ModelParams(model=Model.JCH, n=2, beta=0.05, kappa=0.05))\n"
+        "print(qbattery.__file__)\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qbattery.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    where, imported = run.stdout.split()
+    assert where == qbattery.__file__
+    assert imported == "False"
