@@ -38,10 +38,11 @@ __all__ = [
     "build_dicke_basis",
 ]
 
-# Guard against accidentally enumerating sectors far beyond what a dense or
-# even sparse treatment can handle.  Generous on purpose; the engine's own
-# memory is checked against physical memory by ``QuenchSystem`` before it
-# is allocated.
+# Cap on the states a run builds: the collective ladder, or the orbits a
+# chain's quench reaches (``build_quench_block``), whose full sector is never
+# enumerated; ``build_jch_sector`` applies it to the whole sector.  Generous
+# on purpose; the engine's own memory is checked against physical memory by
+# ``QuenchSystem`` before it is allocated.
 DEFAULT_MAX_DIM = 200_000
 
 
@@ -53,10 +54,8 @@ class CapacityError(Exception):
 class JchBasis:
     """Excitation sector of the cavity chain, one state per row.
 
-    ``keys`` packs each row into one int64, strictly increasing with the
-    row index, so ``rank`` is a binary search.  A key reads the spin
-    pattern as a little-endian bit integer in its top digit, then the
-    photon numbers as digits in base ``excitations + 1``, cavity 0 first.
+    ``keys`` packs each row into one int64 (``_pack_keys``), strictly
+    increasing with the row index, so ``rank`` is a binary search.
     """
 
     photons: np.ndarray
@@ -140,7 +139,23 @@ def jch_sector_dim(n_cavities: int, m: int) -> int:
     )
 
 
+def _key_base(n_cavities: int, m: int) -> int:
+    """Digit base of the sector's state keys; ``CapacityError`` when a key would overflow int64.
+
+    A key reads the spin pattern as a little-endian bit integer in its top
+    digit, then the photon numbers as digits in base ``N*m + 1``, cavity 0
+    first, so every key lies below ``(2 * base) ** N``.
+    """
+    base = n_cavities * m + 1
+    if (2 * base) ** n_cavities > np.iinfo(np.int64).max:
+        raise CapacityError(
+            f"sector for N={n_cavities}, m={m} has state keys too wide for 64-bit integers"
+        )
+    return base
+
+
 def _pack_keys(photons: np.ndarray, spins: np.ndarray, base: int) -> np.ndarray:
+    """Key of each row of ``photons`` and ``spins``, in the digit base of ``_key_base``."""
     n_cavities = photons.shape[-1]
     bits = np.int64(1) << np.arange(n_cavities, dtype=np.int64)
     digits = np.int64(base) ** np.arange(n_cavities - 1, -1, -1, dtype=np.int64)
@@ -186,10 +201,7 @@ def build_jch_sector(n_cavities: int, m: int, max_dim: int = DEFAULT_MAX_DIM) ->
             f"sector for N={n_cavities}, m={m} holds {dim} states, over the cap of {max_dim}"
         )
     total = n_cavities * m
-    if (2 * (total + 1)) ** n_cavities > np.iinfo(np.int64).max:
-        raise CapacityError(
-            f"sector for N={n_cavities}, m={m} has state keys too wide for 64-bit integers"
-        )
+    base = _key_base(n_cavities, m)
     patterns = (np.arange(2**n_cavities)[:, None] >> np.arange(n_cavities)) & 1
     left = total - patterns.sum(axis=1)
     blocks = {k: _photon_rows(k, n_cavities) for k in np.unique(left)}
@@ -197,7 +209,7 @@ def build_jch_sector(n_cavities: int, m: int, max_dim: int = DEFAULT_MAX_DIM) ->
     spins = np.repeat(patterns, [blocks[k].shape[0] for k in left], axis=0)
     if photons.shape[0] != dim:
         raise AssertionError("enumerated sector size disagrees with the closed form")
-    return JchBasis(photons=photons, spins=spins, keys=_pack_keys(photons, spins, total + 1))
+    return JchBasis(photons=photons, spins=spins, keys=_pack_keys(photons, spins, base))
 
 
 def dicke_dim(n_systems: int, n_max: int) -> int:

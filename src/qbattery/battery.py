@@ -37,16 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .basis import BasisIndex, CapacityError
+from .basis import DEFAULT_MAX_DIM, CapacityError, jch_sector_dim
 from .dynamics import _SCAN_CHUNK, ChebyshevEngine, EigenEngine, diagonalize
 from .hamiltonians import (
     Model,
     ModelParams,
     build_basis,
     build_csr,
+    build_quench_block,
     initial_index,
     jz_diagonal,
-    symmetry_orbits,
 )
 
 __all__ = [
@@ -67,8 +67,8 @@ __all__ = [
 # Blocks of at most this many states are diagonalized densely; larger ones
 # are propagated with sparse Chebyshev windows.  The limit counts the states
 # of the block the quench can reach, not the full basis; for a chain those
-# are states of the symmetric sector (65 of the 5,336 of the N=6 all-to-all
-# sector).  One charge() on a
+# are orbits of the hopping graph's automorphisms (65 for the 5,336 states
+# of the N=6 all-to-all sector).  One charge() on a
 # 2-vCPU host with OpenBLAS, dense against Chebyshev: 0.60 s against 0.74 s
 # at 1,002 states (JCH N=5, kappa=0.05), 0.73 s against 1.54 s at 1,061
 # (Dicke N=20, beta=0.5), 1.18 s against 1.59 s at 1,381 and 2.38 s against
@@ -208,15 +208,19 @@ def _reachable_block(h: scipy.sparse.csr_array, start: int) -> np.ndarray:
 
 
 class QuenchSystem:
-    """One configured battery: basis, Hamiltonian engine, and energy evaluation.
+    """One configured battery: Hamiltonian block, engine, and energy evaluation.
 
-    The quench state and the stored energy are unchanged by every
-    automorphism of the hopping graph, so a chain first projects H onto the
-    normalized orbit sums of ``symmetry_orbits``: the fully symmetric sector.
-    The engine then evolves only the block of those states that H connects
-    to the initial state: ``dim`` is the size of the full basis,
-    ``block_dim`` the size of that block, and ``dense_limit`` is compared
-    with ``block_dim``.  ``on_grid(ts)`` returns the stored energy E(t) at
+    The engine evolves only the block of states that the quench reaches.
+    A chain's quench state and stored energy are unchanged by every
+    automorphism of the hopping graph, so its block holds the normalized
+    orbit sums that ``build_quench_block`` walks to from the quench state,
+    without enumerating the full sector.  The collective ladder, where
+    every state is its own orbit, is built whole by ``build_csr`` and cut
+    to the states its nonzeros connect to the initial one.  ``dim`` is the
+    size of the full basis, ``block_dim`` the size of the evolved block,
+    and ``dense_limit`` is compared with ``block_dim``; ``max_dim`` caps
+    the states built, walked orbits for a chain and ladder states for the
+    collective model.  ``on_grid(ts)`` returns the stored energy E(t) at
     each time and, with ``params``, is the evaluator protocol that
     ``max_power`` reads.  ``energy_bound`` is the largest energy any state
     of the block stores, an upper bound on E(t) that lets the search stop.
@@ -229,32 +233,25 @@ class QuenchSystem:
         dense_limit: int | None = None,
     ):
         self.params = params
-        self.basis: BasisIndex = build_basis(params, max_dim)
-        self.dim = self.basis.dim
-        jz = jz_diagonal(params, self.basis)
-        start = initial_index(params, self.basis)
+        if params.model is Model.JCH:
+            self.dim = jch_sector_dim(params.n, params.m)
+            block = build_quench_block(params, DEFAULT_MAX_DIM if max_dim is None else max_dim)
+            h, jz, start = block.h, block.jz, block.start
+        else:
+            basis = build_basis(params, max_dim)
+            self.dim = basis.dim
+            h = build_csr(params, basis)
+            start = initial_index(params, basis)
+            keep = _reachable_block(h, start)
+            jz = jz_diagonal(params, basis)[keep]
+            if keep.shape[0] < self.dim:
+                h = h[keep][:, keep]
+            start = int(np.searchsorted(keep, start))
+        self.block_dim = int(h.shape[0])
         self._jz0 = float(jz[start])
-        h = build_csr(params, self.basis)
-        reps, orbit = np.unique(symmetry_orbits(params, self.basis), return_inverse=True)
-        if reps.shape[0] < self.dim:
-            # P[s, o] = 1 / sqrt(|o|) for the orbit o of each state s.  Its
-            # columns, the normalized orbit sums, span the symmetric sector,
-            # which holds the quench state (an orbit of its own) and which H
-            # maps into itself.
-            weight = 1.0 / np.sqrt(np.bincount(orbit)[orbit])
-            p = scipy.sparse.csr_array(
-                (weight, orbit, np.arange(self.dim + 1)), shape=(self.dim, reps.shape[0])
-            )
-            h = (p.T @ h @ p).tocsr()
-            jz = jz[reps]
-            start = int(orbit[start])
-        block = _reachable_block(h, start)
-        self.block_dim = int(block.shape[0])
-        if self.block_dim < h.shape[0]:
-            h = h[block][:, block]
-            jz = jz[block]
         self.energy_bound = params.omega_c * (float(jz.max()) - self._jz0)
-        psi0 = (block == start).astype(float)
+        psi0 = np.zeros(self.block_dim)
+        psi0[start] = 1.0
         limit = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
         dense = self.block_dim <= limit
         self.engine = "dense" if dense else "chebyshev"

@@ -146,7 +146,12 @@ _FLAGS = (
         "timing", False, "include wall-clock timings in the table (breaks byte reproducibility)",
         {"action": "store_true"},
     ),
-    _Flag("max_dim", None, f"basis size cap (default {DEFAULT_MAX_DIM})", {"type": int}),
+    _Flag(
+        "max_dim", None,
+        f"cap on the states built: orbits walked for a chain, ladder states for the "
+        f"collective model (default {DEFAULT_MAX_DIM})",
+        {"type": int},
+    ),
     _Flag(
         "dense_limit", None,
         "largest block of reachable states diagonalized densely (0: always Chebyshev)",

@@ -183,21 +183,27 @@ class ChebyshevEngine:
         c *= (-1j) ** ks[:, None]
         return c
 
+    def _expand(self, vector: np.ndarray) -> np.ndarray:
+        """The Chebyshev vectors T_k(Hs) vector, k = 0..order-1, one per row."""
+        q = np.empty((self._order, vector.shape[0]))
+        q[0] = vector
+        q[1] = self._h_scaled @ vector
+        for k in range(2, self._order):
+            q[k] = 2.0 * (self._h_scaled @ q[k - 1]) - q[k - 2]
+        return q
+
     def _advance_window(self) -> None:
-        dim = self._state_re.shape[0]
-        k_max = self._order
-        q_re = np.empty((k_max, dim))
-        q_im = np.empty((k_max, dim))
-        q_re[0], q_im[0] = self._state_re, self._state_im
-        q_re[1] = self._h_scaled @ self._state_re
-        q_im[1] = self._h_scaled @ self._state_im
-        for k in range(2, k_max):
-            q_re[k] = 2.0 * (self._h_scaled @ q_re[k - 1]) - q_re[k - 2]
-            q_im[k] = 2.0 * (self._h_scaled @ q_im[k - 1]) - q_im[k - 2]
+        q_re = self._expand(self._state_re)
+        # The state stays real until the first window has run; every product
+        # with its zero imaginary part would be zero, so none is taken.
+        q_im = self._expand(self._state_im) if self._state_im.any() else None
         grams = []
         for diag in self._diags:
             wr = q_re * diag[None, :]
             g_rr = wr @ q_re.T
+            if q_im is None:
+                grams.append(g_rr.astype(complex))
+                continue
             g_ri = wr @ q_im.T
             wi = q_im * diag[None, :]
             g_ii = wi @ q_im.T
@@ -207,8 +213,11 @@ class ChebyshevEngine:
         c = self._coeffs(np.array([self._dt]))[:, 0]
         # exp(-i*center*dt) is a global phase; it cancels in every bilinear
         # form evaluated here, so the stored state simply omits it.
-        re = c.real @ q_re - c.imag @ q_im
-        im = c.real @ q_im + c.imag @ q_re
+        if q_im is None:
+            re, im = c.real @ q_re, c.imag @ q_re
+        else:
+            re = c.real @ q_re - c.imag @ q_im
+            im = c.real @ q_im + c.imag @ q_re
         self._state_re, self._state_im = re, im
         self._windows.append(window)
         self._starts = np.append(self._starts, window.t0)

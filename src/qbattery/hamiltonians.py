@@ -19,18 +19,24 @@ collective weight j = N/2, m_j = N/2 - q):
 where g = beta / sqrt(N) under the default normalization and g = beta when
 normalization is NONE (same for beta').
 
-Both models are assembled by one path, ``build_csr``: numpy computes the
+The chain's off-diagonal terms are listed once, in ``_jch_moves``, as
+moves of one quantum between modes (a photon between cavities, or between
+a cavity and its two-level system), and read by both assemblies below.
+
+``build_csr`` assembles either model on a whole basis: numpy computes the
 diagonal and one half of every Hermitian pair of off-diagonal elements
-over the whole array basis at once, locating each target state with the
-basis ``rank``; the pairs are then mirrored, so exact bitwise symmetry
-holds.  The dense matrix of the exact engine is the same CSR's
-``toarray()``.
+over the array basis at once, locating each target state with the basis
+``rank``; the pairs are then mirrored, so exact bitwise symmetry holds.
+It is the engine's path for the collective ladder and the full-sector
+reference for the chain.
 
 Every automorphism of the hopping graph permutes the cavities without
-changing H, the quench state or the stored energy.  ``symmetry_orbits``
-labels each chain state with its orbit under the group those site
-permutations generate, from which the engine builds the fully symmetric
-sector that the quench never leaves.
+changing H, the quench state or the stored energy, so a chain's quench
+never leaves the span of the normalized orbit sums.
+``build_quench_block`` builds H on the orbit sums the quench reaches
+directly: a breadth-first walk from the quench state that tells orbits
+apart by a canonical key, the smallest key of their states, and never
+enumerates the full sector.
 """
 
 from __future__ import annotations
@@ -43,9 +49,13 @@ import numpy as np
 import scipy.sparse
 
 from .basis import (
+    DEFAULT_MAX_DIM,
     BasisIndex,
+    CapacityError,
     DickeBasis,
     JchBasis,
+    _key_base,
+    _pack_keys,
     build_dicke_basis,
     build_jch_sector,
     dicke_dim,
@@ -61,7 +71,8 @@ __all__ = [
     "MissingStateError",
     "build_basis",
     "build_csr",
-    "symmetry_orbits",
+    "QuenchBlock",
+    "build_quench_block",
     "jz_diagonal",
     "initial_index",
     "initial_state",
@@ -199,46 +210,68 @@ def _jch_bonds(params: ModelParams) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _jch_symmetries(params: ModelParams) -> list[np.ndarray]:
-    """Site permutations that generate the automorphisms of the hopping graph.
+def _jch_moves(params: ModelParams, both_ways: bool = False):
+    """The chain's off-diagonal terms as moves of one quantum: ``(source, target, coef)`` arrays.
 
-    The reversal for the line, the rotation and the reversal for the ring
-    (D_N), the rotation and one transposition for all-to-all (S_N); none
-    for the collective model or a single cavity.
+    Modes 0..N-1 are the cavities' photon numbers and N..2N-1 their
+    two-level systems.  A move takes one quantum from its source mode to its
+    target mode, with matrix element ``coef * sqrt(x_source) *
+    sqrt(x_target + 1)`` (``_jch_amplitudes``).  The photon-removing half of
+    each Hermitian pair is listed: cavity c to its own two-level system, and
+    cavity a to cavity b along each bond (a, b); ``both_ways`` appends the
+    reverse of each move, so that every neighbour of a state is listed.
     """
     n = params.n
-    if params.model is not Model.JCH or n == 1:
-        return []
-    sites = np.arange(n)
-    if params.topology is Topology.LINE:
-        return [sites[::-1]]
-    rotation = np.roll(sites, -1)
-    if params.topology is Topology.RING:
-        return [rotation, sites[::-1]]
-    return [rotation, np.r_[1, 0, sites[2:]]]
+    source, target, coef = [], [], []
+    if params.beta != 0.0:
+        source += range(n)
+        target += range(n, 2 * n)
+        coef += [params.beta] * n
+    if params.kappa != 0.0:
+        bonds = _jch_bonds(params)
+        source += [a for a, _ in bonds]
+        target += [b for _, b in bonds]
+        coef += [-params.kappa] * len(bonds)
+    if both_ways:
+        source, target, coef = source + target, target + source, coef + coef
+    return np.array(source, dtype=np.int64), np.array(target, dtype=np.int64), np.array(coef)
 
 
-def symmetry_orbits(params: ModelParams, basis: BasisIndex) -> np.ndarray:
-    """Smallest row of each basis row's orbit under the automorphisms of the hopping graph.
+def _jch_applicable(moves, modes: np.ndarray):
+    """``(rows, terms)`` of every move that applies to a row of ``modes``.
 
-    Every row is its own orbit for a trivial group.  Each generator's image
-    of every row comes from the basis ``rank``; the labels then take the
-    minimum over those images, and over themselves, until nothing changes.
-    A label never exceeds its row, so the fixed point is constant on each
-    orbit and equal to the orbit's smallest row.
+    ``modes`` holds photons then two-level occupations, one state per row.
+    A move needs a quantum in its source mode and, into a two-level
+    system, an empty one.
     """
-    _check_basis(params, basis)
-    labels = np.arange(basis.dim)
-    images = [basis.rank(basis.photons[:, g], basis.spins[:, g]) for g in _jch_symmetries(params)]
-    while images:
-        new = labels
-        for image in images:
-            new = np.minimum(new, new[image])
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    return labels
+    source, target, _ = moves
+    n = modes.shape[1] // 2
+    return np.nonzero((modes[:, source] > 0) & ((target < n) | (modes[:, target] == 0)))
+
+
+def _jch_apply(moves, modes: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The state that move ``terms[i]`` leads to from ``modes[rows[i]]``, one per row."""
+    source, target, _ = moves
+    states = modes[rows]
+    k = np.arange(rows.shape[0])
+    states[k, source[terms]] -= 1
+    states[k, target[terms]] += 1
+    return states
+
+
+def _jch_amplitudes(moves, modes: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Matrix element of move ``terms[i]`` out of state ``modes[rows[i]]``."""
+    source, target, coef = moves
+    return (
+        coef[terms]
+        * np.sqrt(modes[rows, source[terms]])
+        * np.sqrt(modes[rows, target[terms]] + 1)
+    )
+
+
+def _jch_diagonal(params: ModelParams, modes: np.ndarray) -> np.ndarray:
+    n = params.n
+    return params.omega_c * modes[:, :n].sum(axis=1) + params.omega_a * modes[:, n:].sum(axis=1)
 
 
 def _jch_entries(params: ModelParams, basis: JchBasis):
@@ -248,28 +281,13 @@ def _jch_entries(params: ModelParams, basis: JchBasis):
     every off-diagonal matrix element appears once (the doubled bond of a
     two-cavity ring twice).
     """
-    photons, spins = basis.photons, basis.spins
-    diag = params.omega_c * photons.sum(axis=1) + params.omega_a * spins.sum(axis=1)
-    src, dst, vals = [], [], []
-    if params.beta != 0.0:
-        for c in range(params.n):
-            rows = np.flatnonzero((photons[:, c] > 0) & (spins[:, c] == 0))
-            p, s = photons[rows], spins[rows]
-            vals.append(params.beta * np.sqrt(p[:, c]))
-            p[:, c] -= 1
-            s[:, c] = 1
-            src.append(rows)
-            dst.append(basis.rank(p, s))
-    if params.kappa != 0.0:
-        for a, b in _jch_bonds(params):
-            rows = np.flatnonzero(photons[:, a] > 0)
-            p = photons[rows]
-            vals.append(-params.kappa * np.sqrt(p[:, a]) * np.sqrt(p[:, b] + 1))
-            p[:, a] -= 1
-            p[:, b] += 1
-            src.append(rows)
-            dst.append(basis.rank(p, spins[rows]))
-    return diag, src, dst, vals
+    n = params.n
+    modes = np.hstack([basis.photons, basis.spins])
+    moves = _jch_moves(params)
+    rows, terms = _jch_applicable(moves, modes)
+    states = _jch_apply(moves, modes, rows, terms)
+    dst = basis.rank(states[:, :n], states[:, n:])
+    return _jch_diagonal(params, modes), [rows], [dst], [_jch_amplitudes(moves, modes, rows, terms)]
 
 
 def _dicke_entries(params: ModelParams, basis: DickeBasis):
@@ -325,6 +343,195 @@ def build_csr(params: ModelParams, basis: BasisIndex) -> scipy.sparse.csr_array:
     cols = np.concatenate([idx, *dst, *src])
     data = np.concatenate([diag, *vals, *vals])
     return scipy.sparse.coo_array((data, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
+
+
+def _jch_group(params: ModelParams) -> np.ndarray | None:
+    """Every site permutation of the hopping graph's automorphism group, one per row.
+
+    The identity and the reversal for the line; the N rotations and their
+    reversals for the ring (D_N).  ``None`` for all-to-all, whose group
+    S_N holds every permutation, so that sorting the sites of a state
+    gives the member of its orbit with the smallest key.
+    """
+    if params.topology is Topology.ALL_TO_ALL:
+        return None
+    sites = np.arange(params.n)
+    if params.topology is Topology.LINE:
+        return np.array([sites, sites[::-1]])
+    rotations = (sites[None, :] + sites[:, None]) % params.n
+    return np.vstack([rotations, rotations[:, ::-1]])
+
+
+class _Orbits:
+    """Orbits of chain states under ``_jch_group``, told apart by linear features.
+
+    The features of a state, rows of photons then spins, are ``modes @
+    features``, one column per state: on a line or ring the key of its image
+    under each group element (the image under g puts site g[c] at position
+    c, so modes g[c] and N + g[c] take the key weights of position c);
+    all-to-all the code photons - base*spin of each site.  A move changes
+    the features by a fixed amount.  An orbit's key is the smallest key of
+    its states: the smallest image key on a line or ring, and all-to-all the
+    key of the state with its site codes sorted, which puts the excited
+    two-level systems first (the low bits of the spin digit) and the
+    smaller photon numbers first within each kind.
+    """
+
+    def __init__(self, params: ModelParams, base: int):
+        n = params.n
+        self.base = base
+        self.group = _jch_group(params)
+        unit = np.eye(2 * n, dtype=np.int64)
+        if self.group is None:
+            self.features = unit[:, :n] - base * unit[:, n:]
+        else:
+            weight = _pack_keys(unit[:, :n], unit[:, n:], base)
+            self.features = np.zeros((2 * n, self.group.shape[0]), dtype=np.int64)
+            for i, g in enumerate(self.group):
+                self.features[np.r_[g, n + g], i] = weight
+
+    def keys(self, feats: np.ndarray) -> np.ndarray:
+        """Key of each state's orbit from its features."""
+        if self.group is None:
+            codes = np.sort(feats.T, axis=1)
+            spins = (codes < 0).astype(np.int64)
+            return _pack_keys(codes + self.base * spins, spins, self.base)
+        return feats.min(axis=0)
+
+    def sizes(self, feats: np.ndarray) -> np.ndarray:
+        """Number of states in each orbit: |G| / |stabilizer|.
+
+        The number of distinct images on a line or ring; N! / prod(r!) over
+        the runs of r equal site codes all-to-all.
+        """
+        feats = np.sort(feats.T, axis=1)
+        if self.group is not None:
+            return 1 + np.count_nonzero(feats[:, 1:] != feats[:, :-1], axis=1)
+        n = feats.shape[1]
+        pos = np.arange(n)
+        run_start = np.ones(feats.shape, dtype=bool)
+        run_start[:, 1:] = feats[:, 1:] != feats[:, :-1]
+        first = np.maximum.accumulate(np.where(run_start, pos, 0), axis=1)
+        # The k-th site of a run contributes k, so a run of r sites gives r!.
+        return math.factorial(n) // np.prod(pos - first + 1, axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class QuenchBlock:
+    """The orbits a chain's quench reaches, and H on their normalized orbit sums.
+
+    Row i stands for one orbit of the sector under the automorphisms of the
+    hopping graph, and ``sizes[i]`` counts its states.  Rows are in the
+    order of the orbits' keys, the smallest key of their states, which is
+    the order of each orbit's first row in the full sector.  Row ``start``
+    is the quench state, an orbit of its own.  ``h`` is the
+    bitwise-symmetric Hamiltonian on the orbit sums, less the energy
+    w_c*N*m that every state of the sector has in common, and ``jz`` the
+    stored-energy observable.
+    """
+
+    sizes: np.ndarray
+    h: scipy.sparse.csr_array
+    jz: np.ndarray
+    start: int
+
+    @property
+    def dim(self) -> int:
+        return self.sizes.shape[0]
+
+
+def build_quench_block(params: ModelParams, max_dim: int = DEFAULT_MAX_DIM) -> QuenchBlock:
+    """Walk a chain's orbits breadth-first from the quench state.
+
+    Each level applies every move (``_jch_moves`` both ways) to the orbits
+    found last and maps the states reached to their orbits' keys; the
+    orbits not seen before make the next level.  With |o| the size of orbit
+    o and r_o the state that stands for it, the element between the orbit
+    sums is
+
+        h[o', o] = sqrt(|o| / |o'|) * sum over s' in o' of H[s', r_o],
+
+    summed from the moves out of r_o.  Each pair is summed once, from the
+    orbit the walk found first, and mirrored, so h is bitwise symmetric.
+    Raises ``CapacityError`` before walking when the state keys would not
+    fit in int64, and as soon as more than ``max_dim`` orbits are found.
+    """
+    if params.model is not Model.JCH:
+        raise BasisMismatchError("the orbit walk needs a chain of cavities")
+    n = params.n
+    orbits = _Orbits(params, _key_base(n, params.m))
+    moves = _jch_moves(params, both_ways=True)
+    # How each move changes the features, one column per move.
+    shift = (orbits.features[moves[1]] - orbits.features[moves[0]]).T
+    frontier = np.array([[params.m] * n + [0] * n], dtype=np.int64)
+    feats = (frontier @ orbits.features).T
+    levels, level_feats, level_keys = [frontier], [feats], [orbits.keys(feats)]
+    src, dst, terms = [], [], []
+    # The walk numbers a level's orbits on from the level's first number in
+    # the order of their keys.  A move leads to the level before, the same
+    # level or the next one, so only the last two levels are looked up.
+    before = level = (level_keys[0], 0)
+    found = 1
+    while frontier.shape[0]:
+        rows, level_terms = _jch_applicable(moves, frontier)
+        reached = feats[:, rows] + shift[:, level_terms]
+        uniq, inverse = np.unique(orbits.keys(reached), return_inverse=True)
+        index = np.full(uniq.shape[0], -1)
+        for keys, first in (before, level):
+            at = np.minimum(np.searchsorted(keys, uniq), keys.shape[0] - 1)
+            hit = keys[at] == uniq
+            index[hit] = first + at[hit]
+        new = np.flatnonzero(index < 0)
+        index[new] = found + np.arange(new.shape[0])
+        # Keep each pair once, from the orbit found first (the diagonal too).
+        source, target = level[1] + rows, index[inverse]
+        keep = target >= source
+        src.append(source[keep])
+        dst.append(target[keep])
+        terms.append(level_terms[keep])
+        # A new orbit is stored as one of its states that this level reached.
+        pick = np.empty(uniq.shape[0], dtype=np.int64)
+        pick[inverse] = np.arange(inverse.shape[0])
+        pick = pick[new]
+        frontier = _jch_apply(moves, frontier, rows[pick], level_terms[pick])
+        feats = reached[:, pick]
+        levels.append(frontier)
+        level_feats.append(feats)
+        level_keys.append(uniq[new])
+        before, level = level, (uniq[new], found)
+        found += new.shape[0]
+        if found > max_dim:
+            raise CapacityError(
+                f"the quench of N={n}, m={params.m} reaches more orbits than the cap of {max_dim}"
+            )
+    modes = np.concatenate(levels)
+    src, terms = np.concatenate(src), np.concatenate(terms)
+    # Every state holds n*m excitations, so dropping w_c*n*m from the diagonal
+    # changes only a global phase; it keeps the eigenvalues, and so their
+    # rounding, of the size of the couplings.
+    diagonal = _jch_diagonal(params, modes) - params.omega_c * n * params.m
+    values = np.r_[diagonal, _jch_amplitudes(moves, modes, src, terms)]
+    diag = np.arange(found)
+    pairs = np.r_[diag, np.concatenate(dst)] * found + np.r_[diag, src]
+    pairs, inverse = np.unique(pairs, return_inverse=True)
+    row, col = np.divmod(pairs, found)
+    sizes = orbits.sizes(np.concatenate(level_feats, axis=1))
+    h_low = np.bincount(inverse, weights=values) * np.sqrt(sizes[col] / sizes[row])
+    # Number the orbits in key order, the order of their first rows in the
+    # full sector.
+    order = np.argsort(np.concatenate(level_keys))
+    number = np.empty(found, dtype=np.int64)
+    number[order] = diag
+    row, col = number[row], number[col]
+    off = row != col
+    entries = np.r_[h_low, h_low[off]], (np.r_[row, col[off]], np.r_[col, row[off]])
+    h = scipy.sparse.coo_array(entries, shape=(found, found)).tocsr()
+    return QuenchBlock(
+        sizes=sizes[order],
+        h=h,
+        jz=params.omega_a * modes[order, n:].sum(axis=1),
+        start=int(number[0]),
+    )
 
 
 def jz_diagonal(params: ModelParams, basis: BasisIndex) -> np.ndarray:

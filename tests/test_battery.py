@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qbattery import battery
-from qbattery.basis import CapacityError
+from qbattery import basis as basis_module
+from qbattery import battery, hamiltonians
+from qbattery.basis import CapacityError, jch_sector_dim
 from qbattery.battery import (
     DegenerateRabiError,
     PowerResult,
@@ -28,10 +29,10 @@ from qbattery.hamiltonians import (
     Topology,
     build_basis,
     build_csr,
+    build_quench_block,
     initial_index,
     initial_state,
     jz_diagonal,
-    symmetry_orbits,
 )
 
 
@@ -483,20 +484,55 @@ def test_symmetric_sector_matches_full_basis(params, dense_limit):
     "n, m, counts",
     [(6, 1, (2_687, 500, 65)), (4, 8, (43_808, 11_481, 4_183)), (8, 1, (78_688, 10_094, 185))],
 )
-def test_symmetry_orbits_count_the_symmetric_sector(n, m, counts):
+def test_walk_counts_the_symmetric_sector(n, m, counts):
     for topology, count, order in zip(Topology, counts, (2, 2 * n, math.factorial(n))):
-        params = jch(n=n, m=m, beta=0.05, kappa=0.1, topology=topology)
-        basis = build_basis(params)
-        labels = symmetry_orbits(params, basis)
-        assert np.all(labels <= np.arange(basis.dim)) and np.array_equal(labels[labels], labels)
-        reps, sizes = np.unique(labels, return_counts=True)
-        assert reps.shape[0] == count
-        assert sizes.sum() == basis.dim
-        # Orbit-stabilizer: each orbit's size divides the order of the group.
-        assert np.all(order % sizes == 0)
+        block = build_quench_block(jch(n=n, m=m, beta=0.05, kappa=0.1, topology=topology))
+        assert block.dim == count
+        # The orbits partition the sector; each orbit's size divides the
+        # order of the group (orbit-stabilizer).
+        assert block.sizes.sum() == jch_sector_dim(n, m)
+        assert np.all(order % block.sizes == 0)
         # The quench state is an orbit of its own.
-        start = initial_index(params, basis)
-        assert labels[start] == start and np.count_nonzero(labels == start) == 1
+        assert block.sizes[block.start] == 1 and block.jz[block.start] == 0.0
+        assert (block.h != block.h.T).nnz == 0
+
+
+# Burnside's lemma: orbits of the sector under the hopping graph's automorphisms.
+@pytest.mark.parametrize(
+    "n, m, topology, count",
+    [
+        (9, 1, Topology.ALL_TO_ALL, 300),
+        (10, 1, Topology.ALL_TO_ALL, 481),
+        (12, 1, Topology.ALL_TO_ALL, 1_165),
+        (8, 2, Topology.ALL_TO_ALL, 3_945),
+        (4, 11, Topology.ALL_TO_ALL, 10_474),
+        (4, 11, Topology.RING, 29_426),
+    ],
+)
+def test_walk_reaches_every_symmetric_state(n, m, topology, count):
+    block = build_quench_block(jch(n=n, m=m, beta=0.05, kappa=0.1, topology=topology))
+    assert block.dim == count
+    assert block.sizes.sum() == jch_sector_dim(n, m)
+    assert (block.h != block.h.T).nnz == 0
+
+
+def test_chain_never_enumerates_its_sector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full sector was enumerated")
+
+    monkeypatch.setattr(basis_module, "build_jch_sector", refuse)
+    monkeypatch.setattr(hamiltonians, "build_jch_sector", refuse)
+    result = charge(jch(n=6, m=1, beta=0.05, kappa=0.05, topology=Topology.ALL_TO_ALL))
+    assert result.p_max > 0.0
+
+
+def test_chain_cap_counts_walked_orbits():
+    # 148,321,344 states, far past the cap, but 1,165 orbits.
+    system = QuenchSystem(jch(n=12, m=1, beta=0.05, kappa=0.05, topology=Topology.ALL_TO_ALL))
+    assert (system.dim, system.block_dim) == (148_321_344, 1_165)
+    with pytest.raises(CapacityError, match="cap of 100"):
+        QuenchSystem(jch(n=6, m=1, beta=0.05, kappa=0.5), max_dim=100)
+    assert QuenchSystem(jch(n=6, m=1, beta=0.05, kappa=0.5), max_dim=2_687).block_dim == 2_687
 
 
 def test_uncoupled_collective_system_keeps_one_state():

@@ -254,6 +254,30 @@ def test_chebyshev_tracks_multiple_observables():
         assert np.max(np.abs(cheb.values_on_grid(which, ts) - exact.on_grid(ts))) <= 1e-10
 
 
+def test_first_chebyshev_window_propagates_only_the_real_part():
+    params = jch(n=2, m=1, beta=0.2, kappa=0.3)
+    basis, h, jz, psi0 = _system(params)
+    cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
+
+    class Counting:
+        def __init__(self, matrix):
+            self.matrix, self.products = matrix, 0
+
+        def __matmul__(self, vector):
+            self.products += 1
+            return self.matrix @ vector
+
+    counting = cheb._h_scaled = Counting(cheb._h_scaled)
+    order = cheb._order
+    cheb.extend(0.0)
+    assert (len(cheb._windows), counting.products) == (1, order - 1)
+    cheb.extend(2.5 * cheb._dt)
+    assert (len(cheb._windows), counting.products) == (3, 5 * (order - 1))
+    ts = np.linspace(0.0, cheb._t_end, 41)
+    exact = EigenEngine(diagonalize(h), psi0, jz)
+    assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
+
+
 def test_chebyshev_rejects_negative_times():
     params = jch(n=2, m=1, beta=0.3, kappa=0.2)
     basis = build_basis(params)

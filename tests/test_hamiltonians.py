@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qbattery import hamiltonians
-from qbattery.basis import build_dicke_basis, build_jch_sector
+from qbattery.basis import _key_base, build_dicke_basis, build_jch_sector
 from qbattery.hamiltonians import (
     BasisMismatchError,
     MissingStateError,
@@ -17,10 +17,10 @@ from qbattery.hamiltonians import (
     Topology,
     build_basis,
     build_csr,
+    build_quench_block,
     initial_index,
     initial_state,
     jz_diagonal,
-    symmetry_orbits,
 )
 
 
@@ -373,25 +373,10 @@ def test_sparse_equals_dense(params):
     assert np.array_equal(reference_dense(params, basis), sparse)
 
 
-def _generated_group(generators, n):
-    """Every site permutation that products of ``generators`` reach."""
-    group = {tuple(range(n))}
-    frontier = list(group)
-    while frontier:
-        perm = frontier.pop()
-        for g in generators:
-            new = tuple(perm[i] for i in g)
-            if new not in group:
-                group.add(new)
-                frontier.append(new)
-    return group
-
-
 @pytest.mark.parametrize("topology", list(Topology))
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_symmetries_generate_the_automorphisms_of_the_hopping_graph(n, topology):
+def test_walk_group_is_the_automorphism_group_of_the_hopping_graph(n, topology):
     params = jch(n=n, m=1, beta=0.05, kappa=0.1, omega_a=1.2, topology=topology)
-    generators = [tuple(int(i) for i in g) for g in hamiltonians._jch_symmetries(params)]
     # Brute force: the relabellings of the cavities that keep the bond multiset.
     bonds = sorted(tuple(sorted(b)) for b in hamiltonians._jch_bonds(params))
     automorphisms = {
@@ -399,23 +384,36 @@ def test_symmetries_generate_the_automorphisms_of_the_hopping_graph(n, topology)
         for perm in itertools.permutations(range(n))
         if sorted(tuple(sorted((perm[a], perm[b]))) for a, b in bonds) == bonds
     }
-    assert _generated_group(generators, n) == automorphisms
-    # Each generator relabels the basis without changing H (up to the order
-    # of the factors in a hopping element), and the orbit labels are
-    # constant along its images.
+    group = hamiltonians._jch_group(params)
+    if group is None:  # all-to-all sorts the sites: every permutation
+        assert len(automorphisms) == math.factorial(n)
+    else:
+        assert {tuple(g) for g in group.tolist()} == automorphisms
+    # Each automorphism relabels the basis without changing H (up to the
+    # order of the factors in a hopping element).  The walk's orbit keys are
+    # the smallest key of each brute-force orbit, and its orbit sizes are
+    # theirs.
     basis = build_basis(params)
     h = dense(params, basis)
-    labels = symmetry_orbits(params, basis)
-    for g in generators:
+    orbits = hamiltonians._Orbits(params, _key_base(n, 1))
+    feats = (np.hstack([basis.photons, basis.spins]) @ orbits.features).T
+    keys = orbits.keys(feats)
+    images = []
+    for perm in automorphisms:
+        g = list(perm)
         image = basis.rank(basis.photons[:, g], basis.spins[:, g])
         assert np.max(np.abs(h[np.ix_(image, image)] - h)) <= 1e-16
-        assert np.array_equal(labels[image], labels)
+        images.append(image)
+    images = np.array(images)
+    assert np.array_equal(keys, basis.keys[images].min(axis=0))
+    assert orbits.sizes(feats).tolist() == [len(set(orbit)) for orbit in images.T.tolist()]
 
 
-def test_collective_model_and_single_cavity_have_trivial_orbits():
-    for params in (dicke(n=3, m=1, beta=0.5, n_max=7), jch(n=1, m=2, beta=0.05)):
-        basis = build_basis(params)
-        assert np.array_equal(symmetry_orbits(params, basis), np.arange(basis.dim))
+def test_single_cavity_orbits_are_single_states():
+    block = build_quench_block(jch(n=1, m=2, beta=0.05))
+    assert block.dim == 2 and block.sizes.tolist() == [1, 1]
+    with pytest.raises(BasisMismatchError):
+        build_quench_block(dicke(n=3, m=1, beta=0.5, n_max=7))
 
 
 def test_commutes_with_excitation_number_in_sector():
