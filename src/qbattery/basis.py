@@ -14,7 +14,8 @@ Each basis maps states back to their row through ``rank``: a binary
 search on packed integer keys for the sector, the closed form
 ``n * (N + 1) + q`` for the collective ladder.  Both enumerations are
 deterministic: building the same basis twice yields states in the same
-order, so matrix and vector indices are reproducible.
+order, so matrix and vector indices are reproducible.  Both compare their
+closed-form size with ``dynamics.state_cap()`` before they enumerate.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import state_cap
+
 __all__ = [
     "JchBasis",
     "DickeBasis",
     "BasisIndex",
     "CapacityError",
-    "DEFAULT_MAX_DIM",
     "total_excitations",
     "jch_sector_dim",
     "build_jch_sector",
@@ -38,16 +40,8 @@ __all__ = [
     "build_dicke_basis",
 ]
 
-# Cap on the states a run builds: the collective ladder, or the orbits a
-# chain's quench reaches (``build_quench_block``), whose full sector is never
-# enumerated; ``build_jch_sector`` applies it to the whole sector.  Generous
-# on purpose; the engine's own memory is checked against physical memory by
-# ``QuenchSystem`` before it is allocated.
-DEFAULT_MAX_DIM = 200_000
-
-
 class CapacityError(Exception):
-    """Requested basis exceeds the configured state-count cap."""
+    """A run would need more states than ``state_cap()``, more memory, or wider state keys."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,24 +175,26 @@ def _photon_rows(total: int, parts: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
-def build_jch_sector(n_cavities: int, m: int, max_dim: int = DEFAULT_MAX_DIM) -> JchBasis:
+def build_jch_sector(n_cavities: int, m: int) -> JchBasis:
     """Enumerate the excitation sector reached by quenching m photons into each cavity.
 
     The sector holds every configuration with ``sum(photons) + sum(spins)
     == n_cavities * m``.  States are ordered by the spin pattern read as a
     little-endian bit integer (cavity 0 is the least significant bit), then
     by the photon tuple in lexicographic order.  Raises ``CapacityError``
-    before enumerating when the sector exceeds ``max_dim`` states or its
-    keys would not fit in 64 bits.
+    before enumerating when the sector exceeds ``state_cap()`` states or
+    its keys would not fit in 64 bits.
     """
     if n_cavities < 1:
         raise ValueError(f"need at least one cavity, got {n_cavities}")
     if m < 1:
         raise ValueError(f"photons per cavity must be positive, got {m}")
     dim = jch_sector_dim(n_cavities, m)
-    if dim > max_dim:
+    cap = state_cap()
+    if dim > cap:
         raise CapacityError(
-            f"sector for N={n_cavities}, m={m} holds {dim} states, over the cap of {max_dim}"
+            f"sector for N={n_cavities}, m={m} holds {dim} states, "
+            f"over the cap of {cap} set by physical memory"
         )
     total = n_cavities * m
     base = _key_base(n_cavities, m)
@@ -216,19 +212,23 @@ def dicke_dim(n_systems: int, n_max: int) -> int:
     return (n_max + 1) * (n_systems + 1)
 
 
-def build_dicke_basis(n_systems: int, n_max: int, max_dim: int = DEFAULT_MAX_DIM) -> DickeBasis:
+def build_dicke_basis(n_systems: int, n_max: int) -> DickeBasis:
     """Enumerate collective states ``(n, q)`` with n <= n_max photons, q of N systems in the ground state.
 
-    Ordered by ``(n, q)`` ascending, so ``index = n * (N + 1) + q``.
+    Ordered by ``(n, q)`` ascending, so ``index = n * (N + 1) + q``.  Raises
+    ``CapacityError`` before enumerating when the ladder exceeds
+    ``state_cap()`` states.
     """
     if n_systems < 1:
         raise ValueError(f"need at least one two-level system, got {n_systems}")
     if n_max < 0:
         raise ValueError(f"photon cutoff must be nonnegative, got {n_max}")
     dim = dicke_dim(n_systems, n_max)
-    if dim > max_dim:
+    cap = state_cap()
+    if dim > cap:
         raise CapacityError(
-            f"basis for N={n_systems}, n_max={n_max} holds {dim} states, over the cap of {max_dim}"
+            f"basis for N={n_systems}, n_max={n_max} holds {dim} states, "
+            f"over the cap of {cap} set by physical memory"
         )
     n, q = np.divmod(np.arange(dim, dtype=np.int64), n_systems + 1)
     return DickeBasis(n=n, q=q, n_systems=n_systems)

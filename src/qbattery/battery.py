@@ -30,14 +30,14 @@ maximum solves tan(x) = 2x with x = Omega t.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from .basis import DEFAULT_MAX_DIM, CapacityError, jch_sector_dim
+from . import dynamics
+from .basis import CapacityError, jch_sector_dim
 from .dynamics import _SCAN_CHUNK, ChebyshevEngine, EigenEngine, diagonalize
 from .hamiltonians import (
     Model,
@@ -68,16 +68,13 @@ __all__ = [
 # are propagated with sparse Chebyshev windows.  The limit counts the states
 # of the block the quench can reach, not the full basis; for a chain those
 # are orbits of the hopping graph's automorphisms (65 for the 5,336 states
-# of the N=6 all-to-all sector).  One charge() on a
-# 2-vCPU host with OpenBLAS, dense against Chebyshev: 0.60 s against 0.74 s
-# at 1,002 states (JCH N=5, kappa=0.05), 0.73 s against 1.54 s at 1,061
-# (Dicke N=20, beta=0.5), 1.18 s against 1.59 s at 1,381 and 2.38 s against
-# 2.32 s at 2,756 (Dicke N=10, beta=0.5).  Chebyshev wins at 1,381 states
-# with beta=2 (1.01 s against 1.25 s) but needs many more windows at small
-# beta (8.0 s against 1.3 s at beta=0.05), so a limit of 1,200 made the
-# dicke_m preset take 258 s instead of 123 s.  These timings predate the
-# stopped scan (``_SCAN_CHUNK``), which cuts the grid work of both engines
-# but not the dense eigh, so the crossover now sits lower.
+# of the N=6 all-to-all sector).  Dense costs one O(d^3) eigh plus O(d^2)
+# per scanned time; Chebyshev costs a fixed number of sparse products per
+# window, and a window covers a fixed phase, so small couplings, with their
+# long scan horizons, need many windows and favour dense well past the
+# size where Chebyshev wins at strong coupling.  One fixed size cannot
+# follow both; ROADMAP open item 3 tables the engine that wins per preset
+# point.
 DENSE_LIMIT_DEFAULT = 2500
 
 _FLAT_TOL = 1e-12
@@ -181,10 +178,6 @@ def default_horizon(params: ModelParams) -> float:
     return 100.0
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
 def _reachable_block(h: scipy.sparse.csr_array, start: int) -> np.ndarray:
     """Sorted indices of the states that the nonzeros of ``h`` connect to ``start``.
 
@@ -218,27 +211,23 @@ class QuenchSystem:
     every state is its own orbit, is built whole by ``build_csr`` and cut
     to the states its nonzeros connect to the initial one.  ``dim`` is the
     size of the full basis, ``block_dim`` the size of the evolved block,
-    and ``dense_limit`` is compared with ``block_dim``; ``max_dim`` caps
-    the states built, walked orbits for a chain and ladder states for the
-    collective model.  ``on_grid(ts)`` returns the stored energy E(t) at
-    each time and, with ``params``, is the evaluator protocol that
-    ``max_power`` reads.  ``energy_bound`` is the largest energy any state
+    and ``dense_limit`` is compared with ``block_dim``.  The builders stop
+    at ``dynamics.state_cap()`` walked orbits or ladder states, so a
+    Chebyshev window always fits in memory; a dense block is checked
+    against physical memory before it is allocated.  ``on_grid(ts)``
+    returns the stored energy E(t) at each time and, with ``params``, is
+    the evaluator protocol that ``max_power`` reads.  ``energy_bound`` is the largest energy any state
     of the block stores, an upper bound on E(t) that lets the search stop.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        max_dim: int | None = None,
-        dense_limit: int | None = None,
-    ):
+    def __init__(self, params: ModelParams, dense_limit: int | None = None):
         self.params = params
         if params.model is Model.JCH:
             self.dim = jch_sector_dim(params.n, params.m)
-            block = build_quench_block(params, DEFAULT_MAX_DIM if max_dim is None else max_dim)
+            block = build_quench_block(params)
             h, jz, start = block.h, block.jz, block.start
         else:
-            basis = build_basis(params, max_dim)
+            basis = build_basis(params)
             self.dim = basis.dim
             h = build_csr(params, basis)
             start = initial_index(params, basis)
@@ -255,16 +244,15 @@ class QuenchSystem:
         limit = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
         dense = self.block_dim <= limit
         self.engine = "dense" if dense else "chebyshev"
-        # Dense: H, its eigenvectors and the LAPACK workspace.
-        need = 24 * self.block_dim**2 if dense else ChebyshevEngine.window_bytes(self.block_dim)
-        available = _physical_memory()
-        if need > available:
-            raise CapacityError(
-                f"the {self.engine} engine needs about {need / 2**30:.1f} GiB for "
-                f"{self.block_dim} states, more than the {available / 2**30:.1f} GiB "
-                f"of physical memory"
-            )
         if dense:
+            # H, its eigenvectors and the LAPACK workspace.
+            need, available = 24 * self.block_dim**2, dynamics._physical_memory()
+            if need > available:
+                raise CapacityError(
+                    f"the dense engine needs about {need / 2**30:.1f} GiB for "
+                    f"{self.block_dim} states, more than the {available / 2**30:.1f} GiB "
+                    f"of physical memory"
+                )
             self._eval = EigenEngine(diagonalize(h.toarray()), psi0, jz)
         else:
             self._eval = ChebyshevEngine(h, psi0, [jz])
@@ -423,10 +411,9 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
 def charge(
     params: ModelParams,
     search: SearchConfig | None = None,
-    max_dim: int | None = None,
     dense_limit: int | None = None,
 ) -> PowerResult:
     """Build the system for ``params`` and run the power search on it."""
     config = search if search is not None else SearchConfig()
-    system = QuenchSystem(params, max_dim=max_dim, dense_limit=dense_limit)
+    system = QuenchSystem(params, dense_limit=dense_limit)
     return max_power(system, config)

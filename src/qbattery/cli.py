@@ -35,12 +35,12 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .basis import DEFAULT_MAX_DIM, CapacityError
+from .basis import CapacityError
 from .battery import QuenchSystem, RabiParams, SearchConfig, max_power, rabi_oracle
 from .hamiltonians import Model, ModelParams, Normalization, Topology
 from .sweeps import (
@@ -97,7 +97,6 @@ class RunConfig:
     out: str | None
     series_out: str | None
     plot_out: str | None
-    max_dim: int | None
     dense_limit: int | None
 
 
@@ -145,12 +144,6 @@ _FLAGS = (
     _Flag(
         "timing", False, "include wall-clock timings in the table (breaks byte reproducibility)",
         {"action": "store_true"},
-    ),
-    _Flag(
-        "max_dim", None,
-        f"cap on the states built: orbits walked for a chain, ladder states for the "
-        f"collective model (default {DEFAULT_MAX_DIM})",
-        {"type": int},
     ),
     _Flag(
         "dense_limit", None,
@@ -286,7 +279,7 @@ _UNREAD = {
     "jch": _COLLECTIVE_ONLY + ("delta", "preset"),
     "dicke": _CHAIN_ONLY + ("delta", "preset"),
     "rabi": tuple(k for k in _MODEL_KEYS if k not in ("m", "beta"))
-    + ("rel_tol", "preset", "out", "timing", "max_dim", "dense_limit"),
+    + ("rel_tol", "preset", "out", "timing", "dense_limit"),
     "sweep": _MODEL_KEYS + ("t_max", "samples", "rel_tol", "delta", "series_out"),
     "convergence": _CHAIN_ONLY + ("delta", "preset", "out", "series_out", "plot_out", "timing"),
 }
@@ -342,9 +335,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("sweep needs --out for the results table")
     if command in ("jch", "dicke", "rabi") and plot_out is not None and series_out is None:
         raise ConfigError("--plot-out for a single run needs --series-out")
-    max_dim, dense_limit = merged["max_dim"], merged["dense_limit"]
-    if max_dim is not None and max_dim < 1:
-        raise ConfigError(f"--max-dim must be at least 1, got {max_dim}")
+    dense_limit = merged["dense_limit"]
     if dense_limit is not None and dense_limit < 0:
         raise ConfigError(f"--dense-limit must be nonnegative, got {dense_limit}")
     unread = [k for k in _UNREAD[command] if merged[k] != _DEFAULTS[k]]
@@ -362,7 +353,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         out=out,
         series_out=series_out,
         plot_out=plot_out,
-        max_dim=max_dim,
         dense_limit=dense_limit,
     )
 
@@ -480,7 +470,7 @@ def emit_series_plot(series_path: str, image_path: str | None = None) -> str:
 
 def _run_single(run: RunConfig) -> int:
     start = time.perf_counter()
-    system = QuenchSystem(run.params, max_dim=run.max_dim, dense_limit=run.dense_limit)
+    system = QuenchSystem(run.params, dense_limit=run.dense_limit)
     with warnings.catch_warnings(record=True) as notes:
         warnings.simplefilter("always")
         result = max_power(system, run.search)
@@ -512,8 +502,11 @@ def _run_rabi(run: RunConfig) -> int:
     print(f"omega: {format_float(omega)}")
     print(f"tau_first_peak: {format_float(tau)}")
     if run.series_out:
-        t_max = run.search.t_max if run.search.t_max is not None else 10.0 * math.pi / omega
-        ts = t_max * np.arange(1, run.search.n_samples + 1) / run.search.n_samples
+        search = run.search
+        if search.t_max is None:
+            # default_horizon's 10*pi/(beta*sqrt(m)), at the detuned frequency.
+            search = replace(search, t_max=10.0 * math.pi / omega)
+        ts = search.grid(None)
         write_series(np.column_stack([ts, np.sin(omega * ts) ** 2]), run.series_out)
     if run.plot_out:
         _write(run.plot_out, emit_series_plot(run.series_out))
@@ -525,7 +518,7 @@ def _run_sweep(run: RunConfig) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec in preset_specs(run.preset):
-            rows.extend(run_sweep(spec, max_dim=run.max_dim, dense_limit=run.dense_limit))
+            rows.extend(run_sweep(spec, dense_limit=run.dense_limit))
     write_table(rows, run.out, include_timing=run.timing)
     failures = sum(1 for r in rows if r.error)
     print(f"preset: {run.preset}   rows: {len(rows)}   failed points: {failures}")
@@ -539,7 +532,6 @@ def _run_convergence(run: RunConfig) -> int:
         run.params,
         multipliers=run.multipliers,
         search=run.search,
-        max_dim=run.max_dim,
         dense_limit=run.dense_limit,
     )
     print(f"converged: {'true' if converged else 'false'}")

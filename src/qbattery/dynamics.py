@@ -31,6 +31,8 @@ observable at every requested time.  A single time is a grid of one.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,7 @@ __all__ = [
     "diagonalize",
     "EigenEngine",
     "ChebyshevEngine",
+    "state_cap",
 ]
 
 # Cap on the entries of each real (dim, times) scratch array used when
@@ -157,8 +160,12 @@ class ChebyshevEngine:
 
     @classmethod
     def window_bytes(cls, dim: int) -> int:
-        """Bytes of the real and imaginary expansion vectors one window holds."""
-        return 2 * cls._pick_order(cls._WINDOW_PHASE) * dim * 8
+        """Bytes of the (order, dim) arrays one window holds at once.
+
+        The real and imaginary expansion vectors, and one scratch array for
+        their diagonal-weighted copies.
+        """
+        return 3 * cls._pick_order(cls._WINDOW_PHASE) * dim * 8
 
     @staticmethod
     def _gershgorin(h: scipy.sparse.csr_array) -> tuple[float, float]:
@@ -167,6 +174,7 @@ class ChebyshevEngine:
         return float(np.min(d - radius)), float(np.max(d + radius))
 
     @classmethod
+    @functools.cache
     def _pick_order(cls, phase: float) -> int:
         ks = np.arange(int(np.ceil(phase)) + 4, int(np.ceil(phase)) + 400)
         tails = np.abs(jv(ks, phase))
@@ -198,15 +206,16 @@ class ChebyshevEngine:
         # with its zero imaginary part would be zero, so none is taken.
         q_im = self._expand(self._state_im) if self._state_im.any() else None
         grams = []
+        # The diagonal-weighted copies share one buffer, so a window holds
+        # three (order, dim) arrays, as ``window_bytes`` counts.
+        w = np.empty_like(q_re)
         for diag in self._diags:
-            wr = q_re * diag[None, :]
-            g_rr = wr @ q_re.T
+            g_rr = np.multiply(q_re, diag[None, :], out=w) @ q_re.T
             if q_im is None:
                 grams.append(g_rr.astype(complex))
                 continue
-            g_ri = wr @ q_im.T
-            wi = q_im * diag[None, :]
-            g_ii = wi @ q_im.T
+            g_ri = w @ q_im.T
+            g_ii = np.multiply(q_im, diag[None, :], out=w) @ q_im.T
             # G = Q^H diag Q with Q = q_re + i q_im (rows are vectors).
             grams.append((g_rr + g_ii) + 1j * (g_ri - g_ri.T))
         window = _Window(t0=self._t_end, t1=self._t_end + self._dt, grams=grams)
@@ -254,3 +263,17 @@ class ChebyshevEngine:
     # The evaluator protocol shared with EigenEngine: first observable only.
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         return self.values_on_grid(0, np.asarray(ts, dtype=float))
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def state_cap() -> int:
+    """Most states a run may build: a block whose Chebyshev window fills half of physical memory.
+
+    Every builder checks its size against this before it allocates.  A
+    chain's walk peaks at 1.5-1.8 kB per orbit and the collective ladder at
+    under 0.3 kB per state, so a build at the cap stays within about 40 %.
+    """
+    return _physical_memory() // (2 * ChebyshevEngine.window_bytes(1))

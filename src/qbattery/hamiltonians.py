@@ -49,7 +49,6 @@ import numpy as np
 import scipy.sparse
 
 from .basis import (
-    DEFAULT_MAX_DIM,
     BasisIndex,
     CapacityError,
     DickeBasis,
@@ -61,6 +60,7 @@ from .basis import (
     dicke_dim,
     jch_sector_dim,
 )
+from .dynamics import state_cap
 
 __all__ = [
     "Model",
@@ -168,12 +168,11 @@ class ModelParams:
         return replace(self, n_max=multiplier * self.n * self.m)
 
 
-def build_basis(params: ModelParams, max_dim: int | None = None) -> BasisIndex:
+def build_basis(params: ModelParams) -> BasisIndex:
     """Build the basis matching ``params`` (sector for JCH, truncated ladder for DICKE)."""
-    kwargs = {} if max_dim is None else {"max_dim": max_dim}
     if params.model is Model.JCH:
-        return build_jch_sector(params.n, params.m, **kwargs)
-    return build_dicke_basis(params.n, params.n_max_value, **kwargs)
+        return build_jch_sector(params.n, params.m)
+    return build_dicke_basis(params.n, params.n_max_value)
 
 
 def _check_basis(params: ModelParams, basis: BasisIndex) -> None:
@@ -440,7 +439,7 @@ class QuenchBlock:
         return self.sizes.shape[0]
 
 
-def build_quench_block(params: ModelParams, max_dim: int = DEFAULT_MAX_DIM) -> QuenchBlock:
+def build_quench_block(params: ModelParams) -> QuenchBlock:
     """Walk a chain's orbits breadth-first from the quench state.
 
     Each level applies every move (``_jch_moves`` both ways) to the orbits
@@ -454,12 +453,13 @@ def build_quench_block(params: ModelParams, max_dim: int = DEFAULT_MAX_DIM) -> Q
     summed from the moves out of r_o.  Each pair is summed once, from the
     orbit the walk found first, and mirrored, so h is bitwise symmetric.
     Raises ``CapacityError`` before walking when the state keys would not
-    fit in int64, and as soon as more than ``max_dim`` orbits are found.
+    fit in int64, and as soon as more than ``state_cap()`` orbits are found.
     """
     if params.model is not Model.JCH:
         raise BasisMismatchError("the orbit walk needs a chain of cavities")
     n = params.n
     orbits = _Orbits(params, _key_base(n, params.m))
+    cap = state_cap()
     moves = _jch_moves(params, both_ways=True)
     # How each move changes the features, one column per move.
     shift = (orbits.features[moves[1]] - orbits.features[moves[0]]).T
@@ -500,9 +500,10 @@ def build_quench_block(params: ModelParams, max_dim: int = DEFAULT_MAX_DIM) -> Q
         level_keys.append(uniq[new])
         before, level = level, (uniq[new], found)
         found += new.shape[0]
-        if found > max_dim:
+        if found > cap:
             raise CapacityError(
-                f"the quench of N={n}, m={params.m} reaches more orbits than the cap of {max_dim}"
+                f"the quench of N={n}, m={params.m} reaches more orbits than the cap of "
+                f"{cap} set by physical memory"
             )
     modes = np.concatenate(levels)
     src, terms = np.concatenate(src), np.concatenate(terms)

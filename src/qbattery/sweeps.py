@@ -184,18 +184,12 @@ def sweep_row(
     )
 
 
-def _run_point(
-    spec: SweepSpec,
-    value,
-    mult: int | None,
-    max_dim: int | None,
-    dense_limit: int | None,
-) -> SweepRow:
+def _run_point(spec: SweepSpec, value, mult: int | None, dense_limit: int | None) -> SweepRow:
     start = time.perf_counter()
     params = None
     try:
         params = _point_params(spec, value, mult)
-        system = QuenchSystem(params, max_dim=max_dim, dense_limit=dense_limit)
+        system = QuenchSystem(params, dense_limit=dense_limit)
         config = spec.search if spec.search is not None else SearchConfig()
         result = max_power(system, config)
     except Exception as err:  # recorded, never fatal for the sweep
@@ -234,7 +228,6 @@ def _mark_convergence(spec: SweepSpec, rows: list[SweepRow]) -> None:
 def run_sweep(
     spec: SweepSpec,
     jobs: int | None = None,
-    max_dim: int | None = None,
     dense_limit: int | None = None,
 ) -> list[SweepRow]:
     """All rows for one sweep spec, ordered by (axis value, cutoff multiplier).
@@ -243,7 +236,7 @@ def run_sweep(
     """
     mults: tuple = spec.cutoff_multipliers if spec.cutoff_multipliers else (None,)
     points = [(value, mult) for value in spec.values for mult in mults]
-    rows = [_run_point(spec, value, mult, max_dim, dense_limit) for value, mult in points]
+    rows = [_run_point(spec, value, mult, dense_limit) for value, mult in points]
     if spec.cutoff_multipliers:
         _mark_convergence(spec, rows)
     return rows
@@ -275,7 +268,6 @@ def convergence_check(
     params: ModelParams,
     multipliers: tuple[int, ...] = (4, 5),
     search: SearchConfig | None = None,
-    max_dim: int | None = None,
     dense_limit: int | None = None,
 ) -> tuple[bool, float]:
     """Compare p_max across photon cutoffs ``mult * n * m`` for the collective model.
@@ -290,8 +282,7 @@ def convergence_check(
     if len(mults) < 2:
         raise InsufficientDataError("need at least two cutoff multipliers to compare")
     powers = [
-        charge(params.with_cutoff(mult), search, max_dim=max_dim, dense_limit=dense_limit).p_max
-        for mult in mults
+        charge(params.with_cutoff(mult), search, dense_limit=dense_limit).p_max for mult in mults
     ]
     diffs = [_relative_difference(a, b) for a, b in zip(powers[1:], powers[:-1])]
     return bool(diffs[-1] < CONVERGENCE_THRESHOLD), float(max(diffs))

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from qbattery import basis as basis_module
 from qbattery.basis import (
-    DEFAULT_MAX_DIM,
     BasisIndex,
     CapacityError,
     build_dicke_basis,
@@ -120,21 +120,37 @@ def test_jch_sector_closed_under_generators(n, m):
             basis.rank(*neighbor)  # raises KeyError outside the sector
 
 
-def test_capacity_cap():
-    with pytest.raises(CapacityError):
-        build_jch_sector(8, 1, max_dim=100)
-    with pytest.raises(CapacityError):
-        build_dicke_basis(20, 100, max_dim=2000)
-    assert jch_sector_dim(8, 1) < DEFAULT_MAX_DIM
+def test_capacity_cap(monkeypatch, cap_states):
+    # 10^12 states under this host's own cap: enumerating them would not fit
+    # in memory, so the error must come first.
+    with pytest.raises(CapacityError, match="cap of"):
+        build_dicke_basis(10**6 - 1, 10**6 - 1)
+    # Both bases below hold 192 states: the N=4 sector, and the N=15 ladder
+    # up to 11 photons.
+    assert jch_sector_dim(4, 1) == dicke_dim(15, 11) == 192
+
+    def refuse(*args):
+        raise AssertionError("the sector was enumerated past the cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(basis_module, "_photon_rows", refuse)
+        cap_states(191)
+        with pytest.raises(CapacityError, match="cap of 191 set by physical memory"):
+            build_jch_sector(4, 1)
+        with pytest.raises(CapacityError, match="cap of 191 set by physical memory"):
+            build_dicke_basis(15, 11)
+    cap_states(192)
+    assert build_jch_sector(4, 1).dim == build_dicke_basis(15, 11).dim == 192
 
 
-def test_key_overflow_raises_before_enumeration():
+def test_key_overflow_raises_before_enumeration(cap_states):
     # 2^16 spin patterns times 17^16 photon digits cannot be packed into int64.
     # The sector (1.5e11 states) would not fit in memory, so the error must
-    # come before any enumeration.
+    # come before any enumeration; with a cap above it, the key check decides.
     assert jch_sector_dim(16, 1) > 10**11
+    cap_states(10**30)
     with pytest.raises(CapacityError, match="64-bit"):
-        build_jch_sector(16, 1, max_dim=10**30)
+        build_jch_sector(16, 1)
 
 
 @pytest.mark.parametrize("n, m", [(0, 1), (1, 0), (-2, 1)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qbattery import basis as basis_module
-from qbattery import battery, hamiltonians
+from qbattery import battery, dynamics, hamiltonians
 from qbattery.basis import CapacityError, jch_sector_dim
 from qbattery.battery import (
     DegenerateRabiError,
@@ -22,7 +22,7 @@ from qbattery.battery import (
     rabi_oracle,
 )
 from qbattery.cli import main
-from qbattery.dynamics import ChebyshevEngine, EigenEngine, diagonalize
+from qbattery.dynamics import EigenEngine, diagonalize
 from qbattery.hamiltonians import (
     Model,
     ModelParams,
@@ -526,13 +526,23 @@ def test_chain_never_enumerates_its_sector(monkeypatch):
     assert result.p_max > 0.0
 
 
-def test_chain_cap_counts_walked_orbits():
+def test_chain_cap_counts_walked_orbits(cap_states):
     # 148,321,344 states, far past the cap, but 1,165 orbits.
     system = QuenchSystem(jch(n=12, m=1, beta=0.05, kappa=0.05, topology=Topology.ALL_TO_ALL))
     assert (system.dim, system.block_dim) == (148_321_344, 1_165)
-    with pytest.raises(CapacityError, match="cap of 100"):
-        QuenchSystem(jch(n=6, m=1, beta=0.05, kappa=0.5), max_dim=100)
-    assert QuenchSystem(jch(n=6, m=1, beta=0.05, kappa=0.5), max_dim=2_687).block_dim == 2_687
+    params = jch(n=6, m=1, beta=0.05, kappa=0.5)  # 2,687 orbits
+    cap_states(2_686)
+    with pytest.raises(CapacityError, match="cap of 2686 set by physical memory"):
+        QuenchSystem(params)
+    cap_states(2_687)
+    assert QuenchSystem(params).block_dim == 2_687
+
+
+def test_ring_of_ten_builds_under_the_default_cap():
+    # 4,780,008 states in 240,395 orbits, which a fixed cap of 200,000 refused.
+    system = QuenchSystem(jch(n=10, m=1, beta=0.05, kappa=0.1, topology=Topology.RING))
+    assert (system.dim, system.block_dim) == (jch_sector_dim(10, 1), 240_395)
+    assert system.engine == "chebyshev"
 
 
 def test_uncoupled_collective_system_keeps_one_state():
@@ -558,23 +568,23 @@ def test_block_sets_the_diagonalized_size(monkeypatch):
 
 
 def test_memory_guard_raises_before_allocating(monkeypatch, capsys):
-    params = dicke(n=10, m=1, beta=0.5, n_max=50)  # a block of 281 states
-    dense_need = 3 * 8 * 281**2
-    cheb_need = ChebyshevEngine.window_bytes(281)
+    # A ladder of 2,121 states and a block of 1,061.  The dense engine needs
+    # 27 MB there, while the cap at that memory (5,863 states) admits the
+    # ladder, so the guard, not the cap, refuses.
+    params = dicke(n=20, m=1, beta=0.5, n_max=100)
+    dense_need = 3 * 8 * 1_061**2
 
     def refuse(matrix):
         raise AssertionError("diagonalized past the memory guard")
 
     monkeypatch.setattr(battery, "diagonalize", refuse)
-    monkeypatch.setattr(battery, "_physical_memory", lambda: dense_need - 1)
-    with pytest.raises(CapacityError, match="physical memory"):
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: dense_need - 1)
+    with pytest.raises(CapacityError, match="dense engine .* physical memory"):
         QuenchSystem(params)
-    monkeypatch.setattr(battery, "_physical_memory", lambda: cheb_need - 1)
-    with pytest.raises(CapacityError, match="physical memory"):
-        QuenchSystem(params, dense_limit=0)
-    monkeypatch.setattr(battery, "_physical_memory", lambda: cheb_need)
     assert QuenchSystem(params, dense_limit=0).engine == "chebyshev"
-    monkeypatch.setattr(battery, "_physical_memory", lambda: dense_need - 1)
-    argv = ["dicke", "--n", "10", "--beta", "0.5", "--dense-limit", "200000"]
+    argv = ["dicke", "--n", "20", "--beta", "0.5", "--cutoff-mult", "5", "--dense-limit", "200000"]
     assert main(argv) == 1
     assert "physical memory" in capsys.readouterr().err
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: dense_need)
+    with pytest.raises(AssertionError, match="past the memory guard"):
+        QuenchSystem(params)

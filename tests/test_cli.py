@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,8 +180,7 @@ def test_config_file_rejections(tmp_path):
     [
         ["jch", "--n", "3", "--beta", "0.05", "--kappa", "0.5", "--topology", "ring",
          "--m", "2", "--omega-a", "1.3", "--t-max", "200", "--samples", "512",
-         "--rel-tol", "1e-8", "--jobs", "2", "--timing", "--max-dim", "50000",
-         "--dense-limit", "100"],
+         "--rel-tol", "1e-8", "--jobs", "2", "--timing", "--dense-limit", "100"],
         ["dicke", "--n", "6", "--beta", "0.5", "--beta-prime", "0.3",
          "--normalization", "none", "--cutoff-mult", "4", "--literal-eq10",
          "--out", "table.csv", "--series-out", "series.csv"],
@@ -348,7 +349,6 @@ def test_convergence_command_reports_verdict(capsys):
 def test_exit_codes(tmp_path, capsys):
     assert main(["jch", "--n", "2"]) == 2  # missing --beta
     assert main(["jch", "--n", "40", "--beta", "0.05"]) == 1  # sector too large
-    assert main(["convergence", "--n", "4", "--beta", "0.5", "--max-dim", "5"]) == 1  # 105 states
     capsys.readouterr()
     bad_value = tmp_path / "bad.json"
     bad_value.write_text(json.dumps({"normalization": "bogus"}))
@@ -360,7 +360,6 @@ def test_exit_codes(tmp_path, capsys):
         ["dicke", "--n", "2", "--beta", "0.5", "--config", str(bad_value)],  # enum
         ["sweep", "--config", str(bad_preset), "--out", str(tmp_path / "t.csv")],
         ["jch", "--n", "2", "--beta", "0.05", "--dense-limit", "-5"],
-        ["jch", "--n", "2", "--beta", "0.05", "--max-dim", "0"],
         ["jch", "--n", "2", "--beta", "0.05", "--t-max", "inf"],  # non-finite floats
         ["jch", "--n", "2", "--beta", "nan"],
         ["rabi", "--beta", "nan"],
@@ -371,6 +370,34 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
     assert main(["jch", "--n", "2", "--beta", "0.05", "--dense-limit", "0"]) == 0
     assert "engine: chebyshev" in capsys.readouterr().out
+
+
+def test_state_cap_is_no_option(tmp_path, capsys, cap_states):
+    # The cap follows physical memory: no flag or config key sets it.
+    with pytest.raises(SystemExit) as err:
+        main(["jch", "--n", "2", "--beta", "0.05", "--max-dim", "5"])
+    assert err.value.code == 2
+    assert "--max-dim" in capsys.readouterr().err
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"max_dim": 5}))
+    with pytest.raises(ConfigError, match="max_dim"):
+        parse_run(["jch", "--n", "2", "--beta", "0.05", "--config", str(cfg)])
+    # Over the cap, a run exits 1 and names it: 2,687 orbits on the line,
+    # and 105 ladder states at the larger of the two default cutoffs.
+    cap_states(2_686)
+    assert main(["jch", "--n", "6", "--beta", "0.05", "--kappa", "0.5"]) == 1
+    assert "cap of 2686 set by physical memory" in capsys.readouterr().err
+    cap_states(104)
+    assert main(["convergence", "--n", "4", "--beta", "0.5"]) == 1
+    assert "cap of 104 set by physical memory" in capsys.readouterr().err
+
+
+def test_readme_flags_match_the_flag_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    named = re.findall(r"`(--[a-z0-9-]+)", paragraph)
+    assert len(named) == len(set(named))
+    assert set(named) == {"--" + f.name.replace("_", "-") for f in cli._FLAGS}
 
 
 def test_timing_column_only_with_flag(tmp_path):

@@ -1,5 +1,7 @@
 """Spectra, exact propagation, and the sparse Chebyshev evaluator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qbattery.hamiltonians import (
     ModelParams,
     build_basis,
     build_csr,
+    build_quench_block,
     initial_state,
     jz_diagonal,
 )
@@ -276,6 +279,28 @@ def test_first_chebyshev_window_propagates_only_the_real_part():
     ts = np.linspace(0.0, cheb._t_end, 41)
     exact = EigenEngine(diagonalize(h), psi0, jz)
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
+
+
+def test_chebyshev_window_memory_is_what_window_bytes_counts():
+    # 2,687 orbits: one (order, dim) array of doubles is 2.1 MB, fourteen
+    # times a complex order x order Gram matrix.
+    block = build_quench_block(jch(n=6, m=1, beta=0.05, kappa=0.5))
+    psi0 = np.zeros(block.dim)
+    psi0[block.start] = 1.0
+    cheb = ChebyshevEngine(block.h, psi0, [block.jz])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cheb.extend(2.5 * cheb._dt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(cheb._windows) == 3
+    # The three windows' Gram matrices and the products that form them,
+    # and a few state vectors: less than one more (order, dim) array.
+    slack = 10 * 16 * cheb._order**2 + 8 * 8 * block.dim
+    assert slack < 8 * cheb._order * block.dim
+    assert peak <= ChebyshevEngine.window_bytes(block.dim) + slack
 
 
 def test_chebyshev_rejects_negative_times():

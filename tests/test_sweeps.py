@@ -129,7 +129,7 @@ def test_failed_point_is_recorded_not_raised():
         values=(2, 60),
         search=SearchConfig(n_samples=256),
     )
-    rows = run_sweep(spec, max_dim=10_000)
+    rows = run_sweep(spec)
     assert rows[0].error == ""
     assert rows[0].p_max > 0.0
     assert CapacityError.__name__ in rows[1].error
