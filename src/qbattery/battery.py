@@ -74,7 +74,7 @@ __all__ = [
 # long scan horizons, need many windows and favour dense well past the
 # size where Chebyshev wins at strong coupling.  One fixed size cannot
 # follow both; ROADMAP open item 3 tables the engine that wins per preset
-# point.
+# point, measured with the scaled-disc Chebyshev scale.
 DENSE_LIMIT_DEFAULT = 2500
 
 _FLAT_TOL = 1e-12
@@ -262,12 +262,12 @@ class QuenchSystem:
 
 
 def energy_series(params: ModelParams, t_grid: np.ndarray, **system_kwargs) -> np.ndarray:
-    """E(t) on the given nonnegative time grid, returned as an (len, 2) array."""
+    """E(t) on the given positive, finite time grid, returned as an (len, 2) array."""
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("time grid must be a nonempty 1-D array")
-    if not ts[0] > 0 or np.any(np.diff(ts) <= 0):
-        raise ValueError("time grid must be strictly increasing and positive")
+    if not (ts[0] > 0 and np.all(np.diff(ts) > 0) and ts[-1] < np.inf):
+        raise ValueError("time grid must be strictly increasing, positive and finite")
     system = QuenchSystem(params, **system_kwargs)
     return np.column_stack([ts, system.on_grid(ts)])
 

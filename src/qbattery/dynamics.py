@@ -12,16 +12,17 @@ sign of y.  V stays real, so a grid of times costs two real matrix
 products, O(dim^2) per requested time, and is exact for every t.
 
 Sectors too large to diagonalize densely are handled by a Chebyshev
-polynomial propagator on the sparse Hamiltonian.  Evolution proceeds in
-fixed windows; within each window the expansion vectors w_k = T_k(Hs) psi
-(Hs the spectrum-rescaled Hamiltonian) are contracted once with each
-tracked diagonal observable into a small Gram matrix
-
-    G_kk' = <w_k| diag |w_k'>,
-
-after which the observable at *any* time inside the window is a cheap
-bilinear form in Bessel-function coefficients.  No randomness is involved
-anywhere, so results are bit-reproducible run to run.
+polynomial propagator on the sparse Hamiltonian (A. Weisse et al., Rev.
+Mod. Phys. 78, 275 (2006)), scaled into [-1, 1] by the Gershgorin discs of
+D^-1 H D, with a positive D from a few power steps (R. S. Varga, Gersgorin
+and His Circles, 2004).  Evolution proceeds in fixed windows; in each, the
+expansion vectors w_k = T_k(Hs) psi are contracted once with each tracked
+diagonal observable into a Gram matrix G_kk' = <w_k| diag |w_k'>, stored
+folded with the phases of the coefficients gamma_k (-i)^k J_k(a dt) as the
+real R = Re(gamma_k gamma_k' i^(k-k') G_kk').  The observable at any time
+in the window is then the real form J^T R J, with every J_k(a dt) from one
+FFT of exp(i a dt sin(theta)) (the Jacobi-Anger expansion).  No randomness
+is involved anywhere, so results are bit-reproducible run to run.
 
 Both engines take the Hamiltonian from the one sparse assembly path (the
 eigendecomposition gets its ``toarray()``), take observables as 1-D arrays
@@ -55,10 +56,10 @@ _GRID_BLOCK_ENTRIES = 2_000_000
 # The power scan asks for this many times per call.  A time's value must
 # not depend on the other times in its call, or the stopped scan would
 # differ from the whole grid; matrix products round a column the same way
-# only when its neighbours fill the same kernel shapes.  So the dense engine
-# cuts a long grid into column blocks that are a multiple of this, and the
-# Chebyshev engine pads each window's times to a multiple of
-# ``_PAD_COLUMNS``.
+# only when its neighbours fill the same kernel shapes and threads.  So the
+# dense engine cuts a long grid into column blocks that are a multiple of
+# this, and the Chebyshev engine pads each window's times to a multiple of
+# ``_PAD_COLUMNS`` and contracts them that many at a time.
 _SCAN_CHUNK = 128
 _PAD_COLUMNS = 8
 
@@ -98,6 +99,8 @@ class EigenEngine:
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
+        if not np.isfinite(ts).all():
+            raise ValueError("times must be finite")
         out = np.empty(ts.shape[0])
         block = _GRID_BLOCK_ENTRIES // max(1, self._lam.shape[0])
         block = max(_SCAN_CHUNK, block - block % _SCAN_CHUNK)
@@ -115,14 +118,14 @@ class EigenEngine:
 class _Window:
     t0: float
     t1: float
-    grams: list[np.ndarray]
+    forms: list[np.ndarray]
 
 
 class ChebyshevEngine:
     """Diagonal-observable evaluator driven by Chebyshev-expanded propagation.
 
-    ``diags`` lists the diagonal observables to track (each becomes one Gram
-    matrix per window).  The engine lazily extends its covered time range;
+    ``diags`` lists the diagonal observables to track (each becomes one real
+    form per window).  The engine lazily extends its covered time range;
     querying any t within the range never touches the large vectors again.
     """
 
@@ -130,6 +133,14 @@ class ChebyshevEngine:
     # superexponential Bessel tail.
     _WINDOW_PHASE = 50.0
     _TAIL_CUTOFF = 1e-16
+    # Power steps that scale the discs.  A shift of a tenth of the largest
+    # radius keeps D positive and damps the period-two swing of a bipartite
+    # hopping graph; a larger one slows the steps down.
+    _DISC_STEPS = 40
+    _DISC_SHIFT = 0.1
+    # The FFT aliases J_k(x) with J_(k+256j)(x); below the order and at
+    # x <= 50 the largest alias is J_161(50), about 3e-64.
+    _BESSEL_POINTS = 256
 
     def __init__(self, h: scipy.sparse.csr_array, psi0: np.ndarray, diags: list[np.ndarray]):
         if h.shape[0] != h.shape[1]:
@@ -142,7 +153,7 @@ class ChebyshevEngine:
         for d in self._diags:
             if d.shape != (dim,):
                 raise ValueError("observable length does not match the Hamiltonian")
-        lo, hi = self._gershgorin(h)
+        lo, hi = self._scaled_discs(h)
         center = 0.5 * (hi + lo)
         half = 0.5 * (hi - lo)
         # Pad so the true spectrum sits strictly inside [-1, 1] after scaling.
@@ -152,6 +163,13 @@ class ChebyshevEngine:
         self._h_scaled = (h - scipy.sparse.eye_array(dim, format="csr") * center) * (1.0 / half)
         self._dt = self._WINDOW_PHASE / half
         self._order = self._pick_order(self._WINDOW_PHASE)
+        ks = np.arange(self._order)
+        # gamma_k (-i)^k; each product in the fold is 0, +-1, +-2 or +-4, so
+        # folding rounds nothing.
+        self._phases = np.where(ks == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[ks % 4]
+        fold = np.outer(self._phases.conj(), self._phases)
+        self._fold_re, self._fold_im = fold.real.copy(), fold.imag.copy()
+        self._sin_theta = np.sin(2.0 * np.pi * np.arange(self._BESSEL_POINTS) / self._BESSEL_POINTS)
         self._windows: list[_Window] = []
         self._starts: np.ndarray = np.empty(0)
         self._t_end = 0.0
@@ -167,11 +185,28 @@ class ChebyshevEngine:
         """
         return 3 * cls._pick_order(cls._WINDOW_PHASE) * dim * 8
 
-    @staticmethod
-    def _gershgorin(h: scipy.sparse.csr_array) -> tuple[float, float]:
+    @classmethod
+    def _scaled_discs(cls, h: scipy.sparse.csr_array) -> tuple[float, float]:
+        """Bounds on the spectrum of ``h``: the Gershgorin discs of D^-1 h D, similar to h.
+
+        d starts at 1 (the plain discs) and takes power steps on +-diag(h) +
+        |offdiag(h)| + shift, one column per edge; no step raises the largest
+        ratio (M d)_i / d_i.  Only an underflow in d could, so the bound is
+        also held to the plain discs.
+        """
         d = h.diagonal()
-        radius = np.abs(h).sum(axis=1) - np.abs(d)
-        return float(np.min(d - radius)), float(np.max(d + radius))
+        off = abs(h - scipy.sparse.diags_array(d)).tocsr()
+        radius = off @ np.ones(d.shape[0])
+        shift = cls._DISC_SHIFT * float(radius.max(initial=0.0)) + 1e-12
+        weights = np.column_stack([d - d.min(), d.max() - d]) + shift
+        v = np.ones((d.shape[0], 2))
+        for _ in range(cls._DISC_STEPS):
+            v = off @ v + weights * v
+            v = np.maximum(v / v.max(axis=0), np.finfo(float).tiny)
+        scaled = (off @ v) / v
+        lo = max(np.min(d - scaled[:, 1]), np.min(d - radius))
+        hi = min(np.max(d + scaled[:, 0]), np.max(d + radius))
+        return float(lo), float(hi)
 
     @classmethod
     @functools.cache
@@ -183,13 +218,11 @@ class ChebyshevEngine:
             raise RuntimeError("could not find a converged expansion order")
         return int(ks[below[0]]) + 4
 
-    def _coeffs(self, dts: np.ndarray) -> np.ndarray:
-        """Expansion coefficients gamma_k (-i)^k J_k(a*dt), shape (order, len(dts))."""
-        ks = np.arange(self._order)
-        c = jv(ks[:, None], self._half * np.asarray(dts)[None, :]).astype(complex)
-        c[1:] *= 2.0
-        c *= (-1j) ** ks[:, None]
-        return c
+    def _bessel(self, x: np.ndarray) -> np.ndarray:
+        """J_k(x) for k < order, each column on its own: the FFT over theta of
+        exp(i x sin(theta)) = sum_k J_k(x) exp(i k theta)."""
+        waves = np.exp(1j * x[:, None] * self._sin_theta[None, :])
+        return np.fft.fft(waves, axis=1, norm="forward").real[:, : self._order].T
 
     def _expand(self, vector: np.ndarray) -> np.ndarray:
         """The Chebyshev vectors T_k(Hs) vector, k = 0..order-1, one per row."""
@@ -205,28 +238,28 @@ class ChebyshevEngine:
         # The state stays real until the first window has run; every product
         # with its zero imaginary part would be zero, so none is taken.
         q_im = self._expand(self._state_im) if self._state_im.any() else None
-        grams = []
+        forms = []
         # The diagonal-weighted copies share one buffer, so a window holds
         # three (order, dim) arrays, as ``window_bytes`` counts.
         w = np.empty_like(q_re)
         for diag in self._diags:
-            g_rr = np.multiply(q_re, diag[None, :], out=w) @ q_re.T
-            if q_im is None:
-                grams.append(g_rr.astype(complex))
-                continue
-            g_ri = w @ q_im.T
-            g_ii = np.multiply(q_im, diag[None, :], out=w) @ q_im.T
-            # G = Q^H diag Q with Q = q_re + i q_im (rows are vectors).
-            grams.append((g_rr + g_ii) + 1j * (g_ri - g_ri.T))
-        window = _Window(t0=self._t_end, t1=self._t_end + self._dt, grams=grams)
-        c = self._coeffs(np.array([self._dt]))[:, 0]
+            # G = Q^H diag Q with Q = q_re + i q_im (rows are vectors): its
+            # real part is gram, its imaginary part skew.
+            gram = np.multiply(q_re, diag[None, :], out=w) @ q_re.T
+            skew = 0.0
+            if q_im is not None:
+                g_ri = w @ q_im.T
+                gram += np.multiply(q_im, diag[None, :], out=w) @ q_im.T
+                skew = g_ri - g_ri.T
+            forms.append(self._fold_re * gram - self._fold_im * skew)
+        window = _Window(t0=self._t_end, t1=self._t_end + self._dt, forms=forms)
+        c = self._phases * self._bessel(np.array([self._half * self._dt]))[:, 0]
         # exp(-i*center*dt) is a global phase; it cancels in every bilinear
         # form evaluated here, so the stored state simply omits it.
-        if q_im is None:
-            re, im = c.real @ q_re, c.imag @ q_re
-        else:
-            re = c.real @ q_re - c.imag @ q_im
-            im = c.real @ q_im + c.imag @ q_re
+        re, im = c.real @ q_re, c.imag @ q_re
+        if q_im is not None:
+            re -= c.imag @ q_im
+            im += c.real @ q_im
         self._state_re, self._state_im = re, im
         self._windows.append(window)
         self._starts = np.append(self._starts, window.t0)
@@ -240,12 +273,14 @@ class ChebyshevEngine:
         n = dts.shape[0]
         padded = np.zeros(-(-n // _PAD_COLUMNS) * _PAD_COLUMNS)
         padded[:n] = dts
-        c = self._coeffs(padded)
-        g = window.grams[which]
-        return np.einsum("ks,ks->s", c.conj(), g @ c).real[:n]
+        j = self._bessel(self._half * padded)
+        y = np.hstack([window.forms[which] @ b for b in np.hsplit(j, j.shape[1] // _PAD_COLUMNS)])
+        return np.einsum("ks,ks->s", j, y)[:n]
 
     def values_on_grid(self, which: int, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
+        if not np.isfinite(ts).all():
+            raise ValueError("times must be finite")
         if ts.size == 0:
             return np.empty(0)
         if np.any(ts < 0):

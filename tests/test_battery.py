@@ -408,6 +408,9 @@ def test_energy_series_validation():
         energy_series(params, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         energy_series(params, np.array([2.0, 1.0]))
+    for ts in ([1.0, np.inf], [1.0, np.nan], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            energy_series(params, np.array(ts), dense_limit=0)
     out = energy_series(params, np.array([1.0, 2.0]))
     assert out.shape == (2, 2)
 

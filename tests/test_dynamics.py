@@ -4,12 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.special import jv
 
 from qbattery import dynamics
 from qbattery.dynamics import ChebyshevEngine, EigenEngine, Spectrum, diagonalize
 from qbattery.hamiltonians import (
     Model,
     ModelParams,
+    Normalization,
+    Topology,
     build_basis,
     build_csr,
     build_quench_block,
@@ -282,8 +286,8 @@ def test_first_chebyshev_window_propagates_only_the_real_part():
 
 
 def test_chebyshev_window_memory_is_what_window_bytes_counts():
-    # 2,687 orbits: one (order, dim) array of doubles is 2.1 MB, fourteen
-    # times a complex order x order Gram matrix.
+    # 2,687 orbits: one (order, dim) array of doubles is 2.1 MB, 28 times
+    # a real order x order folded Gram matrix.
     block = build_quench_block(jch(n=6, m=1, beta=0.05, kappa=0.5))
     psi0 = np.zeros(block.dim)
     psi0[block.start] = 1.0
@@ -298,9 +302,71 @@ def test_chebyshev_window_memory_is_what_window_bytes_counts():
     assert len(cheb._windows) == 3
     # The three windows' Gram matrices and the products that form them,
     # and a few state vectors: less than one more (order, dim) array.
-    slack = 10 * 16 * cheb._order**2 + 8 * 8 * block.dim
+    slack = 10 * 8 * cheb._order**2 + 8 * 8 * block.dim
     assert slack < 8 * cheb._order * block.dim
     assert peak <= ChebyshevEngine.window_bytes(block.dim) + slack
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        jch(n=5, m=1, beta=0.05, kappa=0.5),
+        jch(n=4, m=1, beta=0.05, kappa=0.5, topology=Topology.RING),
+        jch(n=5, m=1, beta=0.3, kappa=0.1, topology=Topology.RING),
+        jch(n=4, m=2, beta=0.05, kappa=0.5, topology=Topology.ALL_TO_ALL),
+        dicke(n=4, m=1, beta=2.0, beta_prime=0.3, n_max=20),
+        dicke(n=6, m=2, beta=0.5, n_max=30, normalization=Normalization.NONE),
+    ],
+)
+def test_scaled_discs_bound_the_spectrum_within_the_plain_discs(params):
+    if params.model is Model.JCH:
+        h = build_quench_block(params).h
+    else:
+        h = build_csr(params, build_basis(params))
+    lo, hi = ChebyshevEngine._scaled_discs(h)
+    eigenvalues = np.linalg.eigvalsh(h.toarray())
+    assert lo <= eigenvalues[0] and eigenvalues[-1] <= hi
+    d = h.diagonal()
+    radius = np.abs(h).sum(axis=1) - np.abs(d)
+    assert np.min(d - radius) <= lo and hi <= np.max(d + radius)
+
+
+def test_scaled_discs_are_tight_on_a_line_and_cut_the_windows():
+    block = build_quench_block(jch(n=6, m=1, beta=0.05, kappa=0.5))
+    lo, hi = ChebyshevEngine._scaled_discs(block.h)
+    top = scipy.sparse.linalg.eigsh(block.h, k=1, which="LA", tol=1e-10)[0][0]
+    bottom = scipy.sparse.linalg.eigsh(block.h, k=1, which="SA", tol=1e-10)[0][0]
+    assert hi - lo <= 1.01 * (top - bottom)
+    psi0 = np.zeros(block.dim)
+    psi0[block.start] = 1.0
+    cheb = ChebyshevEngine(block.h, psi0, [block.jz])
+    cheb.extend(178.0)
+    # The plain Gershgorin discs, 1.45 times the true width, take 29.
+    assert len(cheb._windows) <= 20
+
+
+def test_bessel_coefficients_match_jv():
+    params = jch(n=2, m=1, beta=0.3, kappa=0.2)
+    basis, _, jz, psi0 = _system(params)
+    cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
+    xs = np.array([0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 17.3, 25.0, 33.3, 49.9, 50.0])
+    got = cheb._bessel(xs)
+    ks = np.arange(cheb._order)
+    assert np.max(np.abs(got - jv(ks[:, None], xs[None, :]))) <= 5e-15
+    for i in range(xs.shape[0]):
+        assert np.array_equal(got[:, i], cheb._bessel(xs[i : i + 1])[:, 0])
+
+
+def test_engines_reject_non_finite_times():
+    params = jch(n=2, m=1, beta=0.3, kappa=0.2)
+    basis, h, jz, psi0 = _system(params)
+    # The checks come before the Chebyshev engine extends its windows, so
+    # an infinite time cannot append windows forever.
+    cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
+    for engine in (EigenEngine(diagonalize(h), psi0, jz), cheb):
+        for ts in ([1.0, np.inf], [np.nan], [np.nan, 2.0]):
+            with pytest.raises(ValueError, match="finite"):
+                engine.on_grid(np.array(ts))
 
 
 def test_chebyshev_rejects_negative_times():
