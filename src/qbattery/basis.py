@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 class CapacityError(Exception):
-    """A run would need more states than ``state_cap()``, more memory, or wider state keys."""
+    """A run would need more states than ``state_cap()`` or wider state keys."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,12 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from . import dynamics
-from .basis import CapacityError, jch_sector_dim
+from .basis import jch_sector_dim
 from .dynamics import _SCAN_CHUNK, ChebyshevEngine, EigenEngine, diagonalize
 from .hamiltonians import (
     Model,
     ModelParams,
+    _check_int,
     build_basis,
     build_csr,
     build_quench_block,
@@ -61,7 +61,7 @@ __all__ = [
     "energy_series",
     "max_power",
     "charge",
-    "DENSE_LIMIT_DEFAULT",
+    "DENSE_LIMIT",
 ]
 
 # Blocks of at most this many states are diagonalized densely; larger ones
@@ -74,8 +74,10 @@ __all__ = [
 # long scan horizons, need many windows and favour dense well past the
 # size where Chebyshev wins at strong coupling.  One fixed size cannot
 # follow both; ROADMAP open item 3 tables the engine that wins per preset
-# point, measured with the scaled-disc Chebyshev scale.
-DENSE_LIMIT_DEFAULT = 2500
+# point, measured with the scaled-disc Chebyshev scale.  At this size a
+# dense block needs about 150 MB (H, its eigenvectors and the LAPACK
+# workspace), so ``dynamics.state_cap()`` is the one memory rule.
+DENSE_LIMIT = 2500
 
 _FLAT_TOL = 1e-12
 # The scan evaluates ``_SCAN_CHUNK`` grid times per call before it tests
@@ -99,6 +101,7 @@ class RabiParams:
     m: int = 1
 
     def __post_init__(self) -> None:
+        _check_int("m", self.m)
         if self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
         if not 0 <= self.beta < math.inf:
@@ -137,6 +140,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.t_max is not None and not 0 < self.t_max < math.inf:
             raise ValueError("t_max must be finite and positive")
+        _check_int("n_samples", self.n_samples)
         if self.n_samples < 4:
             raise ValueError("need at least four scan samples")
         if not 0 < self.rel_tol < 1:
@@ -210,17 +214,18 @@ class QuenchSystem:
     without enumerating the full sector.  The collective ladder, where
     every state is its own orbit, is built whole by ``build_csr`` and cut
     to the states its nonzeros connect to the initial one.  ``dim`` is the
-    size of the full basis, ``block_dim`` the size of the evolved block,
-    and ``dense_limit`` is compared with ``block_dim``.  The builders stop
-    at ``dynamics.state_cap()`` walked orbits or ladder states, so a
-    Chebyshev window always fits in memory; a dense block is checked
-    against physical memory before it is allocated.  ``on_grid(ts)``
-    returns the stored energy E(t) at each time and, with ``params``, is
-    the evaluator protocol that ``max_power`` reads.  ``energy_bound`` is the largest energy any state
-    of the block stores, an upper bound on E(t) that lets the search stop.
+    size of the full basis and ``block_dim`` the size of the evolved block;
+    a block of at most ``DENSE_LIMIT`` states is diagonalized, a larger
+    one runs on Chebyshev windows.  The builders stop at
+    ``dynamics.state_cap()`` walked orbits or ladder states, so a Chebyshev
+    window always fits in memory.  ``on_grid(ts)`` returns the stored
+    energy E(t) at each time and, with ``params``, is the evaluator
+    protocol that ``max_power`` reads.  ``energy_bound`` is the largest
+    energy any state of the block stores, an upper bound on E(t) that lets
+    the search stop.
     """
 
-    def __init__(self, params: ModelParams, dense_limit: int | None = None):
+    def __init__(self, params: ModelParams):
         self.params = params
         if params.model is Model.JCH:
             self.dim = jch_sector_dim(params.n, params.m)
@@ -241,18 +246,9 @@ class QuenchSystem:
         self.energy_bound = params.omega_c * (float(jz.max()) - self._jz0)
         psi0 = np.zeros(self.block_dim)
         psi0[start] = 1.0
-        limit = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
-        dense = self.block_dim <= limit
+        dense = self.block_dim <= DENSE_LIMIT
         self.engine = "dense" if dense else "chebyshev"
         if dense:
-            # H, its eigenvectors and the LAPACK workspace.
-            need, available = 24 * self.block_dim**2, dynamics._physical_memory()
-            if need > available:
-                raise CapacityError(
-                    f"the dense engine needs about {need / 2**30:.1f} GiB for "
-                    f"{self.block_dim} states, more than the {available / 2**30:.1f} GiB "
-                    f"of physical memory"
-                )
             self._eval = EigenEngine(diagonalize(h.toarray()), psi0, jz)
         else:
             self._eval = ChebyshevEngine(h, psi0, [jz])
@@ -261,14 +257,14 @@ class QuenchSystem:
         return self.params.omega_c * (self._eval.on_grid(ts) - self._jz0)
 
 
-def energy_series(params: ModelParams, t_grid: np.ndarray, **system_kwargs) -> np.ndarray:
+def energy_series(params: ModelParams, t_grid: np.ndarray) -> np.ndarray:
     """E(t) on the given positive, finite time grid, returned as an (len, 2) array."""
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("time grid must be a nonempty 1-D array")
     if not (ts[0] > 0 and np.all(np.diff(ts) > 0) and ts[-1] < np.inf):
         raise ValueError("time grid must be strictly increasing, positive and finite")
-    system = QuenchSystem(params, **system_kwargs)
+    system = QuenchSystem(params)
     return np.column_stack([ts, system.on_grid(ts)])
 
 
@@ -408,12 +404,7 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
     )
 
 
-def charge(
-    params: ModelParams,
-    search: SearchConfig | None = None,
-    dense_limit: int | None = None,
-) -> PowerResult:
+def charge(params: ModelParams, search: SearchConfig | None = None) -> PowerResult:
     """Build the system for ``params`` and run the power search on it."""
     config = search if search is not None else SearchConfig()
-    system = QuenchSystem(params, dense_limit=dense_limit)
-    return max_power(system, config)
+    return max_power(QuenchSystem(params), config)

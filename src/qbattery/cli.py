@@ -97,7 +97,6 @@ class RunConfig:
     out: str | None
     series_out: str | None
     plot_out: str | None
-    dense_limit: int | None
 
 
 class _Flag(NamedTuple):
@@ -144,11 +143,6 @@ _FLAGS = (
     _Flag(
         "timing", False, "include wall-clock timings in the table (breaks byte reproducibility)",
         {"action": "store_true"},
-    ),
-    _Flag(
-        "dense_limit", None,
-        "largest block of reachable states diagonalized densely (0: always Chebyshev)",
-        {"type": int},
     ),
     _Flag("delta", 0.0, "two-level/mode detuning (default 0)", {"type": float}, command="rabi"),
     _Flag("preset", None, "which sweep to run", {"choices": list(preset_names())}, command="sweep"),
@@ -279,7 +273,7 @@ _UNREAD = {
     "jch": _COLLECTIVE_ONLY + ("delta", "preset"),
     "dicke": _CHAIN_ONLY + ("delta", "preset"),
     "rabi": tuple(k for k in _MODEL_KEYS if k not in ("m", "beta"))
-    + ("rel_tol", "preset", "out", "timing", "dense_limit"),
+    + ("rel_tol", "preset", "out", "timing"),
     "sweep": _MODEL_KEYS + ("t_max", "samples", "rel_tol", "delta", "series_out"),
     "convergence": _CHAIN_ONLY + ("delta", "preset", "out", "series_out", "plot_out", "timing"),
 }
@@ -335,9 +329,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("sweep needs --out for the results table")
     if command in ("jch", "dicke", "rabi") and plot_out is not None and series_out is None:
         raise ConfigError("--plot-out for a single run needs --series-out")
-    dense_limit = merged["dense_limit"]
-    if dense_limit is not None and dense_limit < 0:
-        raise ConfigError(f"--dense-limit must be nonnegative, got {dense_limit}")
     unread = [k for k in _UNREAD[command] if merged[k] != _DEFAULTS[k]]
     if unread:
         flags = ", ".join("--" + k.replace("_", "-") for k in unread)
@@ -353,7 +344,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         out=out,
         series_out=series_out,
         plot_out=plot_out,
-        dense_limit=dense_limit,
     )
 
 
@@ -470,7 +460,7 @@ def emit_series_plot(series_path: str, image_path: str | None = None) -> str:
 
 def _run_single(run: RunConfig) -> int:
     start = time.perf_counter()
-    system = QuenchSystem(run.params, dense_limit=run.dense_limit)
+    system = QuenchSystem(run.params)
     with warnings.catch_warnings(record=True) as notes:
         warnings.simplefilter("always")
         result = max_power(system, run.search)
@@ -518,7 +508,7 @@ def _run_sweep(run: RunConfig) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec in preset_specs(run.preset):
-            rows.extend(run_sweep(spec, dense_limit=run.dense_limit))
+            rows.extend(run_sweep(spec))
     write_table(rows, run.out, include_timing=run.timing)
     failures = sum(1 for r in rows if r.error)
     print(f"preset: {run.preset}   rows: {len(rows)}   failed points: {failures}")
@@ -528,12 +518,7 @@ def _run_sweep(run: RunConfig) -> int:
 
 
 def _run_convergence(run: RunConfig) -> int:
-    converged, max_rel_diff = convergence_check(
-        run.params,
-        multipliers=run.multipliers,
-        search=run.search,
-        dense_limit=run.dense_limit,
-    )
+    converged, max_rel_diff = convergence_check(run.params, run.multipliers, run.search)
     print(f"converged: {'true' if converged else 'false'}")
     print(f"max_rel_diff: {format_float(max_rel_diff)}")
     return 0

@@ -24,10 +24,12 @@ in the window is then the real form J^T R J, with every J_k(a dt) from one
 FFT of exp(i a dt sin(theta)) (the Jacobi-Anger expansion).  No randomness
 is involved anywhere, so results are bit-reproducible run to run.
 
-Both engines take the Hamiltonian from the one sparse assembly path (the
-eigendecomposition gets its ``toarray()``), take observables as 1-D arrays
-holding their diagonals, and answer one call, ``on_grid(ts)``: the first
-observable at every requested time.  A single time is a grid of one.
+Both engines take the Hamiltonian block as a sparse matrix, which
+``build_quench_block`` walks over orbits for a chain and ``build_csr``
+assembles on the whole ladder for the collective model (the
+eigendecomposition gets its ``toarray()``).  They take observables as 1-D
+arrays holding their diagonals and answer one call, ``on_grid(ts)``: the
+first observable at every requested time.  A single time is a grid of one.
 """
 
 from __future__ import annotations

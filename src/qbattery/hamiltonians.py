@@ -42,6 +42,7 @@ enumerates the full sector.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -103,6 +104,19 @@ class MissingStateError(LookupError):
     """The quench initial state is not contained in the basis."""
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ValueError unless ``operator.index`` takes ``value``.
+
+    A count given as a float, even an integral one, is refused: downstream
+    it would be misread (a photon cutoff of 26.0, a quench row rounded from
+    n * m).
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and numerical parameters of one battery configuration.
@@ -134,6 +148,8 @@ class ModelParams:
     literal_elements: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n", "m") + (("n_max",) if self.n_max is not None else ()):
+            _check_int(name, getattr(self, name))
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if self.m < 1:
@@ -163,6 +179,7 @@ class ModelParams:
 
     def with_cutoff(self, multiplier: int) -> "ModelParams":
         """Copy with the collective photon cutoff set to ``multiplier * n * m``."""
+        _check_int("cutoff multiplier", multiplier)
         if multiplier < 1:
             raise ValueError(f"cutoff multiplier must be positive, got {multiplier}")
         return replace(self, n_max=multiplier * self.n * self.m)

@@ -1,10 +1,11 @@
 """Parameter sweeps over system size, photon filling, hopping, and coupling.
 
-Each sweep point is an independent pure computation (build basis, build
-Hamiltonian, evolve, extract the power maximum).  Points run one after
-the other in specification order; the dense path's BLAS already uses
-every core, so running points side by side only oversubscribes them.  A
-failing point is recorded in its row rather than aborting the sweep.
+Each sweep point is an independent pure computation (build the
+Hamiltonian block the quench reaches, evolve, extract the power
+maximum).  Points run one after the other in specification order; the
+dense path's BLAS already uses every core, so running points side by
+side only oversubscribes them.  A failing point is recorded in its row
+rather than aborting the sweep.
 
 The scaled-power column makes the expected scaling collapses visible
 directly in the output table: P/N against N, P/sqrt(m) against m, and
@@ -21,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .battery import PowerResult, QuenchSystem, SearchConfig, charge, max_power
-from .hamiltonians import Model, ModelParams
+from .hamiltonians import Model, ModelParams, _check_int
 
 __all__ = [
     "Axis",
@@ -89,6 +90,8 @@ class SweepSpec:
             raise ValueError("axis values must be strictly increasing")
         if self.cutoff_multipliers and self.base.model is not Model.DICKE:
             raise ValueError("cutoff multipliers only apply to the collective model")
+        for mult in self.cutoff_multipliers:
+            _check_int("cutoff multiplier", mult)
         if any(mult < 1 for mult in self.cutoff_multipliers):
             raise ValueError("cutoff multipliers must be positive integers")
         if len(set(self.cutoff_multipliers)) != len(self.cutoff_multipliers):
@@ -184,12 +187,12 @@ def sweep_row(
     )
 
 
-def _run_point(spec: SweepSpec, value, mult: int | None, dense_limit: int | None) -> SweepRow:
+def _run_point(spec: SweepSpec, value, mult: int | None) -> SweepRow:
     start = time.perf_counter()
     params = None
     try:
         params = _point_params(spec, value, mult)
-        system = QuenchSystem(params, dense_limit=dense_limit)
+        system = QuenchSystem(params)
         config = spec.search if spec.search is not None else SearchConfig()
         result = max_power(system, config)
     except Exception as err:  # recorded, never fatal for the sweep
@@ -225,18 +228,14 @@ def _mark_convergence(spec: SweepSpec, rows: list[SweepRow]) -> None:
                 row.cutoff_converged = verdict
 
 
-def run_sweep(
-    spec: SweepSpec,
-    jobs: int | None = None,
-    dense_limit: int | None = None,
-) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, jobs: int | None = None) -> list[SweepRow]:
     """All rows for one sweep spec, ordered by (axis value, cutoff multiplier).
 
     ``jobs`` is accepted for compatibility and has no effect: points run serially.
     """
     mults: tuple = spec.cutoff_multipliers if spec.cutoff_multipliers else (None,)
     points = [(value, mult) for value in spec.values for mult in mults]
-    rows = [_run_point(spec, value, mult, dense_limit) for value, mult in points]
+    rows = [_run_point(spec, value, mult) for value, mult in points]
     if spec.cutoff_multipliers:
         _mark_convergence(spec, rows)
     return rows
@@ -268,7 +267,6 @@ def convergence_check(
     params: ModelParams,
     multipliers: tuple[int, ...] = (4, 5),
     search: SearchConfig | None = None,
-    dense_limit: int | None = None,
 ) -> tuple[bool, float]:
     """Compare p_max across photon cutoffs ``mult * n * m`` for the collective model.
 
@@ -281,9 +279,7 @@ def convergence_check(
     mults = sorted(set(multipliers))
     if len(mults) < 2:
         raise InsufficientDataError("need at least two cutoff multipliers to compare")
-    powers = [
-        charge(params.with_cutoff(mult), search, dense_limit=dense_limit).p_max for mult in mults
-    ]
+    powers = [charge(params.with_cutoff(mult), search).p_max for mult in mults]
     diffs = [_relative_difference(a, b) for a, b in zip(powers[1:], powers[:-1])]
     return bool(diffs[-1] < CONVERGENCE_THRESHOLD), float(max(diffs))
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qbattery import dynamics
+from qbattery import battery, dynamics
 from qbattery.dynamics import ChebyshevEngine, state_cap
 
 
@@ -16,3 +16,13 @@ def cap_states(monkeypatch):
         assert state_cap() == states
 
     return set_cap
+
+
+@pytest.fixture
+def dense_limit(monkeypatch):
+    """Set ``battery.DENSE_LIMIT``, the largest block the dense engine takes."""
+
+    def set_limit(states: int) -> None:
+        monkeypatch.setattr(battery, "DENSE_LIMIT", states)
+
+    return set_limit

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qbattery import basis as basis_module
-from qbattery import battery, dynamics, hamiltonians
+from qbattery import battery, hamiltonians
 from qbattery.basis import CapacityError, jch_sector_dim
 from qbattery.battery import (
     DegenerateRabiError,
@@ -21,7 +21,6 @@ from qbattery.battery import (
     max_power,
     rabi_oracle,
 )
-from qbattery.cli import main
 from qbattery.dynamics import EigenEngine, diagonalize
 from qbattery.hamiltonians import (
     Model,
@@ -99,6 +98,8 @@ def test_rabi_params_validation():
         RabiParams(delta=0.0, beta=-0.1)
     with pytest.raises(ValueError):
         RabiParams(delta=0.0, beta=0.1, m=0)
+    with pytest.raises(ValueError, match="integer"):
+        RabiParams(delta=0.0, beta=0.1, m=1.5)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             RabiParams(delta=0.0, beta=bad)
@@ -183,6 +184,9 @@ def test_search_config_validation():
         SearchConfig(t_max=-1.0)
     with pytest.raises(ValueError):
         SearchConfig(n_samples=2)
+    for bad in (4.5, 4096.0):
+        with pytest.raises(ValueError, match="integer"):
+            SearchConfig(n_samples=bad)
     with pytest.raises(ValueError):
         SearchConfig(rel_tol=2.0)
     for bad in (math.nan, math.inf):
@@ -265,8 +269,9 @@ def test_energy_bound_stops_the_scan_with_the_same_result(params, engine):
     assert (a.e_max, a.t_e_max, a.e_at_tau) == (b.e_max, b.t_e_max, b.e_at_tau)
 
 
+# A limit of None keeps DENSE_LIMIT; 0 sends every block to Chebyshev.
 @pytest.mark.parametrize(
-    "params, dense_limit, engine",
+    "params, limit, engine",
     [
         (jch(n=6, m=1, beta=0.05, kappa=0.05), None, "chebyshev"),
         (dicke(n=15, m=1, beta=0.5, n_max=75), None, "dense"),
@@ -275,9 +280,13 @@ def test_energy_bound_stops_the_scan_with_the_same_result(params, engine):
         (jch(n=3, m=2, beta=0.05, kappa=0.5, topology=Topology.ALL_TO_ALL), 0, "chebyshev"),
     ],
 )
-def test_grid_values_do_not_depend_on_the_other_times_in_the_call(params, dense_limit, engine):
+def test_grid_values_do_not_depend_on_the_other_times_in_the_call(
+    params, limit, engine, dense_limit
+):
     # Every sample of the window, not only those a stopped scan reaches.
-    system = QuenchSystem(params, dense_limit=dense_limit)
+    if limit is not None:
+        dense_limit(limit)
+    system = QuenchSystem(params)
     assert system.engine == engine
     grid = SearchConfig().grid(params)
     whole = system.on_grid(grid)
@@ -379,12 +388,17 @@ def test_zero_coupling_is_flat_everywhere():
     assert result.e_max <= 1e-12
 
 
-def test_dense_and_sparse_engines_agree_on_power():
+def test_dense_and_sparse_engines_agree_on_power(dense_limit):
+    # A ladder of 52 states whose quench reaches 26: the limit counts the
+    # block inclusively, so it is dense at a limit of 26 and runs Chebyshev
+    # at 25.
     params = dicke(n=3, m=1, beta=0.5, beta_prime=0.2, n_max=12)
     config = SearchConfig(n_samples=1024)
+    dense_limit(26)
     dense = QuenchSystem(params)
-    sparse = QuenchSystem(params, dense_limit=1)
-    assert dense.engine == "dense"
+    dense_limit(25)
+    sparse = QuenchSystem(params)
+    assert (dense.dim, dense.block_dim, dense.engine) == (52, 26, "dense")
     assert sparse.engine == "chebyshev"
     r1 = max_power(dense, config)
     r2 = max_power(sparse, config)
@@ -400,7 +414,7 @@ def test_literal_matrix_convention_leaves_energy_unchanged():
     assert np.max(np.abs(physical - literal)) <= 1e-10
 
 
-def test_energy_series_validation():
+def test_energy_series_validation(dense_limit):
     params = jch(n=1, m=1, beta=0.05)
     with pytest.raises(ValueError):
         energy_series(params, np.array([]))
@@ -408,11 +422,12 @@ def test_energy_series_validation():
         energy_series(params, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         energy_series(params, np.array([2.0, 1.0]))
-    for ts in ([1.0, np.inf], [1.0, np.nan], [np.nan, 1.0]):
-        with pytest.raises(ValueError, match="finite"):
-            energy_series(params, np.array(ts), dense_limit=0)
     out = energy_series(params, np.array([1.0, 2.0]))
     assert out.shape == (2, 2)
+    dense_limit(0)
+    for ts in ([1.0, np.inf], [1.0, np.nan], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            energy_series(params, np.array(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +489,13 @@ SYMMETRIC_CASES = [
 ]
 
 
-@pytest.mark.parametrize("dense_limit", [None, 0])
+@pytest.mark.parametrize("limit", [None, 0])
 @pytest.mark.parametrize("params", SYMMETRIC_CASES)
-def test_symmetric_sector_matches_full_basis(params, dense_limit):
-    system = QuenchSystem(params, dense_limit=dense_limit)
-    assert system.engine == ("chebyshev" if dense_limit == 0 else "dense")
+def test_symmetric_sector_matches_full_basis(params, limit, dense_limit):
+    if limit is not None:
+        dense_limit(limit)
+    system = QuenchSystem(params)
+    assert system.engine == ("chebyshev" if limit == 0 else "dense")
     ts = np.linspace(0.25, default_horizon(params), 173)
     assert np.max(np.abs(system.on_grid(ts) - full_basis_energy(params, ts))) <= 1e-12
 
@@ -568,26 +585,3 @@ def test_block_sets_the_diagonalized_size(monkeypatch):
     system = QuenchSystem(dicke(n=20, m=1, beta=0.5, n_max=100))
     assert system.dim == 2121
     assert shapes == [(1061, 1061)]
-
-
-def test_memory_guard_raises_before_allocating(monkeypatch, capsys):
-    # A ladder of 2,121 states and a block of 1,061.  The dense engine needs
-    # 27 MB there, while the cap at that memory (5,863 states) admits the
-    # ladder, so the guard, not the cap, refuses.
-    params = dicke(n=20, m=1, beta=0.5, n_max=100)
-    dense_need = 3 * 8 * 1_061**2
-
-    def refuse(matrix):
-        raise AssertionError("diagonalized past the memory guard")
-
-    monkeypatch.setattr(battery, "diagonalize", refuse)
-    monkeypatch.setattr(dynamics, "_physical_memory", lambda: dense_need - 1)
-    with pytest.raises(CapacityError, match="dense engine .* physical memory"):
-        QuenchSystem(params)
-    assert QuenchSystem(params, dense_limit=0).engine == "chebyshev"
-    argv = ["dicke", "--n", "20", "--beta", "0.5", "--cutoff-mult", "5", "--dense-limit", "200000"]
-    assert main(argv) == 1
-    assert "physical memory" in capsys.readouterr().err
-    monkeypatch.setattr(dynamics, "_physical_memory", lambda: dense_need)
-    with pytest.raises(AssertionError, match="past the memory guard"):
-        QuenchSystem(params)

@@ -180,7 +180,7 @@ def test_config_file_rejections(tmp_path):
     [
         ["jch", "--n", "3", "--beta", "0.05", "--kappa", "0.5", "--topology", "ring",
          "--m", "2", "--omega-a", "1.3", "--t-max", "200", "--samples", "512",
-         "--rel-tol", "1e-8", "--jobs", "2", "--timing", "--dense-limit", "100"],
+         "--rel-tol", "1e-8", "--jobs", "2", "--timing"],
         ["dicke", "--n", "6", "--beta", "0.5", "--beta-prime", "0.3",
          "--normalization", "none", "--cutoff-mult", "4", "--literal-eq10",
          "--out", "table.csv", "--series-out", "series.csv"],
@@ -307,11 +307,13 @@ def test_single_run_writes_deterministic_outputs(tmp_path, capsys):
     "argv, engine",
     [
         (["--n", "2", "--kappa", "0.05"], "dense"),
-        (["--topology", "all", "--n", "6", "--kappa", "0.05", "--dense-limit", "0"], "chebyshev"),
+        (["--topology", "all", "--n", "6", "--kappa", "0.05"], "chebyshev"),
     ],
 )
-def test_series_covers_the_whole_window(tmp_path, capsys, argv, engine):
+def test_series_covers_the_whole_window(tmp_path, capsys, dense_limit, argv, engine):
     # The search stops early; the series file still holds every grid time.
+    if engine == "chebyshev":
+        dense_limit(0)
     series = tmp_path / "series.csv"
     assert main(["jch", "--beta", "0.05", "--series-out", str(series)] + argv) == 0
     assert f"engine: {engine}" in capsys.readouterr().out
@@ -346,7 +348,7 @@ def test_convergence_command_reports_verdict(capsys):
     assert "max_rel_diff:" in out
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, dense_limit):
     assert main(["jch", "--n", "2"]) == 2  # missing --beta
     assert main(["jch", "--n", "40", "--beta", "0.05"]) == 1  # sector too large
     capsys.readouterr()
@@ -359,7 +361,6 @@ def test_exit_codes(tmp_path, capsys):
         ["jch", "--n", "2", "--beta", "0.05", "--m", "0"],  # ModelParams
         ["dicke", "--n", "2", "--beta", "0.5", "--config", str(bad_value)],  # enum
         ["sweep", "--config", str(bad_preset), "--out", str(tmp_path / "t.csv")],
-        ["jch", "--n", "2", "--beta", "0.05", "--dense-limit", "-5"],
         ["jch", "--n", "2", "--beta", "0.05", "--t-max", "inf"],  # non-finite floats
         ["jch", "--n", "2", "--beta", "nan"],
         ["rabi", "--beta", "nan"],
@@ -368,20 +369,26 @@ def test_exit_codes(tmp_path, capsys):
     ):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
-    assert main(["jch", "--n", "2", "--beta", "0.05", "--dense-limit", "0"]) == 0
+    dense_limit(0)
+    assert main(["jch", "--n", "2", "--beta", "0.05"]) == 0
     assert "engine: chebyshev" in capsys.readouterr().out
 
 
 def test_state_cap_is_no_option(tmp_path, capsys, cap_states):
-    # The cap follows physical memory: no flag or config key sets it.
-    with pytest.raises(SystemExit) as err:
-        main(["jch", "--n", "2", "--beta", "0.05", "--max-dim", "5"])
-    assert err.value.code == 2
-    assert "--max-dim" in capsys.readouterr().err
-    cfg = tmp_path / "cap.json"
-    cfg.write_text(json.dumps({"max_dim": 5}))
-    with pytest.raises(ConfigError, match="max_dim"):
-        parse_run(["jch", "--n", "2", "--beta", "0.05", "--config", str(cfg)])
+    # The cap follows physical memory and the block picks the engine: no
+    # flag or config key sets either.
+    for key, value in (("max_dim", 5), ("dense_limit", 0)):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as err:
+            main(["jch", "--n", "2", "--beta", "0.05", flag, str(value)])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=key):
+            parse_run(["jch", "--n", "2", "--beta", "0.05", "--config", str(cfg)])
+        assert main(["jch", "--n", "2", "--beta", "0.05", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown config key")
     # Over the cap, a run exits 1 and names it: 2,687 orbits on the line,
     # and 105 ladder states at the larger of the two default cutoffs.
     cap_states(2_686)

@@ -527,3 +527,12 @@ def test_params_validation_and_derived_fields():
     assert p.with_cutoff(4).n_max == 32
     with pytest.raises(ValueError):
         p.with_cutoff(0)
+    # Counts must be integers: a float is refused, even an integral one.
+    for values in ({"m": 1.3}, {"n": 4.0}, {"n_max": 26.0}, {"m": "2"}):
+        with pytest.raises(ValueError, match="integer"):
+            dicke(**{"n": 4, "m": 1, "beta": 0.5, **values})
+    with pytest.raises(ValueError, match="integer"):
+        jch(n=3.0, m=1, beta=0.05)
+    with pytest.raises(ValueError, match="integer"):
+        p.with_cutoff(4.5)
+    assert dicke(n=np.int64(4), m=1, beta=0.5).n_max_value == 20

@@ -93,6 +93,13 @@ def test_spec_validation():
             values=(2, 3),
             cutoff_multipliers=(1, 1),
         )
+    with pytest.raises(ValueError, match="integer"):
+        SweepSpec(
+            base=dicke(n=2, m=1, beta=0.5),
+            axis=Axis.N,
+            values=(2, 3),
+            cutoff_multipliers=(4.5, 5),
+        )
     with pytest.raises(ValueError):
         SweepSpec(base=base, axis=Axis.N, values=(2.5, 3))
     with pytest.raises(ValueError):
