@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,19 @@ __all__ = [
 
 class CapacityError(Exception):
     """A run would need more states than ``state_cap()`` or wider state keys."""
+
+
+def _check_int(name: str, value) -> None:
+    """Raise ValueError unless ``operator.index`` takes ``value``.
+
+    A count given as a float, even an integral one, is refused: downstream
+    it would be misread (a photon cutoff of 26.0, a quench row rounded from
+    n * m).
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +139,8 @@ def jch_sector_dim(n_cavities: int, m: int) -> int:
     With M = N*m total excitations, k of them stored in two-level systems
     leaves M - k photons distributed over N cavities (stars and bars).
     """
+    _check_int("n_cavities", n_cavities)
+    _check_int("m", m)
     total = n_cavities * m
     return sum(
         math.comb(n_cavities, k)
@@ -219,6 +235,8 @@ def build_dicke_basis(n_systems: int, n_max: int) -> DickeBasis:
     ``CapacityError`` before enumerating when the ladder exceeds
     ``state_cap()`` states.
     """
+    _check_int("n_systems", n_systems)
+    _check_int("n_max", n_max)
     if n_systems < 1:
         raise ValueError(f"need at least one two-level system, got {n_systems}")
     if n_max < 0:

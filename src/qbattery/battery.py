@@ -36,12 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .basis import jch_sector_dim
+from .basis import _check_int, jch_sector_dim
 from .dynamics import _SCAN_CHUNK, ChebyshevEngine, EigenEngine, diagonalize
 from .hamiltonians import (
     Model,
     ModelParams,
-    _check_int,
     build_basis,
     build_csr,
     build_quench_block,
@@ -64,20 +63,36 @@ __all__ = [
     "DENSE_LIMIT",
 ]
 
-# Blocks of at most this many states are diagonalized densely; larger ones
-# are propagated with sparse Chebyshev windows.  The limit counts the states
-# of the block the quench can reach, not the full basis; for a chain those
-# are orbits of the hopping graph's automorphisms (65 for the 5,336 states
-# of the N=6 all-to-all sector).  Dense costs one O(d^3) eigh plus O(d^2)
-# per scanned time; Chebyshev costs a fixed number of sparse products per
-# window, and a window covers a fixed phase, so small couplings, with their
-# long scan horizons, need many windows and favour dense well past the
-# size where Chebyshev wins at strong coupling.  One fixed size cannot
-# follow both; ROADMAP open item 3 tables the engine that wins per preset
-# point, measured with the scaled-disc Chebyshev scale.  At this size a
-# dense block needs about 150 MB (H, its eigenvectors and the LAPACK
-# workspace), so ``dynamics.state_cap()`` is the one memory rule.
+# The largest block the dense engine takes: at this size it needs about
+# 150 MB (H, its eigenvectors and the LAPACK workspace), so
+# ``dynamics.state_cap()``, which bounds every Chebyshev window, stays the
+# one memory rule.  Below it, the block runs on the engine with the lower
+# estimate of its run time.  The limit counts the states of the block the
+# quench can reach, not the full basis; for a chain those are orbits of the
+# hopping graph's automorphisms (65 for the 5,336 states of the N=6
+# all-to-all sector).
 DENSE_LIMIT = 2500
+
+# Fixed estimates of each engine's run time in seconds on a block of d
+# states with nnz stored entries.  Dense: _DENSE_CUBE d^3 for eigh plus
+# _DENSE_SQUARE d^2 for the scan and the refinement.  Chebyshev:
+# _CHEB_FIXED for the disc bound and set-up, then per window _CHEB_WINDOW
+# plus _CHEB_FLOP per flop of its ``order`` sparse products (2 nnz each)
+# and its Gram forms (order d each).  A window covers a fixed phase, so
+# the window count follows the disc half-width times the scan length; the
+# scan is taken to stop at 1/_SCAN_SHARE of the default horizon, the
+# earliest stop on any preset point (256 of 4,096 samples).  The constants
+# are a least-squares fit, in relative error, to both engines' times on
+# the 179 preset points of 40 to 2,700 states (2-vCPU Xeon, OpenBLAS);
+# the engine they pick cost within 0.1 % of the faster one summed over
+# each preset.  They are fixed, so the choice, and with it every result,
+# is the same on every run and host.
+_DENSE_CUBE = 1.6e-11
+_DENSE_SQUARE = 2.4e-7
+_CHEB_FIXED = 9.5e-3
+_CHEB_WINDOW = 3.2e-3
+_CHEB_FLOP = 3.1e-10
+_SCAN_SHARE = 16
 
 _FLAT_TOL = 1e-12
 # The scan evaluates ``_SCAN_CHUNK`` grid times per call before it tests
@@ -182,6 +197,31 @@ def default_horizon(params: ModelParams) -> float:
     return 100.0
 
 
+def _cheaper_engine(
+    h: scipy.sparse.csr_array, horizon: float
+) -> tuple[str, tuple[float, float] | None]:
+    """The engine with the lower cost estimate for block ``h``, and its disc bounds if computed.
+
+    A block whose dense estimate is below Chebyshev's fixed cost goes
+    dense without bounding its spectrum; a block above ``DENSE_LIMIT``
+    goes Chebyshev.  Otherwise the disc bounds set the window count, and
+    the Chebyshev engine then reuses them.
+    """
+    d = h.shape[0]
+    if d > DENSE_LIMIT:
+        return "chebyshev", None
+    dense = _DENSE_CUBE * d**3 + _DENSE_SQUARE * d**2
+    if dense < _CHEB_FIXED:
+        return "dense", None
+    lo, hi = ChebyshevEngine._scaled_discs(h)
+    phase = ChebyshevEngine._WINDOW_PHASE
+    order = ChebyshevEngine._pick_order(phase)
+    windows = math.ceil(0.5 * (hi - lo) * horizon / (_SCAN_SHARE * phase))
+    flops = order * (2 * h.nnz + order * d)
+    chebyshev = _CHEB_FIXED + windows * (_CHEB_WINDOW + _CHEB_FLOP * flops)
+    return ("dense" if dense <= chebyshev else "chebyshev"), (lo, hi)
+
+
 def _reachable_block(h: scipy.sparse.csr_array, start: int) -> np.ndarray:
     """Sorted indices of the states that the nonzeros of ``h`` connect to ``start``.
 
@@ -214,9 +254,10 @@ class QuenchSystem:
     without enumerating the full sector.  The collective ladder, where
     every state is its own orbit, is built whole by ``build_csr`` and cut
     to the states its nonzeros connect to the initial one.  ``dim`` is the
-    size of the full basis and ``block_dim`` the size of the evolved block;
-    a block of at most ``DENSE_LIMIT`` states is diagonalized, a larger
-    one runs on Chebyshev windows.  The builders stop at
+    size of the full basis and ``block_dim`` the size of the evolved block.
+    ``engine`` is the cheaper of the two by fixed cost estimates
+    (``_cheaper_engine``): dense diagonalization, for at most
+    ``DENSE_LIMIT`` states, or Chebyshev windows.  The builders stop at
     ``dynamics.state_cap()`` walked orbits or ladder states, so a Chebyshev
     window always fits in memory.  ``on_grid(ts)`` returns the stored
     energy E(t) at each time and, with ``params``, is the evaluator
@@ -246,12 +287,11 @@ class QuenchSystem:
         self.energy_bound = params.omega_c * (float(jz.max()) - self._jz0)
         psi0 = np.zeros(self.block_dim)
         psi0[start] = 1.0
-        dense = self.block_dim <= DENSE_LIMIT
-        self.engine = "dense" if dense else "chebyshev"
-        if dense:
+        self.engine, bounds = _cheaper_engine(h, default_horizon(params))
+        if self.engine == "dense":
             self._eval = EigenEngine(diagonalize(h.toarray()), psi0, jz)
         else:
-            self._eval = ChebyshevEngine(h, psi0, [jz])
+            self._eval = ChebyshevEngine(h, psi0, [jz], bounds)
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         return self.params.omega_c * (self._eval.on_grid(ts) - self._jz0)

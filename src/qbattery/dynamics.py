@@ -127,8 +127,10 @@ class ChebyshevEngine:
     """Diagonal-observable evaluator driven by Chebyshev-expanded propagation.
 
     ``diags`` lists the diagonal observables to track (each becomes one real
-    form per window).  The engine lazily extends its covered time range;
-    querying any t within the range never touches the large vectors again.
+    form per window).  ``bounds`` holds (lo, hi) from ``_scaled_discs(h)``
+    when the caller has already computed them.  The engine lazily extends
+    its covered time range; querying any t within the range never touches
+    the large vectors again.
     """
 
     # Target phase a*dt per window; the expansion order is this plus the
@@ -144,7 +146,13 @@ class ChebyshevEngine:
     # x <= 50 the largest alias is J_161(50), about 3e-64.
     _BESSEL_POINTS = 256
 
-    def __init__(self, h: scipy.sparse.csr_array, psi0: np.ndarray, diags: list[np.ndarray]):
+    def __init__(
+        self,
+        h: scipy.sparse.csr_array,
+        psi0: np.ndarray,
+        diags: list[np.ndarray],
+        bounds: tuple[float, float] | None = None,
+    ):
         if h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be square")
         dim = h.shape[0]
@@ -155,7 +163,7 @@ class ChebyshevEngine:
         for d in self._diags:
             if d.shape != (dim,):
                 raise ValueError("observable length does not match the Hamiltonian")
-        lo, hi = self._scaled_discs(h)
+        lo, hi = bounds if bounds is not None else self._scaled_discs(h)
         center = 0.5 * (hi + lo)
         half = 0.5 * (hi - lo)
         # Pad so the true spectrum sits strictly inside [-1, 1] after scaling.

@@ -42,7 +42,6 @@ enumerates the full sector.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -54,6 +53,7 @@ from .basis import (
     CapacityError,
     DickeBasis,
     JchBasis,
+    _check_int,
     _key_base,
     _pack_keys,
     build_dicke_basis,
@@ -102,19 +102,6 @@ class BasisMismatchError(ValueError):
 
 class MissingStateError(LookupError):
     """The quench initial state is not contained in the basis."""
-
-
-def _check_int(name: str, value) -> None:
-    """Raise ValueError unless ``operator.index`` takes ``value``.
-
-    A count given as a float, even an integral one, is refused: downstream
-    it would be misread (a photon cutoff of 26.0, a quench row rounded from
-    n * m).
-    """
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

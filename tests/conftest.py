@@ -19,10 +19,10 @@ def cap_states(monkeypatch):
 
 
 @pytest.fixture
-def dense_limit(monkeypatch):
-    """Set ``battery.DENSE_LIMIT``, the largest block the dense engine takes."""
+def force_engine(monkeypatch):
+    """Run every ``QuenchSystem`` built after the call on the named engine, whatever its block."""
 
-    def set_limit(states: int) -> None:
-        monkeypatch.setattr(battery, "DENSE_LIMIT", states)
+    def force(engine: str) -> None:
+        monkeypatch.setattr(battery, "_cheaper_engine", lambda h, horizon: (engine, None))
 
-    return set_limit
+    return force

@@ -159,6 +159,19 @@ def test_jch_validation(n, m):
         build_jch_sector(n, m)
 
 
+def test_jch_sector_refuses_a_float_count():
+    # A float count used to reach math.comb and raise TypeError.
+    for n, m in ((2, 1.5), (2.0, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_jch_sector(n, m)
+
+
+def test_jch_sector_dim_refuses_a_float_count():
+    for n, m in ((2, 1.5), (2.0, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            jch_sector_dim(n, m)
+
+
 def test_jch_state_length_mismatch():
     basis = build_jch_sector(2, 1)
     with pytest.raises(ValueError):
@@ -192,6 +205,13 @@ def test_dicke_validation():
         build_dicke_basis(0, 5)
     with pytest.raises(ValueError):
         build_dicke_basis(2, -1)
+
+
+def test_dicke_basis_refuses_a_float_count():
+    # A cutoff of 4.5 used to build a 17-state ladder holding 5 photons.
+    for n, n_max in ((2, 4.5), (2.0, 4)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_dicke_basis(n, n_max)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from qbattery.battery import (
     max_power,
     rabi_oracle,
 )
-from qbattery.dynamics import EigenEngine, diagonalize
+from qbattery.dynamics import ChebyshevEngine, EigenEngine, diagonalize
 from qbattery.hamiltonians import (
     Model,
     ModelParams,
@@ -251,9 +251,9 @@ class Recording(HiddenBound):
         (dicke(n=15, m=1, beta=0.5, n_max=75), "dense"),
     ],
 )
-def test_energy_bound_stops_the_scan_with_the_same_result(params, engine):
+def test_energy_bound_stops_the_scan_with_the_same_result(params, engine, force_engine):
+    force_engine(engine)
     system = QuenchSystem(params)
-    assert system.engine == engine
     stopped, full = Recording(system), HiddenBound(system)
     a = max_power(stopped, SearchConfig())
     b = max_power(full, SearchConfig())
@@ -269,25 +269,29 @@ def test_energy_bound_stops_the_scan_with_the_same_result(params, engine):
     assert (a.e_max, a.t_e_max, a.e_at_tau) == (b.e_max, b.t_e_max, b.e_at_tau)
 
 
-# A limit of None keeps DENSE_LIMIT; 0 sends every block to Chebyshev.
+# The ids are those the cases had when a size limit of None (the default)
+# or 0 picked the engine.
 @pytest.mark.parametrize(
-    "params, limit, engine",
+    "params, engine",
     [
-        (jch(n=6, m=1, beta=0.05, kappa=0.05), None, "chebyshev"),
-        (dicke(n=15, m=1, beta=0.5, n_max=75), None, "dense"),
-        (jch(n=4, m=1, beta=0.05, kappa=0.1, topology=Topology.RING), None, "dense"),
-        (dicke(n=10, m=1, beta=0.5, n_max=50), 0, "chebyshev"),
-        (jch(n=3, m=2, beta=0.05, kappa=0.5, topology=Topology.ALL_TO_ALL), 0, "chebyshev"),
+        (jch(n=6, m=1, beta=0.05, kappa=0.05), "chebyshev"),
+        (dicke(n=15, m=1, beta=0.5, n_max=75), "dense"),
+        (jch(n=4, m=1, beta=0.05, kappa=0.1, topology=Topology.RING), "dense"),
+        (dicke(n=10, m=1, beta=0.5, n_max=50), "chebyshev"),
+        (jch(n=3, m=2, beta=0.05, kappa=0.5, topology=Topology.ALL_TO_ALL), "chebyshev"),
+    ],
+    ids=[
+        "params0-None-chebyshev",
+        "params1-None-dense",
+        "params2-None-dense",
+        "params3-0-chebyshev",
+        "params4-0-chebyshev",
     ],
 )
-def test_grid_values_do_not_depend_on_the_other_times_in_the_call(
-    params, limit, engine, dense_limit
-):
+def test_grid_values_do_not_depend_on_the_other_times_in_the_call(params, engine, force_engine):
     # Every sample of the window, not only those a stopped scan reaches.
-    if limit is not None:
-        dense_limit(limit)
+    force_engine(engine)
     system = QuenchSystem(params)
-    assert system.engine == engine
     grid = SearchConfig().grid(params)
     whole = system.on_grid(grid)
     chunks = [system.on_grid(grid[i : i + 128]) for i in range(0, grid.shape[0], 128)]
@@ -388,15 +392,13 @@ def test_zero_coupling_is_flat_everywhere():
     assert result.e_max <= 1e-12
 
 
-def test_dense_and_sparse_engines_agree_on_power(dense_limit):
-    # A ladder of 52 states whose quench reaches 26: the limit counts the
-    # block inclusively, so it is dense at a limit of 26 and runs Chebyshev
-    # at 25.
+def test_dense_and_sparse_engines_agree_on_power(force_engine):
+    # A ladder of 52 states whose quench reaches 26.
     params = dicke(n=3, m=1, beta=0.5, beta_prime=0.2, n_max=12)
     config = SearchConfig(n_samples=1024)
-    dense_limit(26)
+    force_engine("dense")
     dense = QuenchSystem(params)
-    dense_limit(25)
+    force_engine("chebyshev")
     sparse = QuenchSystem(params)
     assert (dense.dim, dense.block_dim, dense.engine) == (52, 26, "dense")
     assert sparse.engine == "chebyshev"
@@ -414,7 +416,7 @@ def test_literal_matrix_convention_leaves_energy_unchanged():
     assert np.max(np.abs(physical - literal)) <= 1e-10
 
 
-def test_energy_series_validation(dense_limit):
+def test_energy_series_validation(force_engine):
     params = jch(n=1, m=1, beta=0.05)
     with pytest.raises(ValueError):
         energy_series(params, np.array([]))
@@ -424,7 +426,7 @@ def test_energy_series_validation(dense_limit):
         energy_series(params, np.array([2.0, 1.0]))
     out = energy_series(params, np.array([1.0, 2.0]))
     assert out.shape == (2, 2)
-    dense_limit(0)
+    force_engine("chebyshev")
     for ts in ([1.0, np.inf], [1.0, np.nan], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="finite"):
             energy_series(params, np.array(ts))
@@ -458,7 +460,10 @@ def full_basis_energy(params, ts):
         (jch(n=2, m=2, beta=0.3, kappa=0.7, topology=Topology.RING), 9),  # doubled bond
     ],
 )
-def test_block_matches_full_basis(params, block_dim):
+def test_block_matches_full_basis(params, block_dim, force_engine):
+    # Dense on both sides, so only the block is compared: at 608 states
+    # Chebyshev differs from the full-basis reference by about 1.3e-12.
+    force_engine("dense")
     system = QuenchSystem(params)
     assert system.dim == build_basis(params).dim
     assert system.block_dim == block_dim
@@ -489,13 +494,13 @@ SYMMETRIC_CASES = [
 ]
 
 
-@pytest.mark.parametrize("limit", [None, 0])
+# The ids are those the cases had when a size limit of None (the default,
+# dense on every case) or 0 picked the engine.
+@pytest.mark.parametrize("engine", ["dense", "chebyshev"], ids=["None", "0"])
 @pytest.mark.parametrize("params", SYMMETRIC_CASES)
-def test_symmetric_sector_matches_full_basis(params, limit, dense_limit):
-    if limit is not None:
-        dense_limit(limit)
+def test_symmetric_sector_matches_full_basis(params, engine, force_engine):
+    force_engine(engine)
     system = QuenchSystem(params)
-    assert system.engine == ("chebyshev" if limit == 0 else "dense")
     ts = np.linspace(0.25, default_horizon(params), 173)
     assert np.max(np.abs(system.on_grid(ts) - full_basis_energy(params, ts))) <= 1e-12
 
@@ -574,7 +579,8 @@ def test_uncoupled_collective_system_keeps_one_state():
     assert result.p_max == 0.0 and result.e_max == 0.0
 
 
-def test_block_sets_the_diagonalized_size(monkeypatch):
+def test_block_sets_the_diagonalized_size(monkeypatch, force_engine):
+    force_engine("dense")
     shapes = []
 
     def recording(matrix):
@@ -585,3 +591,96 @@ def test_block_sets_the_diagonalized_size(monkeypatch):
     system = QuenchSystem(dicke(n=20, m=1, beta=0.5, n_max=100))
     assert system.dim == 2121
     assert shapes == [(1061, 1061)]
+
+
+# ---------------------------------------------------------------------------
+# The engine each block runs on: the lower of two fixed cost estimates.
+
+
+def test_engine_follows_the_cost_estimates():
+    # The fig5 beta = 0.5 curve at cutoffs 4x and 5x n*m: dense up to 281
+    # states, Chebyshev from 488.
+    picked = {
+        (n, mult): QuenchSystem(dicke(n=n, m=1, beta=0.5).with_cutoff(mult))
+        for n in (2, 5, 10, 15)
+        for mult in (4, 5)
+    }
+    assert {key: (s.block_dim, s.engine) for key, s in picked.items()} == {
+        (2, 4): (14, "dense"),
+        (2, 5): (17, "dense"),
+        (5, 4): (63, "dense"),
+        (5, 5): (78, "dense"),
+        (10, 4): (226, "dense"),
+        (10, 5): (281, "dense"),
+        (15, 4): (488, "chebyshev"),
+        (15, 5): (608, "chebyshev"),
+    }
+    # fig2's kappa = 0.5 line: the 2,687 orbits at N=6 are past DENSE_LIMIT.
+    line = [QuenchSystem(jch(n=n, m=1, beta=0.05, kappa=0.5)) for n in (4, 5, 6)]
+    assert [(s.block_dim, s.engine) for s in line] == [
+        (100, "dense"),
+        (514, "chebyshev"),
+        (2_687, "chebyshev"),
+    ]
+    # Weak coupling scans a long horizon in many windows, so dense wins at 1,061.
+    weak = QuenchSystem(dicke(n=20, m=1, beta=0.05, n_max=100))
+    assert (weak.block_dim, weak.engine) == (1_061, "dense")
+
+
+def test_dense_limit_caps_the_dense_engine(monkeypatch):
+    # A 26-state block, far below the cost at which Chebyshev could win.
+    params = dicke(n=3, m=1, beta=0.5, beta_prime=0.2, n_max=12)
+    monkeypatch.setattr(battery, "DENSE_LIMIT", 26)
+    assert QuenchSystem(params).engine == "dense"
+    monkeypatch.setattr(battery, "DENSE_LIMIT", 25)
+    assert QuenchSystem(params).engine == "chebyshev"
+
+
+def test_disc_bound_is_computed_at_most_once_and_never_for_tiny_blocks(monkeypatch):
+    calls = []
+    discs = ChebyshevEngine._scaled_discs
+
+    def counting(h):
+        calls.append(h.shape[0])
+        return discs(h)
+
+    monkeypatch.setattr(ChebyshevEngine, "_scaled_discs", staticmethod(counting))
+    tiny = [
+        jch(n=2, m=1, beta=0.05, kappa=0.05),
+        jch(n=3, m=1, beta=0.05, kappa=1.0),
+        jch(n=7, m=1, beta=0.05),
+        jch(n=6, m=1, beta=0.05, kappa=0.05, topology=Topology.ALL_TO_ALL),
+        dicke(n=8, m=1, beta=0.5, n_max=40),
+    ]
+    assert [QuenchSystem(p).engine for p in tiny] == ["dense"] * len(tiny)
+    assert calls == []
+    # Bounded for the choice, then dense; bounded for the choice and reused
+    # by the engine; past DENSE_LIMIT, bounded by the engine alone.
+    for params, engine, states in (
+        (dicke(n=20, m=1, beta=0.05, n_max=100), "dense", 1_061),
+        (dicke(n=15, m=1, beta=0.5, n_max=75), "chebyshev", 608),
+        (jch(n=6, m=1, beta=0.05, kappa=0.5), "chebyshev", 2_687),
+    ):
+        calls.clear()
+        assert QuenchSystem(params).engine == engine
+        assert calls == [states]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dicke(n=15, m=1, beta=0.5, n_max=75),
+        jch(n=5, m=1, beta=0.05, kappa=0.05),
+        dicke(n=10, m=5, beta=0.05, n_max=250),
+    ],
+)
+def test_engines_agree_where_the_cost_estimates_moved_the_choice(params, force_engine):
+    # Blocks below DENSE_LIMIT that the estimates send to Chebyshev.
+    assert QuenchSystem(params).engine == "chebyshev"
+    config = SearchConfig(n_samples=1024)
+    force_engine("dense")
+    dense = charge(params, config)
+    force_engine("chebyshev")
+    sparse = charge(params, config)
+    assert sparse.p_max == pytest.approx(dense.p_max, rel=1e-12, abs=0.0)
+    assert sparse.tau == pytest.approx(dense.tau, rel=1e-6)

@@ -310,10 +310,9 @@ def test_single_run_writes_deterministic_outputs(tmp_path, capsys):
         (["--topology", "all", "--n", "6", "--kappa", "0.05"], "chebyshev"),
     ],
 )
-def test_series_covers_the_whole_window(tmp_path, capsys, dense_limit, argv, engine):
+def test_series_covers_the_whole_window(tmp_path, capsys, force_engine, argv, engine):
     # The search stops early; the series file still holds every grid time.
-    if engine == "chebyshev":
-        dense_limit(0)
+    force_engine(engine)
     series = tmp_path / "series.csv"
     assert main(["jch", "--beta", "0.05", "--series-out", str(series)] + argv) == 0
     assert f"engine: {engine}" in capsys.readouterr().out
@@ -348,7 +347,7 @@ def test_convergence_command_reports_verdict(capsys):
     assert "max_rel_diff:" in out
 
 
-def test_exit_codes(tmp_path, capsys, dense_limit):
+def test_exit_codes(tmp_path, capsys, force_engine):
     assert main(["jch", "--n", "2"]) == 2  # missing --beta
     assert main(["jch", "--n", "40", "--beta", "0.05"]) == 1  # sector too large
     capsys.readouterr()
@@ -369,7 +368,7 @@ def test_exit_codes(tmp_path, capsys, dense_limit):
     ):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
-    dense_limit(0)
+    force_engine("chebyshev")
     assert main(["jch", "--n", "2", "--beta", "0.05"]) == 0
     assert "engine: chebyshev" in capsys.readouterr().out
 
