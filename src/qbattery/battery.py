@@ -86,7 +86,9 @@ DENSE_LIMIT = 2500
 # the 179 preset points of 40 to 2,700 states (2-vCPU Xeon, OpenBLAS);
 # the engine they pick cost within 0.1 % of the faster one summed over
 # each preset.  They are fixed, so the choice, and with it every result,
-# is the same on every run and host.
+# is the same on every run and host.  They predate the stacked Gram
+# product and the folded Bessel table, which made each window cheaper, and
+# are kept so that every block runs on the engine it ran on before.
 _DENSE_CUBE = 1.6e-11
 _DENSE_SQUARE = 2.4e-7
 _CHEB_FIXED = 9.5e-3

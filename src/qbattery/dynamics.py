@@ -16,13 +16,17 @@ polynomial propagator on the sparse Hamiltonian (A. Weisse et al., Rev.
 Mod. Phys. 78, 275 (2006)), scaled into [-1, 1] by the Gershgorin discs of
 D^-1 H D, with a positive D from a few power steps (R. S. Varga, Gersgorin
 and His Circles, 2004).  Evolution proceeds in fixed windows; in each, the
-expansion vectors w_k = T_k(Hs) psi are contracted once with each tracked
-diagonal observable into a Gram matrix G_kk' = <w_k| diag |w_k'>, stored
+expansion vectors w_k = T_k(Hs) psi of the state's real and imaginary
+parts are the rows of one array S, run from the stored 2 Hs.  Scaled in
+place by sqrt(diag), S gives the Gram matrix G_kk' = <w_k| diag |w_k'> of
+each tracked diagonal observable from one symmetric product S S^T, stored
 folded with the phases of the coefficients gamma_k (-i)^k J_k(a dt) as the
 real R = Re(gamma_k gamma_k' i^(k-k') G_kk').  The observable at any time
-in the window is then the real form J^T R J, with every J_k(a dt) from one
-FFT of exp(i a dt sin(theta)) (the Jacobi-Anger expansion).  No randomness
-is involved anywhere, so results are bit-reproducible run to run.
+in the window is then the real form J^T R J.  Every J_k(a dt) comes from
+the trapezoidal rule on 256 points for Bessel's integral (the Jacobi-Anger
+expansion), folded onto the 65 distinct values of |sin(theta)|: two fixed
+tables times their cosines and sines.  No randomness is involved
+anywhere, so results are bit-reproducible run to run.
 
 Both engines take the Hamiltonian block as a sparse matrix, which
 ``build_quench_block`` walks over orbits for a chain and ``build_csr``
@@ -127,10 +131,14 @@ class ChebyshevEngine:
     """Diagonal-observable evaluator driven by Chebyshev-expanded propagation.
 
     ``diags`` lists the diagonal observables to track (each becomes one real
-    form per window).  ``bounds`` holds (lo, hi) from ``_scaled_discs(h)``
-    when the caller has already computed them.  The engine lazily extends
-    its covered time range; querying any t within the range never touches
-    the large vectors again.
+    form per window); their entries must be finite and nonnegative, since
+    the Gram forms weight the vectors by their square roots.  A window
+    scales its Chebyshev vectors in place for the last diagonal and one
+    reused copy of them for every other, so tracking more than one diagonal
+    doubles a window's memory.  ``bounds`` holds (lo, hi) from
+    ``_scaled_discs(h)`` when the caller has already computed them.  The
+    engine lazily extends its covered time range; querying any t within the
+    range never touches the large vectors again.
     """
 
     # Target phase a*dt per window; the expansion order is this plus the
@@ -142,7 +150,8 @@ class ChebyshevEngine:
     # hopping graph; a larger one slows the steps down.
     _DISC_STEPS = 40
     _DISC_SHIFT = 0.1
-    # The FFT aliases J_k(x) with J_(k+256j)(x); below the order and at
+    # Points of the trapezoidal rule for the Bessel integral over one
+    # period.  It aliases J_k(x) with J_(k+256j)(x); below the order and at
     # x <= 50 the largest alias is J_161(50), about 3e-64.
     _BESSEL_POINTS = 256
 
@@ -159,10 +168,14 @@ class ChebyshevEngine:
         psi0 = np.asarray(psi0, dtype=float)
         if psi0.shape != (dim,):
             raise ValueError("initial vector length does not match the Hamiltonian")
-        self._diags = [np.asarray(d, dtype=float) for d in diags]
-        for d in self._diags:
+        self._roots = []
+        for d in diags:
+            d = np.asarray(d, dtype=float)
             if d.shape != (dim,):
                 raise ValueError("observable length does not match the Hamiltonian")
+            if not (np.isfinite(d).all() and (d >= 0).all()):
+                raise ValueError("a tracked diagonal must be finite and nonnegative")
+            self._roots.append(np.sqrt(d))
         lo, hi = bounds if bounds is not None else self._scaled_discs(h)
         center = 0.5 * (hi + lo)
         half = 0.5 * (hi - lo)
@@ -170,7 +183,8 @@ class ChebyshevEngine:
         half = half * (1.0 + 1e-9) + 1e-12
         self._center = center
         self._half = half
-        self._h_scaled = (h - scipy.sparse.eye_array(dim, format="csr") * center) * (1.0 / half)
+        # 2 Hs: doubling is exact, so the recurrence keeps the bits of Hs.
+        self._h_twice = (h - scipy.sparse.eye_array(dim, format="csr") * center) * (2.0 / half)
         self._dt = self._WINDOW_PHASE / half
         self._order = self._pick_order(self._WINDOW_PHASE)
         ks = np.arange(self._order)
@@ -179,7 +193,6 @@ class ChebyshevEngine:
         self._phases = np.where(ks == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[ks % 4]
         fold = np.outer(self._phases.conj(), self._phases)
         self._fold_re, self._fold_im = fold.real.copy(), fold.imag.copy()
-        self._sin_theta = np.sin(2.0 * np.pi * np.arange(self._BESSEL_POINTS) / self._BESSEL_POINTS)
         self._windows: list[_Window] = []
         self._starts: np.ndarray = np.empty(0)
         self._t_end = 0.0
@@ -190,10 +203,10 @@ class ChebyshevEngine:
     def window_bytes(cls, dim: int) -> int:
         """Bytes of the (order, dim) arrays one window holds at once.
 
-        The real and imaginary expansion vectors, and one scratch array for
-        their diagonal-weighted copies.
+        The real and imaginary expansion vectors, which the Gram step scales
+        in place; tracking more than one diagonal adds one scaled copy.
         """
-        return 3 * cls._pick_order(cls._WINDOW_PHASE) * dim * 8
+        return 2 * cls._pick_order(cls._WINDOW_PHASE) * dim * 8
 
     @classmethod
     def _scaled_discs(cls, h: scipy.sparse.csr_array) -> tuple[float, float]:
@@ -228,49 +241,87 @@ class ChebyshevEngine:
             raise RuntimeError("could not find a converged expansion order")
         return int(ks[below[0]]) + 4
 
-    def _bessel(self, x: np.ndarray) -> np.ndarray:
-        """J_k(x) for k < order, each column on its own: the FFT over theta of
-        exp(i x sin(theta)) = sum_k J_k(x) exp(i k theta)."""
-        waves = np.exp(1j * x[:, None] * self._sin_theta[None, :])
-        return np.fft.fft(waves, axis=1, norm="forward").real[:, : self._order].T
+    @classmethod
+    @functools.cache
+    def _bessel_table(cls, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct |sin(theta)| of the rule's points, and what multiplies
+        their cosines (even k) and sines (odd k) in J_k.
 
-    def _expand(self, vector: np.ndarray) -> np.ndarray:
-        """The Chebyshev vectors T_k(Hs) vector, k = 0..order-1, one per row."""
-        q = np.empty((self._order, vector.shape[0]))
+        With theta_j = 2 pi j / P, J_k(x) = (1/P) sum_j cos(k theta_j - x sin
+        theta_j).  The points j, P/2 - j, P/2 + j and P - j share s = |sin
+        theta_j|; summed together they leave 4 cos(x s) cos(k theta_j) for
+        even k and 4 sin(x s) sin(k theta_j) for odd k.  At theta = 0 and
+        pi/2 only two points meet.
+        """
+        quarter = cls._BESSEL_POINTS // 4
+        theta = 0.5 * np.pi * np.arange(quarter + 1) / quarter
+        weights = np.full(quarter + 1, 4.0 / cls._BESSEL_POINTS)
+        weights[[0, quarter]] = 2.0 / cls._BESSEL_POINTS
+        ks = np.arange(order)
+        even = weights[:, None] * np.cos(np.outer(theta, ks[0::2]))
+        odd = weights[:, None] * np.sin(np.outer(theta, ks[1::2]))
+        return np.sin(theta), even, odd
+
+    def _bessel(self, x: np.ndarray) -> np.ndarray:
+        """J_k(x) for k < order, as (blocks, ``_PAD_COLUMNS``, order).
+
+        x is padded with zeros to whole blocks, and each block is one
+        product, so no value depends on the other x in the call.
+        """
+        blocks = np.zeros(-(-x.shape[0] // _PAD_COLUMNS) * _PAD_COLUMNS)
+        blocks[: x.shape[0]] = x
+        sines, even, odd = self._bessel_table(self._order)
+        waves = blocks.reshape(-1, _PAD_COLUMNS, 1) * sines
+        j = np.empty(waves.shape[:2] + (self._order,))
+        j[..., 0::2] = np.cos(waves) @ even
+        j[..., 1::2] = np.sin(waves) @ odd
+        return j
+
+    def _expand(self, vector: np.ndarray, q: np.ndarray) -> None:
+        """Fill the rows of ``q`` with the Chebyshev vectors T_k(Hs) vector, k = 0..order-1."""
         q[0] = vector
-        q[1] = self._h_scaled @ vector
+        np.multiply(self._h_twice @ vector, 0.5, out=q[1])
         for k in range(2, self._order):
-            q[k] = 2.0 * (self._h_scaled @ q[k - 1]) - q[k - 2]
-        return q
+            np.subtract(self._h_twice @ q[k - 1], q[k - 2], out=q[k])
 
     def _advance_window(self) -> None:
-        q_re = self._expand(self._state_re)
+        order = self._order
         # The state stays real until the first window has run; every product
         # with its zero imaginary part would be zero, so none is taken.
-        q_im = self._expand(self._state_im) if self._state_im.any() else None
-        forms = []
-        # The diagonal-weighted copies share one buffer, so a window holds
-        # three (order, dim) arrays, as ``window_bytes`` counts.
-        w = np.empty_like(q_re)
-        for diag in self._diags:
-            # G = Q^H diag Q with Q = q_re + i q_im (rows are vectors): its
-            # real part is gram, its imaginary part skew.
-            gram = np.multiply(q_re, diag[None, :], out=w) @ q_re.T
-            skew = 0.0
-            if q_im is not None:
-                g_ri = w @ q_im.T
-                gram += np.multiply(q_im, diag[None, :], out=w) @ q_im.T
-                skew = g_ri - g_ri.T
-            forms.append(self._fold_re * gram - self._fold_im * skew)
-        window = _Window(t0=self._t_end, t1=self._t_end + self._dt, forms=forms)
-        c = self._phases * self._bessel(np.array([self._half * self._dt]))[:, 0]
+        real = not self._state_im.any()
+        # Rows: the real part's vectors, then the imaginary part's.
+        s = np.empty((order if real else 2 * order, self._state_re.shape[0]))
+        self._expand(self._state_re, s[:order])
+        if not real:
+            self._expand(self._state_im, s[order:])
+        c = self._phases * self._bessel(np.array([self._half * self._dt]))[0, 0]
         # exp(-i*center*dt) is a global phase; it cancels in every bilinear
         # form evaluated here, so the stored state simply omits it.
-        re, im = c.real @ q_re, c.imag @ q_re
-        if q_im is not None:
-            re -= c.imag @ q_im
-            im += c.real @ q_im
-        self._state_re, self._state_im = re, im
+        if real:
+            mix = np.stack([c.real, c.imag])
+        else:
+            mix = np.block([[c.real, -c.imag], [c.imag, c.real]])
+        self._state_re, self._state_im = mix @ s
+        forms = []
+        scratch = None
+        for i, root in enumerate(self._roots):
+            # G = Q^H diag Q with Q = q_re + i q_im (rows are vectors) comes
+            # from the symmetric product of the stacked rows scaled by
+            # sqrt(diag): its real part is gram, its imaginary part skew.
+            # The last diagonal scales the vectors themselves, every other
+            # one reused copy.
+            if i < len(self._roots) - 1:
+                w = scratch = np.multiply(s, root, out=scratch)
+            else:
+                w = np.multiply(s, root, out=s)
+            g = w @ w.T
+            if real:
+                forms.append(self._fold_re * g)
+                continue
+            off = g[:order, order:]
+            gram = g[:order, :order] + g[order:, order:]
+            forms.append(self._fold_re * gram - self._fold_im * (off - off.T))
+        window = _Window(t0=self._t_end, t1=self._t_end + self._dt, forms=forms)
         self._windows.append(window)
         self._starts = np.append(self._starts, window.t0)
         self._t_end = window.t1
@@ -280,12 +331,9 @@ class ChebyshevEngine:
             self._advance_window()
 
     def _value_in_window(self, window: _Window, which: int, dts: np.ndarray) -> np.ndarray:
-        n = dts.shape[0]
-        padded = np.zeros(-(-n // _PAD_COLUMNS) * _PAD_COLUMNS)
-        padded[:n] = dts
-        j = self._bessel(self._half * padded)
-        y = np.hstack([window.forms[which] @ b for b in np.hsplit(j, j.shape[1] // _PAD_COLUMNS)])
-        return np.einsum("ks,ks->s", j, y)[:n]
+        j = self._bessel(self._half * dts)
+        y = j @ window.forms[which]
+        return np.einsum("bsk,bsk->bs", j, y).reshape(-1)[: dts.shape[0]]
 
     def values_on_grid(self, which: int, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -317,8 +365,10 @@ def _physical_memory() -> int:
 def state_cap() -> int:
     """Most states a run may build: a block whose Chebyshev window fills half of physical memory.
 
-    Every builder checks its size against this before it allocates.  A
-    chain's walk peaks at 1.5-1.8 kB per orbit and the collective ladder at
-    under 0.3 kB per state, so a build at the cap stays within about 40 %.
+    Every builder checks its size against this before it allocates.  The
+    cap allows 3 kB of physical memory per state.  Measured with
+    ``tracemalloc``, a chain's walk peaks at about 1.5-1.8 kB per orbit
+    (60,163 to 432,394 orbits) and the collective ladder at under 0.3 kB
+    per state, so a build at the cap stays within about 60 %.
     """
     return _physical_memory() // (2 * ChebyshevEngine.window_bytes(1))

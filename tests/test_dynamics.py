@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 from scipy.special import jv
 
 from qbattery import dynamics
+from qbattery.battery import _reachable_block
 from qbattery.dynamics import ChebyshevEngine, EigenEngine, Spectrum, diagonalize
 from qbattery.hamiltonians import (
     Model,
@@ -17,6 +18,7 @@ from qbattery.hamiltonians import (
     build_basis,
     build_csr,
     build_quench_block,
+    initial_index,
     initial_state,
     jz_diagonal,
 )
@@ -274,7 +276,7 @@ def test_first_chebyshev_window_propagates_only_the_real_part():
             self.products += 1
             return self.matrix @ vector
 
-    counting = cheb._h_scaled = Counting(cheb._h_scaled)
+    counting = cheb._h_twice = Counting(cheb._h_twice)
     order = cheb._order
     cheb.extend(0.0)
     assert (len(cheb._windows), counting.products) == (1, order - 1)
@@ -283,6 +285,65 @@ def test_first_chebyshev_window_propagates_only_the_real_part():
     ts = np.linspace(0.0, cheb._t_end, 41)
     exact = EigenEngine(diagonalize(h), psi0, jz)
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
+
+
+def _forms_by_three_products(cheb, diags):
+    """The next window's forms from its Chebyshev vectors, each Gram block a product of its own."""
+    order, dim = cheb._order, cheb._state_re.shape[0]
+    q_re, q_im = np.empty((order, dim)), np.empty((order, dim))
+    cheb._expand(cheb._state_re, q_re)
+    cheb._expand(cheb._state_im, q_im)
+    forms = []
+    for diag in diags:
+        g_ri = (q_re * diag) @ q_im.T
+        gram = (q_re * diag) @ q_re.T + (q_im * diag) @ q_im.T
+        forms.append(cheb._fold_re * gram - cheb._fold_im * (g_ri - g_ri.T))
+    return forms
+
+
+def _line_block_with_photons():
+    params = jch(n=6, m=1, beta=0.05, kappa=0.5)
+    block = build_quench_block(params)
+    photons = params.n * params.m - block.jz / params.omega_a
+    return block.h, block.start, [block.jz, photons]
+
+
+def _dicke_block_with_photons():
+    params = dicke(n=15, m=1, beta=0.5, n_max=75)
+    basis = build_basis(params)
+    h = build_csr(params, basis)
+    start = initial_index(params, basis)
+    keep = _reachable_block(h, start)
+    diags = [jz_diagonal(params, basis)[keep], basis.n[keep].astype(float)]
+    return h[keep][:, keep], int(np.searchsorted(keep, start)), diags
+
+
+@pytest.mark.parametrize("make", [_line_block_with_photons, _dicke_block_with_photons])
+def test_stacked_gram_forms_match_separate_products(make):
+    h, start, diags = make()
+    psi0 = np.zeros(h.shape[0])
+    psi0[start] = 1.0
+    cheb = ChebyshevEngine(h, psi0, diags)
+    # The first window is real; the third holds both parts.
+    for window in (0, 2):
+        while len(cheb._windows) < window:
+            cheb._advance_window()
+        expected = _forms_by_three_products(cheb, diags)
+        cheb._advance_window()
+        for got, want in zip(cheb._windows[window].forms, expected, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -1.0, np.nan, np.inf])
+def test_chebyshev_rejects_a_negative_or_non_finite_diagonal(bad):
+    params = jch(n=2, m=1, beta=0.3, kappa=0.2)
+    basis, _, jz, psi0 = _system(params)
+    h = build_csr(params, basis)
+    diag = jz.copy()
+    diag[-1] = bad
+    for diags in ([diag], [jz, diag], [diag, jz]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ChebyshevEngine(h, psi0, diags)
 
 
 def test_chebyshev_window_memory_is_what_window_bytes_counts():
@@ -350,11 +411,11 @@ def test_bessel_coefficients_match_jv():
     basis, _, jz, psi0 = _system(params)
     cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
     xs = np.array([0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 17.3, 25.0, 33.3, 49.9, 50.0])
-    got = cheb._bessel(xs)
+    got = cheb._bessel(xs).reshape(-1, cheb._order)[: xs.shape[0]]
     ks = np.arange(cheb._order)
-    assert np.max(np.abs(got - jv(ks[:, None], xs[None, :]))) <= 5e-15
+    assert np.max(np.abs(got - jv(ks[None, :], xs[:, None]))) <= 5e-15
     for i in range(xs.shape[0]):
-        assert np.array_equal(got[:, i], cheb._bessel(xs[i : i + 1])[:, 0])
+        assert np.array_equal(got[i], cheb._bessel(xs[i : i + 1])[0, 0])
 
 
 def test_engines_reject_non_finite_times():
