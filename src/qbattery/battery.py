@@ -88,7 +88,9 @@ DENSE_LIMIT = 2500
 # each preset.  They are fixed, so the choice, and with it every result,
 # is the same on every run and host.  They predate the stacked Gram
 # product and the folded Bessel table, which made each window cheaper, and
-# are kept so that every block runs on the engine it ran on before.
+# the two-sided windows, which need about half as many (the count above is
+# still one window per phase); they are kept so that every block runs on
+# the engine it ran on before.
 _DENSE_CUBE = 1.6e-11
 _DENSE_SQUARE = 2.4e-7
 _CHEB_FIXED = 9.5e-3
@@ -217,7 +219,7 @@ def _cheaper_engine(
         return "dense", None
     lo, hi = ChebyshevEngine._scaled_discs(h)
     phase = ChebyshevEngine._WINDOW_PHASE
-    order = ChebyshevEngine._pick_order(phase)
+    order = ChebyshevEngine._WINDOW_ORDER
     windows = math.ceil(0.5 * (hi - lo) * horizon / (_SCAN_SHARE * phase))
     flops = order * (2 * h.nnz + order * d)
     chebyshev = _CHEB_FIXED + windows * (_CHEB_WINDOW + _CHEB_FLOP * flops)

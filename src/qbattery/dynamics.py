@@ -12,20 +12,31 @@ sign of y.  V stays real, so a grid of times costs two real matrix
 products, O(dim^2) per requested time, and is exact for every t.
 
 Sectors too large to diagonalize densely are handled by a Chebyshev
-polynomial propagator on the sparse Hamiltonian (A. Weisse et al., Rev.
-Mod. Phys. 78, 275 (2006)), scaled into [-1, 1] by the Gershgorin discs of
+polynomial propagator on the sparse Hamiltonian (H. Tal-Ezer and R.
+Kosloff, J. Chem. Phys. 81, 3967 (1984); A. Weisse et al., Rev. Mod.
+Phys. 78, 275 (2006)), scaled into [-1, 1] by the Gershgorin discs of
 D^-1 H D, with a positive D from a few power steps (R. S. Varga, Gersgorin
-and His Circles, 2004).  Evolution proceeds in fixed windows; in each, the
-expansion vectors w_k = T_k(Hs) psi of the state's real and imaginary
-parts are the rows of one array S, run from the stored 2 Hs.  Scaled in
-place by sqrt(diag), S gives the Gram matrix G_kk' = <w_k| diag |w_k'> of
-each tracked diagonal observable from one symmetric product S S^T, stored
-folded with the phases of the coefficients gamma_k (-i)^k J_k(a dt) as the
-real R = Re(gamma_k gamma_k' i^(k-k') G_kk').  The observable at any time
-in the window is then the real form J^T R J.  Every J_k(a dt) comes from
-the trapezoidal rule on 256 points for Bessel's integral (the Jacobi-Anger
-expansion), folded onto the 65 distinct values of |sin(theta)|: two fixed
-tables times their cosines and sines.  No randomness is involved
+and His Circles, 2004).  Evolution proceeds in two-sided windows: each is
+expanded at a center c and answers every time c + tau with |tau| <= dt,
+since the expansion sum_k gamma_k (-i)^k J_k(a tau) T_k(Hs) holds for
+negative tau too.  In a window, the expansion vectors w_k = T_k(Hs)
+psi(c) of the state's real and imaginary parts are the rows of one array
+S, run from the stored 2 Hs.  Scaled in place by sqrt(diag), S gives the
+Gram matrix G_kk' = <w_k| diag |w_k'> of each tracked diagonal
+observable from one symmetric product S S^T, stored folded with the
+phases of the coefficients as the real R = Re(gamma_k gamma_k' i^(k-k')
+G_kk').  The observable at c + tau is then the real form J^T R J with
+J_k = J_k(a tau).  The first window sits at c = 0, covers [0, dt] and
+expands only the real initial state; the next centers are 2 dt, 4 dt and
+so on, so reaching t takes 1 + ceil((t - dt) / (2 dt)) windows.  The
+state jumps 2 dt to the next center by continuing the window's
+recurrence from its last two vectors up to the order a phase of 2 a dt
+needs, folding each new vector into the state as it is made; the jump
+runs only when the next window is asked for.  Every J_k(x) comes from
+the trapezoidal rule for Bessel's integral (the Jacobi-Anger expansion),
+on 256 points in a window and 512 for the jump, folded onto the distinct
+values of |sin(theta)|: two fixed tables times their cosines and sines,
+which also gives J_k(-x) = (-1)^k J_k(x).  No randomness is involved
 anywhere, so results are bit-reproducible run to run.
 
 Both engines take the Hamiltonian block as a sparse matrix, which
@@ -44,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.special import jv
 
 __all__ = [
     "Spectrum",
@@ -123,7 +133,7 @@ class EigenEngine:
 @dataclass
 class _Window:
     t0: float
-    t1: float
+    center: float
     forms: list[np.ndarray]
 
 
@@ -137,23 +147,28 @@ class ChebyshevEngine:
     reused copy of them for every other, so tracking more than one diagonal
     doubles a window's memory.  ``bounds`` holds (lo, hi) from
     ``_scaled_discs(h)`` when the caller has already computed them.  The
-    engine lazily extends its covered time range; querying any t within the
-    range never touches the large vectors again.
+    engine lazily extends its covered time range, one two-sided window of
+    [c - dt, c + dt] at a time (the first only [0, dt]); querying any t
+    within the range never touches the large vectors again.
     """
 
-    # Target phase a*dt per window; the expansion order is this plus the
-    # superexponential Bessel tail.
+    # Target phase a*dt on each side of a window, and the phase 2 a dt of a
+    # jump between centers.  Each expansion order is the first k >= phase + 4
+    # with |J_k(phase)| < 1e-16, plus 4.
     _WINDOW_PHASE = 50.0
-    _TAIL_CUTOFF = 1e-16
+    _WINDOW_ORDER = 96
+    _JUMP_ORDER = 156
     # Power steps that scale the discs.  A shift of a tenth of the largest
     # radius keeps D positive and damps the period-two swing of a bipartite
     # hopping graph; a larger one slows the steps down.
     _DISC_STEPS = 40
     _DISC_SHIFT = 0.1
     # Points of the trapezoidal rule for the Bessel integral over one
-    # period.  It aliases J_k(x) with J_(k+256j)(x); below the order and at
-    # x <= 50 the largest alias is J_161(50), about 3e-64.
+    # period.  It aliases J_k(x) with J_(k+Pj)(x); below the window order
+    # and at |x| <= 50 the largest alias is J_161(50), about 3e-64, and below
+    # the jump order at x = 100 it is J_357(100), about 3e-155.
     _BESSEL_POINTS = 256
+    _JUMP_BESSEL_POINTS = 512
 
     def __init__(
         self,
@@ -186,27 +201,32 @@ class ChebyshevEngine:
         # 2 Hs: doubling is exact, so the recurrence keeps the bits of Hs.
         self._h_twice = (h - scipy.sparse.eye_array(dim, format="csr") * center) * (2.0 / half)
         self._dt = self._WINDOW_PHASE / half
-        self._order = self._pick_order(self._WINDOW_PHASE)
-        ks = np.arange(self._order)
+        ks = np.arange(self._JUMP_ORDER)
         # gamma_k (-i)^k; each product in the fold is 0, +-1, +-2 or +-4, so
         # folding rounds nothing.
-        self._phases = np.where(ks == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[ks % 4]
-        fold = np.outer(self._phases.conj(), self._phases)
+        phases = np.where(ks == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[ks % 4]
+        fold = np.outer(phases[: self._WINDOW_ORDER].conj(), phases[: self._WINDOW_ORDER])
         self._fold_re, self._fold_im = fold.real.copy(), fold.imag.copy()
+        x = np.array([2.0 * half * self._dt])
+        self._jump = phases * self._bessel(x, self._JUMP_ORDER, self._JUMP_BESSEL_POINTS)[0, 0]
         self._windows: list[_Window] = []
         self._starts: np.ndarray = np.empty(0)
         self._t_end = 0.0
         self._state_re = psi0.copy()
         self._state_im = np.zeros(dim)
+        # The last two window vectors of each part while a jump is pending;
+        # the state then holds the jump's sum over the window's vectors.
+        self._tails: list[np.ndarray] = []
 
     @classmethod
     def window_bytes(cls, dim: int) -> int:
         """Bytes of the (order, dim) arrays one window holds at once.
 
         The real and imaginary expansion vectors, which the Gram step scales
-        in place; tracking more than one diagonal adds one scaled copy.
+        in place; tracking more than one diagonal adds one scaled copy.  The
+        jump to the next center runs after they are freed, on eight vectors.
         """
-        return 2 * cls._pick_order(cls._WINDOW_PHASE) * dim * 8
+        return 2 * cls._WINDOW_ORDER * dim * 8
 
     @classmethod
     def _scaled_discs(cls, h: scipy.sparse.csr_array) -> tuple[float, float]:
@@ -233,17 +253,7 @@ class ChebyshevEngine:
 
     @classmethod
     @functools.cache
-    def _pick_order(cls, phase: float) -> int:
-        ks = np.arange(int(np.ceil(phase)) + 4, int(np.ceil(phase)) + 400)
-        tails = np.abs(jv(ks, phase))
-        below = np.nonzero(tails < cls._TAIL_CUTOFF)[0]
-        if below.size == 0:
-            raise RuntimeError("could not find a converged expansion order")
-        return int(ks[below[0]]) + 4
-
-    @classmethod
-    @functools.cache
-    def _bessel_table(cls, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _bessel_table(cls, order: int, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct |sin(theta)| of the rule's points, and what multiplies
         their cosines (even k) and sines (odd k) in J_k.
 
@@ -253,16 +263,19 @@ class ChebyshevEngine:
         even k and 4 sin(x s) sin(k theta_j) for odd k.  At theta = 0 and
         pi/2 only two points meet.
         """
-        quarter = cls._BESSEL_POINTS // 4
+        quarter = points // 4
         theta = 0.5 * np.pi * np.arange(quarter + 1) / quarter
-        weights = np.full(quarter + 1, 4.0 / cls._BESSEL_POINTS)
-        weights[[0, quarter]] = 2.0 / cls._BESSEL_POINTS
+        weights = np.full(quarter + 1, 4.0 / points)
+        weights[[0, quarter]] = 2.0 / points
         ks = np.arange(order)
         even = weights[:, None] * np.cos(np.outer(theta, ks[0::2]))
         odd = weights[:, None] * np.sin(np.outer(theta, ks[1::2]))
         return np.sin(theta), even, odd
 
-    def _bessel(self, x: np.ndarray) -> np.ndarray:
+    @classmethod
+    def _bessel(
+        cls, x: np.ndarray, order: int = _WINDOW_ORDER, points: int = _BESSEL_POINTS
+    ) -> np.ndarray:
         """J_k(x) for k < order, as (blocks, ``_PAD_COLUMNS``, order).
 
         x is padded with zeros to whole blocks, and each block is one
@@ -270,9 +283,9 @@ class ChebyshevEngine:
         """
         blocks = np.zeros(-(-x.shape[0] // _PAD_COLUMNS) * _PAD_COLUMNS)
         blocks[: x.shape[0]] = x
-        sines, even, odd = self._bessel_table(self._order)
+        sines, even, odd = cls._bessel_table(order, points)
         waves = blocks.reshape(-1, _PAD_COLUMNS, 1) * sines
-        j = np.empty(waves.shape[:2] + (self._order,))
+        j = np.empty(waves.shape[:2] + (order,))
         j[..., 0::2] = np.cos(waves) @ even
         j[..., 1::2] = np.sin(waves) @ odd
         return j
@@ -281,27 +294,52 @@ class ChebyshevEngine:
         """Fill the rows of ``q`` with the Chebyshev vectors T_k(Hs) vector, k = 0..order-1."""
         q[0] = vector
         np.multiply(self._h_twice @ vector, 0.5, out=q[1])
-        for k in range(2, self._order):
+        for k in range(2, self._WINDOW_ORDER):
             np.subtract(self._h_twice @ q[k - 1], q[k - 2], out=q[k])
 
+    def _land(self) -> None:
+        """Finish the pending jump: each part's recurrence runs on from its
+        last two window vectors to the jump order, and every new vector is
+        added to the state as it is made.
+
+        The coefficient of T_k is real for even k and imaginary for odd k,
+        so each vector of the real part adds to one part of the state, and
+        each of the imaginary part (times i) to the other.
+        """
+        re, im = self._state_re, self._state_im
+        for part, (prev, last) in enumerate(self._tails):
+            for k in range(self._WINDOW_ORDER, self._JUMP_ORDER):
+                prev, last = last, np.subtract(self._h_twice @ last, prev, out=prev)
+                c = self._jump[k] * 1j**part
+                if (k + part) % 2 == 0:
+                    re += c.real * last
+                else:
+                    im += c.imag * last
+        self._tails = []
+
     def _advance_window(self) -> None:
-        order = self._order
-        # The state stays real until the first window has run; every product
-        # with its zero imaginary part would be zero, so none is taken.
+        order = self._WINDOW_ORDER
+        if self._tails:
+            self._land()
+        # The state stays real until the first jump; every product with its
+        # zero imaginary part would be zero, so none is taken.
         real = not self._state_im.any()
         # Rows: the real part's vectors, then the imaginary part's.
         s = np.empty((order if real else 2 * order, self._state_re.shape[0]))
         self._expand(self._state_re, s[:order])
         if not real:
             self._expand(self._state_im, s[order:])
-        c = self._phases * self._bessel(np.array([self._half * self._dt]))[0, 0]
-        # exp(-i*center*dt) is a global phase; it cancels in every bilinear
-        # form evaluated here, so the stored state simply omits it.
+        # The jump to the next center starts as the sum over these vectors.
+        # The spectrum's midpoint E adds the global phase exp(-i*E*2dt); it
+        # cancels in every bilinear form evaluated here, so the stored state
+        # simply omits it.
+        c = self._jump[:order]
         if real:
             mix = np.stack([c.real, c.imag])
         else:
             mix = np.block([[c.real, -c.imag], [c.imag, c.real]])
         self._state_re, self._state_im = mix @ s
+        self._tails = [s[k - 2 : k].copy() for k in range(order, s.shape[0] + 1, order)]
         forms = []
         scratch = None
         for i, root in enumerate(self._roots):
@@ -309,7 +347,8 @@ class ChebyshevEngine:
             # from the symmetric product of the stacked rows scaled by
             # sqrt(diag): its real part is gram, its imaginary part skew.
             # The last diagonal scales the vectors themselves, every other
-            # one reused copy.
+            # one reused copy.  The product is symmetric, so both parts are
+            # formed in place on its blocks.
             if i < len(self._roots) - 1:
                 w = scratch = np.multiply(s, root, out=scratch)
             else:
@@ -318,22 +357,26 @@ class ChebyshevEngine:
             if real:
                 forms.append(self._fold_re * g)
                 continue
-            off = g[:order, order:]
-            gram = g[:order, :order] + g[order:, order:]
-            forms.append(self._fold_re * gram - self._fold_im * (off - off.T))
-        window = _Window(t0=self._t_end, t1=self._t_end + self._dt, forms=forms)
+            gram, skew = g[:order, :order], g[:order, order:]
+            gram += g[order:, order:]
+            skew -= g[order:, :order]
+            gram *= self._fold_re
+            skew *= self._fold_im
+            forms.append(gram - skew)
+        center = self._windows[-1].center + 2.0 * self._dt if self._windows else 0.0
+        window = _Window(t0=self._t_end, center=center, forms=forms)
         self._windows.append(window)
         self._starts = np.append(self._starts, window.t0)
-        self._t_end = window.t1
+        self._t_end = center + self._dt
 
     def extend(self, t_target: float) -> None:
         while self._t_end < t_target or not self._windows:
             self._advance_window()
 
-    def _value_in_window(self, window: _Window, which: int, dts: np.ndarray) -> np.ndarray:
-        j = self._bessel(self._half * dts)
+    def _value_in_window(self, window: _Window, which: int, taus: np.ndarray) -> np.ndarray:
+        j = self._bessel(self._half * taus)
         y = j @ window.forms[which]
-        return np.einsum("bsk,bsk->bs", j, y).reshape(-1)[: dts.shape[0]]
+        return np.einsum("bsk,bsk->bs", j, y).reshape(-1)[: taus.shape[0]]
 
     def values_on_grid(self, which: int, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -350,7 +393,7 @@ class ChebyshevEngine:
         for w in np.unique(idx):
             sel = idx == w
             window = self._windows[int(w)]
-            out[sel] = self._value_in_window(window, which, ts[sel] - window.t0)
+            out[sel] = self._value_in_window(window, which, ts[sel] - window.center)
         return out
 
     # The evaluator protocol shared with EigenEngine: first observable only.

@@ -1,5 +1,6 @@
 """Spectra, exact propagation, and the sparse Chebyshev evaluator."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -263,25 +264,32 @@ def test_chebyshev_tracks_multiple_observables():
         assert np.max(np.abs(cheb.values_on_grid(which, ts) - exact.on_grid(ts))) <= 1e-10
 
 
+class Counting:
+    """Stands in for the engine's 2 Hs and counts its sparse products."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, vector):
+        self.products += 1
+        return self.matrix @ vector
+
+
 def test_first_chebyshev_window_propagates_only_the_real_part():
     params = jch(n=2, m=1, beta=0.2, kappa=0.3)
     basis, h, jz, psi0 = _system(params)
     cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
-
-    class Counting:
-        def __init__(self, matrix):
-            self.matrix, self.products = matrix, 0
-
-        def __matmul__(self, vector):
-            self.products += 1
-            return self.matrix @ vector
-
     counting = cheb._h_twice = Counting(cheb._h_twice)
-    order = cheb._order
+    order = ChebyshevEngine._WINDOW_ORDER
+    jump = ChebyshevEngine._JUMP_ORDER - order
     cheb.extend(0.0)
     assert (len(cheb._windows), counting.products) == (1, order - 1)
+    # The jump from the real state runs one recurrence on; the window at
+    # 2 dt expands both parts, and its own jump waits for the next window.
     cheb.extend(2.5 * cheb._dt)
-    assert (len(cheb._windows), counting.products) == (3, 5 * (order - 1))
+    assert (len(cheb._windows), counting.products) == (2, 3 * (order - 1) + jump)
+    cheb.extend(4.5 * cheb._dt)
+    assert (len(cheb._windows), counting.products) == (3, 5 * (order - 1) + 3 * jump)
     ts = np.linspace(0.0, cheb._t_end, 41)
     exact = EigenEngine(diagonalize(h), psi0, jz)
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
@@ -289,7 +297,7 @@ def test_first_chebyshev_window_propagates_only_the_real_part():
 
 def _forms_by_three_products(cheb, diags):
     """The next window's forms from its Chebyshev vectors, each Gram block a product of its own."""
-    order, dim = cheb._order, cheb._state_re.shape[0]
+    order, dim = ChebyshevEngine._WINDOW_ORDER, cheb._state_re.shape[0]
     q_re, q_im = np.empty((order, dim)), np.empty((order, dim))
     cheb._expand(cheb._state_re, q_re)
     cheb._expand(cheb._state_im, q_im)
@@ -324,10 +332,12 @@ def test_stacked_gram_forms_match_separate_products(make):
     psi0 = np.zeros(h.shape[0])
     psi0[start] = 1.0
     cheb = ChebyshevEngine(h, psi0, diags)
-    # The first window is real; the third holds both parts.
+    # The first window is real; the third, at 4 dt, holds both parts.
     for window in (0, 2):
         while len(cheb._windows) < window:
             cheb._advance_window()
+        if cheb._tails:
+            cheb._land()
         expected = _forms_by_three_products(cheb, diags)
         cheb._advance_window()
         for got, want in zip(cheb._windows[window].forms, expected, strict=True):
@@ -356,15 +366,17 @@ def test_chebyshev_window_memory_is_what_window_bytes_counts():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cheb.extend(2.5 * cheb._dt)
+        cheb.extend(4.5 * cheb._dt)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    # Both jumps ran, from the real state and from a complex one.
     assert len(cheb._windows) == 3
     # The three windows' Gram matrices and the products that form them,
     # and a few state vectors: less than one more (order, dim) array.
-    slack = 10 * 8 * cheb._order**2 + 8 * 8 * block.dim
-    assert slack < 8 * cheb._order * block.dim
+    order = ChebyshevEngine._WINDOW_ORDER
+    slack = 10 * 8 * order**2 + 8 * 8 * block.dim
+    assert slack < 8 * order * block.dim
     assert peak <= ChebyshevEngine.window_bytes(block.dim) + slack
 
 
@@ -407,15 +419,64 @@ def test_scaled_discs_are_tight_on_a_line_and_cut_the_windows():
 
 
 def test_bessel_coefficients_match_jv():
+    xs = np.array([0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 17.3, 25.0, 33.3, 49.9, 50.0])
+    # Times before a window's center take negative arguments.
+    xs = np.concatenate([xs, -xs[1:]])
+    order = ChebyshevEngine._WINDOW_ORDER
+    got = ChebyshevEngine._bessel(xs).reshape(-1, order)[: xs.shape[0]]
+    ks = np.arange(order)
+    assert np.max(np.abs(got - jv(ks[None, :], xs[:, None]))) <= 5e-15
+    for i in range(xs.shape[0]):
+        assert np.array_equal(got[i], ChebyshevEngine._bessel(xs[i : i + 1])[0, 0])
+
+
+def test_expansion_orders_and_jump_coefficients_match_jv():
+    # Each order is the first k >= phase + 4 with |J_k(phase)| < 1e-16, plus 4.
+    phase = ChebyshevEngine._WINDOW_PHASE
+    assert (phase, 2 * phase) == (50.0, 100.0)
+    for x, order in ((phase, ChebyshevEngine._WINDOW_ORDER), (2 * phase, ChebyshevEngine._JUMP_ORDER)):
+        ks = np.arange(math.ceil(x) + 4, math.ceil(x) + 400)
+        assert ks[np.nonzero(np.abs(jv(ks, x)) < 1e-16)[0][0]] + 4 == order
     params = jch(n=2, m=1, beta=0.3, kappa=0.2)
     basis, _, jz, psi0 = _system(params)
     cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
-    xs = np.array([0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 17.3, 25.0, 33.3, 49.9, 50.0])
-    got = cheb._bessel(xs).reshape(-1, cheb._order)[: xs.shape[0]]
-    ks = np.arange(cheb._order)
-    assert np.max(np.abs(got - jv(ks[None, :], xs[:, None]))) <= 5e-15
-    for i in range(xs.shape[0]):
-        assert np.array_equal(got[i], cheb._bessel(xs[i : i + 1])[0, 0])
+    ks = np.arange(ChebyshevEngine._JUMP_ORDER)
+    x = 2.0 * cheb._half * cheb._dt
+    phases = np.where(ks == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[ks % 4]
+    assert np.max(np.abs(cheb._jump / phases - jv(ks, x))) <= 5e-15
+    jump = ChebyshevEngine._bessel(np.array([100.0]), ks.shape[0], ChebyshevEngine._JUMP_BESSEL_POINTS)
+    assert np.max(np.abs(jump[0, 0] - jv(ks, 100.0))) <= 5e-15
+
+
+def _short_line_block():
+    block = build_quench_block(jch(n=5, m=1, beta=0.05, kappa=0.5))
+    return block.h, block.start, [block.jz]
+
+
+@pytest.mark.parametrize("make", [_short_line_block, _dicke_block_with_photons])
+def test_two_sided_windows_match_the_eigenbasis(make):
+    h, start, diags = make()
+    psi0 = np.zeros(h.shape[0])
+    psi0[start] = 1.0
+    exact = EigenEngine(diagonalize(h.toarray()), psi0, diags[0])
+    cheb = ChebyshevEngine(h, psi0, diags[:1])
+    dt = cheb._dt
+    # Both sides of the second and third centers, 2 dt and 4 dt.
+    offsets = np.array([-1.0, -0.7, -0.3, 0.0, 0.4, 0.9, 1.0])
+    ts = np.concatenate([2 * dt + offsets * dt, 4 * dt + offsets * dt])
+    assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
+    assert [w.center for w in cheb._windows] == [0.0, 2 * dt, 4 * dt]
+    # Reaching t takes 1 + ceil((t - dt) / (2 dt)) windows.
+    cheb = ChebyshevEngine(h, psi0, diags[:1])
+    for t in np.array([0.5, 2.9, 3.2, 6.1, 9.7, 13.4]) * dt:
+        cheb.extend(t)
+        assert len(cheb._windows) == 1 + math.ceil((t - dt) / (2 * dt))
+    # The jump to the next center waits for that window, so no time up to
+    # the end of the last one takes a sparse product.
+    counting = cheb._h_twice = Counting(cheb._h_twice)
+    late = np.linspace(cheb._windows[-1].t0, cheb._t_end, 17)
+    assert np.max(np.abs(cheb.on_grid(late) - exact.on_grid(late))) <= 1e-10
+    assert counting.products == 0
 
 
 def test_engines_reject_non_finite_times():
