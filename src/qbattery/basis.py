@@ -1,26 +1,23 @@
 """State spaces for the lattice and collective cavity-QED battery models.
 
-Two basis constructions are provided, both stored as integer arrays with
-one row per basis state:
+A chain of cavities, each holding one two-level system, conserves its
+excitation number, so its quench stays in the sector of N*m excitations.
+That sector is never enumerated: ``jch_sector_dim`` gives its size in
+closed form, and ``_key_base`` and ``_pack_keys`` pack each state (per-cavity
+photon numbers and two-level occupations) into one integer key, which the
+orbit walk of ``hamiltonians.build_quench_block`` orders its states by.
 
-* a fixed-excitation sector for a chain of cavities, each holding one
-  two-level system: ``photons`` and ``spins`` are ``(dim, N)`` arrays of
-  per-cavity photon numbers and two-level occupations; and
-* a photon-number-truncated collective basis ``(n, q)`` for N identical
-  two-level systems coupled to a single mode, where the columns ``n``
-  count photons and ``q`` counts systems left in their ground state.
-
-Each basis maps states back to their row through ``rank``: a binary
-search on packed integer keys for the sector, the closed form
-``n * (N + 1) + q`` for the collective ladder.  Both enumerations are
-deterministic: building the same basis twice yields states in the same
-order, so matrix and vector indices are reproducible.  Both compare their
-closed-form size with ``dynamics.state_cap()`` before they enumerate.
+The collective model's states ``(n, q)`` for N identical two-level systems
+coupled to a single mode, where ``n`` counts photons and ``q`` counts
+systems left in their ground state, form a photon-number-truncated ladder
+stored as integer columns, one row per state.  ``rank`` maps states back
+to rows by the closed form ``n * (N + 1) + q``.  The enumeration is
+deterministic and compares its closed-form size with
+``dynamics.state_cap()`` before it allocates.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,13 +27,9 @@ import numpy as np
 from .dynamics import state_cap
 
 __all__ = [
-    "JchBasis",
     "DickeBasis",
-    "BasisIndex",
     "CapacityError",
-    "total_excitations",
     "jch_sector_dim",
-    "build_jch_sector",
     "dicke_dim",
     "build_dicke_basis",
 ]
@@ -56,47 +49,6 @@ def _check_int(name: str, value) -> None:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-@dataclass(frozen=True, eq=False)
-class JchBasis:
-    """Excitation sector of the cavity chain, one state per row.
-
-    ``keys`` packs each row into one int64 (``_pack_keys``), strictly
-    increasing with the row index, so ``rank`` is a binary search.
-    """
-
-    photons: np.ndarray
-    spins: np.ndarray
-    keys: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.photons.shape[0]
-
-    @property
-    def excitations(self) -> int:
-        return int(self.photons[0].sum() + self.spins[0].sum())
-
-    def rank(self, photons, spins) -> np.ndarray:
-        """Row index of each state (or of the single state) given by ``photons`` and ``spins``.
-
-        Raises ``ValueError`` for rows of the wrong length and ``KeyError``
-        for a state outside this sector.
-        """
-        photons = np.asarray(photons, dtype=np.int64)
-        spins = np.asarray(spins, dtype=np.int64)
-        if photons.shape != spins.shape or photons.shape[-1:] != self.photons.shape[1:]:
-            raise ValueError("photons and spins must have one entry per cavity")
-        base = self.excitations + 1
-        # Digits out of range would carry into a neighbour and alias a valid key.
-        if np.any((photons < 0) | (photons >= base) | ((spins != 0) & (spins != 1))):
-            raise KeyError("state is not in this basis")
-        keys = _pack_keys(photons, spins, base)
-        idx = np.minimum(np.searchsorted(self.keys, keys), self.dim - 1)
-        if not np.array_equal(self.keys[idx], keys):
-            raise KeyError("state is not in this basis")
-        return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,15 +74,6 @@ class DickeBasis:
         if np.any((n < 0) | (n > self.n_max) | (q < 0) | (q > self.n_systems)):
             raise KeyError("state is not in this basis")
         return n * (self.n_systems + 1) + q
-
-
-# Either basis: both have ``dim`` and a ``rank`` from states to rows.
-BasisIndex = JchBasis | DickeBasis
-
-
-def total_excitations(photons, spins) -> np.ndarray:
-    """Conserved excitation number of each state: photons plus excited two-level systems."""
-    return np.sum(photons, axis=-1) + np.sum(spins, axis=-1)
 
 
 def jch_sector_dim(n_cavities: int, m: int) -> int:
@@ -170,58 +113,6 @@ def _pack_keys(photons: np.ndarray, spins: np.ndarray, base: int) -> np.ndarray:
     bits = np.int64(1) << np.arange(n_cavities, dtype=np.int64)
     digits = np.int64(base) ** np.arange(n_cavities - 1, -1, -1, dtype=np.int64)
     return (spins @ bits) * np.int64(base) ** n_cavities + photons @ digits
-
-
-def _photon_rows(total: int, parts: int) -> np.ndarray:
-    """All ``parts``-tuples of nonnegative ints summing to ``total``, lexicographic.
-
-    Stars and bars: the positions of ``parts - 1`` bars among
-    ``total + parts - 1`` slots, taken in lexicographic order, give the
-    compositions in lexicographic order.
-    """
-    slots = total + parts - 1
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-        dtype=np.int64,
-    )
-    bars = flat.reshape(math.comb(slots, parts - 1), parts - 1)
-    edges = np.hstack(
-        [np.full((bars.shape[0], 1), -1), bars, np.full((bars.shape[0], 1), slots)]
-    )
-    return np.diff(edges, axis=1) - 1
-
-
-def build_jch_sector(n_cavities: int, m: int) -> JchBasis:
-    """Enumerate the excitation sector reached by quenching m photons into each cavity.
-
-    The sector holds every configuration with ``sum(photons) + sum(spins)
-    == n_cavities * m``.  States are ordered by the spin pattern read as a
-    little-endian bit integer (cavity 0 is the least significant bit), then
-    by the photon tuple in lexicographic order.  Raises ``CapacityError``
-    before enumerating when the sector exceeds ``state_cap()`` states or
-    its keys would not fit in 64 bits.
-    """
-    if n_cavities < 1:
-        raise ValueError(f"need at least one cavity, got {n_cavities}")
-    if m < 1:
-        raise ValueError(f"photons per cavity must be positive, got {m}")
-    dim = jch_sector_dim(n_cavities, m)
-    cap = state_cap()
-    if dim > cap:
-        raise CapacityError(
-            f"sector for N={n_cavities}, m={m} holds {dim} states, "
-            f"over the cap of {cap} set by physical memory"
-        )
-    total = n_cavities * m
-    base = _key_base(n_cavities, m)
-    patterns = (np.arange(2**n_cavities)[:, None] >> np.arange(n_cavities)) & 1
-    left = total - patterns.sum(axis=1)
-    blocks = {k: _photon_rows(k, n_cavities) for k in np.unique(left)}
-    photons = np.concatenate([blocks[k] for k in left])
-    spins = np.repeat(patterns, [blocks[k].shape[0] for k in left], axis=0)
-    if photons.shape[0] != dim:
-        raise AssertionError("enumerated sector size disagrees with the closed form")
-    return JchBasis(photons=photons, spins=spins, keys=_pack_keys(photons, spins, base))
 
 
 def dicke_dim(n_systems: int, n_max: int) -> int:

@@ -97,6 +97,14 @@ def diagonalize(matrix: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
+def _check_times(ts: np.ndarray) -> None:
+    """Raise ``ValueError`` on a non-finite or negative time, in one pass when every time is valid."""
+    if not (np.isfinite(ts) & (ts >= 0)).all():
+        if not np.isfinite(ts).all():
+            raise ValueError("times must be finite")
+        raise ValueError("negative times are not covered")
+
+
 class EigenEngine:
     """Diagonal-observable evaluator backed by a full spectrum; projects ``psi0`` once."""
 
@@ -115,8 +123,7 @@ class EigenEngine:
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if not np.isfinite(ts).all():
-            raise ValueError("times must be finite")
+        _check_times(ts)
         out = np.empty(ts.shape[0])
         block = _GRID_BLOCK_ENTRIES // max(1, self._lam.shape[0])
         block = max(_SCAN_CHUNK, block - block % _SCAN_CHUNK)
@@ -380,12 +387,9 @@ class ChebyshevEngine:
 
     def values_on_grid(self, which: int, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if not np.isfinite(ts).all():
-            raise ValueError("times must be finite")
+        _check_times(ts)
         if ts.size == 0:
             return np.empty(0)
-        if np.any(ts < 0):
-            raise ValueError("negative times are not covered")
         self.extend(float(ts.max()))
         out = np.empty(ts.shape[0])
         idx = np.searchsorted(self._starts, ts, side="right") - 1

@@ -19,16 +19,15 @@ collective weight j = N/2, m_j = N/2 - q):
 where g = beta / sqrt(N) under the default normalization and g = beta when
 normalization is NONE (same for beta').
 
+``build_csr`` assembles the collective model on its whole ladder: numpy
+computes the diagonal and one half of every Hermitian pair of
+off-diagonal elements over the array basis at once, locating each target
+state with the basis ``rank``; the pairs are then mirrored, so exact
+bitwise symmetry holds.
+
 The chain's off-diagonal terms are listed once, in ``_jch_moves``, as
 moves of one quantum between modes (a photon between cavities, or between
-a cavity and its two-level system), and read by both assemblies below.
-
-``build_csr`` assembles either model on a whole basis: numpy computes the
-diagonal and one half of every Hermitian pair of off-diagonal elements
-over the array basis at once, locating each target state with the basis
-``rank``; the pairs are then mirrored, so exact bitwise symmetry holds.
-It is the engine's path for the collective ladder and the full-sector
-reference for the chain.
+a cavity and its two-level system).
 
 Every automorphism of the hopping graph permutes the cavities without
 changing H, the quench state or the stored energy, so a chain's quench
@@ -49,17 +48,13 @@ import numpy as np
 import scipy.sparse
 
 from .basis import (
-    BasisIndex,
     CapacityError,
     DickeBasis,
-    JchBasis,
     _check_int,
     _key_base,
     _pack_keys,
     build_dicke_basis,
-    build_jch_sector,
     dicke_dim,
-    jch_sector_dim,
 )
 from .dynamics import state_cap
 
@@ -76,7 +71,6 @@ __all__ = [
     "build_quench_block",
     "jz_diagonal",
     "initial_index",
-    "initial_state",
 ]
 
 
@@ -172,24 +166,25 @@ class ModelParams:
         return replace(self, n_max=multiplier * self.n * self.m)
 
 
-def build_basis(params: ModelParams) -> BasisIndex:
-    """Build the basis matching ``params`` (sector for JCH, truncated ladder for DICKE)."""
-    if params.model is Model.JCH:
-        return build_jch_sector(params.n, params.m)
+def _require_ladder(params: ModelParams) -> None:
+    if params.model is not Model.DICKE:
+        raise BasisMismatchError(
+            "a chain has no whole basis: build_quench_block builds its quench block"
+        )
+
+
+def build_basis(params: ModelParams) -> DickeBasis:
+    """Build the truncated collective ladder matching ``params``.
+
+    Raises ``BasisMismatchError`` for a chain, whose block only
+    ``build_quench_block`` builds.
+    """
+    _require_ladder(params)
     return build_dicke_basis(params.n, params.n_max_value)
 
 
-def _check_basis(params: ModelParams, basis: BasisIndex) -> None:
-    if params.model is Model.JCH:
-        if not isinstance(basis, JchBasis) or basis.photons.shape[1] != params.n:
-            raise BasisMismatchError("basis does not describe a chain with n cavities")
-        if basis.excitations != params.n * params.m:
-            raise BasisMismatchError(
-                f"basis sector has {basis.excitations} excitations, expected {params.n * params.m}"
-            )
-        if basis.dim != jch_sector_dim(params.n, params.m):
-            raise BasisMismatchError("basis size does not match the full excitation sector")
-        return
+def _check_basis(params: ModelParams, basis: DickeBasis) -> None:
+    _require_ladder(params)
     if not isinstance(basis, DickeBasis):
         raise BasisMismatchError("basis does not hold collective (n, q) states")
     if basis.n_systems != params.n or basis.dim != dicke_dim(params.n, basis.n_max):
@@ -213,16 +208,17 @@ def _jch_bonds(params: ModelParams) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _jch_moves(params: ModelParams, both_ways: bool = False):
+def _jch_moves(params: ModelParams):
     """The chain's off-diagonal terms as moves of one quantum: ``(source, target, coef)`` arrays.
 
     Modes 0..N-1 are the cavities' photon numbers and N..2N-1 their
     two-level systems.  A move takes one quantum from its source mode to its
     target mode, with matrix element ``coef * sqrt(x_source) *
     sqrt(x_target + 1)`` (``_jch_amplitudes``).  The photon-removing half of
-    each Hermitian pair is listed: cavity c to its own two-level system, and
-    cavity a to cavity b along each bond (a, b); ``both_ways`` appends the
-    reverse of each move, so that every neighbour of a state is listed.
+    each Hermitian pair comes first: cavity c to its own two-level system,
+    and cavity a to cavity b along each bond (a, b).  The reverse of each
+    move follows, in the same order, so that every neighbour of a state is
+    listed.
     """
     n = params.n
     source, target, coef = [], [], []
@@ -235,8 +231,7 @@ def _jch_moves(params: ModelParams, both_ways: bool = False):
         source += [a for a, _ in bonds]
         target += [b for _, b in bonds]
         coef += [-params.kappa] * len(bonds)
-    if both_ways:
-        source, target, coef = source + target, target + source, coef + coef
+    source, target, coef = source + target, target + source, coef + coef
     return np.array(source, dtype=np.int64), np.array(target, dtype=np.int64), np.array(coef)
 
 
@@ -275,22 +270,6 @@ def _jch_amplitudes(moves, modes: np.ndarray, rows: np.ndarray, terms: np.ndarra
 def _jch_diagonal(params: ModelParams, modes: np.ndarray) -> np.ndarray:
     n = params.n
     return params.omega_c * modes[:, :n].sum(axis=1) + params.omega_a * modes[:, n:].sum(axis=1)
-
-
-def _jch_entries(params: ModelParams, basis: JchBasis):
-    """Diagonal, and (source, target, value) of the off-diagonal pairs, of the lattice model.
-
-    Only photon-removing halves of each Hermitian term pair are listed, so
-    every off-diagonal matrix element appears once (the doubled bond of a
-    two-cavity ring twice).
-    """
-    n = params.n
-    modes = np.hstack([basis.photons, basis.spins])
-    moves = _jch_moves(params)
-    rows, terms = _jch_applicable(moves, modes)
-    states = _jch_apply(moves, modes, rows, terms)
-    dst = basis.rank(states[:, :n], states[:, n:])
-    return _jch_diagonal(params, modes), [rows], [dst], [_jch_amplitudes(moves, modes, rows, terms)]
 
 
 def _dicke_entries(params: ModelParams, basis: DickeBasis):
@@ -332,15 +311,15 @@ def _dicke_entries(params: ModelParams, basis: DickeBasis):
     return diag, src, dst, vals
 
 
-def build_csr(params: ModelParams, basis: BasisIndex) -> scipy.sparse.csr_array:
-    """Sparse symmetric Hamiltonian of either model; ``.toarray()`` gives the dense matrix.
+def build_csr(params: ModelParams, basis: DickeBasis) -> scipy.sparse.csr_array:
+    """Sparse symmetric Hamiltonian of the collective ladder; ``.toarray()`` gives the dense matrix.
 
     Each off-diagonal pair is listed once and mirrored; duplicate entries
-    are summed by the conversion to CSR.
+    are summed by the conversion to CSR.  Raises ``BasisMismatchError`` for
+    a chain.
     """
     _check_basis(params, basis)
-    entries = _jch_entries if params.model is Model.JCH else _dicke_entries
-    diag, src, dst, vals = entries(params, basis)
+    diag, src, dst, vals = _dicke_entries(params, basis)
     idx = np.arange(basis.dim)
     rows = np.concatenate([idx, *src, *dst])
     cols = np.concatenate([idx, *dst, *src])
@@ -425,8 +404,8 @@ class QuenchBlock:
 
     Row i stands for one orbit of the sector under the automorphisms of the
     hopping graph, and ``sizes[i]`` counts its states.  Rows are in the
-    order of the orbits' keys, the smallest key of their states, which is
-    the order of each orbit's first row in the full sector.  Row ``start``
+    order of the orbits' keys, the smallest ``basis._pack_keys`` key of
+    their states.  Row ``start``
     is the quench state, an orbit of its own.  ``h`` is the
     bitwise-symmetric Hamiltonian on the orbit sums, less the energy
     w_c*N*m that every state of the sector has in common, and ``jz`` the
@@ -446,7 +425,7 @@ class QuenchBlock:
 def build_quench_block(params: ModelParams) -> QuenchBlock:
     """Walk a chain's orbits breadth-first from the quench state.
 
-    Each level applies every move (``_jch_moves`` both ways) to the orbits
+    Each level applies every move (``_jch_moves``) to the orbits
     found last and maps the states reached to their orbits' keys; the
     orbits not seen before make the next level.  With |o| the size of orbit
     o and r_o the state that stands for it, the element between the orbit
@@ -464,7 +443,7 @@ def build_quench_block(params: ModelParams) -> QuenchBlock:
     n = params.n
     orbits = _Orbits(params, _key_base(n, params.m))
     cap = state_cap()
-    moves = _jch_moves(params, both_ways=True)
+    moves = _jch_moves(params)
     # How each move changes the features, one column per move.
     shift = (orbits.features[moves[1]] - orbits.features[moves[0]]).T
     frontier = np.array([[params.m] * n + [0] * n], dtype=np.int64)
@@ -522,8 +501,7 @@ def build_quench_block(params: ModelParams) -> QuenchBlock:
     row, col = np.divmod(pairs, found)
     sizes = orbits.sizes(np.concatenate(level_feats, axis=1))
     h_low = np.bincount(inverse, weights=values) * np.sqrt(sizes[col] / sizes[row])
-    # Number the orbits in key order, the order of their first rows in the
-    # full sector.
+    # Number the orbits in key order.
     order = np.argsort(np.concatenate(level_keys))
     number = np.empty(found, dtype=np.int64)
     number[order] = diag
@@ -539,29 +517,19 @@ def build_quench_block(params: ModelParams) -> QuenchBlock:
     )
 
 
-def jz_diagonal(params: ModelParams, basis: BasisIndex) -> np.ndarray:
+def jz_diagonal(params: ModelParams, basis: DickeBasis) -> np.ndarray:
     """Diagonal of the stored-energy observable: w_a times the number of excited systems."""
     _check_basis(params, basis)
-    if params.model is Model.JCH:
-        return params.omega_a * basis.spins.sum(axis=1)
     return params.omega_a * (params.n - basis.q)
 
 
-def initial_index(params: ModelParams, basis: BasisIndex) -> int:
-    """Index of the quench state: m photons in every cavity, all systems in the ground state."""
+def initial_index(params: ModelParams, basis: DickeBasis) -> int:
+    """Index of the quench state: n*m photons, all systems in the ground state."""
     _check_basis(params, basis)
     try:
-        if params.model is Model.JCH:
-            return int(basis.rank([params.m] * params.n, [0] * params.n))
         return int(basis.rank(params.n * params.m, params.n))
     except KeyError:
         raise MissingStateError(
-            f"initial state ({params.m} photons per cavity, n = {params.n}) is outside the basis; "
-            f"for the collective model the cutoff must satisfy n_max >= n * m"
+            f"initial state ({params.n * params.m} photons) is outside the basis; "
+            f"the cutoff must satisfy n_max >= n * m"
         ) from None
-
-
-def initial_state(params: ModelParams, basis: BasisIndex) -> np.ndarray:
-    psi = np.zeros(basis.dim)
-    psi[initial_index(params, basis)] = 1.0
-    return psi

@@ -16,7 +16,6 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
-from qbattery.basis import total_excitations
 from qbattery.battery import (
     QuenchSystem,
     SearchConfig,
@@ -34,11 +33,10 @@ from qbattery.hamiltonians import (
     Topology,
     build_basis,
     build_csr,
-    initial_index,
-    initial_state,
-    jz_diagonal,
 )
 from qbattery.sweeps import Axis, Scaling, SweepSpec, convergence_check, fit_power_law, run_sweep
+
+from oracles import chain_sector, flat_index, full_quench, operator_chain, reference_dense
 
 BETA = 0.05
 
@@ -282,43 +280,6 @@ def test_06_cutoff_convergence():
 # 7. Conservation laws, exactly at the matrix level and along trajectories.
 
 
-def _full_space_chain(n_cavities, cutoff, beta, kappa):
-    """Chain Hamiltonian on the unrestricted (truncated) product space."""
-    dim_p = cutoff + 1
-    lower_photon = sp.csr_array(np.diag(np.sqrt(np.arange(1.0, dim_p)), 1))
-    lower_spin = sp.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    site_a = sp.kron(lower_photon, sp.eye_array(2), format="csr")
-    site_s = sp.kron(sp.eye_array(dim_p), lower_spin, format="csr")
-    site_dim = 2 * dim_p
-
-    def embed(op, k):
-        out = None
-        for i in range(n_cavities):
-            block = op if i == k else sp.eye_array(site_dim, format="csr")
-            out = block if out is None else sp.kron(out, block, format="csr")
-        return sp.csr_array(out)
-
-    a_ops = [embed(site_a, i) for i in range(n_cavities)]
-    s_ops = [embed(site_s, i) for i in range(n_cavities)]
-    dim = site_dim**n_cavities
-    h = sp.csr_array((dim, dim))
-    for i in range(n_cavities):
-        h = h + (a_ops[i].T @ a_ops[i]) + (s_ops[i].T @ s_ops[i])
-        h = h + beta * (a_ops[i] @ s_ops[i].T + a_ops[i].T @ s_ops[i])
-    for i in range(n_cavities - 1):
-        h = h - kappa * (a_ops[i].T @ a_ops[i + 1] + a_ops[i + 1].T @ a_ops[i])
-    digits = np.indices((site_dim,) * n_cavities).reshape(n_cavities, -1)
-    excitations = ((digits // 2) + (digits % 2)).sum(axis=0).astype(float)
-    return h, excitations
-
-
-def _flat_position(photons, spins, cutoff):
-    idx = np.zeros(photons.shape[0], dtype=np.int64)
-    for c in range(photons.shape[1]):
-        idx = idx * (2 * (cutoff + 1)) + (photons[:, c] * 2 + spins[:, c])
-    return idx
-
-
 def _diag_commutator_max(h, diag_vec):
     """max |[H, X]| entrywise for diagonal X; exact, no matmul round-off."""
     coo = sp.coo_array(h)
@@ -328,18 +289,18 @@ def _diag_commutator_max(h, diag_vec):
 def test_07_conservation_laws():
     t0 = time.perf_counter()
     # Chain model: the full-space Hamiltonian commutes exactly with the total
-    # excitation count, and the package's sector matrix is its restriction.
+    # excitation count, and the sector matrix is its restriction.
     for n in (1, 2, 3):
         for m in (1, 2):
             cutoff = n * m
-            h_full, excitations = _full_space_chain(n, cutoff, beta=BETA, kappa=0.05)
-            assert _diag_commutator_max(h_full, excitations) == 0.0
             params = jch(n=n, m=m, beta=BETA, kappa=0.05)
-            basis = build_basis(params)
-            assert np.unique(total_excitations(basis.photons, basis.spins)).size == 1
-            pos = _flat_position(basis.photons, basis.spins, cutoff)
-            sub = h_full.toarray()[np.ix_(pos, pos)]
-            assert np.allclose(sub, build_csr(params, basis).toarray(), rtol=0.0, atol=1e-13)
+            h_full, excitations = operator_chain(params, cutoff)
+            assert _diag_commutator_max(h_full, excitations) == 0.0
+            sector = chain_sector(n, m)
+            pos = flat_index(sector, cutoff)
+            assert np.all(excitations[pos] == n * m)
+            sub = h_full[pos][:, pos].toarray()
+            assert np.allclose(sub, reference_dense(params, sector), rtol=0.0, atol=1e-13)
 
     # Collective model without counter-rotating terms conserves n + (N - q);
     # with only counter-rotating terms it strictly violates it.
@@ -354,10 +315,9 @@ def test_07_conservation_laws():
 
     # Trajectories: unitarity and energy conservation.
     for params in (jch(n=3, m=1, beta=BETA, kappa=0.05), dicke(n=4, m=1, beta=0.5)):
-        basis = build_basis(params)
-        h = build_csr(params, basis).toarray()
+        h, _, psi0 = full_quench(params)
+        h = h.toarray()
         spectrum = diagonalize(h)
-        psi0 = initial_state(params, basis)
         coeffs = spectrum.eigenvectors.T @ psi0
         e_ref = float(psi0 @ h @ psi0)
         h_inf = float(np.max(np.sum(np.abs(h), axis=1)))
@@ -368,9 +328,8 @@ def test_07_conservation_laws():
             assert abs(energy - e_ref) <= 1e-9 * h_inf
 
     # The sparse propagator conserves the norm too (identity as observable).
-    params = jch(n=3, m=1, beta=BETA, kappa=0.05)
-    basis = build_basis(params)
-    engine = ChebyshevEngine(build_csr(params, basis), initial_state(params, basis), [np.ones(basis.dim)])
+    h, _, psi0 = full_quench(jch(n=3, m=1, beta=BETA, kappa=0.05))
+    engine = ChebyshevEngine(h, psi0, [np.ones(h.shape[0])])
     norms = engine.on_grid(np.linspace(1.0, 100.0, 50))
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
     finish(7, t0, 30.0, "exact commutators, unitary trajectories, conserved energy")
@@ -429,20 +388,12 @@ def test_08_small_instance_integrator_oracle():
     t0 = time.perf_counter()
     dt = 1e-3
     checkpoints = np.arange(1.0, 101.0)
-    bases = [build_basis(params) for params in SMALL_CONFIGS]
-    assert all(basis.dim <= PAD for basis in bases)
-    jzs = [jz_diagonal(params, basis) for params, basis in zip(SMALL_CONFIGS, bases)]
-    jz_refs = _rk4_jz(
-        [build_csr(params, basis).toarray() for params, basis in zip(SMALL_CONFIGS, bases)],
-        [initial_state(params, basis) for params, basis in zip(SMALL_CONFIGS, bases)],
-        jzs,
-        dt,
-        100_000,
-        1000,
-    )
+    hs, jzs, psi0s = zip(*(full_quench(params) for params in SMALL_CONFIGS))
+    assert all(h.shape[0] <= PAD for h in hs)
+    jz_refs = _rk4_jz([h.toarray() for h in hs], psi0s, jzs, dt, 100_000, 1000)
     worst = 0.0
-    for params, basis, jz, jz_ref in zip(SMALL_CONFIGS, bases, jzs, jz_refs):
-        reference = params.omega_c * (jz_ref - jz[initial_index(params, basis)])
+    for params, jz, psi0, jz_ref in zip(SMALL_CONFIGS, jzs, psi0s, jz_refs):
+        reference = params.omega_c * (jz_ref - jz @ psi0)
         system = QuenchSystem(params)
         assert system.engine == "dense"
         ours = system.on_grid(checkpoints)

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qbattery import basis as basis_module
-from qbattery import battery, hamiltonians
+from qbattery import battery
 from qbattery.basis import CapacityError, jch_sector_dim
 from qbattery.battery import (
     DegenerateRabiError,
@@ -22,17 +21,9 @@ from qbattery.battery import (
     rabi_oracle,
 )
 from qbattery.dynamics import ChebyshevEngine, EigenEngine, diagonalize
-from qbattery.hamiltonians import (
-    Model,
-    ModelParams,
-    Topology,
-    build_basis,
-    build_csr,
-    build_quench_block,
-    initial_index,
-    initial_state,
-    jz_diagonal,
-)
+from qbattery.hamiltonians import Model, ModelParams, Topology, build_quench_block
+
+from oracles import full_quench
 
 
 def jch(**kw):
@@ -443,10 +434,9 @@ def test_energy_series_validation(force_engine):
 
 def full_basis_energy(params, ts):
     """E(t) from an eigendecomposition of the whole basis, with no block taken."""
-    basis = build_basis(params)
-    jz = jz_diagonal(params, basis)
-    engine = EigenEngine(diagonalize(build_csr(params, basis).toarray()), initial_state(params, basis), jz)
-    return params.omega_c * (engine.on_grid(ts) - jz[initial_index(params, basis)])
+    h, jz, psi0 = full_quench(params)
+    engine = EigenEngine(diagonalize(h.toarray()), psi0, jz)
+    return params.omega_c * (engine.on_grid(ts) - jz @ psi0)
 
 
 @pytest.mark.parametrize(
@@ -470,7 +460,7 @@ def test_block_matches_full_basis(params, block_dim, force_engine):
     # Chebyshev differs from the full-basis reference by about 1.3e-12.
     force_engine("dense")
     system = QuenchSystem(params)
-    assert system.dim == build_basis(params).dim
+    assert system.dim == full_quench(params)[0].shape[0]
     assert system.block_dim == block_dim
     ts = np.linspace(0.25, default_horizon(params), 173)
     assert np.max(np.abs(system.on_grid(ts) - full_basis_energy(params, ts))) <= 1e-12
@@ -544,16 +534,6 @@ def test_walk_reaches_every_symmetric_state(n, m, topology, count):
     assert block.dim == count
     assert block.sizes.sum() == jch_sector_dim(n, m)
     assert (block.h != block.h.T).nnz == 0
-
-
-def test_chain_never_enumerates_its_sector(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the full sector was enumerated")
-
-    monkeypatch.setattr(basis_module, "build_jch_sector", refuse)
-    monkeypatch.setattr(hamiltonians, "build_jch_sector", refuse)
-    result = charge(jch(n=6, m=1, beta=0.05, kappa=0.05, topology=Topology.ALL_TO_ALL))
-    assert result.p_max > 0.0
 
 
 def test_chain_cap_counts_walked_orbits(cap_states):

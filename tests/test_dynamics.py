@@ -20,9 +20,10 @@ from qbattery.hamiltonians import (
     build_csr,
     build_quench_block,
     initial_index,
-    initial_state,
     jz_diagonal,
 )
+
+from oracles import full_quench
 
 
 def one_point(engine, t):
@@ -31,9 +32,9 @@ def one_point(engine, t):
 
 
 def _system(params):
-    basis = build_basis(params)
-    h = build_csr(params, basis).toarray()
-    return basis, h, jz_diagonal(params, basis), initial_state(params, basis)
+    """H on the whole basis, sparse and dense, with the stored-energy diagonal and the quench state."""
+    sparse, jz, psi0 = full_quench(params)
+    return sparse, sparse.toarray(), jz, psi0
 
 
 def jch(**kw):
@@ -114,10 +115,10 @@ def test_prepare_dimension_mismatch():
 
 def test_prepare_matches_direct_projection():
     params = jch(n=2, m=1, beta=0.05, kappa=0.1)
-    basis, h, jz, psi0 = _system(params)
+    _, h, jz, psi0 = _system(params)
     spec = diagonalize(h)
     engine = EigenEngine(spec, psi0, jz)
-    direct = np.array([spec.eigenvectors[:, j] @ psi0 for j in range(basis.dim)])
+    direct = np.array([spec.eigenvectors[:, j] @ psi0 for j in range(h.shape[0])])
     for t in (0.0, 0.9, 13.0):
         psi = spec.eigenvectors @ (direct * np.exp(-1j * spec.eigenvalues * t))
         assert one_point(engine, t) == pytest.approx(float(jz @ np.abs(psi) ** 2), abs=1e-14)
@@ -162,7 +163,7 @@ def test_expectation_rejects_nondiagonal_observable():
     [jch(n=2, m=2, beta=0.3, kappa=0.4), dicke(n=3, m=1, beta=0.6, beta_prime=0.2, n_max=9)],
 )
 def test_unitarity_energy_conservation_and_bounds(params):
-    basis, h, jz, psi0 = _system(params)
+    _, h, jz, psi0 = _system(params)
     spec = diagonalize(h)
     engine = EigenEngine(spec, psi0, jz)
     v, lam = spec.eigenvectors, spec.eigenvalues
@@ -218,9 +219,9 @@ def test_real_products_match_complex_formula(monkeypatch):
     ],
 )
 def test_chebyshev_matches_eigenbasis(params):
-    basis, h, jz, psi0 = _system(params)
+    sparse, h, jz, psi0 = _system(params)
     exact = EigenEngine(diagonalize(h), psi0, jz)
-    cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
+    cheb = ChebyshevEngine(sparse, psi0, [jz])
     ts = np.linspace(0.0, 150.0, 301)
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
     for t in (0.0, 0.05, 1.7, 149.3):
@@ -229,8 +230,8 @@ def test_chebyshev_matches_eigenbasis(params):
 
 def test_chebyshev_unsorted_grid_and_revisits():
     params = jch(n=2, m=1, beta=0.2, kappa=0.3)
-    basis, h, jz, psi0 = _system(params)
-    cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
+    sparse, h, jz, psi0 = _system(params)
+    cheb = ChebyshevEngine(sparse, psi0, [jz])
     ts = np.array([40.0, 1.0, 90.0, 1.0, 0.0])
     got = cheb.on_grid(ts)
     exact = EigenEngine(diagonalize(h), psi0, jz)
@@ -241,22 +242,20 @@ def test_chebyshev_unsorted_grid_and_revisits():
 
 def test_chebyshev_deterministic_across_instances():
     params = dicke(n=3, m=1, beta=0.7, beta_prime=0.4, n_max=12)
-    basis = build_basis(params)
-    psi0 = initial_state(params, basis)
-    jz = jz_diagonal(params, basis)
     ts = np.linspace(0.1, 80.0, 257)
     runs = []
     for _ in range(2):
-        engine = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
+        h, jz, psi0 = full_quench(params)
+        engine = ChebyshevEngine(h, psi0, [jz])
         runs.append(engine.on_grid(ts))
     assert np.array_equal(runs[0], runs[1])
 
 
 def test_chebyshev_tracks_multiple_observables():
     params = jch(n=2, m=1, beta=0.3, kappa=0.2)
-    basis, h, jz, psi0 = _system(params)
-    photons = basis.photons.sum(axis=1).astype(float)
-    cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz, photons])
+    sparse, h, jz, psi0 = _system(params)
+    photons = params.n * params.m - jz / params.omega_a
+    cheb = ChebyshevEngine(sparse, psi0, [jz, photons])
     spec = diagonalize(h)
     ts = np.linspace(0.0, 30.0, 61)
     for which, diag in enumerate((jz, photons)):
@@ -277,8 +276,8 @@ class Counting:
 
 def test_first_chebyshev_window_propagates_only_the_real_part():
     params = jch(n=2, m=1, beta=0.2, kappa=0.3)
-    basis, h, jz, psi0 = _system(params)
-    cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
+    sparse, h, jz, psi0 = _system(params)
+    cheb = ChebyshevEngine(sparse, psi0, [jz])
     counting = cheb._h_twice = Counting(cheb._h_twice)
     order = ChebyshevEngine._WINDOW_ORDER
     jump = ChebyshevEngine._JUMP_ORDER - order
@@ -347,8 +346,7 @@ def test_stacked_gram_forms_match_separate_products(make):
 @pytest.mark.parametrize("bad", [-1e-300, -1.0, np.nan, np.inf])
 def test_chebyshev_rejects_a_negative_or_non_finite_diagonal(bad):
     params = jch(n=2, m=1, beta=0.3, kappa=0.2)
-    basis, _, jz, psi0 = _system(params)
-    h = build_csr(params, basis)
+    h, _, jz, psi0 = _system(params)
     diag = jz.copy()
     diag[-1] = bad
     for diags in ([diag], [jz, diag], [diag, jz]):
@@ -438,8 +436,8 @@ def test_expansion_orders_and_jump_coefficients_match_jv():
         ks = np.arange(math.ceil(x) + 4, math.ceil(x) + 400)
         assert ks[np.nonzero(np.abs(jv(ks, x)) < 1e-16)[0][0]] + 4 == order
     params = jch(n=2, m=1, beta=0.3, kappa=0.2)
-    basis, _, jz, psi0 = _system(params)
-    cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
+    sparse, _, jz, psi0 = _system(params)
+    cheb = ChebyshevEngine(sparse, psi0, [jz])
     ks = np.arange(ChebyshevEngine._JUMP_ORDER)
     x = 2.0 * cheb._half * cheb._dt
     phases = np.where(ks == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[ks % 4]
@@ -481,26 +479,23 @@ def test_two_sided_windows_match_the_eigenbasis(make):
 
 def test_engines_reject_non_finite_times():
     params = jch(n=2, m=1, beta=0.3, kappa=0.2)
-    basis, h, jz, psi0 = _system(params)
+    sparse, h, jz, psi0 = _system(params)
     # The checks come before the Chebyshev engine extends its windows, so
     # an infinite time cannot append windows forever.
-    cheb = ChebyshevEngine(build_csr(params, basis), psi0, [jz])
+    cheb = ChebyshevEngine(sparse, psi0, [jz])
     for engine in (EigenEngine(diagonalize(h), psi0, jz), cheb):
         for ts in ([1.0, np.inf], [np.nan], [np.nan, 2.0]):
             with pytest.raises(ValueError, match="finite"):
                 engine.on_grid(np.array(ts))
 
 
-def test_chebyshev_rejects_negative_times():
+def test_engines_reject_negative_times():
     params = jch(n=2, m=1, beta=0.3, kappa=0.2)
-    basis = build_basis(params)
-    engine = ChebyshevEngine(
-        build_csr(params, basis), initial_state(params, basis), [jz_diagonal(params, basis)]
-    )
-    with pytest.raises(ValueError):
-        engine.on_grid(np.array([-1.0]))
-    with pytest.raises(ValueError):
-        engine.on_grid(np.array([1.0, -2.0]))
+    sparse, h, jz, psi0 = _system(params)
+    for engine in (EigenEngine(diagonalize(h), psi0, jz), ChebyshevEngine(sparse, psi0, [jz])):
+        for ts in ([-1.0], [1.0, -2.0]):
+            with pytest.raises(ValueError, match="negative"):
+                engine.on_grid(np.array(ts))
 
 
 def test_spectrum_is_plain_data():

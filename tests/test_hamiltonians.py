@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qbattery import hamiltonians
-from qbattery.basis import _key_base, build_dicke_basis, build_jch_sector
+from qbattery.basis import _key_base, build_dicke_basis
 from qbattery.hamiltonians import (
     BasisMismatchError,
     MissingStateError,
@@ -19,9 +19,10 @@ from qbattery.hamiltonians import (
     build_csr,
     build_quench_block,
     initial_index,
-    initial_state,
     jz_diagonal,
 )
+
+from oracles import chain_sector, flat_index, operator_chain, reference_dense
 
 
 def jch(**kw):
@@ -48,71 +49,11 @@ def _boson_ops(cut):
     return a, np.diag(np.arange(cut + 1, dtype=float))
 
 
-def _kron_all(ops):
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
-def oracle_jch_full(n, cut, beta, kappa, omega_c, omega_a, bonds):
-    """Chain Hamiltonian on the full (untruncated-sector) product space.
-
-    Site order: cavity 0 photons, cavity 0 two-level, cavity 1 photons, ...
-    Flat index = ((p0 * 2 + s0) * (cut+1) + p1) * 2 + s1 (and so on).
-    """
-    a, num = _boson_ops(cut)
-    sm = np.array([[0.0, 1.0], [0.0, 0.0]])  # lowers |e> -> |g>, basis (g, e)
-    nspin = np.array([[0.0, 0.0], [0.0, 1.0]])
-    eye_ph = np.eye(cut + 1)
-    eye_sp = np.eye(2)
-
-    def site_op(c, op_ph, op_sp):
-        ops = []
-        for site in range(n):
-            ops.append(op_ph if site == c else eye_ph)
-            ops.append(op_sp if site == c else eye_sp)
-        return _kron_all(ops)
-
-    def two_site(c1, op1, c2, op2):
-        ops = []
-        for site in range(n):
-            ops.append(op1 if site == c1 else (op2 if site == c2 else eye_ph))
-            ops.append(eye_sp)
-        return _kron_all(ops)
-
-    dim = (2 * (cut + 1)) ** n
-    h = np.zeros((dim, dim))
-    for c in range(n):
-        h += omega_c * site_op(c, num, eye_sp)
-        h += omega_a * site_op(c, eye_ph, nspin)
-        h += beta * (site_op(c, a, sm.T) + site_op(c, a.T, sm))
-    for src, dst in bonds:
-        h -= kappa * (two_site(dst, a.T, src, a) + two_site(src, a.T, dst, a))
-    return h
-
-
-def _flat_index(photons, spins, cut):
-    idx = np.zeros(photons.shape[0], dtype=np.int64)
-    for c in range(photons.shape[1]):
-        idx = (idx * (cut + 1) + photons[:, c]) * 2 + spins[:, c]
-    return idx
-
-
-def oracle_jch_sector(params, basis):
+def oracle_jch_sector(params, sector):
+    """The operator-built chain H on the product space, cut to the sector's states."""
     cut = params.n * params.m
-    bonds = {
-        Topology.LINE: [(c, c + 1) for c in range(params.n - 1)],
-        Topology.RING: [(c, (c + 1) % params.n) for c in range(params.n)] if params.n > 1 else [],
-        Topology.ALL_TO_ALL: [
-            (i, j) for i in range(params.n) for j in range(i + 1, params.n)
-        ],
-    }[params.topology]
-    full = oracle_jch_full(
-        params.n, cut, params.beta, params.kappa, params.omega_c, params.omega_a, bonds
-    )
-    rows = _flat_index(basis.photons, basis.spins, cut)
-    return full[np.ix_(rows, rows)]
+    rows = flat_index(sector, cut)
+    return operator_chain(params, cut)[0][rows][:, rows].toarray()
 
 
 def oracle_rabi(n_max, beta, beta_prime, omega_c, omega_a):
@@ -126,84 +67,24 @@ def oracle_rabi(n_max, beta, beta_prime, omega_c, omega_a):
     return h
 
 
-def reference_dense(params, basis):
-    """Element-by-element loop over the states, with a dict from state to row.
-
-    Same arithmetic as the vectorized assembly, so the two must agree bit
-    for bit.
-    """
-    h = np.zeros((basis.dim, basis.dim))
-    if params.model is Model.JCH:
-        rows = zip(basis.photons.tolist(), basis.spins.tolist())
-        states = [(tuple(p), tuple(s)) for p, s in rows]
-        index_of = {st: i for i, st in enumerate(states)}
-        n = params.n
-        bonds = {
-            Topology.LINE: [(c, c + 1) for c in range(n - 1)],
-            Topology.RING: [(c, (c + 1) % n) for c in range(n)] if n > 1 else [],
-            Topology.ALL_TO_ALL: [(i, j) for i in range(n) for j in range(i + 1, n)],
-        }[params.topology]
-        for i, (photons, spins) in enumerate(states):
-            h[i, i] += params.omega_c * sum(photons) + params.omega_a * sum(spins)
-            for c, (p, s) in enumerate(zip(photons, spins)):
-                if params.beta != 0.0 and p > 0 and s == 0:
-                    target = (
-                        photons[:c] + (p - 1,) + photons[c + 1 :],
-                        spins[:c] + (1,) + spins[c + 1 :],
-                    )
-                    j = index_of[target]
-                    h[min(i, j), max(i, j)] += params.beta * math.sqrt(p)
-            for src, dst in bonds:
-                p = photons[src]
-                if params.kappa != 0.0 and p > 0:
-                    moved = list(photons)
-                    moved[src] -= 1
-                    moved[dst] += 1
-                    j = index_of[(tuple(moved), spins)]
-                    value = -params.kappa * math.sqrt(p) * math.sqrt(photons[dst] + 1)
-                    h[min(i, j), max(i, j)] += value
-    else:
-        nsys = params.n
-        scale = 1.0 / math.sqrt(nsys) if params.normalization is Normalization.SQRT_N else 1.0
-        g_rot = params.beta * scale
-        g_cnt = params.beta_prime_value * scale
-        if params.literal_elements:
-            g_rot *= params.omega_c
-            g_cnt *= params.omega_c
-        j = nsys / 2.0
-        jj = j * (j + 1.0)
-        for i, (n, q) in enumerate(zip(basis.n.tolist(), basis.q.tolist())):
-            mj = j - q
-            if params.literal_elements:
-                h[i, i] = params.omega_c * (n + mj)
-            else:
-                h[i, i] = params.omega_c * n + params.omega_a * (nsys - q)
-            if n > 0 and g_rot != 0.0 and q >= 1:
-                h[(n - 1) * (nsys + 1) + q - 1, i] += g_rot * math.sqrt(n * (jj - mj * (mj + 1.0)))
-            if n > 0 and g_cnt != 0.0 and q <= nsys - 1:
-                h[(n - 1) * (nsys + 1) + q + 1, i] += g_cnt * math.sqrt(n * (jj - mj * (mj - 1.0)))
-    lower = np.tril_indices(basis.dim, -1)
-    h[lower] = h.T[lower]
-    return h
-
-
 # ---------------------------------------------------------------------------
 # Lattice model.
 
 
 def test_single_cavity_matrix_exact():
-    params = jch(n=1, m=1, beta=0.05)
-    basis = build_basis(params)
-    h = dense(params, basis)
-    assert np.array_equal(h, np.array([[1.0, 0.05], [0.05, 1.0]]))
+    # The quench state, then the state with the photon absorbed, each an
+    # orbit of its own; w_c*N*m = 1 is taken off the diagonal.
+    block = build_quench_block(jch(n=1, m=1, beta=0.05))
+    assert block.start == 0
+    assert np.array_equal(block.h.toarray(), np.array([[0.0, 0.05], [0.05, 0.0]]))
 
 
 def test_uncoupled_is_diagonal():
-    params = jch(n=3, m=1, beta=0.0, kappa=0.0)
-    basis = build_basis(params)
-    h = dense(params, basis)
-    assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-    assert np.array_equal(np.diag(h), basis.photons.sum(axis=1) + basis.spins.sum(axis=1))
+    # With no coupling the quench state is stationary: the walk finds no move.
+    block = build_quench_block(jch(n=3, m=1, beta=0.0, kappa=0.0))
+    assert (block.dim, block.start, block.sizes.tolist()) == (1, 0, [1])
+    assert np.array_equal(block.h.toarray(), [[0.0]])
+    assert np.array_equal(block.jz, [0.0])
 
 
 @pytest.mark.parametrize("topology", [Topology.LINE, Topology.RING, Topology.ALL_TO_ALL])
@@ -213,47 +94,52 @@ def test_uncoupled_is_diagonal():
 )
 def test_jch_matches_operator_oracle(n, m, beta, kappa, topology):
     params = jch(n=n, m=m, beta=beta, kappa=kappa, topology=topology)
-    basis = build_basis(params)
-    h = dense(params, basis)
-    expected = oracle_jch_sector(params, basis)
+    sector = chain_sector(n, m)
+    h = reference_dense(params, sector)
+    expected = oracle_jch_sector(params, sector)
     assert np.max(np.abs(h - expected)) < 1e-14
 
 
 def test_jch_detuned_matches_oracle():
     params = jch(n=2, m=1, beta=0.2, kappa=0.15, omega_a=1.4, omega_c=0.9)
-    basis = build_basis(params)
-    h = dense(params, basis)
-    expected = oracle_jch_sector(params, basis)
+    sector = chain_sector(2, 1)
+    h = reference_dense(params, sector)
+    expected = oracle_jch_sector(params, sector)
     assert np.max(np.abs(h - expected)) < 1e-14
     assert params.delta == pytest.approx(0.5)
 
 
 def test_topology_reduction_at_two_cavities():
     base = dict(n=2, m=1, beta=0.05, kappa=0.3)
-    basis = build_jch_sector(2, 1)
-    line = dense(jch(**base, topology=Topology.LINE), basis)
-    alltoall = dense(jch(**base, topology=Topology.ALL_TO_ALL), basis)
-    ring = dense(jch(**base, topology=Topology.RING), basis)
+    sector = chain_sector(2, 1)
+    line = reference_dense(jch(**base, topology=Topology.LINE), sector)
+    alltoall = reference_dense(jch(**base, topology=Topology.ALL_TO_ALL), sector)
+    ring = reference_dense(jch(**base, topology=Topology.RING), sector)
     assert np.array_equal(line, alltoall)
     # Closing a two-site ring duplicates the single bond: hopping doubles.
-    hop_line = line - dense(jch(n=2, m=1, beta=0.05, kappa=0.0), basis)
-    hop_ring = ring - dense(jch(n=2, m=1, beta=0.05, kappa=0.0), basis)
+    hop_line = line - reference_dense(jch(n=2, m=1, beta=0.05, kappa=0.0), sector)
+    hop_ring = ring - reference_dense(jch(n=2, m=1, beta=0.05, kappa=0.0), sector)
     assert np.allclose(hop_ring, 2.0 * hop_line)
     assert not np.array_equal(ring, line)
 
 
 def test_topologies_differ_at_three_cavities():
-    basis = build_jch_sector(3, 1)
-    mats = {t: dense(jch(n=3, m=1, beta=0.05, kappa=0.2, topology=t), basis) for t in Topology}
+    sector = chain_sector(3, 1)
+    mats = {
+        t: reference_dense(jch(n=3, m=1, beta=0.05, kappa=0.2, topology=t), sector)
+        for t in Topology
+    }
     assert not np.array_equal(mats[Topology.LINE], mats[Topology.RING])
     # A three-site ring is the complete graph on three nodes.
     assert np.array_equal(mats[Topology.RING], mats[Topology.ALL_TO_ALL])
 
 
 def test_ring_and_complete_graph_differ_at_four_cavities():
-    basis = build_jch_sector(4, 1)
-    ring = dense(jch(n=4, m=1, beta=0.05, kappa=0.2, topology=Topology.RING), basis)
-    alltoall = dense(jch(n=4, m=1, beta=0.05, kappa=0.2, topology=Topology.ALL_TO_ALL), basis)
+    sector = chain_sector(4, 1)
+    ring = reference_dense(jch(n=4, m=1, beta=0.05, kappa=0.2, topology=Topology.RING), sector)
+    alltoall = reference_dense(
+        jch(n=4, m=1, beta=0.05, kappa=0.2, topology=Topology.ALL_TO_ALL), sector
+    )
     assert not np.array_equal(ring, alltoall)
 
 
@@ -354,19 +240,15 @@ def test_literal_convention_is_constant_diagonal_shift_at_unit_energies():
     ],
 )
 def test_bitwise_symmetry(params):
-    h = dense(params, build_basis(params))
+    if params.model is Model.JCH:
+        h = build_quench_block(params).h.toarray()
+    else:
+        h = dense(params, build_basis(params))
     assert np.array_equal(h, h.T)
     assert np.all(np.isfinite(h))
 
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        jch(n=3, m=1, beta=0.05, kappa=0.1),
-        jch(n=2, m=2, beta=0.3, kappa=0.7, topology=Topology.RING),
-        dicke(n=4, m=1, beta=0.5, beta_prime=0.3, n_max=9),
-    ],
-)
+@pytest.mark.parametrize("params", [dicke(n=4, m=1, beta=0.5, beta_prime=0.3, n_max=9)])
 def test_sparse_equals_dense(params):
     basis = build_basis(params)
     sparse = build_csr(params, basis).toarray()
@@ -389,24 +271,43 @@ def test_walk_group_is_the_automorphism_group_of_the_hopping_graph(n, topology):
         assert len(automorphisms) == math.factorial(n)
     else:
         assert {tuple(g) for g in group.tolist()} == automorphisms
-    # Each automorphism relabels the basis without changing H (up to the
+    # Each automorphism relabels the sector without changing H (up to the
     # order of the factors in a hopping element).  The walk's orbit keys are
     # the smallest key of each brute-force orbit, and its orbit sizes are
     # theirs.
-    basis = build_basis(params)
-    h = dense(params, basis)
+    sector = chain_sector(n, 1)
+    h = reference_dense(params, sector)
     orbits = hamiltonians._Orbits(params, _key_base(n, 1))
-    feats = (np.hstack([basis.photons, basis.spins]) @ orbits.features).T
+    feats = (np.hstack([sector.photons, sector.spins]) @ orbits.features).T
     keys = orbits.keys(feats)
     images = []
     for perm in automorphisms:
         g = list(perm)
-        image = basis.rank(basis.photons[:, g], basis.spins[:, g])
+        image = sector.rank(sector.photons[:, g], sector.spins[:, g])
         assert np.max(np.abs(h[np.ix_(image, image)] - h)) <= 1e-16
         images.append(image)
     images = np.array(images)
-    assert np.array_equal(keys, basis.keys[images].min(axis=0))
+    assert np.array_equal(keys, sector.keys[images].min(axis=0))
     assert orbits.sizes(feats).tolist() == [len(set(orbit)) for orbit in images.T.tolist()]
+    # The walk's block is H projected on the normalized orbit sums, cut to
+    # the orbits that the quench state's orbit connects to, in key order.
+    orbit_keys, orbit_of = np.unique(keys, return_inverse=True)
+    sizes = np.bincount(orbit_of)
+    sums = np.zeros((sector.dim, orbit_keys.shape[0]))
+    sums[np.arange(sector.dim), orbit_of] = 1.0 / np.sqrt(sizes[orbit_of])
+    projected = sums.T @ h @ sums
+    jz = np.empty(orbit_keys.shape[0])
+    jz[orbit_of] = params.omega_a * sector.spins.sum(axis=1)
+    quench = orbit_of[sector.rank([1] * n, [0] * n)]
+    reached = np.arange(orbit_keys.shape[0]) == quench
+    while not np.array_equal(grown := reached | projected[reached].any(axis=0), reached):
+        reached = grown
+    block = build_quench_block(params)
+    shift = params.omega_c * n * np.eye(block.dim)
+    assert np.max(np.abs(block.h.toarray() + shift - projected[np.ix_(reached, reached)])) <= 1e-14
+    assert np.array_equal(block.sizes, sizes[reached])
+    assert np.array_equal(block.jz, jz[reached])
+    assert block.start == np.count_nonzero(reached[:quench])
 
 
 def test_single_cavity_orbits_are_single_states():
@@ -418,9 +319,9 @@ def test_single_cavity_orbits_are_single_states():
 
 def test_commutes_with_excitation_number_in_sector():
     params = jch(n=3, m=2, beta=0.3, kappa=0.4)
-    basis = build_basis(params)
-    h = dense(params, basis)
-    x = np.diag((basis.photons.sum(axis=1) + basis.spins.sum(axis=1)).astype(float))
+    sector = chain_sector(3, 2)
+    h = reference_dense(params, sector)
+    x = np.diag((sector.photons.sum(axis=1) + sector.spins.sum(axis=1)).astype(float))
     assert np.max(np.abs(h @ x - x @ h)) == 0.0
 
 
@@ -445,27 +346,12 @@ def test_counter_rotating_violates_excitation_number():
 
 
 def test_jz_diagonal_values():
-    params = jch(n=2, m=1, beta=0.05)
-    basis = build_basis(params)
-    jz = jz_diagonal(params, basis)
-    assert jz[basis.rank((1, 1), (0, 0))] == 0.0
-    assert jz[basis.rank((0, 0), (1, 1))] == 2.0
     d_params = dicke(n=4, m=1, beta=0.5, n_max=6)
     d_basis = build_basis(d_params)
     d_jz = jz_diagonal(d_params, d_basis)
     assert d_jz[d_basis.rank(0, 0)] == 4.0
     assert d_jz[d_basis.rank(0, 4)] == 0.0
     assert d_jz.shape == (d_basis.dim,)
-
-
-def test_initial_state_lattice():
-    params = jch(n=2, m=1, beta=0.05)
-    basis = build_basis(params)
-    psi = initial_state(params, basis)
-    k = basis.rank((1, 1), (0, 0))
-    assert psi[k] == 1.0
-    assert np.sum(psi != 0) == 1
-    assert initial_index(params, basis) == k
 
 
 def test_initial_state_collective():
@@ -483,24 +369,24 @@ def test_initial_state_missing_when_cutoff_too_small():
 
 
 def test_basis_mismatch_raises():
-    params = jch(n=2, m=1, beta=0.05)
-    wrong = build_jch_sector(2, 2)
-    with pytest.raises(BasisMismatchError):
-        build_csr(params, wrong)
-    with pytest.raises(BasisMismatchError):
-        jz_diagonal(params, build_dicke_basis(2, 5))
     d_params = dicke(n=2, m=1, beta=0.5, n_max=10)
     with pytest.raises(BasisMismatchError):
         build_csr(d_params, build_dicke_basis(2, 8))
+    with pytest.raises(BasisMismatchError):
+        jz_diagonal(d_params, build_dicke_basis(3, 10))
 
 
 def test_model_specific_builders_check_model():
     with pytest.raises(BasisMismatchError):
-        build_csr(dicke(n=2, m=1, beta=0.5, n_max=10), build_jch_sector(2, 1))
+        build_csr(dicke(n=2, m=1, beta=0.5, n_max=10), chain_sector(2, 1))
+    # A chain has no whole basis in the package: only the orbit walk builds it.
+    chain = jch(n=2, m=1, beta=0.5)
     with pytest.raises(BasisMismatchError):
-        build_csr(jch(n=2, m=1, beta=0.5), build_dicke_basis(2, 10))
-    with pytest.raises(BasisMismatchError):
-        initial_index(jch(n=2, m=1, beta=0.5), build_dicke_basis(2, 10))
+        build_basis(chain)
+    for builder in (build_csr, jz_diagonal, initial_index):
+        for basis in (build_dicke_basis(2, 10), chain_sector(2, 1)):
+            with pytest.raises(BasisMismatchError):
+                builder(chain, basis)
 
 
 def test_params_validation_and_derived_fields():

@@ -21,6 +21,14 @@ def test_package_exports_each_module_all_once():
             assert getattr(qbattery, name) is getattr(module, name)
 
 
+def test_package_exports_no_full_sector_chain_names():
+    # A chain is built only by the orbit walk from its quench state.
+    for name in ("JchBasis", "BasisIndex", "build_jch_sector", "total_excitations",
+                 "initial_state"):
+        assert name not in qbattery.__all__, name
+        assert not hasattr(qbattery, name), name
+
+
 def test_benchmark_worker_names_exist():
     # The names the benchmark worker reaches through the package.
     for name in ("charge", "ModelParams", "Model", "Topology", "SweepSpec", "Axis", "Scaling",
