@@ -248,7 +248,14 @@ def test_bitwise_symmetry(params):
     assert np.all(np.isfinite(h))
 
 
-@pytest.mark.parametrize("params", [dicke(n=4, m=1, beta=0.5, beta_prime=0.3, n_max=9)])
+@pytest.mark.parametrize(
+    "params",
+    [
+        dicke(n=1, m=1, beta=0.2, beta_prime=0.1, n_max=4),
+        dicke(n=3, m=2, beta=0.3, beta_prime=0.7, n_max=6, omega_a=1.2),
+        dicke(n=4, m=1, beta=0.5, beta_prime=0.3, n_max=9),
+    ],
+)
 def test_sparse_equals_dense(params):
     basis = build_basis(params)
     sparse = build_csr(params, basis).toarray()
