@@ -14,18 +14,16 @@ package re-exports them all, in module order.  The command line lives in
 """
 
 # This relies on each of the submodules having an __all__ variable.
-from .basis import *
 from .hamiltonians import *
 from .dynamics import *
 from .battery import *
 from .sweeps import *
-from . import basis, battery, dynamics, hamiltonians, sweeps
+from . import battery, dynamics, hamiltonians, sweeps
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    *basis.__all__,
     *hamiltonians.__all__,
     *dynamics.__all__,
     *battery.__all__,

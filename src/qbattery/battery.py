@@ -1,6 +1,9 @@
 """Charging figures of merit extracted from the quench dynamics.
 
-The battery energy at time t is
+``QuenchSystem`` takes the block a quench evolves from
+``hamiltonians.build_quench_block``, the one builder for both models, and
+runs it on the engine with the lower fixed cost estimate.  The battery
+energy at time t is
 
     E(t) = w_c * ( <Jz>(t) - <Jz>(0) ),
 
@@ -36,17 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .basis import _check_int, jch_sector_dim
 from .dynamics import _SCAN_CHUNK, ChebyshevEngine, EigenEngine, diagonalize
-from .hamiltonians import (
-    Model,
-    ModelParams,
-    build_basis,
-    build_csr,
-    build_quench_block,
-    initial_index,
-    jz_diagonal,
-)
+from .hamiltonians import Model, ModelParams, _check_int, build_quench_block
 
 __all__ = [
     "RabiParams",
@@ -226,39 +220,16 @@ def _cheaper_engine(
     return ("dense" if dense <= chebyshev else "chebyshev"), (lo, hi)
 
 
-def _reachable_block(h: scipy.sparse.csr_array, start: int) -> np.ndarray:
-    """Sorted indices of the states that the nonzeros of ``h`` connect to ``start``.
-
-    A breadth-first walk over the CSR rows, one numpy step per level.  The
-    block is a connected component of the sparsity graph, so H maps it into
-    itself and a quench from ``start`` never leaves it.
-    """
-    indptr, indices = h.indptr, h.indices
-    seen = np.zeros(h.shape[0], dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
-    while frontier.size:
-        lo = indptr[frontier]
-        counts = indptr[frontier + 1] - lo
-        # Position of every stored entry of the frontier rows in ``indices``.
-        pos = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-        neighbors = indices[pos]
-        frontier = np.unique(neighbors[~seen[neighbors]])
-        seen[frontier] = True
-    return np.flatnonzero(seen)
-
-
 class QuenchSystem:
     """One configured battery: Hamiltonian block, engine, and energy evaluation.
 
-    The engine evolves only the block of states that the quench reaches.
-    A chain's quench state and stored energy are unchanged by every
-    automorphism of the hopping graph, so its block holds the normalized
-    orbit sums that ``build_quench_block`` walks to from the quench state,
-    without enumerating the full sector.  The collective ladder, where
-    every state is its own orbit, is built whole by ``build_csr`` and cut
-    to the states its nonzeros connect to the initial one.  ``dim`` is the
-    size of the full basis and ``block_dim`` the size of the evolved block.
+    The engine evolves only the block of states that the quench reaches,
+    which ``build_quench_block`` builds for either model: the normalized
+    orbit sums a chain's walk reaches, without enumerating the full
+    sector, or the collective ladder cut to the states its nonzeros
+    connect to the initial one.  ``dim`` is the size of the space the
+    block is cut from (the block's ``sector_dim``) and ``block_dim`` the
+    size of the evolved block.
     ``engine`` is the cheaper of the two by fixed cost estimates
     (``_cheaper_engine``): dense diagonalization, for at most
     ``DENSE_LIMIT`` states, or Chebyshev windows.  The builders stop at
@@ -272,21 +243,10 @@ class QuenchSystem:
 
     def __init__(self, params: ModelParams):
         self.params = params
-        if params.model is Model.JCH:
-            self.dim = jch_sector_dim(params.n, params.m)
-            block = build_quench_block(params)
-            h, jz, start = block.h, block.jz, block.start
-        else:
-            basis = build_basis(params)
-            self.dim = basis.dim
-            h = build_csr(params, basis)
-            start = initial_index(params, basis)
-            keep = _reachable_block(h, start)
-            jz = jz_diagonal(params, basis)[keep]
-            if keep.shape[0] < self.dim:
-                h = h[keep][:, keep]
-            start = int(np.searchsorted(keep, start))
-        self.block_dim = int(h.shape[0])
+        block = build_quench_block(params)
+        h, jz, start = block.h, block.jz, block.start
+        self.dim = block.sector_dim
+        self.block_dim = block.dim
         self._jz0 = float(jz[start])
         self.energy_bound = params.omega_c * (float(jz.max()) - self._jz0)
         psi0 = np.zeros(self.block_dim)

@@ -40,9 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import CapacityError
 from .battery import QuenchSystem, RabiParams, SearchConfig, max_power, rabi_oracle
-from .hamiltonians import Model, ModelParams, Normalization, Topology
+from .hamiltonians import CapacityError, Model, ModelParams, Normalization, Topology
 from .sweeps import (
     Scaling,
     SweepRow,

@@ -40,9 +40,9 @@ which also gives J_k(-x) = (-1)^k J_k(x).  No randomness is involved
 anywhere, so results are bit-reproducible run to run.
 
 Both engines take the Hamiltonian block as a sparse matrix, which
-``build_quench_block`` walks over orbits for a chain and ``build_csr``
-assembles on the whole ladder for the collective model (the
-eigendecomposition gets its ``toarray()``).  They take observables as 1-D
+``build_quench_block`` builds for either model: over orbits for a chain,
+and as the whole ladder cut to the states the quench reaches for the
+collective model (the eigendecomposition gets its ``toarray()``).  They take observables as 1-D
 arrays holding their diagonals and answer one call, ``on_grid(ts)``: the
 first observable at every requested time.  A single time is a grid of one.
 """

@@ -19,43 +19,42 @@ collective weight j = N/2, m_j = N/2 - q):
 where g = beta / sqrt(N) under the default normalization and g = beta when
 normalization is NONE (same for beta').
 
-``build_csr`` assembles the collective model on its whole ladder: numpy
-computes the diagonal and one half of every Hermitian pair of
-off-diagonal elements over the array basis at once, locating each target
-state with the basis ``rank``; the pairs are then mirrored, so exact
-bitwise symmetry holds.
+``build_quench_block`` builds the block of H that a quench evolves, for
+both models, and is the only builder the engines read.
 
-The chain's off-diagonal terms are listed once, in ``_jch_moves``, as
-moves of one quantum between modes (a photon between cavities, or between
-a cavity and its two-level system).
-
+A chain of cavities conserves its excitation number, so its quench stays
+in the sector of N*m excitations.  That sector is never enumerated:
+``jch_sector_dim`` gives its size in closed form, and ``_key_base`` and
+``_pack_keys`` pack each state (per-cavity photon numbers and two-level
+occupations) into one integer key.  The chain's off-diagonal terms are
+listed once, in ``_jch_moves``, as moves of one quantum between modes (a
+photon between cavities, or between a cavity and its two-level system).
 Every automorphism of the hopping graph permutes the cavities without
 changing H, the quench state or the stored energy, so a chain's quench
-never leaves the span of the normalized orbit sums.
-``build_quench_block`` builds H on the orbit sums the quench reaches
-directly: a breadth-first walk from the quench state that tells orbits
-apart by a canonical key, the smallest key of their states, and never
-enumerates the full sector.
+never leaves the span of the normalized orbit sums.  The chain's block is
+H on the orbit sums the quench reaches: a breadth-first walk from the
+quench state that tells orbits apart by a canonical key, the smallest key
+of their states.
+
+The collective ladder is derived from the parameters by ``_dicke_ladder``,
+the one place that knows its rows: photon numbers 0..n_max, row
+``n * (N + 1) + q``.  ``build_csr`` assembles H on the whole ladder: numpy
+computes the diagonal and one half of every Hermitian pair of
+off-diagonal elements at once, and the pairs are then mirrored, so exact
+bitwise symmetry holds.  The ladder's block is that matrix cut to the
+states its nonzeros connect to the quench state.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 import scipy.sparse
 
-from .basis import (
-    CapacityError,
-    DickeBasis,
-    _check_int,
-    _key_base,
-    _pack_keys,
-    build_dicke_basis,
-    dicke_dim,
-)
 from .dynamics import state_cap
 
 __all__ = [
@@ -63,14 +62,12 @@ __all__ = [
     "Topology",
     "Normalization",
     "ModelParams",
-    "BasisMismatchError",
+    "CapacityError",
     "MissingStateError",
-    "build_basis",
+    "jch_sector_dim",
     "build_csr",
     "QuenchBlock",
     "build_quench_block",
-    "jz_diagonal",
-    "initial_index",
 ]
 
 
@@ -90,12 +87,25 @@ class Normalization(Enum):
     NONE = "none"
 
 
-class BasisMismatchError(ValueError):
-    """Basis passed to a builder was constructed for different parameters."""
+class CapacityError(Exception):
+    """A run would need more states than ``state_cap()`` or wider state keys."""
 
 
 class MissingStateError(LookupError):
-    """The quench initial state is not contained in the basis."""
+    """The quench initial state is not on the collective ladder."""
+
+
+def _check_int(name: str, value) -> None:
+    """Raise ValueError unless ``operator.index`` takes ``value``.
+
+    A count given as a float, even an integral one, is refused: downstream
+    it would be misread (a photon cutoff of 26.0, a quench row rounded from
+    n * m).
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,8 @@ class ModelParams:
     quench starts with ``n * m`` photons and every two-level system in its
     ground state.  ``beta_prime=None`` means "same as beta".  ``n_max`` is
     the collective-model photon cutoff, defaulting to ``5 * n * m``.
+    ``model``, ``topology`` and ``normalization`` must be members of their
+    enums; their string values are refused.
 
     ``literal_elements`` switches the collective matrix to an alternative
     printed convention in which the photon energy multiplies the coupling
@@ -129,6 +141,14 @@ class ModelParams:
     literal_elements: bool = False
 
     def __post_init__(self) -> None:
+        # A string would compare unequal to every member and quietly take
+        # the last branch of each dispatch: "line" would hop all-to-all.
+        for name, kind in (
+            ("model", Model), ("topology", Topology), ("normalization", Normalization)
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         for name in ("n", "m") + (("n_max",) if self.n_max is not None else ()):
             _check_int(name, getattr(self, name))
         if self.n < 1:
@@ -166,33 +186,43 @@ class ModelParams:
         return replace(self, n_max=multiplier * self.n * self.m)
 
 
-def _require_ladder(params: ModelParams) -> None:
-    if params.model is not Model.DICKE:
-        raise BasisMismatchError(
-            "a chain has no whole basis: build_quench_block builds its quench block"
-        )
+def jch_sector_dim(n_cavities: int, m: int) -> int:
+    """Closed-form sector size: sum over k excited spins of C(N,k) photon placements.
 
-
-def build_basis(params: ModelParams) -> DickeBasis:
-    """Build the truncated collective ladder matching ``params``.
-
-    Raises ``BasisMismatchError`` for a chain, whose block only
-    ``build_quench_block`` builds.
+    With M = N*m total excitations, k of them stored in two-level systems
+    leaves M - k photons distributed over N cavities (stars and bars).
     """
-    _require_ladder(params)
-    return build_dicke_basis(params.n, params.n_max_value)
+    _check_int("n_cavities", n_cavities)
+    _check_int("m", m)
+    total = n_cavities * m
+    return sum(
+        math.comb(n_cavities, k)
+        * math.comb(total - k + n_cavities - 1, n_cavities - 1)
+        for k in range(min(n_cavities, total) + 1)
+    )
 
 
-def _check_basis(params: ModelParams, basis: DickeBasis) -> None:
-    _require_ladder(params)
-    if not isinstance(basis, DickeBasis):
-        raise BasisMismatchError("basis does not hold collective (n, q) states")
-    if basis.n_systems != params.n or basis.dim != dicke_dim(params.n, basis.n_max):
-        raise BasisMismatchError("basis was built for a different system size")
-    if basis.n_max != params.n_max_value:
-        raise BasisMismatchError(
-            f"basis photon cutoff {basis.n_max} does not match requested {params.n_max_value}"
+def _key_base(n_cavities: int, m: int) -> int:
+    """Digit base of the sector's state keys; ``CapacityError`` when a key would overflow int64.
+
+    A key reads the spin pattern as a little-endian bit integer in its top
+    digit, then the photon numbers as digits in base ``N*m + 1``, cavity 0
+    first, so every key lies below ``(2 * base) ** N``.
+    """
+    base = n_cavities * m + 1
+    if (2 * base) ** n_cavities > np.iinfo(np.int64).max:
+        raise CapacityError(
+            f"sector for N={n_cavities}, m={m} has state keys too wide for 64-bit integers"
         )
+    return base
+
+
+def _pack_keys(photons: np.ndarray, spins: np.ndarray, base: int) -> np.ndarray:
+    """Key of each row of ``photons`` and ``spins``, in the digit base of ``_key_base``."""
+    n_cavities = photons.shape[-1]
+    bits = np.int64(1) << np.arange(n_cavities, dtype=np.int64)
+    digits = np.int64(base) ** np.arange(n_cavities - 1, -1, -1, dtype=np.int64)
+    return (spins @ bits) * np.int64(base) ** n_cavities + photons @ digits
 
 
 def _jch_bonds(params: ModelParams) -> list[tuple[int, int]]:
@@ -272,16 +302,39 @@ def _jch_diagonal(params: ModelParams, modes: np.ndarray) -> np.ndarray:
     return params.omega_c * modes[:, :n].sum(axis=1) + params.omega_a * modes[:, n:].sum(axis=1)
 
 
-def _dicke_entries(params: ModelParams, basis: DickeBasis):
-    """Diagonal, and (source, target, value) of the off-diagonal pairs, of the collective model.
+def _dicke_ladder(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Photons ``n`` and ground-state systems ``q`` of each row of the collective ladder.
+
+    Ordered by ``(n, q)`` ascending over n <= n_max photons and q <= N,
+    so row ``n * (N + 1) + q``.  Raises ``ValueError`` for a chain, and
+    ``CapacityError`` before enumerating when the ladder holds more than
+    ``state_cap()`` states.
+    """
+    if params.model is not Model.DICKE:
+        raise ValueError("a chain has no collective ladder: build_quench_block walks its block")
+    nsys, n_max = params.n, params.n_max_value
+    dim = (n_max + 1) * (nsys + 1)
+    cap = state_cap()
+    if dim > cap:
+        raise CapacityError(
+            f"ladder for N={nsys}, n_max={n_max} holds {dim} states, "
+            f"over the cap of {cap} set by physical memory"
+        )
+    return np.divmod(np.arange(dim, dtype=np.int64), nsys + 1)
+
+
+def _dicke_csr(params: ModelParams, n: np.ndarray, q: np.ndarray) -> scipy.sparse.csr_array:
+    """H of the collective model on the ladder rows ``(n, q)`` of ``_dicke_ladder``.
 
     Ladder amplitudes use j = N/2, m_j = N/2 - q:
 
         photon absorbed, spin raised  (n, q) -> (n-1, q-1):  sqrt(n) * J+ amplitude, weight g
         photon absorbed, spin lowered (n, q) -> (n-1, q+1):  sqrt(n) * J- amplitude, weight g'
 
-    Their Hermitian partners are the mirrored entries.  Emission targets
-    above the photon cutoff are dropped by the truncation.
+    A row's target lies N + 1 - dq rows before it.  Their Hermitian
+    partners are the mirrored entries, and emission targets above the
+    photon cutoff are dropped by the truncation.  Each pair is listed once
+    and mirrored; duplicate entries are summed by the conversion to CSR.
     """
     nsys = params.n
     scale = 1.0 / math.sqrt(nsys) if params.normalization is Normalization.SQRT_N else 1.0
@@ -292,7 +345,6 @@ def _dicke_entries(params: ModelParams, basis: DickeBasis):
         g_cnt *= params.omega_c
     j = nsys / 2.0
     jj = j * (j + 1.0)
-    n, q = basis.n, basis.q
     mj = j - q
     if params.literal_elements:
         diag = params.omega_c * (n + mj)
@@ -307,24 +359,23 @@ def _dicke_entries(params: ModelParams, basis: DickeBasis):
         rows = np.flatnonzero((n > 0) & allowed & (amp != 0.0))
         vals.append(g * amp[rows])
         src.append(rows)
-        dst.append(basis.rank(n[rows] - 1, q[rows] + dq))
-    return diag, src, dst, vals
-
-
-def build_csr(params: ModelParams, basis: DickeBasis) -> scipy.sparse.csr_array:
-    """Sparse symmetric Hamiltonian of the collective ladder; ``.toarray()`` gives the dense matrix.
-
-    Each off-diagonal pair is listed once and mirrored; duplicate entries
-    are summed by the conversion to CSR.  Raises ``BasisMismatchError`` for
-    a chain.
-    """
-    _check_basis(params, basis)
-    diag, src, dst, vals = _dicke_entries(params, basis)
-    idx = np.arange(basis.dim)
+        dst.append(rows - (nsys + 1 - dq))
+    dim = n.shape[0]
+    idx = np.arange(dim)
     rows = np.concatenate([idx, *src, *dst])
     cols = np.concatenate([idx, *dst, *src])
     data = np.concatenate([diag, *vals, *vals])
-    return scipy.sparse.coo_array((data, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
+    return scipy.sparse.coo_array((data, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def build_csr(params: ModelParams) -> scipy.sparse.csr_array:
+    """Sparse symmetric H on the whole collective ladder; ``.toarray()`` gives the dense matrix.
+
+    Row ``n * (N + 1) + q`` holds n photons and q systems in the ground
+    state, n <= n_max.  The reference the ladder's quench block is cut
+    from.  Raises ``ValueError`` for a chain.
+    """
+    return _dicke_csr(params, *_dicke_ladder(params))
 
 
 def _jch_group(params: ModelParams) -> np.ndarray | None:
@@ -400,22 +451,27 @@ class _Orbits:
 
 @dataclass(frozen=True, eq=False)
 class QuenchBlock:
-    """The orbits a chain's quench reaches, and H on their normalized orbit sums.
+    """The states a quench reaches, and H on them: the block the engines evolve.
 
-    Row i stands for one orbit of the sector under the automorphisms of the
-    hopping graph, and ``sizes[i]`` counts its states.  Rows are in the
-    order of the orbits' keys, the smallest ``basis._pack_keys`` key of
-    their states.  Row ``start``
-    is the quench state, an orbit of its own.  ``h`` is the
-    bitwise-symmetric Hamiltonian on the orbit sums, less the energy
-    w_c*N*m that every state of the sector has in common, and ``jz`` the
-    stored-energy observable.
+    For a chain, row i stands for one orbit of the sector under the
+    automorphisms of the hopping graph, and ``sizes[i]`` counts its states;
+    rows are in the order of the orbits' keys, the smallest ``_pack_keys``
+    key of their states, and ``h`` is the Hamiltonian on the normalized
+    orbit sums, less the energy w_c*N*m that every state of the sector has
+    in common.  For the collective model every row is one ladder state
+    (``sizes`` all 1), in ladder order, and ``h`` is ``build_csr``'s
+    matrix cut to those rows.  ``h`` is bitwise symmetric, ``jz`` is the
+    stored-energy observable, and row ``start`` is the quench state, an
+    orbit of its own.  ``sector_dim`` counts the states of the space the
+    block is cut from: the chain's excitation sector (``jch_sector_dim``)
+    or the whole ladder, (n_max + 1) * (N + 1).
     """
 
     sizes: np.ndarray
     h: scipy.sparse.csr_array
     jz: np.ndarray
     start: int
+    sector_dim: int
 
     @property
     def dim(self) -> int:
@@ -423,6 +479,19 @@ class QuenchBlock:
 
 
 def build_quench_block(params: ModelParams) -> QuenchBlock:
+    """The block of H that the quench of ``params`` evolves, for either model.
+
+    A chain walks its orbits from the quench state (``_chain_block``); the
+    collective ladder is built whole and cut to the states its quench
+    reaches (``_ladder_block``).  Raises ``CapacityError`` before a
+    builder passes ``state_cap()`` states.
+    """
+    if params.model is Model.DICKE:
+        return _ladder_block(params)
+    return _chain_block(params)
+
+
+def _chain_block(params: ModelParams) -> QuenchBlock:
     """Walk a chain's orbits breadth-first from the quench state.
 
     Each level applies every move (``_jch_moves``) to the orbits
@@ -438,8 +507,6 @@ def build_quench_block(params: ModelParams) -> QuenchBlock:
     Raises ``CapacityError`` before walking when the state keys would not
     fit in int64, and as soon as more than ``state_cap()`` orbits are found.
     """
-    if params.model is not Model.JCH:
-        raise BasisMismatchError("the orbit walk needs a chain of cavities")
     n = params.n
     orbits = _Orbits(params, _key_base(n, params.m))
     cap = state_cap()
@@ -514,22 +581,55 @@ def build_quench_block(params: ModelParams) -> QuenchBlock:
         h=h,
         jz=params.omega_a * modes[order, n:].sum(axis=1),
         start=int(number[0]),
+        sector_dim=jch_sector_dim(n, params.m),
     )
 
 
-def jz_diagonal(params: ModelParams, basis: DickeBasis) -> np.ndarray:
-    """Diagonal of the stored-energy observable: w_a times the number of excited systems."""
-    _check_basis(params, basis)
-    return params.omega_a * (params.n - basis.q)
+def _reachable_block(h: scipy.sparse.csr_array, start: int) -> np.ndarray:
+    """Sorted indices of the states that the nonzeros of ``h`` connect to ``start``.
+
+    A breadth-first walk over the CSR rows, one numpy step per level.  The
+    block is a connected component of the sparsity graph, so H maps it into
+    itself and a quench from ``start`` never leaves it.
+    """
+    indptr, indices = h.indptr, h.indices
+    seen = np.zeros(h.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        lo = indptr[frontier]
+        counts = indptr[frontier + 1] - lo
+        # Position of every stored entry of the frontier rows in ``indices``.
+        pos = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        neighbors = indices[pos]
+        frontier = np.unique(neighbors[~seen[neighbors]])
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
-def initial_index(params: ModelParams, basis: DickeBasis) -> int:
-    """Index of the quench state: n*m photons, all systems in the ground state."""
-    _check_basis(params, basis)
-    try:
-        return int(basis.rank(params.n * params.m, params.n))
-    except KeyError:
+def _ladder_block(params: ModelParams) -> QuenchBlock:
+    """The collective ladder cut to the states its nonzeros connect to the quench state.
+
+    The quench state holds N*m photons and every system in its ground
+    state; ``MissingStateError`` when the cutoff leaves it off the ladder
+    (n_max < N*m).  Without counter-rotating terms the block is the N + 1
+    states of the quench's excitation number; with them, its parity.
+    """
+    n, q = _dicke_ladder(params)
+    start = np.flatnonzero((n == params.n * params.m) & (q == params.n))
+    if not start.size:
         raise MissingStateError(
-            f"initial state ({params.n * params.m} photons) is outside the basis; "
+            f"initial state ({params.n * params.m} photons) is outside the ladder; "
             f"the cutoff must satisfy n_max >= n * m"
-        ) from None
+        )
+    h = _dicke_csr(params, n, q)
+    keep = _reachable_block(h, int(start[0]))
+    if keep.shape[0] < n.shape[0]:
+        h = h[keep][:, keep]
+    return QuenchBlock(
+        sizes=np.ones(keep.shape[0], dtype=np.int64),
+        h=h,
+        jz=params.omega_a * (params.n - q[keep]),
+        start=int(np.searchsorted(keep, start[0])),
+        sector_dim=n.shape[0],
+    )

@@ -21,9 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import _check_int
 from .battery import PowerResult, QuenchSystem, SearchConfig, charge, max_power
-from .hamiltonians import Model, ModelParams
+from .hamiltonians import Model, ModelParams, _check_int
 
 __all__ = [
     "Axis",

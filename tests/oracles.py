@@ -4,7 +4,9 @@ None of them builds the way the package does:
 
 * ``chain_sector`` enumerates a chain's excitation sector by brute force,
   over every photon and two-level digit;
-* ``reference_dense`` builds H element by element on a basis, with a dict
+* ``dicke_ladder`` lists the collective ladder state by state, with a
+  dict from state to row;
+* ``reference_dense`` builds H element by element on either, with a dict
   from state to row;
 * ``operator_chain`` builds the chain's H from ladder operators on the
   product space of every cavity and its two-level system.
@@ -16,16 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from qbattery.basis import _key_base, _pack_keys
-from qbattery.hamiltonians import (
-    Model,
-    Normalization,
-    Topology,
-    build_basis,
-    build_csr,
-    initial_index,
-    jz_diagonal,
-)
+from qbattery.hamiltonians import Model, Normalization, Topology, _key_base, _pack_keys, build_csr
 
 
 def bonds(params):
@@ -71,10 +64,35 @@ def chain_sector(n, m):
     return Sector(digits[order, :n], digits[order, n:], keys[order], base)
 
 
+@dataclass(frozen=True)
+class Ladder:
+    """The collective ladder, one state per row: n photons and q systems in the ground state."""
+
+    n: np.ndarray
+    q: np.ndarray
+    rows: dict
+
+    @property
+    def dim(self):
+        return self.n.shape[0]
+
+    def rank(self, n, q):
+        """Row of each state ``(n, q)``; ``KeyError`` off the ladder."""
+        pairs = zip(np.ravel(n).tolist(), np.ravel(q).tolist())
+        return np.array([self.rows[pair] for pair in pairs]).reshape(np.shape(n))
+
+
+def dicke_ladder(params):
+    """Every state up to the photon cutoff, in (n, q) order."""
+    states = [(n, q) for n in range(params.n_max_value + 1) for q in range(params.n + 1)]
+    n, q = np.array(states).T
+    return Ladder(n, q, {state: row for row, state in enumerate(states)})
+
+
 def reference_dense(params, basis):
     """Element-by-element loop over the states, with a dict from state to row.
 
-    ``basis`` is a ``Sector`` for a chain and the package's ladder for the
+    ``basis`` is a ``Sector`` for a chain and a ``Ladder`` for the
     collective model.  On the ladder the arithmetic is that of ``build_csr``,
     so the two must agree bit for bit.
     """
@@ -119,9 +137,9 @@ def reference_dense(params, basis):
             else:
                 h[i, i] = params.omega_c * n + params.omega_a * (nsys - q)
             if n > 0 and g_rot != 0.0 and q >= 1:
-                h[(n - 1) * (nsys + 1) + q - 1, i] += g_rot * math.sqrt(n * (jj - mj * (mj + 1.0)))
+                h[basis.rows[n - 1, q - 1], i] += g_rot * math.sqrt(n * (jj - mj * (mj + 1.0)))
             if n > 0 and g_cnt != 0.0 and q <= nsys - 1:
-                h[(n - 1) * (nsys + 1) + q + 1, i] += g_cnt * math.sqrt(n * (jj - mj * (mj - 1.0)))
+                h[basis.rows[n - 1, q + 1], i] += g_cnt * math.sqrt(n * (jj - mj * (mj - 1.0)))
     lower = np.tril_indices(basis.dim, -1)
     h[lower] = h.T[lower]
     return h
@@ -166,7 +184,8 @@ def full_quench(params):
     """``(h, jz, psi0)`` on the whole basis: sparse H, stored-energy diagonal and quench state.
 
     A chain takes its brute-force sector and H from ``reference_dense``; the
-    collective model takes the package's ladder and ``build_csr``.
+    collective model takes its own ladder and the package's whole-ladder
+    ``build_csr``, which ``reference_dense`` pins bit for bit.
     """
     if params.model is Model.JCH:
         sector = chain_sector(params.n, params.m)
@@ -174,10 +193,10 @@ def full_quench(params):
         jz = params.omega_a * sector.spins.sum(axis=1)
         start = sector.rank([params.m] * params.n, [0] * params.n)
     else:
-        basis = build_basis(params)
-        h = build_csr(params, basis)
-        jz = jz_diagonal(params, basis)
-        start = initial_index(params, basis)
+        ladder = dicke_ladder(params)
+        h = build_csr(params)
+        jz = params.omega_a * (params.n - ladder.q)
+        start = ladder.rank(params.n * params.m, params.n)
     psi0 = np.zeros(h.shape[0])
     psi0[start] = 1.0
     return h, jz, psi0

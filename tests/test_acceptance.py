@@ -31,12 +31,18 @@ from qbattery.hamiltonians import (
     ModelParams,
     Normalization,
     Topology,
-    build_basis,
     build_csr,
 )
 from qbattery.sweeps import Axis, Scaling, SweepSpec, convergence_check, fit_power_law, run_sweep
 
-from oracles import chain_sector, flat_index, full_quench, operator_chain, reference_dense
+from oracles import (
+    chain_sector,
+    dicke_ladder,
+    flat_index,
+    full_quench,
+    operator_chain,
+    reference_dense,
+)
 
 BETA = 0.05
 
@@ -305,12 +311,12 @@ def test_07_conservation_laws():
     # Collective model without counter-rotating terms conserves n + (N - q);
     # with only counter-rotating terms it strictly violates it.
     rotating = dicke(n=3, m=1, beta=0.5, beta_prime=0.0, n_max=12)
-    basis = build_basis(rotating)
-    x_vec = (basis.n + (3 - basis.q)).astype(float)
-    h_rot = build_csr(rotating, basis)
+    ladder = dicke_ladder(rotating)
+    x_vec = (ladder.n + (3 - ladder.q)).astype(float)
+    h_rot = build_csr(rotating)
     assert _diag_commutator_max(h_rot, x_vec) == 0.0
     counter = dicke(n=3, m=1, beta=0.0, beta_prime=0.5, n_max=12)
-    h_cnt = build_csr(counter, build_basis(counter))
+    h_cnt = build_csr(counter)
     assert _diag_commutator_max(h_cnt, x_vec) > 0.0
 
     # Trajectories: unitarity and energy conservation.

@@ -1,22 +1,29 @@
-"""Basis enumeration and the chain sector: sizes, ordering, bijectivity, and sector closure."""
+"""The chain sector and the collective ladder: sizes, ordering, validation and closure."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from qbattery.basis import CapacityError, build_dicke_basis, dicke_dim, jch_sector_dim
 from qbattery.hamiltonians import (
+    CapacityError,
     Model,
     ModelParams,
     Topology,
+    _dicke_ladder,
     _jch_applicable,
     _jch_apply,
     _jch_moves,
+    build_csr,
     build_quench_block,
+    jch_sector_dim,
 )
 
-from oracles import chain_sector
+from oracles import chain_sector, dicke_ladder
+
+
+def dicke(**kw):
+    return ModelParams(model=Model.DICKE, **{"beta": 0.5, **kw})
 
 
 def brute_force_sector(n, m):
@@ -51,10 +58,10 @@ def test_jch_sector_matches_brute_force(n, m):
 
 
 def test_determinism_same_ordering():
-    d1 = build_dicke_basis(4, 11)
-    d2 = build_dicke_basis(4, 11)
-    assert np.array_equal(d1.n, d2.n)
-    assert np.array_equal(d1.q, d2.q)
+    params = dicke(n=4, n_max=11)
+    b1, b2 = build_quench_block(params), build_quench_block(params)
+    assert np.array_equal(b1.h.toarray(), b2.h.toarray())
+    assert np.array_equal(b1.jz, b2.jz) and b1.start == b2.start
 
 
 def _jch_neighbors(photons, spins):
@@ -105,14 +112,16 @@ def test_capacity_cap(cap_states):
     # 10^12 states under this host's own cap: enumerating them would not fit
     # in memory, so the error must come first.
     with pytest.raises(CapacityError, match="cap of"):
-        build_dicke_basis(10**6 - 1, 10**6 - 1)
-    # The N=15 ladder up to 11 photons holds 192 states.
-    assert dicke_dim(15, 11) == 192
-    cap_states(191)
-    with pytest.raises(CapacityError, match="cap of 191 set by physical memory"):
-        build_dicke_basis(15, 11)
-    cap_states(192)
-    assert build_dicke_basis(15, 11).dim == 192
+        build_quench_block(dicke(n=10**6 - 1, n_max=10**6 - 1))
+    # The N=15 ladder up to 15 photons holds 256 states.
+    params = dicke(n=15, n_max=15)
+    cap_states(255)
+    for build in (build_csr, build_quench_block):
+        with pytest.raises(CapacityError, match="cap of 255 set by physical memory"):
+            build(params)
+    cap_states(256)
+    assert build_csr(params).shape == (256, 256)
+    assert build_quench_block(params).sector_dim == 256
 
 
 def test_key_overflow_raises_before_enumeration(cap_states):
@@ -136,42 +145,33 @@ def test_jch_sector_dim_refuses_a_float_count():
     [(2, 10, 33), (20, 100, 2121), (1, 0, 2)],
 )
 def test_dicke_dimensions(n, n_max, expected):
-    assert dicke_dim(n, n_max) == expected
-    assert build_dicke_basis(n, n_max).dim == expected
+    params = dicke(n=n, n_max=n_max)
+    assert build_csr(params).shape == (expected, expected)
+    assert _dicke_ladder(params)[0].shape == (expected,)
+    if n_max >= n:  # the quench state is on the ladder
+        assert build_quench_block(params).sector_dim == expected
 
 
 def test_dicke_ordering_and_index_formula():
-    n_sys, n_max = 3, 6
-    basis = build_dicke_basis(n_sys, n_max)
-    assert np.all((0 <= basis.n) & (basis.n <= n_max))
-    assert np.all((0 <= basis.q) & (basis.q <= n_sys))
-    assert np.array_equal(basis.rank(basis.n, basis.q), basis.n * (n_sys + 1) + basis.q)
-    assert np.array_equal(basis.rank(basis.n, basis.q), np.arange(basis.dim))
-    assert (basis.n[0], basis.q[0]) == (0, 0)
-    assert (basis.n[-1], basis.q[-1]) == (n_max, n_sys)
+    params = dicke(n=3, n_max=6)
+    n, q = _dicke_ladder(params)
+    ladder = dicke_ladder(params)
+    assert np.array_equal(n, ladder.n) and np.array_equal(q, ladder.q)
+    assert np.array_equal(ladder.rank(n, q), np.arange(n.shape[0]))
+    assert np.array_equal(n * (3 + 1) + q, np.arange(n.shape[0]))
+    assert (n[0], q[0]) == (0, 0)
+    assert (n[-1], q[-1]) == (6, 3)
 
 
 def test_dicke_validation():
-    with pytest.raises(ValueError):
-        build_dicke_basis(0, 5)
-    with pytest.raises(ValueError):
-        build_dicke_basis(2, -1)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        dicke(n=0, m=1, n_max=5)
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        dicke(n=2, m=1, n_max=-1)
 
 
 def test_dicke_basis_refuses_a_float_count():
     # A cutoff of 4.5 used to build a 17-state ladder holding 5 photons.
     for n, n_max in ((2, 4.5), (2.0, 4)):
         with pytest.raises(ValueError, match="must be an integer"):
-            build_dicke_basis(n, n_max)
-
-
-def test_basis_index_unknown_state():
-    dicke = build_dicke_basis(2, 3)
-    for n, q in [(4, 0), (0, 3), (-1, 1)]:
-        with pytest.raises(KeyError):
-            dicke.rank(n, q)
-
-
-def test_basis_index_is_reusable_mapping():
-    basis = build_dicke_basis(2, 3)
-    assert basis.dim == len(basis.n) == len(basis.q) == 12
+            dicke(n=n, n_max=n_max)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qbattery import battery
-from qbattery.basis import CapacityError, jch_sector_dim
 from qbattery.battery import (
     DegenerateRabiError,
     PowerResult,
@@ -21,7 +20,14 @@ from qbattery.battery import (
     rabi_oracle,
 )
 from qbattery.dynamics import ChebyshevEngine, EigenEngine, diagonalize
-from qbattery.hamiltonians import Model, ModelParams, Topology, build_quench_block
+from qbattery.hamiltonians import (
+    CapacityError,
+    Model,
+    ModelParams,
+    Topology,
+    build_quench_block,
+    jch_sector_dim,
+)
 
 from oracles import full_quench
 

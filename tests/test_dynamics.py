@@ -9,18 +9,14 @@ import scipy.sparse.linalg
 from scipy.special import jv
 
 from qbattery import dynamics
-from qbattery.battery import _reachable_block
 from qbattery.dynamics import ChebyshevEngine, EigenEngine, Spectrum, diagonalize
 from qbattery.hamiltonians import (
     Model,
     ModelParams,
     Normalization,
     Topology,
-    build_basis,
     build_csr,
     build_quench_block,
-    initial_index,
-    jz_diagonal,
 )
 
 from oracles import full_quench
@@ -317,12 +313,10 @@ def _line_block_with_photons():
 
 def _dicke_block_with_photons():
     params = dicke(n=15, m=1, beta=0.5, n_max=75)
-    basis = build_basis(params)
-    h = build_csr(params, basis)
-    start = initial_index(params, basis)
-    keep = _reachable_block(h, start)
-    diags = [jz_diagonal(params, basis)[keep], basis.n[keep].astype(float)]
-    return h[keep][:, keep], int(np.searchsorted(keep, start)), diags
+    block = build_quench_block(params)
+    # At w_c = w_a = 1 the diagonal is n + (N - q) and jz is N - q.
+    photons = block.h.diagonal() - block.jz
+    return block.h, block.start, [block.jz, photons]
 
 
 @pytest.mark.parametrize("make", [_line_block_with_photons, _dicke_block_with_photons])
@@ -393,7 +387,7 @@ def test_scaled_discs_bound_the_spectrum_within_the_plain_discs(params):
     if params.model is Model.JCH:
         h = build_quench_block(params).h
     else:
-        h = build_csr(params, build_basis(params))
+        h = build_csr(params)
     lo, hi = ChebyshevEngine._scaled_discs(h)
     eigenvalues = np.linalg.eigvalsh(h.toarray())
     assert lo <= eigenvalues[0] and eigenvalues[-1] <= hi

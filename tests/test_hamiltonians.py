@@ -7,22 +7,19 @@ import numpy as np
 import pytest
 
 from qbattery import hamiltonians
-from qbattery.basis import _key_base, build_dicke_basis
 from qbattery.hamiltonians import (
-    BasisMismatchError,
     MissingStateError,
     Model,
     ModelParams,
     Normalization,
     Topology,
-    build_basis,
+    _key_base,
     build_csr,
     build_quench_block,
-    initial_index,
-    jz_diagonal,
+    jch_sector_dim,
 )
 
-from oracles import chain_sector, flat_index, operator_chain, reference_dense
+from oracles import chain_sector, dicke_ladder, flat_index, operator_chain, reference_dense
 
 
 def jch(**kw):
@@ -33,8 +30,8 @@ def dicke(**kw):
     return ModelParams(model=Model.DICKE, **kw)
 
 
-def dense(params, basis):
-    return build_csr(params, basis).toarray()
+def dense(params):
+    return build_csr(params).toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +146,20 @@ def test_ring_and_complete_graph_differ_at_four_cavities():
 
 def test_dicke_single_system_matches_rabi_oracle():
     params = dicke(n=1, m=1, beta=0.5, n_max=8)
-    basis = build_basis(params)
-    h = dense(params, basis)
+    h = dense(params)
     expected = oracle_rabi(8, 0.5, 0.5, 1.0, 1.0)
     # (n, q) index 2n + q; oracle index 2n + s with s = 1 - q.
     k = np.arange(h.shape[0])
-    perm = basis.rank(k // 2, 1 - (k % 2))
+    perm = dicke_ladder(params).rank(k // 2, 1 - (k % 2))
     assert np.max(np.abs(h[np.ix_(perm, perm)] - expected)) < 1e-14
 
 
 def test_dicke_counter_rotating_only_matches_oracle():
     params = dicke(n=1, m=1, beta=0.0, beta_prime=0.7, n_max=6)
-    basis = build_basis(params)
-    h = dense(params, basis)
+    h = dense(params)
     expected = oracle_rabi(6, 0.0, 0.7, 1.0, 1.0)
     k = np.arange(h.shape[0])
-    perm = basis.rank(k // 2, 1 - (k % 2))
+    perm = dicke_ladder(params).rank(k // 2, 1 - (k % 2))
     assert np.max(np.abs(h[np.ix_(perm, perm)] - expected)) < 1e-14
 
 
@@ -173,26 +168,25 @@ def test_ladder_amplitude_example():
     # entry couples (n=2, q=2) to (n=1, q=1) with the collective scale applied.
     beta = 0.7
     params = dicke(n=2, m=1, beta=beta, beta_prime=0.0, n_max=10)
-    basis = build_basis(params)
-    h = dense(params, basis)
-    i = basis.rank(1, 1)
-    j = basis.rank(2, 2)
+    ladder = dicke_ladder(params)
+    h = dense(params)
+    i = ladder.rank(1, 1)
+    j = ladder.rank(2, 2)
     assert h[i, j] == pytest.approx(beta / math.sqrt(2.0) * 2.0, rel=1e-15)
 
 
 def test_dicke_uncoupled_diagonal():
     params = dicke(n=3, m=1, beta=0.0, beta_prime=0.0, n_max=5)
-    basis = build_basis(params)
-    h = dense(params, basis)
+    ladder = dicke_ladder(params)
+    h = dense(params)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-    assert np.array_equal(np.diag(h), basis.n + (3 - basis.q))
+    assert np.array_equal(np.diag(h), ladder.n + (3 - ladder.q))
 
 
 def test_normalization_scales_couplings():
     base = dict(n=4, m=1, beta=0.3, beta_prime=0.1, n_max=8)
-    basis = build_dicke_basis(4, 8)
-    h_sqrt = dense(dicke(**base, normalization=Normalization.SQRT_N), basis)
-    h_none = dense(dicke(**base, normalization=Normalization.NONE), basis)
+    h_sqrt = dense(dicke(**base, normalization=Normalization.SQRT_N))
+    h_none = dense(dicke(**base, normalization=Normalization.NONE))
     off_sqrt = h_sqrt - np.diag(np.diag(h_sqrt))
     off_none = h_none - np.diag(np.diag(h_none))
     assert np.allclose(off_none, 2.0 * off_sqrt, rtol=1e-14, atol=0)
@@ -202,23 +196,20 @@ def test_normalization_scales_couplings():
 def test_truncation_drops_elements_above_cutoff():
     # With cutoff 3 the counter-rotating pair (3, q) <-> (4, q-1) must vanish,
     # while the same entry exists under a larger cutoff.
-    b_small, b_large = build_dicke_basis(2, 3), build_dicke_basis(2, 8)
-    small = dense(dicke(n=2, m=1, beta=0.5, n_max=3), b_small)
-    large = dense(dicke(n=2, m=1, beta=0.5, n_max=8), b_large)
-    i = b_large.rank(4, 1)
-    j = b_large.rank(3, 2)
+    small = dense(dicke(n=2, m=1, beta=0.5, n_max=3))
+    large_params = dicke(n=2, m=1, beta=0.5, n_max=8)
+    large = dense(large_params)
+    ladder = dicke_ladder(large_params)
+    i = ladder.rank(4, 1)
+    j = ladder.rank(3, 2)
     assert large[i, j] != 0.0
-    assert np.all(b_small.n <= 3)  # no (4, *) entries exist at all
-    assert small.shape == (12, 12)
+    assert small.shape == (12, 12)  # no (4, *) rows exist at all
+    assert np.array_equal(small, large[:12, :12])
 
 
 def test_literal_convention_is_constant_diagonal_shift_at_unit_energies():
-    params = dicke(n=3, m=1, beta=0.4, beta_prime=0.2, n_max=6)
-    basis = build_basis(params)
-    physical = dense(params, basis)
-    literal = dense(
-        dicke(n=3, m=1, beta=0.4, beta_prime=0.2, n_max=6, literal_elements=True), basis
-    )
+    physical = dense(dicke(n=3, m=1, beta=0.4, beta_prime=0.2, n_max=6))
+    literal = dense(dicke(n=3, m=1, beta=0.4, beta_prime=0.2, n_max=6, literal_elements=True))
     diff = physical - literal
     off = diff - np.diag(np.diag(diff))
     assert np.max(np.abs(off)) == 0.0
@@ -243,7 +234,7 @@ def test_bitwise_symmetry(params):
     if params.model is Model.JCH:
         h = build_quench_block(params).h.toarray()
     else:
-        h = dense(params, build_basis(params))
+        h = dense(params)
     assert np.array_equal(h, h.T)
     assert np.all(np.isfinite(h))
 
@@ -257,9 +248,8 @@ def test_bitwise_symmetry(params):
     ],
 )
 def test_sparse_equals_dense(params):
-    basis = build_basis(params)
-    sparse = build_csr(params, basis).toarray()
-    assert np.array_equal(reference_dense(params, basis), sparse)
+    sparse = build_csr(params).toarray()
+    assert np.array_equal(reference_dense(params, dicke_ladder(params)), sparse)
 
 
 @pytest.mark.parametrize("topology", list(Topology))
@@ -320,8 +310,9 @@ def test_walk_group_is_the_automorphism_group_of_the_hopping_graph(n, topology):
 def test_single_cavity_orbits_are_single_states():
     block = build_quench_block(jch(n=1, m=2, beta=0.05))
     assert block.dim == 2 and block.sizes.tolist() == [1, 1]
-    with pytest.raises(BasisMismatchError):
-        build_quench_block(dicke(n=3, m=1, beta=0.5, n_max=7))
+    # Every ladder state is an orbit of its own.
+    ladder = build_quench_block(dicke(n=3, m=1, beta=0.5, n_max=7))
+    assert ladder.sizes.tolist() == [1] * ladder.dim
 
 
 def test_commutes_with_excitation_number_in_sector():
@@ -334,17 +325,17 @@ def test_commutes_with_excitation_number_in_sector():
 
 def test_excitation_conserving_collective_commutes():
     params = dicke(n=3, m=1, beta=0.5, beta_prime=0.0, n_max=9)
-    basis = build_basis(params)
-    h = dense(params, basis)
-    x = np.diag((basis.n + (3 - basis.q)).astype(float))
+    ladder = dicke_ladder(params)
+    h = dense(params)
+    x = np.diag((ladder.n + (3 - ladder.q)).astype(float))
     assert np.max(np.abs(h @ x - x @ h)) == 0.0
 
 
 def test_counter_rotating_violates_excitation_number():
     params = dicke(n=2, m=1, beta=0.0, beta_prime=0.4, n_max=6)
-    basis = build_basis(params)
-    h = dense(params, basis)
-    x = np.diag((basis.n + (2 - basis.q)).astype(float))
+    ladder = dicke_ladder(params)
+    h = dense(params)
+    x = np.diag((ladder.n + (2 - ladder.q)).astype(float))
     assert np.max(np.abs(h @ x - x @ h)) > 0.0
 
 
@@ -353,47 +344,65 @@ def test_counter_rotating_violates_excitation_number():
 
 
 def test_jz_diagonal_values():
-    d_params = dicke(n=4, m=1, beta=0.5, n_max=6)
-    d_basis = build_basis(d_params)
-    d_jz = jz_diagonal(d_params, d_basis)
-    assert d_jz[d_basis.rank(0, 0)] == 4.0
-    assert d_jz[d_basis.rank(0, 4)] == 0.0
-    assert d_jz.shape == (d_basis.dim,)
+    params = dicke(n=4, m=1, beta=0.5, n_max=6, omega_a=1.5)
+    block = build_quench_block(params)
+    # w_a per excited system: none at the quench state, all four at most.
+    assert block.jz[block.start] == 0.0
+    assert sorted(set(block.jz.tolist())) == [0.0, 1.5, 3.0, 4.5, 6.0]
+    assert block.jz.shape == (block.dim,)
 
 
 def test_initial_state_collective():
-    params = dicke(n=3, m=1, beta=0.5, n_max=15)
-    basis = build_basis(params)
-    k = initial_index(params, basis)
-    assert (basis.n[k], basis.q[k]) == (3, 3)
+    # The quench row stores no energy and holds three photons: w_c * 3 on the diagonal.
+    block = build_quench_block(dicke(n=3, m=1, beta=0.5, n_max=15))
+    assert block.jz[block.start] == 0.0
+    assert block.h[block.start, block.start] == 3.0
 
 
 def test_initial_state_missing_when_cutoff_too_small():
     params = dicke(n=2, m=1, beta=0.5, n_max=1)
-    basis = build_basis(params)
-    with pytest.raises(MissingStateError):
-        initial_index(params, basis)
-
-
-def test_basis_mismatch_raises():
-    d_params = dicke(n=2, m=1, beta=0.5, n_max=10)
-    with pytest.raises(BasisMismatchError):
-        build_csr(d_params, build_dicke_basis(2, 8))
-    with pytest.raises(BasisMismatchError):
-        jz_diagonal(d_params, build_dicke_basis(3, 10))
+    with pytest.raises(MissingStateError, match="n_max >= n \\* m"):
+        build_quench_block(params)
+    assert build_csr(params).shape == (6, 6)  # the whole ladder needs no quench state
 
 
 def test_model_specific_builders_check_model():
-    with pytest.raises(BasisMismatchError):
-        build_csr(dicke(n=2, m=1, beta=0.5, n_max=10), chain_sector(2, 1))
-    # A chain has no whole basis in the package: only the orbit walk builds it.
+    # A chain has no whole ladder in the package: only the orbit walk builds it.
     chain = jch(n=2, m=1, beta=0.5)
-    with pytest.raises(BasisMismatchError):
-        build_basis(chain)
-    for builder in (build_csr, jz_diagonal, initial_index):
-        for basis in (build_dicke_basis(2, 10), chain_sector(2, 1)):
-            with pytest.raises(BasisMismatchError):
-                builder(chain, basis)
+    with pytest.raises(ValueError, match="no collective ladder"):
+        build_csr(chain)
+    assert build_quench_block(chain).sector_dim == jch_sector_dim(2, 1)
+
+
+def reached_rows(h, start):
+    """Rows that the nonzeros of ``h`` connect to ``start``, by repeated sparse products."""
+    reached = np.arange(h.shape[0]) == start
+    while not np.array_equal(grown := reached | (abs(h) @ reached.astype(float) > 0), reached):
+        reached = grown
+    return np.flatnonzero(reached)
+
+
+@pytest.mark.parametrize(
+    "params, block_dim",
+    [
+        (dicke(n=15, m=1, beta=0.5, n_max=75), 608),  # both couplings: parity halves 1,216
+        (dicke(n=6, m=1, beta=0.5, beta_prime=0.0), 7),  # excitations conserved: N + 1
+        (dicke(n=6, m=1, beta=0.0, beta_prime=0.5), 7),  # n - (N - q) conserved: N + 1
+        (dicke(n=6, m=1, beta=0.0, beta_prime=0.0), 1),  # uncoupled
+        (dicke(n=4, m=2, beta=0.5, beta_prime=0.3, n_max=8), 23),  # n_max = N*m
+    ],
+)
+def test_ladder_block_is_the_whole_ladder_cut_to_the_states_reached(params, block_dim):
+    h = build_csr(params)
+    ladder = dicke_ladder(params)
+    start = ladder.rank(params.n * params.m, params.n)
+    keep = reached_rows(h, start)
+    block = build_quench_block(params)
+    assert (block.dim, block.sector_dim) == (block_dim, ladder.dim)
+    assert np.array_equal(block.sizes, np.ones(block_dim))
+    assert np.array_equal(block.h.toarray(), h[keep][:, keep].toarray())
+    assert np.array_equal(block.jz, params.omega_a * (params.n - ladder.q[keep]))
+    assert block.start == np.count_nonzero(keep < start)
 
 
 def test_params_validation_and_derived_fields():
@@ -429,3 +438,21 @@ def test_params_validation_and_derived_fields():
     with pytest.raises(ValueError, match="integer"):
         p.with_cutoff(4.5)
     assert dicke(n=np.int64(4), m=1, beta=0.5).n_max_value == 20
+
+
+# A string compares unequal to every enum member, so it used to fall through
+# to the last branch of a dispatch: topology="line" hopped all-to-all and
+# normalization="sqrt-n" ran unnormalized.
+def test_params_refuse_a_model_given_as_a_string():
+    with pytest.raises(ValueError, match="model must be a Model"):
+        ModelParams(model="dicke", n=2, beta=0.5)
+
+
+def test_params_refuse_a_topology_given_as_a_string():
+    with pytest.raises(ValueError, match="topology must be a Topology"):
+        jch(n=4, m=1, beta=0.05, kappa=0.5, topology="line")
+
+
+def test_params_refuse_a_normalization_given_as_a_string():
+    with pytest.raises(ValueError, match="normalization must be a Normalization"):
+        dicke(n=4, m=1, beta=0.5, normalization="sqrt-n")

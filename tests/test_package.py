@@ -1,16 +1,19 @@
 """The package surface: what ``import qbattery`` exports, and what a first quench imports."""
 
+import importlib
 import os
 import subprocess
 import sys
 
+import pytest
+
 import qbattery
 import qbattery.cli
-from qbattery import basis, battery, dynamics, hamiltonians, sweeps
+from qbattery import battery, dynamics, hamiltonians, sweeps
 
 
 def test_package_exports_each_module_all_once():
-    modules = (basis, hamiltonians, dynamics, battery, sweeps)
+    modules = (hamiltonians, dynamics, battery, sweeps)
     expected = ["__version__"] + [name for module in modules for name in module.__all__]
     assert qbattery.__all__ == expected
     assert len(set(expected)) == len(expected)
@@ -27,6 +30,21 @@ def test_package_exports_no_full_sector_chain_names():
                  "initial_state"):
         assert name not in qbattery.__all__, name
         assert not hasattr(qbattery, name), name
+
+
+def test_package_exports_no_collective_basis_names():
+    # The ladder comes from its params inside build_quench_block and build_csr.
+    for name in ("DickeBasis", "build_dicke_basis", "dicke_dim", "build_basis", "jz_diagonal",
+                 "initial_index", "BasisMismatchError"):
+        assert name not in qbattery.__all__, name
+        assert not hasattr(qbattery, name), name
+        assert not hasattr(hamiltonians, name), name
+    assert not hasattr(qbattery, "basis")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("qbattery.basis")
+    for name in ("CapacityError", "jch_sector_dim"):
+        assert name in hamiltonians.__all__, name
+        assert getattr(qbattery, name) is getattr(hamiltonians, name)
 
 
 def test_benchmark_worker_names_exist():

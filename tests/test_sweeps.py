@@ -6,9 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qbattery.basis import CapacityError
 from qbattery.battery import SearchConfig, SearchNotice
-from qbattery.hamiltonians import Model, ModelParams, Topology
+from qbattery.hamiltonians import CapacityError, Model, ModelParams, Topology
 from qbattery.sweeps import (
     Axis,
     InsufficientDataError,
