@@ -84,7 +84,9 @@ DENSE_LIMIT = 2500
 # product and the folded Bessel table, which made each window cheaper, and
 # the two-sided windows, which need about half as many (the count above is
 # still one window per phase); they are kept so that every block runs on
-# the engine it ran on before.
+# the engine it ran on before.  For the same reason they still price a
+# chiral block's window (``dynamics``), which takes half the products and
+# half the Gram work, at the general window's cost.
 _DENSE_CUBE = 1.6e-11
 _DENSE_SQUARE = 2.4e-7
 _CHEB_FIXED = 9.5e-3

@@ -11,7 +11,8 @@ the real and imaginary parts of psi(t) = V (c * exp(-i L t)) up to the
 sign of y.  V stays real, so a grid of times costs two real matrix
 products, O(dim^2) per requested time, and is exact for every t.
 
-Sectors too large to diagonalize densely are handled by a Chebyshev
+The other engine, which ``battery`` picks where its run-time estimate is
+the lower and for every block too large for ``eigh``, is a Chebyshev
 polynomial propagator on the sparse Hamiltonian (H. Tal-Ezer and R.
 Kosloff, J. Chem. Phys. 81, 3967 (1984); A. Weisse et al., Rev. Mod.
 Phys. 78, 275 (2006)), scaled into [-1, 1] by the Gershgorin discs of
@@ -38,6 +39,25 @@ on 256 points in a window and 512 for the jump, folded onto the distinct
 values of |sin(theta)|: two fixed tables times their cosines and sines,
 which also gives J_k(-x) = (-1)^k J_k(x).  No randomness is involved
 anywhere, so results are bit-reproducible run to run.
+
+A block is chiral when its diagonal is one constant and every
+off-diagonal entry joins the classes C0 and C1 of states at even and odd
+distance from the initial one: a resonant line, an even ring, any chain
+without hopping.  Centered on that constant, 2 Hs maps each class into
+the other, so the state at every center is x + i y with x on C0 and y on
+C1, and T_k x and T_k y have complementary supports.  One real
+recurrence on w = x + y then serves both: on C0 row k of W is x_k for
+even k and y_k for odd k, on C1 the other.  So a chiral window takes
+order - 1 products and its jump one recurrence; it holds one (order,
+dim) array, with the states ordered by class once so that each class's
+columns are contiguous, and gets its Gram matrix from one symmetric
+product per class, G_c = W_c diag_c W_c^T: Re G = G_0 + G_1 and
+Im G_kk' = (-1)^k (G_0 - G_1).  A block whose diagonal is one constant is
+centered on it; the engine then looks for the classes itself, by a
+breadth-first walk from the initial state at the first jump.  The first
+window is the general one, real (y = 0) and of the same cost, so a block
+that one window covers never pays for the walk.  Every other block takes
+the general path throughout.
 
 Both engines take the Hamiltonian block as a sparse matrix, which
 ``build_quench_block`` builds for either model: over orbits for a chain,
@@ -156,7 +176,10 @@ class ChebyshevEngine:
     ``_scaled_discs(h)`` when the caller has already computed them.  The
     engine lazily extends its covered time range, one two-sided window of
     [c - dt, c + dt] at a time (the first only [0, dt]); querying any t
-    within the range never touches the large vectors again.
+    within the range never touches the large vectors again.  A block whose
+    diagonal is one constant is centered on it; if it is chiral (see the
+    module docstring), the first jump puts the states in class order, and
+    every later window and jump runs one recurrence.
     """
 
     # Target phase a*dt on each side of a window, and the phase 2 a dt of a
@@ -199,8 +222,18 @@ class ChebyshevEngine:
                 raise ValueError("a tracked diagonal must be finite and nonnegative")
             self._roots.append(np.sqrt(d))
         lo, hi = bounds if bounds is not None else self._scaled_discs(h)
-        center = 0.5 * (hi + lo)
-        half = 0.5 * (hi - lo)
+        diagonal = h.diagonal()
+        # A block whose diagonal is one constant may be chiral: it is centered
+        # on that constant, so that 2 Hs has a zero diagonal, and the states
+        # psi0 holds are kept until the first jump looks for the classes.
+        constant = diagonal.size and (diagonal == diagonal[0]).all()
+        self._start = psi0 != 0 if constant else None
+        if self._start is None:
+            center = 0.5 * (hi + lo)
+            half = 0.5 * (hi - lo)
+        else:
+            center = float(diagonal[0])
+            half = max(hi - center, center - lo)
         # Pad so the true spectrum sits strictly inside [-1, 1] after scaling.
         half = half * (1.0 + 1e-9) + 1e-12
         self._center = center
@@ -216,11 +249,15 @@ class ChebyshevEngine:
         self._fold_re, self._fold_im = fold.real.copy(), fold.imag.copy()
         x = np.array([2.0 * half * self._dt])
         self._jump = phases * self._bessel(x, self._JUMP_ORDER, self._JUMP_BESSEL_POINTS)[0, 0]
+        # The columns of each class, C0 first, once a chiral block has
+        # taken its classes; else None.
+        self._classes: tuple[slice, slice] | None = None
         self._windows: list[_Window] = []
         self._starts: np.ndarray = np.empty(0)
         self._t_end = 0.0
-        self._state_re = psi0.copy()
-        self._state_im = np.zeros(dim)
+        # The real and imaginary parts; on a chiral block, once it has taken
+        # its classes, the one vector x + y, whose parts sit on C0 and C1.
+        self._state = [psi0.copy(), np.zeros(dim)]
         # The last two window vectors of each part while a jump is pending;
         # the state then holds the jump's sum over the window's vectors.
         self._tails: list[np.ndarray] = []
@@ -232,6 +269,9 @@ class ChebyshevEngine:
         The real and imaginary expansion vectors, which the Gram step scales
         in place; tracking more than one diagonal adds one scaled copy.  The
         jump to the next center runs after they are freed, on eight vectors.
+        A chiral block's window holds half of this, the one recurrence on
+        x + y, and its jump four vectors; the count stays the general one,
+        which bounds both, so ``state_cap()`` does not depend on the block.
         """
         return 2 * cls._WINDOW_ORDER * dim * 8
 
@@ -257,6 +297,45 @@ class ChebyshevEngine:
         lo = max(np.min(d - scaled[:, 1]), np.min(d - radius))
         hi = min(np.max(d + scaled[:, 0]), np.max(d + radius))
         return float(lo), float(hi)
+
+    @staticmethod
+    def _chiral_order(h: scipy.sparse.csr_array, psi0: np.ndarray) -> tuple[np.ndarray, int] | None:
+        """The states ordered class C0 first and the size of C0, or None if ``h`` is not chiral.
+
+        ``h`` is chiral about ``psi0`` when its diagonal is one constant and
+        each off-diagonal entry joins C0 and C1, the states at even and odd
+        breadth-first distance from those where ``psi0`` (a vector or a
+        mask) is nonzero.  The walk takes one sparse product per level on
+        the off-diagonal pattern, stored as 0/1 in single precision, which
+        counts neighbours exactly; an entry within a level closes an odd
+        cycle, or joins two states of ``psi0``.  States it never reaches
+        keep zero amplitude and join C1.
+        """
+        d = h.diagonal()
+        if not d.size or (d != d[0]).any():
+            return None
+        rows = np.repeat(np.arange(d.shape[0]), np.diff(h.indptr))
+        edges = ((h.indices != rows) & (h.data != 0)).astype(np.float32)
+        pattern = scipy.sparse.csr_array((edges, h.indices, h.indptr), shape=h.shape)
+        unseen = psi0 == 0
+        odd = np.zeros(d.shape[0], dtype=bool)
+        frontier = (~unseen).astype(np.float32)
+        level = 0
+        while True:
+            reach = pattern @ frontier
+            if reach @ frontier > 0:
+                return None
+            new = reach > 0
+            new &= unseen
+            if not new.any():
+                break
+            unseen ^= new
+            level += 1
+            if level % 2:
+                odd |= new
+            frontier = new.astype(np.float32)
+        odd |= unseen
+        return np.argsort(odd, kind="stable"), int(d.shape[0] - np.count_nonzero(odd))
 
     @classmethod
     @functools.cache
@@ -311,41 +390,83 @@ class ChebyshevEngine:
 
         The coefficient of T_k is real for even k and imaginary for odd k,
         so each vector of the real part adds to one part of the state, and
-        each of the imaginary part (times i) to the other.
+        each of the imaginary part (times i) to the other.  On a chiral
+        block each class of a vector adds to the part that class holds.
         """
-        re, im = self._state_re, self._state_im
         for part, (prev, last) in enumerate(self._tails):
             for k in range(self._WINDOW_ORDER, self._JUMP_ORDER):
                 prev, last = last, np.subtract(self._h_twice @ last, prev, out=prev)
+                if self._classes is not None:
+                    for rho, cols in zip(self._rho, self._classes):
+                        self._state[0][cols] += rho[k] * last[cols]
+                    continue
                 c = self._jump[k] * 1j**part
                 if (k + part) % 2 == 0:
-                    re += c.real * last
+                    self._state[0] += c.real * last
                 else:
-                    im += c.imag * last
+                    self._state[1] += c.imag * last
         self._tails = []
+
+    def _take_classes(self) -> None:
+        """At the first jump, move a chiral block to class order and one recurrence on x + y.
+
+        Until then the block runs the general path, whose first window is
+        real anyway, so a block that one window covers never pays for the
+        walk.  Every sum that made the state added exact zeros off each
+        part's class, so x + y holds both parts exactly.
+        """
+        chiral = self._chiral_order(self._h_twice, self._start)
+        self._start = None
+        if chiral is None:
+            return
+        order, split = chiral
+        self._h_twice = self._h_twice[order][:, order]
+        self._roots = [root[order] for root in self._roots]
+        self._state = [np.add(*self._state)[order]]
+        self._classes = (slice(0, split), slice(split, order.shape[0]))
+        # The coefficient of T_k w on each class in the jump (Re jump_k for
+        # even k; -Im jump_k on C0 and +Im jump_k on C1 for odd k), and the
+        # fold of each class's Gram matrix: Re G = G0 + G1 and Im G_kk' =
+        # (-1)^k (G0 - G1), each where its fold is nonzero.
+        re, im = self._jump.real, self._jump.imag
+        self._rho = np.stack([re - im, re + im])
+        sign = np.where(np.arange(self._WINDOW_ORDER)[:, None] % 2, -1.0, 1.0)
+        self._fold_classes = (
+            self._fold_re - sign * self._fold_im,
+            self._fold_re + sign * self._fold_im,
+        )
 
     def _advance_window(self) -> None:
         order = self._WINDOW_ORDER
         if self._tails:
             self._land()
+            if self._start is not None:
+                self._take_classes()
+        parts = self._state
         # The state stays real until the first jump; every product with its
         # zero imaginary part would be zero, so none is taken.
-        real = not self._state_im.any()
+        if len(parts) == 2 and not parts[1].any():
+            parts = parts[:1]
         # Rows: the real part's vectors, then the imaginary part's.
-        s = np.empty((order if real else 2 * order, self._state_re.shape[0]))
-        self._expand(self._state_re, s[:order])
-        if not real:
-            self._expand(self._state_im, s[order:])
+        s = np.empty((len(parts) * order, parts[0].shape[0]))
+        for i, part in enumerate(parts):
+            self._expand(part, s[i * order : (i + 1) * order])
         # The jump to the next center starts as the sum over these vectors.
         # The spectrum's midpoint E adds the global phase exp(-i*E*2dt); it
         # cancels in every bilinear form evaluated here, so the stored state
         # simply omits it.
-        c = self._jump[:order]
-        if real:
-            mix = np.stack([c.real, c.imag])
+        if self._classes is not None:
+            state = np.empty(s.shape[1])
+            for rho, cols in zip(self._rho, self._classes):
+                np.matmul(rho[:order], s[:, cols], out=state[cols])
+            self._state = [state]
         else:
-            mix = np.block([[c.real, -c.imag], [c.imag, c.real]])
-        self._state_re, self._state_im = mix @ s
+            c = self._jump[:order]
+            if len(parts) == 1:
+                mix = np.stack([c.real, c.imag])
+            else:
+                mix = np.block([[c.real, -c.imag], [c.imag, c.real]])
+            self._state = list(mix @ s)
         self._tails = [s[k - 2 : k].copy() for k in range(order, s.shape[0] + 1, order)]
         forms = []
         scratch = None
@@ -360,8 +481,15 @@ class ChebyshevEngine:
                 w = scratch = np.multiply(s, root, out=scratch)
             else:
                 w = np.multiply(s, root, out=s)
+            if self._classes is not None:
+                # One symmetric product over each class's columns.
+                g0, g1 = (w[:, cols] @ w[:, cols].T for cols in self._classes)
+                g0 *= self._fold_classes[0]
+                g1 *= self._fold_classes[1]
+                forms.append(np.add(g0, g1, out=g0))
+                continue
             g = w @ w.T
-            if real:
+            if len(parts) == 1:
                 forms.append(self._fold_re * g)
                 continue
             gram, skew = g[:order, :order], g[:order, order:]

@@ -260,18 +260,30 @@ def test_chebyshev_tracks_multiple_observables():
 
 
 class Counting:
-    """Stands in for the engine's 2 Hs and counts its sparse products."""
+    """Stands in for the engine's 2 Hs and counts its sparse products.
 
-    def __init__(self, matrix):
+    A reordered copy, which a chiral block takes at its first jump, counts
+    on the same tally; every other attribute is the matrix's.
+    """
+
+    def __init__(self, matrix, tally=None):
         self.matrix, self.products = matrix, 0
+        self.tally = tally if tally is not None else self
 
     def __matmul__(self, vector):
-        self.products += 1
+        self.tally.products += 1
         return self.matrix @ vector
+
+    def __getitem__(self, index):
+        return Counting(self.matrix[index], self.tally)
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
 
 
 def test_first_chebyshev_window_propagates_only_the_real_part():
-    params = jch(n=2, m=1, beta=0.2, kappa=0.3)
+    # Detuned, so the block is not chiral and runs the general path.
+    params = jch(n=2, m=1, beta=0.2, kappa=0.3, omega_a=1.1)
     sparse, h, jz, psi0 = _system(params)
     cheb = ChebyshevEngine(sparse, psi0, [jz])
     counting = cheb._h_twice = Counting(cheb._h_twice)
@@ -285,17 +297,104 @@ def test_first_chebyshev_window_propagates_only_the_real_part():
     assert (len(cheb._windows), counting.products) == (2, 3 * (order - 1) + jump)
     cheb.extend(4.5 * cheb._dt)
     assert (len(cheb._windows), counting.products) == (3, 5 * (order - 1) + 3 * jump)
+    assert cheb._classes is None
     ts = np.linspace(0.0, cheb._t_end, 41)
     exact = EigenEngine(diagonalize(h), psi0, jz)
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
 
 
+def _quench_start(params):
+    """The quench block of ``params`` and its initial vector."""
+    block = build_quench_block(params)
+    psi0 = np.zeros(block.dim)
+    psi0[block.start] = 1.0
+    return block, psi0
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        jch(n=5, m=1, beta=0.05, kappa=0.5),
+        jch(n=6, m=1, beta=0.05, kappa=0.5, topology=Topology.RING),
+    ],
+)
+def test_chiral_windows_run_one_recurrence_and_match_the_eigenbasis(params):
+    block, psi0 = _quench_start(params)
+    exact = EigenEngine(diagonalize(block.h.toarray()), psi0, block.jz)
+    cheb = ChebyshevEngine(block.h, psi0, [block.jz])
+    counting = cheb._h_twice = Counting(cheb._h_twice)
+    order = ChebyshevEngine._WINDOW_ORDER
+    jump = ChebyshevEngine._JUMP_ORDER - order
+    dt = cheb._dt
+    # One real recurrence per window and per jump: the first window expands
+    # the real initial state, the first jump finds the classes, and every
+    # later window and jump runs on x + y.
+    cheb.extend(0.0)
+    assert (len(cheb._windows), counting.products) == (1, order - 1)
+    assert cheb._classes is None
+    cheb.extend(2.5 * dt)
+    assert cheb._classes is not None
+    assert (len(cheb._windows), counting.products) == (2, 2 * (order - 1) + jump)
+    cheb.extend(4.5 * dt)
+    assert (len(cheb._windows), counting.products) == (3, 3 * (order - 1) + 2 * jump)
+    # Both sides of the centers 2 dt and 4 dt.
+    offsets = np.array([-1.0, -0.7, -0.3, 0.0, 0.4, 0.9, 1.0])
+    ts = np.concatenate([2 * dt + offsets * dt, 4 * dt + offsets * dt])
+    assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
+    assert counting.products == 3 * (order - 1) + 2 * jump
+
+
+@pytest.mark.parametrize(
+    "params, chiral",
+    [
+        (jch(n=5, m=1, beta=0.05, kappa=0.5), True),
+        (jch(n=4, m=2, beta=0.05, kappa=0.5, topology=Topology.RING), True),
+        (jch(n=5, m=1, beta=0.05, kappa=0.0, topology=Topology.RING), True),
+        (jch(n=5, m=1, beta=0.05, kappa=0.5, topology=Topology.RING), False),
+        (jch(n=3, m=1, beta=0.05, kappa=0.5, topology=Topology.ALL_TO_ALL), False),
+        (jch(n=5, m=1, beta=0.05, kappa=0.5, omega_a=1.1), False),
+        (dicke(n=15, m=1, beta=0.5, n_max=75), False),
+    ],
+)
+def test_chiral_detection(params, chiral):
+    block, psi0 = _quench_start(params)
+    found = ChebyshevEngine._chiral_order(block.h, psi0)
+    assert (found is not None) == chiral
+    if found is not None:
+        # In class order, no entry off the diagonal stays within a class,
+        # and the initial state is on the first.
+        order, split = found
+        off = block.h[order][:, order] - scipy.sparse.diags_array(block.h.diagonal())
+        assert off[:split, :split].count_nonzero() == 0
+        assert off[split:, split:].count_nonzero() == 0
+        assert not psi0[order][split:].any()
+
+
+def test_chiral_detection_refuses_a_start_on_both_classes():
+    block, psi0 = _quench_start(jch(n=5, m=1, beta=0.05, kappa=0.5))
+    row = block.h[[block.start]]
+    neighbor = row.indices[row.indices != block.start][0]
+    psi0[neighbor] = 1.0
+    assert ChebyshevEngine._chiral_order(block.h, psi0 / np.sqrt(2.0)) is None
+
+
+def _state_parts(cheb):
+    """The state's real and imaginary parts; a chiral block holds them on its two classes."""
+    if cheb._classes is None:
+        return cheb._state
+    parts = [np.zeros_like(cheb._state[0]) for _ in cheb._classes]
+    for part, cols in zip(parts, cheb._classes):
+        part[cols] = cheb._state[0][cols]
+    return parts
+
+
 def _forms_by_three_products(cheb, diags):
     """The next window's forms from its Chebyshev vectors, each Gram block a product of its own."""
-    order, dim = ChebyshevEngine._WINDOW_ORDER, cheb._state_re.shape[0]
+    state_re, state_im = _state_parts(cheb)
+    order, dim = ChebyshevEngine._WINDOW_ORDER, state_re.shape[0]
     q_re, q_im = np.empty((order, dim)), np.empty((order, dim))
-    cheb._expand(cheb._state_re, q_re)
-    cheb._expand(cheb._state_im, q_im)
+    cheb._expand(state_re, q_re)
+    cheb._expand(state_im, q_im)
     forms = []
     for diag in diags:
         g_ri = (q_re * diag) @ q_im.T
@@ -304,11 +403,20 @@ def _forms_by_three_products(cheb, diags):
     return forms
 
 
-def _line_block_with_photons():
-    params = jch(n=6, m=1, beta=0.05, kappa=0.5)
+def _chain_block_with_photons(params):
     block = build_quench_block(params)
     photons = params.n * params.m - block.jz / params.omega_a
     return block.h, block.start, [block.jz, photons]
+
+
+def _line_block_with_photons():
+    # 2,687 orbits, detuned, so the block is not chiral.
+    return _chain_block_with_photons(jch(n=6, m=1, beta=0.05, kappa=0.5, omega_a=1.1))
+
+
+def _resonant_line_block_with_photons():
+    # The same 2,687 orbits at resonance: a chiral block.
+    return _chain_block_with_photons(jch(n=6, m=1, beta=0.05, kappa=0.5))
 
 
 def _dicke_block_with_photons():
@@ -319,7 +427,9 @@ def _dicke_block_with_photons():
     return block.h, block.start, [block.jz, photons]
 
 
-@pytest.mark.parametrize("make", [_line_block_with_photons, _dicke_block_with_photons])
+@pytest.mark.parametrize(
+    "make", [_line_block_with_photons, _dicke_block_with_photons, _resonant_line_block_with_photons]
+)
 def test_stacked_gram_forms_match_separate_products(make):
     h, start, diags = make()
     psi0 = np.zeros(h.shape[0])
@@ -331,10 +441,16 @@ def test_stacked_gram_forms_match_separate_products(make):
             cheb._advance_window()
         if cheb._tails:
             cheb._land()
-        expected = _forms_by_three_products(cheb, diags)
+        ordered = diags
+        if cheb._classes is not None:
+            # A chiral block holds its states in class order from the first jump.
+            order, _ = ChebyshevEngine._chiral_order(h, psi0)
+            ordered = [diag[order] for diag in diags]
+        expected = _forms_by_three_products(cheb, ordered)
         cheb._advance_window()
         for got, want in zip(cheb._windows[window].forms, expected, strict=True):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert (cheb._classes is not None) == (make is _resonant_line_block_with_photons)
 
 
 @pytest.mark.parametrize("bad", [-1e-300, -1.0, np.nan, np.inf])
@@ -348,28 +464,50 @@ def test_chebyshev_rejects_a_negative_or_non_finite_diagonal(bad):
             ChebyshevEngine(h, psi0, diags)
 
 
-def test_chebyshev_window_memory_is_what_window_bytes_counts():
-    # 2,687 orbits: one (order, dim) array of doubles is 2.1 MB, 28 times
-    # a real order x order folded Gram matrix.
-    block = build_quench_block(jch(n=6, m=1, beta=0.05, kappa=0.5))
-    psi0 = np.zeros(block.dim)
-    psi0[block.start] = 1.0
-    cheb = ChebyshevEngine(block.h, psi0, [block.jz])
+def _traced_peak(cheb, t):
+    """The traced peak of the bytes ``cheb`` allocates while it extends to ``t``."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cheb.extend(4.5 * cheb._dt)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        cheb.extend(t)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def _window_slack(dim):
+    """The windows' Gram matrices and the products that form them, and a
+    few state vectors: less than one more (order, dim) array."""
+    order = ChebyshevEngine._WINDOW_ORDER
+    slack = 10 * 8 * order**2 + 8 * 8 * dim
+    assert slack < 8 * order * dim
+    return slack
+
+
+def test_chebyshev_window_memory_is_what_window_bytes_counts():
+    # 2,687 orbits: one (order, dim) array of doubles is 2.1 MB, 28 times
+    # a real order x order folded Gram matrix.  Detuned, so not chiral.
+    block, psi0 = _quench_start(jch(n=6, m=1, beta=0.05, kappa=0.5, omega_a=1.1))
+    cheb = ChebyshevEngine(block.h, psi0, [block.jz])
+    peak = _traced_peak(cheb, 4.5 * cheb._dt)
     # Both jumps ran, from the real state and from a complex one.
     assert len(cheb._windows) == 3
-    # The three windows' Gram matrices and the products that form them,
-    # and a few state vectors: less than one more (order, dim) array.
-    order = ChebyshevEngine._WINDOW_ORDER
-    slack = 10 * 8 * order**2 + 8 * 8 * block.dim
-    assert slack < 8 * order * block.dim
-    assert peak <= ChebyshevEngine.window_bytes(block.dim) + slack
+    assert cheb._classes is None
+    assert peak <= ChebyshevEngine.window_bytes(block.dim) + _window_slack(block.dim)
+
+
+def test_chiral_window_memory_is_half_of_window_bytes():
+    # The same 2,687 orbits at resonance.  The first jump puts the states
+    # in class order (a copy of the matrix, which the trace would count
+    # while not seeing the old one freed); the next two windows and their
+    # jumps run on x + y, one (order, dim) array each.
+    block, psi0 = _quench_start(jch(n=6, m=1, beta=0.05, kappa=0.5))
+    cheb = ChebyshevEngine(block.h, psi0, [block.jz])
+    cheb.extend(2.5 * cheb._dt)
+    assert cheb._classes is not None
+    peak = _traced_peak(cheb, 6.5 * cheb._dt)
+    assert len(cheb._windows) == 4
+    assert peak <= ChebyshevEngine.window_bytes(block.dim) // 2 + _window_slack(block.dim)
 
 
 @pytest.mark.parametrize(
