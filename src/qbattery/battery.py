@@ -79,14 +79,17 @@ DENSE_LIMIT = 2500
 # are a least-squares fit, in relative error, to both engines' times on
 # the 179 preset points of 40 to 2,700 states (2-vCPU Xeon, OpenBLAS);
 # the engine they pick cost within 0.1 % of the faster one summed over
-# each preset.  They are fixed, so the choice, and with it every result,
-# is the same on every run and host.  They predate the stacked Gram
-# product and the folded Bessel table, which made each window cheaper, and
-# the two-sided windows, which need about half as many (the count above is
-# still one window per phase); they are kept so that every block runs on
-# the engine it ran on before.  For the same reason they still price a
-# chiral block's window (``dynamics``), which takes half the products and
-# half the Gram work, at the general window's cost.
+# each preset.  They are fixed, so the choice of engine is the same on
+# every run and host; the results' bytes hold on the same host at the
+# same BLAS thread count (with one thread instead of two, 10 of 60
+# dicke_m rows and 34 of 152 fig5 rows differ, by at most 1.9e-14
+# relative).  They predate the stacked Gram product and the folded Bessel
+# table, which made each window cheaper, and the two-sided windows, which
+# need about half as many (the count above is still one window per
+# phase); they are kept so that every block runs on the engine it ran on
+# before.  For the same reason they still price a chiral block's window
+# (``dynamics``), which takes half the products and half the Gram work,
+# at the general window's cost.
 _DENSE_CUBE = 1.6e-11
 _DENSE_SQUARE = 2.4e-7
 _CHEB_FIXED = 9.5e-3
@@ -228,8 +231,8 @@ class QuenchSystem:
     The engine evolves only the block of states that the quench reaches,
     which ``build_quench_block`` builds for either model: the normalized
     orbit sums a chain's walk reaches, without enumerating the full
-    sector, or the collective ladder cut to the states its nonzeros
-    connect to the initial one.  ``dim`` is the size of the space the
+    sector, or the collective ladder cut by the conserved quantities of
+    its quench.  ``dim`` is the size of the space the
     block is cut from (the block's ``sector_dim``) and ``block_dim`` the
     size of the evolved block.
     ``engine`` is the cheaper of the two by fixed cost estimates
@@ -255,12 +258,12 @@ class QuenchSystem:
         psi0[start] = 1.0
         self.engine, bounds = _cheaper_engine(h, default_horizon(params))
         if self.engine == "dense":
-            self._eval = EigenEngine(diagonalize(h.toarray()), psi0, jz)
+            self._eval = EigenEngine(diagonalize(h.toarray()), psi0, [jz])
         else:
             self._eval = ChebyshevEngine(h, psi0, [jz], bounds)
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
-        return self.params.omega_c * (self._eval.on_grid(ts) - self._jz0)
+        return self.params.omega_c * (self._eval.on_grid(ts)[0] - self._jz0)
 
 
 def energy_series(params: ModelParams, t_grid: np.ndarray) -> np.ndarray:

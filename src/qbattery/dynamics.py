@@ -61,10 +61,12 @@ the general path throughout.
 
 Both engines take the Hamiltonian block as a sparse matrix, which
 ``build_quench_block`` builds for either model: over orbits for a chain,
-and as the whole ladder cut to the states the quench reaches for the
-collective model (the eigendecomposition gets its ``toarray()``).  They take observables as 1-D
-arrays holding their diagonals and answer one call, ``on_grid(ts)``: the
-first observable at every requested time.  A single time is a grid of one.
+and as the whole ladder cut by its conserved quantities for the
+collective model (the eigendecomposition gets its ``toarray()``).  They
+take a list of observables, each a 1-D array holding its diagonal, and
+answer one call, ``on_grid(ts)``: one row per observable, its value at
+every requested time, each row from the same operations as if it were
+tracked alone.  A single time is a grid of one.
 """
 
 from __future__ import annotations
@@ -126,25 +128,28 @@ def _check_times(ts: np.ndarray) -> None:
 
 
 class EigenEngine:
-    """Diagonal-observable evaluator backed by a full spectrum; projects ``psi0`` once."""
+    """Diagonal-observable evaluator backed by a full spectrum; projects ``psi0`` once.
 
-    def __init__(self, spectrum: Spectrum, psi0: np.ndarray, diag: np.ndarray):
+    ``diags`` lists the diagonal observables to track, each one row of
+    ``on_grid``.
+    """
+
+    def __init__(self, spectrum: Spectrum, psi0: np.ndarray, diags: list[np.ndarray]):
         dim = spectrum.eigenvalues.shape[0]
         psi0 = np.asarray(psi0, dtype=float)
         if psi0.shape != (dim,):
             raise ValueError("initial vector length does not match the spectrum")
-        diag = np.asarray(diag, dtype=float)
-        if diag.shape != (dim,):
+        self._diags = [np.asarray(d, dtype=float) for d in diags]
+        if any(d.shape != (dim,) for d in self._diags):
             raise ValueError("diagonal observable must hold one value per basis state")
         self._v = spectrum.eigenvectors
         self._lam = spectrum.eigenvalues
         self._c = spectrum.eigenvectors.T @ psi0
-        self._diag = diag
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         _check_times(ts)
-        out = np.empty(ts.shape[0])
+        out = np.empty((len(self._diags), ts.shape[0]))
         block = _GRID_BLOCK_ENTRIES // max(1, self._lam.shape[0])
         block = max(_SCAN_CHUNK, block - block % _SCAN_CHUNK)
         c = self._c[:, None]
@@ -153,7 +158,9 @@ class EigenEngine:
             phase = np.outer(self._lam, chunk)
             x = self._v @ (c * np.cos(phase))
             y = self._v @ (c * np.sin(phase))
-            out[start : start + chunk.shape[0]] = self._diag @ (x * x + y * y)
+            weights = x * x + y * y
+            for i, diag in enumerate(self._diags):
+                out[i, start : start + chunk.shape[0]] = diag @ weights
         return out
 
 
@@ -167,16 +174,17 @@ class _Window:
 class ChebyshevEngine:
     """Diagonal-observable evaluator driven by Chebyshev-expanded propagation.
 
-    ``diags`` lists the diagonal observables to track (each becomes one real
-    form per window); their entries must be finite and nonnegative, since
-    the Gram forms weight the vectors by their square roots.  A window
-    scales its Chebyshev vectors in place for the last diagonal and one
-    reused copy of them for every other, so tracking more than one diagonal
-    doubles a window's memory.  ``bounds`` holds (lo, hi) from
-    ``_scaled_discs(h)`` when the caller has already computed them.  The
-    engine lazily extends its covered time range, one two-sided window of
-    [c - dt, c + dt] at a time (the first only [0, dt]); querying any t
-    within the range never touches the large vectors again.  A block whose
+    ``diags`` lists the diagonal observables to track, each one row of
+    ``on_grid`` and one real form per window; their entries must be finite
+    and nonnegative, since the Gram forms weight the vectors by their
+    square roots.  A window scales its Chebyshev vectors in place for the
+    last diagonal and one reused copy of them for every other, so tracking
+    more than one diagonal doubles a window's memory.  ``bounds`` holds
+    (lo, hi) from ``_scaled_discs(h)`` when the caller has already
+    computed them.  The engine lazily extends its covered time range, one
+    two-sided window of [c - dt, c + dt] at a time (the first only
+    [0, dt]); querying any t within the range never touches the large
+    vectors again.  A block whose
     diagonal is one constant is centered on it; if it is chiral (see the
     module docstring), the first jump puts the states in class order, and
     every later window and jump runs one recurrence.
@@ -508,29 +516,24 @@ class ChebyshevEngine:
         while self._t_end < t_target or not self._windows:
             self._advance_window()
 
-    def _value_in_window(self, window: _Window, which: int, taus: np.ndarray) -> np.ndarray:
-        j = self._bessel(self._half * taus)
-        y = j @ window.forms[which]
-        return np.einsum("bsk,bsk->bs", j, y).reshape(-1)[: taus.shape[0]]
-
-    def values_on_grid(self, which: int, ts: np.ndarray) -> np.ndarray:
+    def on_grid(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         _check_times(ts)
+        out = np.empty((len(self._roots), ts.shape[0]))
         if ts.size == 0:
-            return np.empty(0)
+            return out
         self.extend(float(ts.max()))
-        out = np.empty(ts.shape[0])
         idx = np.searchsorted(self._starts, ts, side="right") - 1
         idx = np.maximum(idx, 0)
         for w in np.unique(idx):
             sel = idx == w
             window = self._windows[int(w)]
-            out[sel] = self._value_in_window(window, which, ts[sel] - window.center)
+            taus = ts[sel] - window.center
+            # One Bessel evaluation serves every form of the window.
+            j = self._bessel(self._half * taus)
+            for i, form in enumerate(window.forms):
+                out[i, sel] = np.einsum("bsk,bsk->bs", j, j @ form).reshape(-1)[: taus.shape[0]]
         return out
-
-    # The evaluator protocol shared with EigenEngine: first observable only.
-    def on_grid(self, ts: np.ndarray) -> np.ndarray:
-        return self.values_on_grid(0, np.asarray(ts, dtype=float))
 
 
 def _physical_memory() -> int:

@@ -42,7 +42,9 @@ the one place that knows its rows: photon numbers 0..n_max, row
 computes the diagonal and one half of every Hermitian pair of
 off-diagonal elements at once, and the pairs are then mirrored, so exact
 bitwise symmetry holds.  The ladder's block is that matrix cut to the
-states its nonzeros connect to the quench state.
+states its quench reaches, which the conservation laws give as masks on
+the rows: the parity of n + q, and n - q or n + q itself when one of the
+couplings is off.
 """
 
 from __future__ import annotations
@@ -460,7 +462,8 @@ class QuenchBlock:
     orbit sums, less the energy w_c*N*m that every state of the sector has
     in common.  For the collective model every row is one ladder state
     (``sizes`` all 1), in ladder order, and ``h`` is ``build_csr``'s
-    matrix cut to those rows.  ``h`` is bitwise symmetric, ``jz`` is the
+    matrix cut to the rows of the quench's conserved quantities
+    (``_ladder_block``).  ``h`` is bitwise symmetric, ``jz`` is the
     stored-energy observable, and row ``start`` is the quench state, an
     orbit of its own.  ``sector_dim`` counts the states of the space the
     block is cut from: the chain's excitation sector (``jch_sector_dim``)
@@ -482,9 +485,9 @@ def build_quench_block(params: ModelParams) -> QuenchBlock:
     """The block of H that the quench of ``params`` evolves, for either model.
 
     A chain walks its orbits from the quench state (``_chain_block``); the
-    collective ladder is built whole and cut to the states its quench
-    reaches (``_ladder_block``).  Raises ``CapacityError`` before a
-    builder passes ``state_cap()`` states.
+    collective ladder is built whole and cut to the rows of its quench's
+    conserved quantities (``_ladder_block``).  Raises ``CapacityError``
+    before a builder passes ``state_cap()`` states.
     """
     if params.model is Model.DICKE:
         return _ladder_block(params)
@@ -585,51 +588,36 @@ def _chain_block(params: ModelParams) -> QuenchBlock:
     )
 
 
-def _reachable_block(h: scipy.sparse.csr_array, start: int) -> np.ndarray:
-    """Sorted indices of the states that the nonzeros of ``h`` connect to ``start``.
-
-    A breadth-first walk over the CSR rows, one numpy step per level.  The
-    block is a connected component of the sparsity graph, so H maps it into
-    itself and a quench from ``start`` never leaves it.
-    """
-    indptr, indices = h.indptr, h.indices
-    seen = np.zeros(h.shape[0], dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
-    while frontier.size:
-        lo = indptr[frontier]
-        counts = indptr[frontier + 1] - lo
-        # Position of every stored entry of the frontier rows in ``indices``.
-        pos = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-        neighbors = indices[pos]
-        frontier = np.unique(neighbors[~seen[neighbors]])
-        seen[frontier] = True
-    return np.flatnonzero(seen)
-
-
 def _ladder_block(params: ModelParams) -> QuenchBlock:
-    """The collective ladder cut to the states its nonzeros connect to the quench state.
+    """The collective ladder cut to the states its quench reaches, by the conservation laws.
 
     The quench state holds N*m photons and every system in its ground
     state; ``MissingStateError`` when the cutoff leaves it off the ladder
-    (n_max < N*m).  Without counter-rotating terms the block is the N + 1
-    states of the quench's excitation number; with them, its parity.
+    (n_max < N*m).  Every coupling term moves one photon and one two-level
+    system, so n + q keeps its parity (the Dicke parity); the rotating
+    terms alone conserve n - q and the counter-rotating ones alone n + q.
+    The block is the ladder rows of the quench's parity, narrowed to its
+    n - q when beta' = 0 and to its n + q when beta = 0.  Each of those
+    rows is joined to the quench state by a path of nonzero couplings, so
+    the block is exactly the set the quench reaches.
     """
     n, q = _dicke_ladder(params)
-    start = np.flatnonzero((n == params.n * params.m) & (q == params.n))
-    if not start.size:
+    photons, nsys = params.n * params.m, params.n
+    if photons > params.n_max_value:
         raise MissingStateError(
-            f"initial state ({params.n * params.m} photons) is outside the ladder; "
+            f"initial state ({photons} photons) is outside the ladder; "
             f"the cutoff must satisfy n_max >= n * m"
         )
-    h = _dicke_csr(params, n, q)
-    keep = _reachable_block(h, int(start[0]))
-    if keep.shape[0] < n.shape[0]:
-        h = h[keep][:, keep]
+    keep = (n + q) % 2 == (photons + nsys) % 2
+    if params.beta_prime_value == 0.0:
+        keep &= n - q == photons - nsys
+    if params.beta == 0.0:
+        keep &= n + q == photons + nsys
+    keep = np.flatnonzero(keep)
     return QuenchBlock(
         sizes=np.ones(keep.shape[0], dtype=np.int64),
-        h=h,
-        jz=params.omega_a * (params.n - q[keep]),
-        start=int(np.searchsorted(keep, start[0])),
+        h=_dicke_csr(params, n, q)[keep][:, keep],
+        jz=params.omega_a * (nsys - q[keep]),
+        start=int(np.searchsorted(keep, photons * (nsys + 1) + nsys)),
         sector_dim=n.shape[0],
     )

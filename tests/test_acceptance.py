@@ -336,7 +336,7 @@ def test_07_conservation_laws():
     # The sparse propagator conserves the norm too (identity as observable).
     h, _, psi0 = full_quench(jch(n=3, m=1, beta=BETA, kappa=0.05))
     engine = ChebyshevEngine(h, psi0, [np.ones(h.shape[0])])
-    norms = engine.on_grid(np.linspace(1.0, 100.0, 50))
+    norms = engine.on_grid(np.linspace(1.0, 100.0, 50))[0]
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
     finish(7, t0, 30.0, "exact commutators, unitary trajectories, conserved energy")
 

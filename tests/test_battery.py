@@ -441,8 +441,8 @@ def test_energy_series_validation(force_engine):
 def full_basis_energy(params, ts):
     """E(t) from an eigendecomposition of the whole basis, with no block taken."""
     h, jz, psi0 = full_quench(params)
-    engine = EigenEngine(diagonalize(h.toarray()), psi0, jz)
-    return params.omega_c * (engine.on_grid(ts) - jz @ psi0)
+    engine = EigenEngine(diagonalize(h.toarray()), psi0, [jz])
+    return params.omega_c * (engine.on_grid(ts)[0] - jz @ psi0)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from oracles import full_quench
 
 def one_point(engine, t):
     """The engine's value at a single time, asked as a grid of one."""
-    return float(engine.on_grid(np.array([t]))[0])
+    return float(engine.on_grid(np.array([t]))[0, 0])
 
 
 def _system(params):
@@ -87,7 +87,7 @@ def test_prepare_on_eigenvector_gives_indicator():
     ts = np.linspace(0.0, 100.0, 41)
     for b in range(2):
         indicator = np.eye(2)[b]
-        weights = EigenEngine(spec, v1, indicator).on_grid(ts)
+        weights = EigenEngine(spec, v1, [indicator]).on_grid(ts)[0]
         assert np.allclose(weights, v1[b] ** 2, atol=1e-12)
 
 
@@ -97,23 +97,23 @@ def test_prepare_preserves_norm():
     h = (h + h.T) / 2.0
     psi0 = rng.standard_normal(12)
     psi0 /= np.linalg.norm(psi0)
-    engine = EigenEngine(diagonalize(h), psi0, np.ones(12))
+    engine = EigenEngine(diagonalize(h), psi0, [np.ones(12)])
     assert np.max(np.abs(engine.on_grid(np.linspace(0.0, 50.0, 11)) - 1.0)) <= 1e-10
 
 
 def test_prepare_dimension_mismatch():
     spec = diagonalize(np.eye(3))
     with pytest.raises(ValueError):
-        EigenEngine(spec, np.array([1.0, 0.0]), np.ones(3))
+        EigenEngine(spec, np.array([1.0, 0.0]), [np.ones(3)])
     with pytest.raises(ValueError):
-        EigenEngine(spec, np.array([1.0, 0.0, 0.0]), np.ones(2))
+        EigenEngine(spec, np.array([1.0, 0.0, 0.0]), [np.ones(2)])
 
 
 def test_prepare_matches_direct_projection():
     params = jch(n=2, m=1, beta=0.05, kappa=0.1)
     _, h, jz, psi0 = _system(params)
     spec = diagonalize(h)
-    engine = EigenEngine(spec, psi0, jz)
+    engine = EigenEngine(spec, psi0, [jz])
     direct = np.array([spec.eigenvectors[:, j] @ psi0 for j in range(h.shape[0])])
     for t in (0.0, 0.9, 13.0):
         psi = spec.eigenvectors @ (direct * np.exp(-1j * spec.eigenvalues * t))
@@ -127,14 +127,14 @@ def test_prepare_matches_direct_projection():
 def test_expectation_at_zero_matches_initial_value():
     params = jch(n=2, m=2, beta=0.3, kappa=0.2)
     _, h, jz, psi0 = _system(params)
-    engine = EigenEngine(diagonalize(h), psi0, jz)
+    engine = EigenEngine(diagonalize(h), psi0, [jz])
     assert one_point(engine, 0.0) == pytest.approx(float(jz @ psi0**2), abs=1e-12)
 
 
 def test_identity_observable_is_one_for_all_times():
     params = jch(n=2, m=1, beta=0.4, kappa=0.3)
     _, h, _, psi0 = _system(params)
-    engine = EigenEngine(diagonalize(h), psi0, np.ones(h.shape[0]))
+    engine = EigenEngine(diagonalize(h), psi0, [np.ones(h.shape[0])])
     ts = np.linspace(0.0, 40.0, 64)
     assert np.max(np.abs(engine.on_grid(ts) - 1.0)) <= 1e-10
 
@@ -143,7 +143,7 @@ def test_single_cavity_oscillation_closed_form():
     params = jch(n=1, m=1, beta=0.05)
     _, h, jz, psi0 = _system(params)
     ts = np.linspace(0.0, 200.0, 400)
-    got = EigenEngine(diagonalize(h), psi0, jz).on_grid(ts)
+    got = EigenEngine(diagonalize(h), psi0, [jz]).on_grid(ts)[0]
     assert np.max(np.abs(got - np.sin(0.05 * ts) ** 2)) <= 1e-12
 
 
@@ -151,7 +151,7 @@ def test_expectation_rejects_nondiagonal_observable():
     params = jch(n=2, m=1, beta=0.05, kappa=0.1)
     _, h, _, psi0 = _system(params)
     with pytest.raises(ValueError):
-        EigenEngine(diagonalize(h), psi0, h)
+        EigenEngine(diagonalize(h), psi0, [h])
 
 
 @pytest.mark.parametrize(
@@ -161,7 +161,7 @@ def test_expectation_rejects_nondiagonal_observable():
 def test_unitarity_energy_conservation_and_bounds(params):
     _, h, jz, psi0 = _system(params)
     spec = diagonalize(h)
-    engine = EigenEngine(spec, psi0, jz)
+    engine = EigenEngine(spec, psi0, [jz])
     v, lam = spec.eigenvectors, spec.eigenvalues
     c = v.T @ psi0
     h_norm = np.max(np.abs(h))
@@ -177,9 +177,9 @@ def test_unitarity_energy_conservation_and_bounds(params):
 def test_engine_grid_matches_scalar_calls():
     params = jch(n=2, m=1, beta=0.11, kappa=0.23)
     _, h, jz, psi0 = _system(params)
-    engine = EigenEngine(diagonalize(h), psi0, jz)
+    engine = EigenEngine(diagonalize(h), psi0, [jz])
     ts = np.array([0.0, 0.7, 3.1, 17.0, 44.4])
-    grid = engine.on_grid(ts)
+    grid = engine.on_grid(ts)[0]
     for t, val in zip(ts, grid):
         assert one_point(engine, float(t)) == pytest.approx(val, abs=1e-12)
 
@@ -194,7 +194,7 @@ def test_real_products_match_complex_formula(monkeypatch):
     expected = jz @ np.abs(psi) ** 2
     # Small scratch blocks, so the grid runs through several of them.
     monkeypatch.setattr(dynamics, "_GRID_BLOCK_ENTRIES", 20 * lam.shape[0])
-    engine = EigenEngine(spectrum, psi0, jz)
+    engine = EigenEngine(spectrum, psi0, [jz])
     assert np.max(np.abs(engine.on_grid(ts) - expected)) <= 1e-13
     for t, e in zip(ts[::37], expected[::37]):
         assert one_point(engine, float(t)) == pytest.approx(e, abs=1e-13)
@@ -216,7 +216,7 @@ def test_real_products_match_complex_formula(monkeypatch):
 )
 def test_chebyshev_matches_eigenbasis(params):
     sparse, h, jz, psi0 = _system(params)
-    exact = EigenEngine(diagonalize(h), psi0, jz)
+    exact = EigenEngine(diagonalize(h), psi0, [jz])
     cheb = ChebyshevEngine(sparse, psi0, [jz])
     ts = np.linspace(0.0, 150.0, 301)
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
@@ -229,8 +229,8 @@ def test_chebyshev_unsorted_grid_and_revisits():
     sparse, h, jz, psi0 = _system(params)
     cheb = ChebyshevEngine(sparse, psi0, [jz])
     ts = np.array([40.0, 1.0, 90.0, 1.0, 0.0])
-    got = cheb.on_grid(ts)
-    exact = EigenEngine(diagonalize(h), psi0, jz)
+    got = cheb.on_grid(ts)[0]
+    exact = EigenEngine(diagonalize(h), psi0, [jz])
     assert np.max(np.abs(got - exact.on_grid(ts))) <= 1e-10
     # Asking for an earlier time after extension must not disturb anything.
     assert one_point(cheb, 1.0) == pytest.approx(got[1], abs=1e-14)
@@ -248,15 +248,27 @@ def test_chebyshev_deterministic_across_instances():
 
 
 def test_chebyshev_tracks_multiple_observables():
-    params = jch(n=2, m=1, beta=0.3, kappa=0.2)
-    sparse, h, jz, psi0 = _system(params)
-    photons = params.n * params.m - jz / params.omega_a
-    cheb = ChebyshevEngine(sparse, psi0, [jz, photons])
-    spec = diagonalize(h)
-    ts = np.linspace(0.0, 30.0, 61)
-    for which, diag in enumerate((jz, photons)):
-        exact = EigenEngine(spec, psi0, diag)
-        assert np.max(np.abs(cheb.values_on_grid(which, ts) - exact.on_grid(ts))) <= 1e-10
+    # Resonant, so the Chebyshev engine takes its chiral classes at the
+    # first jump, and detuned, so it stays on the general path.
+    for omega_a, chiral in ((1.0, True), (1.1, False)):
+        params = jch(n=2, m=1, beta=0.3, kappa=0.2, omega_a=omega_a)
+        sparse, h, jz, psi0 = _system(params)
+        photons = params.n * params.m - jz / params.omega_a
+        spec = diagonalize(h)
+        cheb = ChebyshevEngine(sparse, psi0, [jz, photons])
+        ts = np.linspace(0.0, 8.0 * cheb._dt, 61)
+        engines = (
+            (EigenEngine(spec, psi0, [jz, photons]), EigenEngine(spec, psi0, [jz])),
+            (cheb, ChebyshevEngine(sparse, psi0, [jz])),
+        )
+        dense, chebyshev = (both.on_grid(ts) for both, _ in engines)
+        assert (cheb._classes is not None) == chiral
+        assert dense.shape == chebyshev.shape == (2, ts.shape[0])
+        for got, want in zip(chebyshev, dense):
+            assert np.max(np.abs(got - want)) <= 1e-10
+        # Row 0 comes from the operations that track jz alone, bit for bit.
+        for rows, (_, alone) in zip((dense, chebyshev), engines):
+            assert np.array_equal(rows[0], alone.on_grid(ts)[0])
 
 
 class Counting:
@@ -299,7 +311,7 @@ def test_first_chebyshev_window_propagates_only_the_real_part():
     assert (len(cheb._windows), counting.products) == (3, 5 * (order - 1) + 3 * jump)
     assert cheb._classes is None
     ts = np.linspace(0.0, cheb._t_end, 41)
-    exact = EigenEngine(diagonalize(h), psi0, jz)
+    exact = EigenEngine(diagonalize(h), psi0, [jz])
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
 
 
@@ -320,7 +332,7 @@ def _quench_start(params):
 )
 def test_chiral_windows_run_one_recurrence_and_match_the_eigenbasis(params):
     block, psi0 = _quench_start(params)
-    exact = EigenEngine(diagonalize(block.h.toarray()), psi0, block.jz)
+    exact = EigenEngine(diagonalize(block.h.toarray()), psi0, [block.jz])
     cheb = ChebyshevEngine(block.h, psi0, [block.jz])
     counting = cheb._h_twice = Counting(cheb._h_twice)
     order = ChebyshevEngine._WINDOW_ORDER
@@ -588,7 +600,7 @@ def test_two_sided_windows_match_the_eigenbasis(make):
     h, start, diags = make()
     psi0 = np.zeros(h.shape[0])
     psi0[start] = 1.0
-    exact = EigenEngine(diagonalize(h.toarray()), psi0, diags[0])
+    exact = EigenEngine(diagonalize(h.toarray()), psi0, diags[:1])
     cheb = ChebyshevEngine(h, psi0, diags[:1])
     dt = cheb._dt
     # Both sides of the second and third centers, 2 dt and 4 dt.
@@ -615,7 +627,7 @@ def test_engines_reject_non_finite_times():
     # The checks come before the Chebyshev engine extends its windows, so
     # an infinite time cannot append windows forever.
     cheb = ChebyshevEngine(sparse, psi0, [jz])
-    for engine in (EigenEngine(diagonalize(h), psi0, jz), cheb):
+    for engine in (EigenEngine(diagonalize(h), psi0, [jz]), cheb):
         for ts in ([1.0, np.inf], [np.nan], [np.nan, 2.0]):
             with pytest.raises(ValueError, match="finite"):
                 engine.on_grid(np.array(ts))
@@ -624,7 +636,7 @@ def test_engines_reject_non_finite_times():
 def test_engines_reject_negative_times():
     params = jch(n=2, m=1, beta=0.3, kappa=0.2)
     sparse, h, jz, psi0 = _system(params)
-    for engine in (EigenEngine(diagonalize(h), psi0, jz), ChebyshevEngine(sparse, psi0, [jz])):
+    for engine in (EigenEngine(diagonalize(h), psi0, [jz]), ChebyshevEngine(sparse, psi0, [jz])):
         for ts in ([-1.0], [1.0, -2.0]):
             with pytest.raises(ValueError, match="negative"):
                 engine.on_grid(np.array(ts))

@@ -390,6 +390,11 @@ def reached_rows(h, start):
         (dicke(n=6, m=1, beta=0.0, beta_prime=0.5), 7),  # n - (N - q) conserved: N + 1
         (dicke(n=6, m=1, beta=0.0, beta_prime=0.0), 1),  # uncoupled
         (dicke(n=4, m=2, beta=0.5, beta_prime=0.3, n_max=8), 23),  # n_max = N*m
+        (dicke(n=1, m=1, beta=0.5), 6),  # one system: the parity halves 12
+        (dicke(n=4, m=2, beta=0.5, beta_prime=0.3, n_max=9), 25),  # n_max = N*m + 1
+        (dicke(n=3, m=2, beta=0.5, beta_prime=0.2, literal_elements=True), 62),
+        (dicke(n=5, m=1, beta=0.5, normalization=Normalization.NONE), 78),
+        (dicke(n=6, m=1, beta=0.05, beta_prime=2.0), 109),  # counter-rotating dominant
     ],
 )
 def test_ladder_block_is_the_whole_ladder_cut_to_the_states_reached(params, block_dim):

@@ -58,8 +58,8 @@ def test_benchmark_worker_names_exist():
 
 def test_first_quench_leaves_csgraph_unimported():
     # Importing scipy.sparse.csgraph alone takes about 45 ms, a sixth of the
-    # start-up cost of a first quench; the orbits and the reachable block
-    # are found with numpy instead.
+    # start-up cost of a first quench; the orbits are found with numpy
+    # instead, and the ladder block by masks on its conserved quantities.
     code = (
         "import sys, qbattery, qbattery.cli\n"
         "from qbattery import Model, ModelParams, charge\n"
