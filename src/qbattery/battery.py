@@ -13,14 +13,14 @@ derivative dE/dt; the headline quantity is its maximum over a scan window,
 
     P_max = max_t E(t) / t,      tau = argmax_t E(t) / t.
 
-A uniform coarse scan locates the global quotient maximum, then
-golden-section search refines it.  The scan runs in chunks of increasing
-t and stops once no later sample can win: E(t) never exceeds the bound
-E_bound = w_c * (max Jz - <Jz>(0)) over the evolved block, so past
-t* = E_bound / P_best every quotient lies below the best one seen.  The
-first charging peak after tau (the first local maximum of E past the
-quotient maximum) is refined the same way and reported as a diagnostic
-alongside.
+A uniform coarse scan locates the global quotient maximum, then Brent's
+method refines it, starting from the three grid samples around it.  The
+scan runs in chunks of increasing t and stops once no later sample can
+win: E(t) never exceeds the bound E_bound = w_c * (max Jz - <Jz>(0)) over
+the evolved block, so past t* = E_bound / P_best every quotient lies below
+the best one seen.  The first charging peak after tau (the first local
+maximum of E past the quotient maximum) is refined the same way and
+reported as a diagnostic alongside.
 
 For a single cavity at zero hopping the closed-form check is
 
@@ -69,27 +69,29 @@ DENSE_LIMIT = 2500
 
 # Fixed estimates of each engine's run time in seconds on a block of d
 # states with nnz stored entries.  Dense: _DENSE_CUBE d^3 for eigh plus
-# _DENSE_SQUARE d^2 for the scan and the refinement.  Chebyshev:
-# _CHEB_FIXED for the disc bound and set-up, then per window _CHEB_WINDOW
-# plus _CHEB_FLOP per flop of its ``order`` sparse products (2 nnz each)
-# and its Gram forms (order d each).  A window covers a fixed phase, so
-# the window count follows the disc half-width times the scan length; the
-# scan is taken to stop at 1/_SCAN_SHARE of the default horizon, the
-# earliest stop on any preset point (256 of 4,096 samples).  The constants
-# are a least-squares fit, in relative error, to both engines' times on
-# the 179 preset points of 40 to 2,700 states (2-vCPU Xeon, OpenBLAS);
-# the engine they pick cost within 0.1 % of the faster one summed over
-# each preset.  They are fixed, so the choice of engine is the same on
-# every run and host; the results' bytes hold on the same host at the
-# same BLAS thread count (with one thread instead of two, 10 of 60
-# dicke_m rows and 34 of 152 fig5 rows differ, by at most 1.9e-14
-# relative).  They predate the stacked Gram product and the folded Bessel
-# table, which made each window cheaper, and the two-sided windows, which
-# need about half as many (the count above is still one window per
-# phase); they are kept so that every block runs on the engine it ran on
-# before.  For the same reason they still price a chiral block's window
-# (``dynamics``), which takes half the products and half the Gram work,
-# at the general window's cost.
+# _DENSE_SQUARE d^2 for the scan and the refinement, as priced when the
+# refinement was golden-section search; the Brent refinement asks for
+# about a quarter as many single times, and the constants are kept so that
+# every block keeps its engine.  Chebyshev: _CHEB_FIXED for the disc bound
+# and set-up, then per window _CHEB_WINDOW plus _CHEB_FLOP per flop of its
+# ``order`` sparse products (2 nnz each) and its Gram forms (order d
+# each).  A window covers a fixed phase, so the window count follows the
+# disc half-width times the scan length; the scan is taken to stop at
+# 1/_SCAN_SHARE of the default horizon, the earliest stop on any preset
+# point (256 of 4,096 samples).  The constants are a least-squares fit, in
+# relative error, to both engines' times on the 179 preset points of 40 to
+# 2,700 states (2-vCPU Xeon, OpenBLAS); the engine they pick cost within
+# 0.1 % of the faster one summed over each preset.  They are fixed, so the
+# choice of engine is the same on every run and host; the results' bytes
+# hold on the same host at the same BLAS thread count (with one thread
+# instead of two, 10 of 60 dicke_m rows and 34 of 152 fig5 rows differ, by
+# at most 1.9e-14 relative).  They predate the stacked Gram product and
+# the folded Bessel table, which made each window cheaper, and the
+# two-sided windows, which need about half as many (the count above is
+# still one window per phase); they are kept so that every block runs on
+# the engine it ran on before.  For the same reason they still price a
+# chiral block's window (``dynamics``), which takes half the products and
+# half the Gram work, at the general window's cost.
 _DENSE_CUBE = 1.6e-11
 _DENSE_SQUARE = 2.4e-7
 _CHEB_FIXED = 9.5e-3
@@ -103,7 +105,7 @@ _FLAT_TOL = 1e-12
 # engine's rounding above the bound from stopping the scan before a winning
 # sample.
 _BOUND_SLACK = 1e-9
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class DegenerateRabiError(ValueError):
@@ -161,8 +163,10 @@ class SearchConfig:
         _check_int("n_samples", self.n_samples)
         if self.n_samples < 4:
             raise ValueError("need at least four scan samples")
-        if not 0 < self.rel_tol < 1:
-            raise ValueError("rel_tol must sit in (0, 1)")
+        # Below 1e-14 the refinement's last steps, rel_tol * t / 4 long, come
+        # within a few rounding steps of t and it may never stop.
+        if not 1e-14 <= self.rel_tol < 1:
+            raise ValueError("rel_tol must sit in [1e-14, 1)")
 
     def grid(self, params: ModelParams | None) -> np.ndarray:
         """The scan times horizon * k / n_samples, k = 1..n_samples.
@@ -277,30 +281,52 @@ def energy_series(params: ModelParams, t_grid: np.ndarray) -> np.ndarray:
     return np.column_stack([ts, system.on_grid(ts)])
 
 
-def _golden_max(fn, lo: float, hi: float, rel_tol: float, seeds):
-    """Golden-section maximization on [lo, hi]; returns the best (t, f(t)) ever seen."""
-    best_t, best_f = max(seeds, key=lambda p: p[1])
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for x, f in ((x1, f1), (x2, f2)):
-        if f > best_f:
-            best_t, best_f = x, f
-    while (b - a) > rel_tol * max(abs(a) + abs(b), 1e-300) / 2.0:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-            if f1 > best_f:
-                best_t, best_f = x1, f1
+def _brent_max(fn, a: float, b: float, rel_tol: float, seeds: dict[float, float]):
+    """Brent's maximization of ``fn`` on [a, b]; returns the best (t, f(t)) ever seen.
+
+    ``seeds`` maps times to values already known, the first listed winning
+    ties; the best three inside [a, b] start the parabola.  Each step is the
+    vertex of the parabola through the best three points (x, w, v), or a
+    golden-section step into the larger half of [a, b] when that vertex
+    lies outside it or its step is not below half the step before last.
+    No step is shorter than tol = rel_tol * |x| / 4, so the last ones probe
+    x +- tol, and it stops once [a, b] is at most rel_tol * |x| wide (Brent
+    1973, ch. 5).
+    """
+    best = max(seeds.items(), key=lambda p: p[1])
+    inside = sorted((p for p in seeds.items() if a <= p[0] <= b), key=lambda p: -p[1])
+    (x, fx), (w, fw), (v, fv) = (inside + inside[-1:] * 2)[:3]
+    d = e = b - a
+    while True:
+        m = 0.5 * (a + b)
+        tol = 0.25 * rel_tol * abs(x)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return best
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p, q = (-p if q > 0.0 else p), abs(q)
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x < m else -tol
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-            if f2 > best_f:
-                best_t, best_f = x2, f2
-    return best_t, best_f
+            e = (b if x < m else a) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = fn(u)
+        if fu > best[1]:
+            best = (u, fu)
+        if fu >= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v in (x, w):
+                v, fv = u, fu
 
 
 def _peak_after(energies: np.ndarray, k: int) -> int:
@@ -338,11 +364,12 @@ def _scan(evaluator, ts: np.ndarray) -> np.ndarray:
 
 
 def max_power(evaluator, config: SearchConfig) -> PowerResult:
-    """Locate max E(t)/t by coarse scan plus golden-section refinement.
+    """Locate max E(t)/t by coarse scan plus Brent refinement.
 
     ``evaluator`` provides ``on_grid(ts)``, the energy at each time (any
-    QuenchSystem works); the refinement asks it for one time at a time.
-    The grid is ``config.grid(evaluator.params)``; ``params`` is read only
+    QuenchSystem works); the refinement asks it for one time at a time,
+    never for one it has evaluated.  The grid is
+    ``config.grid(evaluator.params)``; ``params`` is read only
     when ``config.t_max`` is unset.  With an ``energy_bound`` on the
     evaluator the scan stops where no later time can beat the best
     quotient.  The result then matches the full scan's, because both
@@ -351,6 +378,9 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
     ``test_grid_values_do_not_depend_on_the_other_times_in_the_call``
     checks on every sample of the window.  ``e_max`` and ``t_e_max``
     refine the first grid maximum of E at or after the quotient maximum.
+    Each refinement starts from the grid samples around its maximum and
+    returns the best time it has seen, so ``p_max`` is at least the best
+    grid quotient; ``tau`` is within ``config.rel_tol * tau`` of the maximum.
     """
     grid = config.grid(evaluator.params if config.t_max is None else None)
     energies = _scan(evaluator, grid)
@@ -380,11 +410,15 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
             SearchNotice,
             stacklevel=2,
         )
-    lo = ts[k - 1] if k > 0 else ts[0]
-    hi = ts[k + 1] if k < last else ts[last]
-    # Seeded with the grid sample, so tau has a cached energy wherever it lands;
-    # both refinements share it, so no time is evaluated twice.
-    cache: dict[float, float] = {ts[k]: energies[k]}
+    j = _peak_after(energies, k)
+
+    def near(i: int) -> list[int]:
+        return [n for n in (i, i - 1, i + 1) if 0 <= n <= last]
+
+    # Each refinement starts from a grid sample and its neighbours, listed
+    # first so that it wins ties.  All are cached, so tau has a cached energy
+    # wherever it lands and no time is evaluated twice.
+    cache: dict[float, float] = {ts[n]: energies[n] for n in near(k) + near(j)}
 
     def energy(t: float) -> float:
         if t not in cache:
@@ -394,15 +428,15 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
     def quotient(t: float) -> float:
         return energy(t) / t
 
-    tau, p_max = _golden_max(quotient, lo, hi, config.rel_tol, seeds=[(ts[k], quotients[k])])
+    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, last)]
+    seeds = {ts[n]: quotients[n] for n in near(k)}
+    tau, p_max = _brent_max(quotient, lo, hi, config.rel_tol, seeds)
     e_at_tau = cache[tau]
     # E rises at tau (E'(tau) = E(tau) / tau > 0); refine its first peak
     # after tau, seeded with tau itself so that e_at_tau <= e_max.
-    j = _peak_after(energies, k)
-    p_lo = ts[j - 1] if j > 0 else ts[0]
-    p_hi = ts[j + 1] if j < last else ts[last]
-    seeds = [(ts[j], energies[j]), (tau, e_at_tau)]
-    t_e_max, e_max = _golden_max(energy, p_lo, p_hi, config.rel_tol, seeds=seeds)
+    p_lo, p_hi = ts[max(j - 1, 0)], ts[min(j + 1, last)]
+    seeds = {**{ts[n]: energies[n] for n in near(j)}, tau: e_at_tau}
+    t_e_max, e_max = _brent_max(energy, p_lo, p_hi, config.rel_tol, seeds)
     return PowerResult(
         p_max=e_at_tau / tau,
         tau=tau,

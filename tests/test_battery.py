@@ -67,6 +67,36 @@ class SyntheticOscillation:
         return self.amplitude * np.sin(self.omega * np.asarray(ts)) ** 2
 
 
+class CallLog:
+    """Forwards to an evaluator and logs the times of each call."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.evaluator, name)
+
+    def on_grid(self, ts):
+        self.calls.append(np.asarray(ts).tolist())
+        return self.evaluator.on_grid(ts)
+
+
+def audited_search(evaluator, config):
+    """``max_power`` on ``evaluator``, checked against the search's contract.
+
+    Returns the result and the number of single-time calls, which are the
+    refinements' calls.
+    """
+    log = CallLog(evaluator)
+    result = max_power(log, config)
+    times = [t for call in log.calls for t in call]
+    assert len(times) == len(set(times))
+    assert result.p_max >= np.max(result.series[:, 1] / result.series[:, 0])
+    assert result.e_at_tau <= result.e_max
+    return result, sum(len(call) == 1 for call in log.calls)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form oscillation facts.
 
@@ -173,7 +203,10 @@ def test_constant_energy_emits_edge_notice():
 def test_upper_edge_notice_without_extensions():
     evaluator = SyntheticOscillation(0.01)
     with pytest.warns(SearchNotice, match="upper"):
-        max_power(evaluator, SearchConfig(t_max=50.0, n_samples=256))
+        result, _ = audited_search(evaluator, SearchConfig(t_max=50.0, n_samples=256))
+    # Both refinements start from the last two samples and stay within them.
+    assert 50.0 * (1.0 - 1e-6) <= result.tau <= 50.0
+    assert 50.0 * (1.0 - 1e-6) <= result.t_e_max <= 50.0
 
 
 def test_search_config_validation():
@@ -184,27 +217,65 @@ def test_search_config_validation():
     for bad in (4.5, 4096.0):
         with pytest.raises(ValueError, match="integer"):
             SearchConfig(n_samples=bad)
-    with pytest.raises(ValueError):
-        SearchConfig(rel_tol=2.0)
+    for bad in (2.0, 0.0, 1e-16):
+        with pytest.raises(ValueError, match="rel_tol"):
+            SearchConfig(rel_tol=bad)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             SearchConfig(t_max=bad)
 
 
 def test_search_evaluates_no_time_twice():
-    class Counting(SyntheticOscillation):
-        def __init__(self, omega):
-            super().__init__(omega)
-            self.times = []
+    # Down to the smallest rel_tol, whose last steps are a few rounding steps long.
+    for rel_tol in (1e-6, 1e-14):
+        config = SearchConfig(t_max=200.0, n_samples=256, rel_tol=rel_tol)
+        result, _ = audited_search(SyntheticOscillation(0.05), config)
+        assert result.tau == pytest.approx(X_STAR / 0.05, rel=1e-5)
 
+
+def test_quotient_maximum_on_the_lower_edge_and_energy_peak_on_the_upper():
+    # E/t = 1/sqrt(t) falls everywhere while E rises: k = 0 and j = last, and
+    # tau lies far outside the peak's bracket [ts[last - 1], ts[last]].
+    class Root:
         def on_grid(self, ts):
-            self.times.extend(np.asarray(ts).tolist())
-            return super().on_grid(ts)
+            return np.sqrt(np.asarray(ts))
 
-    evaluator = Counting(0.05)
-    result = max_power(evaluator, SearchConfig(t_max=200.0, n_samples=256))
-    assert result.tau == pytest.approx(X_STAR / 0.05, rel=1e-5)
-    assert len(evaluator.times) == len(set(evaluator.times))
+    config = SearchConfig(t_max=10.0, n_samples=64)
+    with pytest.warns(SearchNotice, match="lower"):
+        result, _ = audited_search(Root(), config)
+    assert 10.0 / 64 <= result.tau <= 10.0 / 64 * (1.0 + 1e-6)
+    assert 10.0 * (1.0 - 1e-6) <= result.t_e_max <= 10.0
+
+
+def test_tied_neighbouring_grid_quotients():
+    # E/t = 1 / (1 + ((t - 10.5)^2 - 0.25)^2) is exactly 1 at the grid times
+    # 10 and 11 and below 1 everywhere else, so both seeds tie for tau.
+    class Twin:
+        def on_grid(self, ts):
+            ts = np.asarray(ts)
+            return ts / (1.0 + ((ts - 10.5) ** 2 - 0.25) ** 2)
+
+    result, _ = audited_search(Twin(), SearchConfig(t_max=64.0, n_samples=64))
+    quotients = result.series[:, 1] / result.series[:, 0]
+    assert quotients[9] == quotients[10] == 1.0
+    assert result.tau == 10.0
+    assert result.p_max == 1.0
+
+
+def test_tau_outside_the_peak_bracket_can_hold_the_peak():
+    # A bump of 0.5 at t = 10.5, where sin^2(w t) / t peaks, puts E(tau)
+    # above sin^2's peak of 1 at t = 14.1, whose bracket [13, 15] leaves tau
+    # out; the best energy seen is still E(tau).
+    class Bumped(SyntheticOscillation):
+        def on_grid(self, ts):
+            ts = np.asarray(ts)
+            return super().on_grid(ts) + 0.5 * np.exp(-(((ts - 10.5) / 0.3) ** 2))
+
+    result, _ = audited_search(Bumped(X_STAR / 10.5), SearchConfig(t_max=64.0, n_samples=64))
+    energies = result.series[:, 1]
+    assert energies[13] >= energies[14] and np.all(np.diff(energies[9:14]) > 0)
+    assert result.tau == pytest.approx(10.5, abs=0.01)
+    assert (result.t_e_max, result.e_max) == (result.tau, result.e_at_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +325,7 @@ def test_energy_bound_stops_the_scan_with_the_same_result(params, engine, force_
     stopped, full = Recording(system), HiddenBound(system)
     a = max_power(stopped, SearchConfig())
     b = max_power(full, SearchConfig())
-    # Grid samples plus the two golden refinements.
+    # Grid samples plus the two refinements' single times.
     assert stopped.times < 1024
     assert full.times > 4096
     assert a.series.shape[0] < 1024
@@ -264,6 +335,22 @@ def test_energy_bound_stops_the_scan_with_the_same_result(params, engine, force_
     assert np.array_equal(a.series[:, 1], whole[: a.series.shape[0]])
     assert (a.p_max, a.tau) == (b.p_max, b.tau)
     assert (a.e_max, a.t_e_max, a.e_at_tau) == (b.e_max, b.t_e_max, b.e_at_tau)
+
+
+@pytest.mark.parametrize(
+    "make, t_max",
+    [
+        (lambda: QuenchSystem(jch(n=7, m=1, beta=0.05, kappa=0.0)), None),
+        (lambda: QuenchSystem(jch(n=6, m=1, beta=0.05, kappa=0.05, topology=Topology.ALL_TO_ALL)), None),
+        (lambda: SyntheticOscillation(0.05), 10.0 * math.pi / 0.05),
+    ],
+    ids=["N7-line", "N6-all", "synthetic"],
+)
+def test_refinements_take_few_single_time_calls(make, t_max):
+    # Golden-section search took 44 single-time calls on each of these; the
+    # parabolic steps from the grid's three samples take at most 9.
+    _, singles = audited_search(make(), SearchConfig(t_max=t_max))
+    assert singles <= 16
 
 
 # The ids are those the cases had when a size limit of None (the default)
@@ -294,7 +381,7 @@ def test_grid_values_do_not_depend_on_the_other_times_in_the_call(params, engine
     chunks = [system.on_grid(grid[i : i + 128]) for i in range(0, grid.shape[0], 128)]
     assert np.array_equal(whole, np.concatenate(chunks))
     if engine == "chebyshev":
-        # The golden refinement asks for one time per call.
+        # The refinements ask for one time per call.
         singles = grid[::37]
         got = np.array([system.on_grid(singles[i : i + 1])[0] for i in range(singles.shape[0])])
         assert np.array_equal(got, whole[::37])

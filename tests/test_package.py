@@ -60,16 +60,19 @@ def test_first_quench_leaves_csgraph_unimported():
     # Importing scipy.sparse.csgraph alone takes about 45 ms, a sixth of the
     # start-up cost of a first quench; the orbits are found with numpy
     # instead, and the ladder block by masks on its conserved quantities.
+    # scipy.optimize took `import numpy, scipy.sparse, scipy.optimize` from
+    # 397 ms to 746 ms (medians of 7 process starts); the power search
+    # refines its maximum with its own Brent steps instead.
     code = (
         "import sys, qbattery, qbattery.cli\n"
         "from qbattery import Model, ModelParams, charge\n"
         "charge(ModelParams(model=Model.JCH, n=2, beta=0.05, kappa=0.05))\n"
         "print(qbattery.__file__)\n"
-        "print('scipy.sparse.csgraph' in sys.modules)\n"
+        "print('scipy.sparse.csgraph' in sys.modules, 'scipy.optimize' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(qbattery.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    where, imported = run.stdout.split()
+    where, csgraph, optimize = run.stdout.split()
     assert where == qbattery.__file__
-    assert imported == "False"
+    assert (csgraph, optimize) == ("False", "False")
