@@ -91,7 +91,8 @@ DENSE_LIMIT = 2500
 # still one window per phase); they are kept so that every block runs on
 # the engine it ran on before.  For the same reason they still price a
 # chiral block's window (``dynamics``), which takes half the products and
-# half the Gram work, at the general window's cost.
+# half the Gram work, at the general window's cost.  They also predate the
+# one-product jump, the row-wise disc bound and the flush of tiny entries.
 _DENSE_CUBE = 1.6e-11
 _DENSE_SQUARE = 2.4e-7
 _CHEB_FIXED = 9.5e-3
@@ -411,6 +412,10 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
             stacklevel=2,
         )
     j = _peak_after(energies, k)
+    if j == last:
+        # E still rises at the last sample; the stopped scan never ends there.
+        note = "charging peak sits at the upper scan edge; treat e_max as a bound"
+        warnings.warn(note, SearchNotice, stacklevel=2)
 
     def near(i: int) -> list[int]:
         return [n for n in (i, i - 1, i + 1) if 0 <= n <= last]

@@ -32,13 +32,15 @@ expands only the real initial state; the next centers are 2 dt, 4 dt and
 so on, so reaching t takes 1 + ceil((t - dt) / (2 dt)) windows.  The
 state jumps 2 dt to the next center by continuing the window's
 recurrence from its last two vectors up to the order a phase of 2 a dt
-needs, folding each new vector into the state as it is made; the jump
-runs only when the next window is asked for.  Every J_k(x) comes from
-the trapezoidal rule for Bessel's integral (the Jacobi-Anger expansion),
-on 256 points in a window and 512 for the jump, folded onto the distinct
-values of |sin(theta)|: two fixed tables times their cosines and sines,
-which also gives J_k(-x) = (-1)^k J_k(x).  No randomness is involved
-anywhere, so results are bit-reproducible run to run.
+needs, in rows of the array the windows expand into, and one product
+folds them into the state; the jump runs only when the next window is
+asked for.  The landed state and the vectors that seed a jump lose their
+entries below 1e-60 (``_FLUSH``), which would turn subnormal.  Every
+J_k(x) comes from the trapezoidal rule for Bessel's integral (the
+Jacobi-Anger expansion), on 256 points in a window and 512 for the jump,
+folded onto the distinct values of |sin(theta)|: two fixed tables times
+their cosines and sines, which also gives J_k(-x) = (-1)^k J_k(x).  No
+randomness is involved anywhere, so results are bit-reproducible run to run.
 
 A block is chiral when its diagonal is one constant and every
 off-diagonal entry joins the classes C0 and C1 of states at even and odd
@@ -50,8 +52,8 @@ recurrence on w = x + y then serves both: on C0 row k of W is x_k for
 even k and y_k for odd k, on C1 the other.  So a chiral window takes
 order - 1 products and its jump one recurrence; it holds one (order,
 dim) array, with the states ordered by class once so that each class's
-columns are contiguous, and gets its Gram matrix from one symmetric
-product per class, G_c = W_c diag_c W_c^T: Re G = G_0 + G_1 and
+columns are contiguous, and folds its jump and gets its Gram matrix with
+one product per class, G_c = W_c diag_c W_c^T: Re G = G_0 + G_1 and
 Im G_kk' = (-1)^k (G_0 - G_1).  A block whose diagonal is one constant is
 centered on it; the engine then looks for the classes itself, by a
 breadth-first walk from the initial state at the first jump.  The first
@@ -179,15 +181,17 @@ class ChebyshevEngine:
     and nonnegative, since the Gram forms weight the vectors by their
     square roots.  A window scales its Chebyshev vectors in place for the
     last diagonal and one reused copy of them for every other, so tracking
-    more than one diagonal doubles a window's memory.  ``bounds`` holds
-    (lo, hi) from ``_scaled_discs(h)`` when the caller has already
+    more than one diagonal doubles a window's memory.  Windows and jumps
+    share one work array: order rows while the state is real or the block
+    chiral, 2 order once a general block's state turns complex.  ``bounds``
+    holds (lo, hi) from ``_scaled_discs(h)`` when the caller has already
     computed them.  The engine lazily extends its covered time range, one
     two-sided window of [c - dt, c + dt] at a time (the first only
     [0, dt]); querying any t within the range never touches the large
-    vectors again.  A block whose
-    diagonal is one constant is centered on it; if it is chiral (see the
-    module docstring), the first jump puts the states in class order, and
-    every later window and jump runs one recurrence.
+    vectors again.  A block whose diagonal is one constant is centered on
+    it; if it is chiral (see the module docstring), the first jump puts the
+    states in class order, and every later window and jump runs one
+    recurrence.
     """
 
     # Target phase a*dt on each side of a window, and the phase 2 a dt of a
@@ -207,6 +211,13 @@ class ChebyshevEngine:
     # the jump order at x = 100 it is J_357(100), about 3e-155.
     _BESSEL_POINTS = 256
     _JUMP_BESSEL_POINTS = 512
+    # A landed state and the tails that seed a jump lose their entries below
+    # this, which would turn subnormal in later products.  A flush moves a
+    # vector by at most 1e-60 sqrt(dim) < 1.4e-57 within state_cap(); a
+    # part's tails reach the state through the jump's recurrence (|U_j| <=
+    # j + 1, |coefficient| <= 2) at most 7,440 times larger, and unitary
+    # evolution never grows it: E(t) moves by under 1e-52 max(diag) a window.
+    _FLUSH = 1e-60
 
     def __init__(
         self,
@@ -263,23 +274,25 @@ class ChebyshevEngine:
         self._windows: list[_Window] = []
         self._starts: np.ndarray = np.empty(0)
         self._t_end = 0.0
-        # The real and imaginary parts; on a chiral block, once it has taken
-        # its classes, the one vector x + y, whose parts sit on C0 and C1.
-        self._state = [psi0.copy(), np.zeros(dim)]
+        # The real and imaginary parts as rows; on a chiral block, once it
+        # has taken its classes, the one row x + y, whose parts sit on C0 and C1.
+        self._state = np.stack([psi0, np.zeros(dim)])
         # The last two window vectors of each part while a jump is pending;
         # the state then holds the jump's sum over the window's vectors.
         self._tails: list[np.ndarray] = []
+        self._work = np.empty((0, dim))
 
     @classmethod
     def window_bytes(cls, dim: int) -> int:
         """Bytes of the (order, dim) arrays one window holds at once.
 
-        The real and imaginary expansion vectors, which the Gram step scales
-        in place; tracking more than one diagonal adds one scaled copy.  The
-        jump to the next center runs after they are freed, on eight vectors.
-        A chiral block's window holds half of this, the one recurrence on
-        x + y, and its jump four vectors; the count stays the general one,
-        which bounds both, so ``state_cap()`` does not depend on the block.
+        The real and imaginary expansion vectors, the rows of the engine's
+        one work array, which the Gram step scales in place; tracking more
+        than one diagonal adds one scaled copy.  The jump to the next center
+        reuses those rows, beside the four vectors that seed it.  A chiral
+        block holds half of this, the one recurrence on x + y; the count
+        stays the general one, which bounds both, so ``state_cap()`` does
+        not depend on the block.
         """
         return 2 * cls._WINDOW_ORDER * dim * 8
 
@@ -296,14 +309,15 @@ class ChebyshevEngine:
         off = abs(h - scipy.sparse.diags_array(d)).tocsr()
         radius = off @ np.ones(d.shape[0])
         shift = cls._DISC_SHIFT * float(radius.max(initial=0.0)) + 1e-12
-        weights = np.column_stack([d - d.min(), d.max() - d]) + shift
-        v = np.ones((d.shape[0], 2))
+        weights = np.stack([d - d.min(), d.max() - d]) + shift
+        v = np.ones((2, d.shape[0]))
         for _ in range(cls._DISC_STEPS):
-            v = off @ v + weights * v
-            v = np.maximum(v / v.max(axis=0), np.finfo(float).tiny)
-        scaled = (off @ v) / v
-        lo = max(np.min(d - scaled[:, 1]), np.min(d - radius))
-        hi = min(np.max(d + scaled[:, 0]), np.max(d + radius))
+            for row, weight in zip(v, weights):
+                step = off @ row + weight * row
+                np.maximum(step / step.max(), np.finfo(float).tiny, out=row)
+        scaled = [(off @ row) / row for row in v]
+        lo = max(np.min(d - scaled[1]), np.min(d - radius))
+        hi = min(np.max(d + scaled[0]), np.max(d + radius))
         return float(lo), float(hi)
 
     @staticmethod
@@ -391,28 +405,39 @@ class ChebyshevEngine:
         for k in range(2, self._WINDOW_ORDER):
             np.subtract(self._h_twice @ q[k - 1], q[k - 2], out=q[k])
 
+    def _work_rows(self, rows: int) -> np.ndarray:
+        """The first ``rows`` rows of the work array, replaced by a larger one once it is freed."""
+        if len(self._work) < rows:
+            self._work = None
+            self._work = np.empty((rows, self._state.shape[1]))
+        return self._work[:rows]
+
+    @staticmethod
+    def _mix(c: np.ndarray, parts: int) -> np.ndarray:
+        """The real matrix that folds sum_k c_k T_k psi, from its parts' rows, into the state."""
+        return np.block([[c.real, -c.imag], [c.imag, c.real]])[:, : parts * len(c)]
+
     def _land(self) -> None:
         """Finish the pending jump: each part's recurrence runs on from its
-        last two window vectors to the jump order, and every new vector is
-        added to the state as it is made.
+        last two window vectors to the jump order, in the work array's rows,
+        and one product folds them into the state, which is then flushed.
 
         The coefficient of T_k is real for even k and imaginary for odd k,
         so each vector of the real part adds to one part of the state, and
         each of the imaginary part (times i) to the other.  On a chiral
-        block each class of a vector adds to the part that class holds.
+        block each class adds to the part it holds, one product per class.
         """
+        order, steps = self._WINDOW_ORDER, self._JUMP_ORDER - self._WINDOW_ORDER
+        rows = self._work_rows(len(self._tails) * steps)
         for part, (prev, last) in enumerate(self._tails):
-            for k in range(self._WINDOW_ORDER, self._JUMP_ORDER):
-                prev, last = last, np.subtract(self._h_twice @ last, prev, out=prev)
-                if self._classes is not None:
-                    for rho, cols in zip(self._rho, self._classes):
-                        self._state[0][cols] += rho[k] * last[cols]
-                    continue
-                c = self._jump[k] * 1j**part
-                if (k + part) % 2 == 0:
-                    self._state[0] += c.real * last
-                else:
-                    self._state[1] += c.imag * last
+            for row in rows[part * steps : (part + 1) * steps]:
+                prev, last = last, np.subtract(self._h_twice @ last, prev, out=row)
+        if self._classes is not None:
+            for rho, cols in zip(self._rho, self._classes):
+                self._state[0, cols] += rho[order:] @ rows[:, cols]
+        else:
+            self._state += self._mix(self._jump[order:], len(self._tails)) @ rows
+        self._state[np.abs(self._state) < self._FLUSH] = 0.0
         self._tails = []
 
     def _take_classes(self) -> None:
@@ -430,7 +455,7 @@ class ChebyshevEngine:
         order, split = chiral
         self._h_twice = self._h_twice[order][:, order]
         self._roots = [root[order] for root in self._roots]
-        self._state = [np.add(*self._state)[order]]
+        self._state = np.add(*self._state)[order][None]
         self._classes = (slice(0, split), slice(split, order.shape[0]))
         # The coefficient of T_k w on each class in the jump (Re jump_k for
         # even k; -Im jump_k on C0 and +Im jump_k on C1 for odd k), and the
@@ -453,10 +478,10 @@ class ChebyshevEngine:
         parts = self._state
         # The state stays real until the first jump; every product with its
         # zero imaginary part would be zero, so none is taken.
-        if len(parts) == 2 and not parts[1].any():
+        if parts.shape[0] == 2 and not parts[1].any():
             parts = parts[:1]
         # Rows: the real part's vectors, then the imaginary part's.
-        s = np.empty((len(parts) * order, parts[0].shape[0]))
+        s = self._work_rows(parts.shape[0] * order)
         for i, part in enumerate(parts):
             self._expand(part, s[i * order : (i + 1) * order])
         # The jump to the next center starts as the sum over these vectors.
@@ -464,18 +489,13 @@ class ChebyshevEngine:
         # cancels in every bilinear form evaluated here, so the stored state
         # simply omits it.
         if self._classes is not None:
-            state = np.empty(s.shape[1])
+            self._state = np.empty((1, s.shape[1]))
             for rho, cols in zip(self._rho, self._classes):
-                np.matmul(rho[:order], s[:, cols], out=state[cols])
-            self._state = [state]
+                np.matmul(rho[:order], s[:, cols], out=self._state[0, cols])
         else:
-            c = self._jump[:order]
-            if len(parts) == 1:
-                mix = np.stack([c.real, c.imag])
-            else:
-                mix = np.block([[c.real, -c.imag], [c.imag, c.real]])
-            self._state = list(mix @ s)
-        self._tails = [s[k - 2 : k].copy() for k in range(order, s.shape[0] + 1, order)]
+            self._state = self._mix(self._jump[:order], parts.shape[0]) @ s
+        tails = s.reshape(-1, order, s.shape[1])[:, -2:]
+        self._tails = list(np.where(np.abs(tails) < self._FLUSH, 0.0, tails))
         forms = []
         scratch = None
         for i, root in enumerate(self._roots):

@@ -9,7 +9,9 @@ None of them builds the way the package does:
 * ``reference_dense`` builds H element by element on either, with a dict
   from state to row;
 * ``operator_chain`` builds the chain's H from ladder operators on the
-  product space of every cavity and its two-level system.
+  product space of every cavity and its two-level system;
+* ``scaled_discs_by_columns`` takes the disc bound's power steps on one
+  (dim, 2) array, both edges in each sparse product.
 """
 
 import math
@@ -200,3 +202,25 @@ def full_quench(params):
     psi0 = np.zeros(h.shape[0])
     psi0[start] = 1.0
     return h, jz, psi0
+
+
+def scaled_discs_by_columns(h, steps, shift):
+    """(lo, hi) of the Gershgorin discs of D^-1 h D, with one column of D per edge.
+
+    The power steps of ``ChebyshevEngine._scaled_discs`` on a (dim, 2)
+    array: the same arithmetic on every entry, so the two must agree bit for
+    bit.
+    """
+    d = h.diagonal()
+    off = abs(h - sp.diags_array(d)).tocsr()
+    radius = off @ np.ones(d.shape[0])
+    shift = shift * float(radius.max(initial=0.0)) + 1e-12
+    weights = np.column_stack([d - d.min(), d.max() - d]) + shift
+    v = np.ones((d.shape[0], 2))
+    for _ in range(steps):
+        v = off @ v + weights * v
+        v = np.maximum(v / v.max(axis=0), np.finfo(float).tiny)
+    scaled = (off @ v) / v
+    lo = max(np.min(d - scaled[:, 1]), np.min(d - radius))
+    hi = min(np.max(d + scaled[:, 0]), np.max(d + radius))
+    return float(lo), float(hi)

@@ -209,6 +209,20 @@ def test_upper_edge_notice_without_extensions():
     assert 50.0 * (1.0 - 1e-6) <= result.t_e_max <= 50.0
 
 
+def test_charging_peak_notice_at_the_upper_edge():
+    # tau = 3 is interior, but E(t) = t / (1 + (t - 3)^2 / 100) still rises
+    # at t_max = 10, so the peak is only the last sample.
+    class Rising:
+        def on_grid(self, ts):
+            ts = np.asarray(ts)
+            return ts / (1.0 + (ts - 3.0) ** 2 / 100.0)
+
+    with pytest.warns(SearchNotice, match="charging peak sits at the upper scan edge"):
+        result, _ = audited_search(Rising(), SearchConfig(t_max=10.0, n_samples=64))
+    assert 2.0 < result.tau < 4.0
+    assert 10.0 * (1.0 - 1e-6) <= result.t_e_max <= 10.0
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(t_max=-1.0)
@@ -241,8 +255,11 @@ def test_quotient_maximum_on_the_lower_edge_and_energy_peak_on_the_upper():
             return np.sqrt(np.asarray(ts))
 
     config = SearchConfig(t_max=10.0, n_samples=64)
-    with pytest.warns(SearchNotice, match="lower"):
+    with pytest.warns(SearchNotice) as notices:
         result, _ = audited_search(Root(), config)
+    messages = [str(notice.message) for notice in notices]
+    assert any("lower scan edge" in m for m in messages)
+    assert any("charging peak sits at the upper scan edge" in m for m in messages)
     assert 10.0 / 64 <= result.tau <= 10.0 / 64 * (1.0 + 1e-6)
     assert 10.0 * (1.0 - 1e-6) <= result.t_e_max <= 10.0
 
@@ -762,3 +779,37 @@ def test_engines_agree_where_the_cost_estimates_moved_the_choice(params, force_e
     sparse = charge(params, config)
     assert sparse.p_max == pytest.approx(dense.p_max, rel=1e-12, abs=0.0)
     assert sparse.tau == pytest.approx(dense.tau, rel=1e-6)
+
+
+def _below_flush(v):
+    return int(np.count_nonzero((v != 0) & (np.abs(v) < 1e-60)))
+
+
+def test_flush_leaves_no_tiny_entries_and_moves_no_result(monkeypatch):
+    # The ladder of N=10, m=6, beta=0.05 (n_max 300, 1,656 states on
+    # Chebyshev): the far tails of its windows underflow.  Every landed
+    # state and every pair of tails that seeds a jump is checked.
+    params = dicke(n=10, m=6, beta=0.05)
+    counts = []
+    land, advance = ChebyshevEngine._land, ChebyshevEngine._advance_window
+
+    def checked_land(self):
+        land(self)
+        counts.append(_below_flush(self._state))
+
+    def checked_advance(self):
+        advance(self)
+        counts.extend(_below_flush(tails) for tails in self._tails)
+
+    monkeypatch.setattr(ChebyshevEngine, "_land", checked_land)
+    monkeypatch.setattr(ChebyshevEngine, "_advance_window", checked_advance)
+    system = QuenchSystem(params)
+    assert (system.block_dim, system.engine) == (1_656, "chebyshev")
+    flushed = max_power(system, SearchConfig())
+    assert len(counts) > 40 and not any(counts)
+    counts.clear()
+    monkeypatch.setattr(ChebyshevEngine, "_FLUSH", 0.0)
+    kept = max_power(QuenchSystem(params), SearchConfig())
+    assert min(counts) > 0
+    for name in ("p_max", "tau", "e_max"):
+        assert getattr(flushed, name) == getattr(kept, name)

@@ -19,7 +19,7 @@ from qbattery.hamiltonians import (
     build_quench_block,
 )
 
-from oracles import full_quench
+from oracles import full_quench, scaled_discs_by_columns
 
 
 def one_point(engine, t):
@@ -522,6 +522,20 @@ def test_chiral_window_memory_is_half_of_window_bytes():
     assert peak <= ChebyshevEngine.window_bytes(block.dim) // 2 + _window_slack(block.dim)
 
 
+@pytest.mark.parametrize("omega_a, chiral", [(1.0, True), (1.1, False)])
+def test_one_work_array_holds_what_the_windows_need(omega_a, chiral):
+    # Order rows for a chiral block's one recurrence; 2 order once a general
+    # block's state turns complex at the first jump.
+    block, psi0 = _quench_start(jch(n=5, m=1, beta=0.05, kappa=0.5, omega_a=omega_a))
+    cheb = ChebyshevEngine(block.h, psi0, [block.jz])
+    order = ChebyshevEngine._WINDOW_ORDER
+    cheb.extend(0.0)
+    assert cheb._work.shape == (order, block.dim)
+    cheb.extend(4.5 * cheb._dt)
+    assert (cheb._classes is not None) == chiral
+    assert cheb._work.shape == ((1 if chiral else 2) * order, block.dim)
+
+
 @pytest.mark.parametrize(
     "params",
     [
@@ -544,6 +558,20 @@ def test_scaled_discs_bound_the_spectrum_within_the_plain_discs(params):
     d = h.diagonal()
     radius = np.abs(h).sum(axis=1) - np.abs(d)
     assert np.min(d - radius) <= lo and hi <= np.max(d + radius)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        jch(n=6, m=1, beta=0.05, kappa=0.5),
+        jch(n=6, m=1, beta=0.05, kappa=0.05, topology=Topology.ALL_TO_ALL),
+        dicke(n=15, m=1, beta=0.5, n_max=75),
+    ],
+)
+def test_scaled_discs_equal_the_column_reference(params):
+    h = build_quench_block(params).h
+    expected = scaled_discs_by_columns(h, ChebyshevEngine._DISC_STEPS, ChebyshevEngine._DISC_SHIFT)
+    assert ChebyshevEngine._scaled_discs(h) == expected
 
 
 def test_scaled_discs_are_tight_on_a_line_and_cut_the_windows():
