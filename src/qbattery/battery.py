@@ -37,10 +37,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .dynamics import _SCAN_CHUNK, ChebyshevEngine, EigenEngine, diagonalize
-from .hamiltonians import Model, ModelParams, _check_int, build_quench_block
+from .hamiltonians import Model, ModelParams, QuenchBlock, _check_int, build_quench_block
 
 __all__ = [
     "RabiParams",
@@ -206,28 +205,40 @@ def default_horizon(params: ModelParams) -> float:
 
 
 def _cheaper_engine(
-    h: scipy.sparse.csr_array, horizon: float
+    block: QuenchBlock, horizon: float
 ) -> tuple[str, tuple[float, float] | None]:
-    """The engine with the lower cost estimate for block ``h``, and its disc bounds if computed.
+    """The engine with the lower cost estimate for ``block``, and its disc bounds if computed.
 
     A block whose dense estimate is below Chebyshev's fixed cost goes
     dense without bounding its spectrum; a block above ``DENSE_LIMIT``
-    goes Chebyshev.  Otherwise the disc bounds set the window count, and
-    the Chebyshev engine then reuses them.
+    goes Chebyshev.  Otherwise Chebyshev is first priced from the range of
+    H's diagonal.  Each diagonal entry is the energy of one basis state,
+    so the spectrum, and every disc bound on it, spans at least that
+    range, and the estimate grows with the width it is given: a block that
+    dense beats at this lower estimate goes dense without bounding its
+    spectrum, as it would with the bound.  Only the remaining blocks take
+    the disc bounds, which set the window count and which the Chebyshev
+    engine then reuses.
     """
-    d = h.shape[0]
+    d = block.dim
     if d > DENSE_LIMIT:
         return "chebyshev", None
     dense = _DENSE_CUBE * d**3 + _DENSE_SQUARE * d**2
     if dense < _CHEB_FIXED:
         return "dense", None
-    lo, hi = ChebyshevEngine._scaled_discs(h)
     phase = ChebyshevEngine._WINDOW_PHASE
     order = ChebyshevEngine._WINDOW_ORDER
-    windows = math.ceil(0.5 * (hi - lo) * horizon / (_SCAN_SHARE * phase))
-    flops = order * (2 * h.nnz + order * d)
-    chebyshev = _CHEB_FIXED + windows * (_CHEB_WINDOW + _CHEB_FLOP * flops)
-    return ("dense" if dense <= chebyshev else "chebyshev"), (lo, hi)
+    flops = order * (2 * block.values.shape[0] + order * d)
+
+    def chebyshev(width: float) -> float:
+        windows = math.ceil(0.5 * width * horizon / (_SCAN_SHARE * phase))
+        return _CHEB_FIXED + windows * (_CHEB_WINDOW + _CHEB_FLOP * flops)
+
+    diagonal = block.values[block.rows == block.cols]
+    if dense <= chebyshev(float(diagonal.max() - diagonal.min())):
+        return "dense", None
+    lo, hi = ChebyshevEngine._scaled_discs(block.h)
+    return ("dense" if dense <= chebyshev(hi - lo) else "chebyshev"), (lo, hi)
 
 
 class QuenchSystem:
@@ -254,18 +265,18 @@ class QuenchSystem:
     def __init__(self, params: ModelParams):
         self.params = params
         block = build_quench_block(params)
-        h, jz, start = block.h, block.jz, block.start
+        jz, start = block.jz, block.start
         self.dim = block.sector_dim
         self.block_dim = block.dim
         self._jz0 = float(jz[start])
         self.energy_bound = params.omega_c * (float(jz.max()) - self._jz0)
         psi0 = np.zeros(self.block_dim)
         psi0[start] = 1.0
-        self.engine, bounds = _cheaper_engine(h, default_horizon(params))
+        self.engine, bounds = _cheaper_engine(block, default_horizon(params))
         if self.engine == "dense":
-            self._eval = EigenEngine(diagonalize(h.toarray()), psi0, [jz])
+            self._eval = EigenEngine(diagonalize(block.dense()), psi0, [jz])
         else:
-            self._eval = ChebyshevEngine(h, psi0, [jz], bounds)
+            self._eval = ChebyshevEngine(block.h, psi0, [jz], bounds)
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         return self.params.omega_c * (self._eval.on_grid(ts)[0] - self._jz0)

@@ -61,14 +61,16 @@ window is the general one, real (y = 0) and of the same cost, so a block
 that one window covers never pays for the walk.  Every other block takes
 the general path throughout.
 
-Both engines take the Hamiltonian block as a sparse matrix, which
-``build_quench_block`` builds for either model: over orbits for a chain,
-and as the whole ladder cut by its conserved quantities for the
-collective model (the eigendecomposition gets its ``toarray()``).  They
-take a list of observables, each a 1-D array holding its diagonal, and
-answer one call, ``on_grid(ts)``: one row per observable, its value at
-every requested time, each row from the same operations as if it were
-tracked alone.  A single time is a grid of one.
+Both engines take the Hamiltonian block that ``build_quench_block``
+builds for either model: over orbits for a chain, and as the whole
+ladder cut by its conserved quantities for the collective model.  The
+eigendecomposition gets it as a dense array (``QuenchBlock.dense``), the
+Chebyshev engine as a sparse matrix (``QuenchBlock.h``); SciPy is
+imported by the Chebyshev engine's methods alone, so a dense quench runs
+on numpy.  They take a list of observables, each a 1-D array holding its
+diagonal, and answer one call, ``on_grid(ts)``: one row per observable,
+its value at every requested time, each row from the same operations as
+if it were tracked alone.  A single time is a grid of one.
 """
 
 from __future__ import annotations
@@ -76,9 +78,12 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "Spectrum",
@@ -226,6 +231,8 @@ class ChebyshevEngine:
         diags: list[np.ndarray],
         bounds: tuple[float, float] | None = None,
     ):
+        import scipy.sparse
+
         if h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be square")
         dim = h.shape[0]
@@ -305,6 +312,8 @@ class ChebyshevEngine:
         ratio (M d)_i / d_i.  Only an underflow in d could, so the bound is
         also held to the plain discs.
         """
+        import scipy.sparse
+
         d = h.diagonal()
         off = abs(h - scipy.sparse.diags_array(d)).tocsr()
         radius = off @ np.ones(d.shape[0])
@@ -333,6 +342,8 @@ class ChebyshevEngine:
         cycle, or joins two states of ``psi0``.  States it never reaches
         keep zero amplitude and join C1.
         """
+        import scipy.sparse
+
         d = h.diagonal()
         if not d.size or (d != d[0]).any():
             return None

@@ -38,26 +38,36 @@ of their states.
 
 The collective ladder is derived from the parameters by ``_dicke_ladder``,
 the one place that knows its rows: photon numbers 0..n_max, row
-``n * (N + 1) + q``.  ``build_csr`` assembles H on the whole ladder: numpy
+``n * (N + 1) + q``.  ``_dicke_entries`` lists H on the whole ladder: numpy
 computes the diagonal and one half of every Hermitian pair of
 off-diagonal elements at once, and the pairs are then mirrored, so exact
 bitwise symmetry holds.  The ladder's block is that matrix cut to the
 states its quench reaches, which the conservation laws give as masks on
 the rows: the parity of n + q, and n - q or n + q itself when one of the
 couplings is off.
+
+Both builders give the block as its stored entries, numpy (row, col,
+value) triplets with no (row, col) pair listed twice.  The dense engine
+scatters them into a matrix (``QuenchBlock.dense``); only the Chebyshev
+engine, the disc bound and ``build_csr`` need a SciPy CSR matrix, so
+SciPy is imported where one is built and a dense quench never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .dynamics import state_cap
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "Model",
@@ -325,10 +335,14 @@ def _dicke_ladder(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(dim, dtype=np.int64), nsys + 1)
 
 
-def _dicke_csr(params: ModelParams, n: np.ndarray, q: np.ndarray) -> scipy.sparse.csr_array:
-    """H of the collective model on the ladder rows ``(n, q)`` of ``_dicke_ladder``.
+def _dicke_entries(
+    params: ModelParams, n: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H of the collective model on the ladder rows ``(n, q)`` of ``_dicke_ladder``, as entries.
 
-    Ladder amplitudes use j = N/2, m_j = N/2 - q:
+    Returns ``(rows, cols, values)``: the diagonal, then each Hermitian
+    pair of off-diagonal elements.  Ladder amplitudes use j = N/2,
+    m_j = N/2 - q:
 
         photon absorbed, spin raised  (n, q) -> (n-1, q-1):  sqrt(n) * J+ amplitude, weight g
         photon absorbed, spin lowered (n, q) -> (n-1, q+1):  sqrt(n) * J- amplitude, weight g'
@@ -336,7 +350,7 @@ def _dicke_csr(params: ModelParams, n: np.ndarray, q: np.ndarray) -> scipy.spars
     A row's target lies N + 1 - dq rows before it.  Their Hermitian
     partners are the mirrored entries, and emission targets above the
     photon cutoff are dropped by the truncation.  Each pair is listed once
-    and mirrored; duplicate entries are summed by the conversion to CSR.
+    and mirrored, so no (row, col) pair repeats.
     """
     nsys = params.n
     scale = 1.0 / math.sqrt(nsys) if params.normalization is Normalization.SQRT_N else 1.0
@@ -362,12 +376,17 @@ def _dicke_csr(params: ModelParams, n: np.ndarray, q: np.ndarray) -> scipy.spars
         vals.append(g * amp[rows])
         src.append(rows)
         dst.append(rows - (nsys + 1 - dq))
-    dim = n.shape[0]
-    idx = np.arange(dim)
+    idx = np.arange(n.shape[0])
     rows = np.concatenate([idx, *src, *dst])
     cols = np.concatenate([idx, *dst, *src])
-    data = np.concatenate([diag, *vals, *vals])
-    return scipy.sparse.coo_array((data, (rows, cols)), shape=(dim, dim)).tocsr()
+    return rows, cols, np.concatenate([diag, *vals, *vals])
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int) -> scipy.sparse.csr_array:
+    """The (dim, dim) CSR matrix of the entries, in canonical form (sorted columns)."""
+    import scipy.sparse
+
+    return scipy.sparse.coo_array((values, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 def build_csr(params: ModelParams) -> scipy.sparse.csr_array:
@@ -377,7 +396,8 @@ def build_csr(params: ModelParams) -> scipy.sparse.csr_array:
     state, n <= n_max.  The reference the ladder's quench block is cut
     from.  Raises ``ValueError`` for a chain.
     """
-    return _dicke_csr(params, *_dicke_ladder(params))
+    n, q = _dicke_ladder(params)
+    return _csr(*_dicke_entries(params, n, q), n.shape[0])
 
 
 def _jch_group(params: ModelParams) -> np.ndarray | None:
@@ -458,20 +478,29 @@ class QuenchBlock:
     For a chain, row i stands for one orbit of the sector under the
     automorphisms of the hopping graph, and ``sizes[i]`` counts its states;
     rows are in the order of the orbits' keys, the smallest ``_pack_keys``
-    key of their states, and ``h`` is the Hamiltonian on the normalized
-    orbit sums, less the energy w_c*N*m that every state of the sector has
-    in common.  For the collective model every row is one ladder state
-    (``sizes`` all 1), in ladder order, and ``h`` is ``build_csr``'s
-    matrix cut to the rows of the quench's conserved quantities
-    (``_ladder_block``).  ``h`` is bitwise symmetric, ``jz`` is the
-    stored-energy observable, and row ``start`` is the quench state, an
-    orbit of its own.  ``sector_dim`` counts the states of the space the
-    block is cut from: the chain's excitation sector (``jch_sector_dim``)
-    or the whole ladder, (n_max + 1) * (N + 1).
+    key of their states, and H is the Hamiltonian on the normalized orbit
+    sums, less the energy w_c*N*m that every state of the sector has in
+    common.  For the collective model every row is one ladder state
+    (``sizes`` all 1), in ladder order, and H is ``build_csr``'s matrix
+    cut to the rows of the quench's conserved quantities
+    (``_ladder_block``).  ``jz`` is the stored-energy observable, and row
+    ``start`` is the quench state, an orbit of its own.  ``sector_dim``
+    counts the states of the space the block is cut from: the chain's
+    excitation sector (``jch_sector_dim``) or the whole ladder,
+    (n_max + 1) * (N + 1).
+
+    H is held as its stored entries: ``values[i]`` at ``(rows[i],
+    cols[i])``, each pair listed once, each off-diagonal entry beside its
+    bitwise-equal mirror.  ``dense()`` scatters them into the matrix that
+    ``eigh`` takes; ``h``, the CSR matrix of the Chebyshev engine and the
+    disc bound, is built from them on first use, which is the first time
+    the block imports SciPy.
     """
 
     sizes: np.ndarray
-    h: scipy.sparse.csr_array
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     jz: np.ndarray
     start: int
     sector_dim: int
@@ -479,6 +508,17 @@ class QuenchBlock:
     @property
     def dim(self) -> int:
         return self.sizes.shape[0]
+
+    @functools.cached_property
+    def h(self) -> scipy.sparse.csr_array:
+        """H as a CSR matrix with sorted columns; built once, on first use."""
+        return _csr(self.rows, self.cols, self.values, self.dim)
+
+    def dense(self) -> np.ndarray:
+        """H as a dense (dim, dim) array; no entry repeats, so each is written once."""
+        out = np.zeros((self.dim, self.dim))
+        out[self.rows, self.cols] = self.values
+        return out
 
 
 def build_quench_block(params: ModelParams) -> QuenchBlock:
@@ -577,11 +617,11 @@ def _chain_block(params: ModelParams) -> QuenchBlock:
     number[order] = diag
     row, col = number[row], number[col]
     off = row != col
-    entries = np.r_[h_low, h_low[off]], (np.r_[row, col[off]], np.r_[col, row[off]])
-    h = scipy.sparse.coo_array(entries, shape=(found, found)).tocsr()
     return QuenchBlock(
         sizes=sizes[order],
-        h=h,
+        rows=np.r_[row, col[off]],
+        cols=np.r_[col, row[off]],
+        values=np.r_[h_low, h_low[off]],
         jz=params.omega_a * modes[order, n:].sum(axis=1),
         start=int(number[0]),
         sector_dim=jch_sector_dim(n, params.m),
@@ -614,9 +654,18 @@ def _ladder_block(params: ModelParams) -> QuenchBlock:
     if params.beta == 0.0:
         keep &= n + q == photons + nsys
     keep = np.flatnonzero(keep)
+    # Each ladder row's number in the block, -1 off it; an entry stays when
+    # both of its ends do.
+    number = np.full(n.shape[0], -1)
+    number[keep] = np.arange(keep.shape[0])
+    rows, cols, values = _dicke_entries(params, n, q)
+    rows, cols = number[rows], number[cols]
+    kept = (rows >= 0) & (cols >= 0)
     return QuenchBlock(
         sizes=np.ones(keep.shape[0], dtype=np.int64),
-        h=_dicke_csr(params, n, q)[keep][:, keep],
+        rows=rows[kept],
+        cols=cols[kept],
+        values=values[kept],
         jz=params.omega_a * (nsys - q[keep]),
         start=int(np.searchsorted(keep, photons * (nsys + 1) + nsys)),
         sector_dim=n.shape[0],

@@ -749,16 +749,19 @@ def test_disc_bound_is_computed_at_most_once_and_never_for_tiny_blocks(monkeypat
     ]
     assert [QuenchSystem(p).engine for p in tiny] == ["dense"] * len(tiny)
     assert calls == []
-    # Bounded for the choice, then dense; bounded for the choice and reused
-    # by the engine; past DENSE_LIMIT, bounded by the engine alone.
-    for params, engine, states in (
-        (dicke(n=20, m=1, beta=0.05, n_max=100), "dense", 1_061),
-        (dicke(n=15, m=1, beta=0.5, n_max=75), "chebyshev", 608),
-        (jch(n=6, m=1, beta=0.05, kappa=0.5), "chebyshev", 2_687),
+    # Dense already beats Chebyshev priced from the diagonal's range, so
+    # never bounded; bounded for the choice, then dense; bounded for the
+    # choice and reused by the engine; past DENSE_LIMIT, bounded by the
+    # engine alone.
+    for params, engine, bounded in (
+        (dicke(n=20, m=1, beta=0.05, n_max=100), "dense", []),
+        (jch(n=4, m=2, beta=0.05, kappa=0.05, topology=Topology.RING), "dense", [215]),
+        (dicke(n=15, m=1, beta=0.5, n_max=75), "chebyshev", [608]),
+        (jch(n=6, m=1, beta=0.05, kappa=0.5), "chebyshev", [2_687]),
     ):
         calls.clear()
         assert QuenchSystem(params).engine == engine
-        assert calls == [states]
+        assert calls == bounded
 
 
 @pytest.mark.parametrize(

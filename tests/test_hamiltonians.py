@@ -374,6 +374,20 @@ def test_model_specific_builders_check_model():
     assert build_quench_block(chain).sector_dim == jch_sector_dim(2, 1)
 
 
+def assert_entries_listed_once(block):
+    """No (row, col) pair of the block's entries repeats, so both of its matrices hold their bits."""
+    pairs = block.rows * block.dim + block.cols
+    assert np.unique(pairs).shape == pairs.shape == block.values.shape
+    assert block.h.nnz == block.values.shape[0]
+    assert block.dense().tobytes() == block.h.toarray().tobytes()
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_chain_entries_are_listed_once(topology):
+    block = build_quench_block(jch(n=4, m=2, beta=0.11, kappa=0.23, omega_a=1.2, topology=topology))
+    assert_entries_listed_once(block)
+
+
 def reached_rows(h, start):
     """Rows that the nonzeros of ``h`` connect to ``start``, by repeated sparse products."""
     reached = np.arange(h.shape[0]) == start
@@ -405,7 +419,10 @@ def test_ladder_block_is_the_whole_ladder_cut_to_the_states_reached(params, bloc
     block = build_quench_block(params)
     assert (block.dim, block.sector_dim) == (block_dim, ladder.dim)
     assert np.array_equal(block.sizes, np.ones(block_dim))
-    assert np.array_equal(block.h.toarray(), h[keep][:, keep].toarray())
+    cut = h[keep][:, keep]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(block.h, name), getattr(cut, name)), name
+    assert_entries_listed_once(block)
     assert np.array_equal(block.jz, params.omega_a * (params.n - ladder.q[keep]))
     assert block.start == np.count_nonzero(keep < start)
 

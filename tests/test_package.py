@@ -62,17 +62,32 @@ def test_first_quench_leaves_csgraph_unimported():
     # instead, and the ladder block by masks on its conserved quantities.
     # scipy.optimize took `import numpy, scipy.sparse, scipy.optimize` from
     # 397 ms to 746 ms (medians of 7 process starts); the power search
-    # refines its maximum with its own Brent steps instead.
+    # refines its maximum with its own Brent steps instead.  scipy.sparse
+    # itself costs 143-175 ms, so a dense quench runs on numpy alone: its
+    # block is a list of entries, the cost estimate prices Chebyshev from the
+    # diagonal's range before it bounds the spectrum, and only a block that
+    # goes to Chebyshev loads SciPy.
     code = (
         "import sys, qbattery, qbattery.cli\n"
-        "from qbattery import Model, ModelParams, charge\n"
-        "charge(ModelParams(model=Model.JCH, n=2, beta=0.05, kappa=0.05))\n"
+        "from qbattery import Model, ModelParams, QuenchSystem, SearchConfig, charge, max_power\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "print(qbattery.__file__)\n"
+        "print(len(loaded()))\n"
+        "charge(ModelParams(model=Model.JCH, n=2, beta=0.05, kappa=0.05))\n"
+        "dicke = QuenchSystem(ModelParams(model=Model.DICKE, n=10, beta=0.5))\n"
+        "max_power(dicke, SearchConfig())\n"
+        "print(dicke.engine, len(loaded()))\n"
+        "line = QuenchSystem(ModelParams(model=Model.JCH, n=6, beta=0.05, kappa=0.5))\n"
+        "max_power(line, SearchConfig())\n"
+        "print(line.engine, 'scipy.sparse' in loaded())\n"
         "print('scipy.sparse.csgraph' in sys.modules, 'scipy.optimize' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(qbattery.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    where, csgraph, optimize = run.stdout.split()
+    where, imported, dense, after_dense, cheb, sparse, csgraph, optimize = run.stdout.split()
     assert where == qbattery.__file__
+    assert (imported, dense, after_dense) == ("0", "dense", "0")
+    assert (cheb, sparse) == ("chebyshev", "True")
     assert (csgraph, optimize) == ("False", "False")
