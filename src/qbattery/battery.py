@@ -15,11 +15,11 @@ derivative dE/dt; the headline quantity is its maximum over a scan window,
 
 A uniform coarse scan locates the global quotient maximum, then Brent's
 method refines it, starting from the three grid samples around it.  The
-scan runs in chunks of increasing t and stops once no later sample can
-win: E(t) never exceeds the bound E_bound = w_c * (max Jz - <Jz>(0)) over
-the evolved block, so past t* = E_bound / P_best every quotient lies below
-the best one seen.  The first charging peak after tau (the first local
-maximum of E past the quotient maximum) is refined the same way and
+scan runs in requests of increasing t and stops at the last sample that
+can win: E(t) never exceeds the bound E_bound = w_c * (max Jz - <Jz>(0))
+over the evolved block, so past t* = E_bound / P_best every quotient lies
+below the best one seen.  The first charging peak after tau (the first
+local maximum of E past the quotient maximum) is refined the same way and
 reported as a diagnostic alongside.
 
 For a single cavity at zero hopping the closed-form check is
@@ -77,11 +77,12 @@ DENSE_LIMIT = 2500
 # each).  A window covers a fixed phase, so the window count follows the
 # disc half-width times the scan length; the scan is taken to stop at
 # 1/_SCAN_SHARE of the default horizon, the earliest stop on any preset
-# point (256 of 4,096 samples).  The constants are a least-squares fit, in
-# relative error, to both engines' times on the 179 preset points of 40 to
-# 2,700 states (2-vCPU Xeon, OpenBLAS); the engine they pick cost within
-# 0.1 % of the faster one summed over each preset.  They are fixed, so the
-# choice of engine is the same on every run and host; the results' bytes
+# point while the scan stopped in whole chunks of 128 (256 of 4,096
+# samples).  The constants are a least-squares fit, in relative error, to
+# both engines' times on the 179 preset points of 40 to 2,700 states
+# (2-vCPU Xeon, OpenBLAS); the engine they pick cost within 0.1 % of the
+# faster one summed over each preset.  They are fixed, so the choice of
+# engine is the same on every run and host; the results' bytes
 # hold on the same host at the same BLAS thread count (with one thread
 # instead of two, 10 of 60 dicke_m rows and 34 of 152 fig5 rows differ, by
 # at most 1.9e-14 relative).  They predate the stacked Gram product and
@@ -91,7 +92,8 @@ DENSE_LIMIT = 2500
 # the engine it ran on before.  For the same reason they still price a
 # chiral block's window (``dynamics``), which takes half the products and
 # half the Gram work, at the general window's cost.  They also predate the
-# one-product jump, the row-wise disc bound and the flush of tiny entries.
+# one-product jump, the row-wise disc bound, the flush of tiny entries and
+# the scan's stop at a sample.
 _DENSE_CUBE = 1.6e-11
 _DENSE_SQUARE = 2.4e-7
 _CHEB_FIXED = 9.5e-3
@@ -100,10 +102,9 @@ _CHEB_FLOP = 3.1e-10
 _SCAN_SHARE = 16
 
 _FLAT_TOL = 1e-12
-# The scan evaluates ``_SCAN_CHUNK`` grid times per call before it tests
-# whether it may stop; the relative slack on the energy bound keeps an
-# engine's rounding above the bound from stopping the scan before a winning
-# sample.
+# The scan tests whether it may stop after each request; the relative
+# slack on the energy bound keeps an engine's rounding above the bound from
+# stopping the scan before a winning sample.
 _BOUND_SLACK = 1e-9
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -183,7 +184,8 @@ class PowerResult:
 
     ``e_max`` and ``t_e_max`` locate the first charging peak after ``tau``,
     so ``0 <= e_at_tau <= e_max``.  ``series`` holds the (t, E) samples the
-    scan evaluated: the leading samples of the grid, up to where it stopped.
+    scan evaluated: the leading samples of the grid, up to the last sample
+    the search needed, rounded up to the evaluator's ``batch``.
     """
 
     p_max: float
@@ -259,7 +261,8 @@ class QuenchSystem:
     energy E(t) at each time and, with ``params``, is the evaluator
     protocol that ``max_power`` reads.  ``energy_bound`` is the largest
     energy any state of the block stores, an upper bound on E(t) that lets
-    the search stop.
+    the search stop, and ``batch`` the number of times its engine computes
+    together, to which the search rounds its requests.
     """
 
     def __init__(self, params: ModelParams):
@@ -277,6 +280,7 @@ class QuenchSystem:
             self._eval = EigenEngine(diagonalize(block.dense()), psi0, [jz])
         else:
             self._eval = ChebyshevEngine(block.h, psi0, [jz], bounds)
+        self.batch = self._eval.batch
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         return self.params.omega_c * (self._eval.on_grid(ts)[0] - self._jz0)
@@ -351,28 +355,47 @@ def _peak_after(energies: np.ndarray, k: int) -> int:
 
 
 def _scan(evaluator, ts: np.ndarray) -> np.ndarray:
-    """E on the leading samples of ``ts``, up to where no later sample can win.
+    """E on the leading samples of ``ts``, up to the last one that can win.
 
-    The scan runs in chunks and stops before ``ts[end]`` once that time lies
-    past E_bound / P_best, where E(t) / t <= E_bound / t stays below the
-    best quotient seen, and the first maximum of E after the quotient
-    maximum has a scanned sample on its right.  An evaluator without
-    ``energy_bound`` has an infinite bound, so every sample is scanned.
+    Past t* = E_bound / P_best, E(t) / t <= E_bound / t stays below the best
+    quotient seen.  While the scan is short of t*, each request stops at the
+    first grid sample past it; once past, the scan goes on in doubling
+    steps until the first maximum of E after the quotient maximum has a
+    scanned sample on its right.  Each request is rounded up to whole
+    ``evaluator.batch`` times, those the evaluator computes together (a
+    divisor of ``_SCAN_CHUNK``, or all of it if the evaluator does not
+    say), and never crosses a multiple of ``_SCAN_CHUNK``: the scan stops
+    at or before the chunk where a scan in whole chunks would stop, and
+    evaluates no sample that scan would not.
+    An evaluator without ``energy_bound`` has an infinite bound, so every
+    sample is scanned.
     """
     n = ts.shape[0]
     bound = getattr(evaluator, "energy_bound", math.inf)
+    batch = getattr(evaluator, "batch", _SCAN_CHUNK)
     energies = np.empty(n)
-    end = 0
-    while end < n:
-        energies[end : end + _SCAN_CHUNK] = evaluator.on_grid(ts[end : end + _SCAN_CHUNK])
-        end = min(end + _SCAN_CHUNK, n)
-        if end < n and energies[:end].max() >= _FLAT_TOL:
-            quotients = energies[:end] / ts[:end]
-            k = int(np.argmax(quotients))
-            past = ts[end] > bound * (1.0 + _BOUND_SLACK) / quotients[k]
-            if past and _peak_after(energies[:end], k) < end - 1:
-                break
-    return energies[:end]
+    end, target, step = 0, _SCAN_CHUNK, batch
+    while True:
+        stop = min(-(-target // batch) * batch, n)
+        energies[end:stop] = evaluator.on_grid(ts[end:stop])
+        end = stop
+        if end == n:
+            return energies
+        # No request crosses the next multiple of _SCAN_CHUNK.
+        target = end - end % _SCAN_CHUNK + _SCAN_CHUNK
+        if energies[:end].max() < _FLAT_TOL:
+            continue
+        quotients = energies[:end] / ts[:end]
+        k = int(np.argmax(quotients))
+        t_star = bound * (1.0 + _BOUND_SLACK) / quotients[k]
+        first = int(np.searchsorted(ts, t_star, side="right"))
+        if end < first:
+            target = min(target, first)
+        elif _peak_after(energies[:end], k) < end - 1:
+            return energies[:end]
+        else:
+            target = min(target, end + step)
+            step *= 2
 
 
 def max_power(evaluator, config: SearchConfig) -> PowerResult:
@@ -383,10 +406,12 @@ def max_power(evaluator, config: SearchConfig) -> PowerResult:
     never for one it has evaluated.  The grid is
     ``config.grid(evaluator.params)``; ``params`` is read only
     when ``config.t_max`` is unset.  With an ``energy_bound`` on the
-    evaluator the scan stops where no later time can beat the best
-    quotient.  The result then matches the full scan's, because both
-    engines shape their products so that a time's value does not depend on
-    the other times in its call, as
+    evaluator the scan stops at the last sample that can beat the best
+    quotient, once the charging peak after it has a sample on its right
+    (``_scan``), in requests rounded up to the evaluator's ``batch``.  The
+    result then matches the full scan's, because both engines shape their
+    products so that a time's value does not depend on the other times in
+    its call, as
     ``test_grid_values_do_not_depend_on_the_other_times_in_the_call``
     checks on every sample of the window.  ``e_max`` and ``t_e_max``
     refine the first grid maximum of E at or after the quotient maximum.

@@ -98,13 +98,16 @@ __all__ = [
 # arrays are alive at once, so a block takes at most about 100 MB.
 _GRID_BLOCK_ENTRIES = 2_000_000
 
-# The power scan asks for this many times per call.  A time's value must
-# not depend on the other times in its call, or the stopped scan would
-# differ from the whole grid; matrix products round a column the same way
-# only when its neighbours fill the same kernel shapes and threads.  So the
-# dense engine cuts a long grid into column blocks that are a multiple of
-# this, and the Chebyshev engine pads each window's times to a multiple of
-# ``_PAD_COLUMNS`` and contracts them that many at a time.
+# The power scan asks for at most this many times per call, and each
+# engine's ``batch`` says how many it computes together: a request is
+# rounded up to whole batches.  A time's value must not depend on the other
+# times in its call, or the stopped scan would differ from the whole grid;
+# matrix products round a column the same way only when its neighbours fill
+# the same kernel shapes and threads.  So the dense engine cuts a long grid
+# into column blocks that are a multiple of this, and its batch is the whole
+# chunk; the Chebyshev engine pads each window's times to a multiple of
+# ``_PAD_COLUMNS`` and contracts them that many at a time, so its batch is
+# that, and the scan builds no window that no kept sample needs.
 _SCAN_CHUNK = 128
 _PAD_COLUMNS = 8
 
@@ -138,8 +141,10 @@ class EigenEngine:
     """Diagonal-observable evaluator backed by a full spectrum; projects ``psi0`` once.
 
     ``diags`` lists the diagonal observables to track, each one row of
-    ``on_grid``.
+    ``on_grid``.  ``batch`` is the number of times it computes together.
     """
+
+    batch = _SCAN_CHUNK
 
     def __init__(self, spectrum: Spectrum, psi0: np.ndarray, diags: list[np.ndarray]):
         dim = spectrum.eigenvalues.shape[0]
@@ -196,9 +201,10 @@ class ChebyshevEngine:
     vectors again.  A block whose diagonal is one constant is centered on
     it; if it is chiral (see the module docstring), the first jump puts the
     states in class order, and every later window and jump runs one
-    recurrence.
+    recurrence.  ``batch`` is the number of times it computes together.
     """
 
+    batch = _PAD_COLUMNS
     # Target phase a*dt on each side of a window, and the phase 2 a dt of a
     # jump between centers.  Each expansion order is the first k >= phase + 4
     # with |J_k(phase)| < 1e-16, plus 4.

@@ -404,11 +404,13 @@ def _jch_group(params: ModelParams) -> np.ndarray | None:
     """Every site permutation of the hopping graph's automorphism group, one per row.
 
     The identity and the reversal for the line; the N rotations and their
-    reversals for the ring (D_N).  ``None`` for all-to-all, whose group
-    S_N holds every permutation, so that sorting the sites of a state
-    gives the member of its orbit with the smallest key.
+    reversals for the ring (D_N).  ``None`` for S_N, which holds every
+    permutation, so that sorting the sites of a state gives the member of
+    its orbit with the smallest key: the group of all-to-all, and of every
+    chain at kappa = 0, which has no hopping bonds for a permutation to
+    break.
     """
-    if params.topology is Topology.ALL_TO_ALL:
+    if params.kappa == 0.0 or params.topology is Topology.ALL_TO_ALL:
         return None
     sites = np.arange(params.n)
     if params.topology is Topology.LINE:
@@ -420,16 +422,18 @@ def _jch_group(params: ModelParams) -> np.ndarray | None:
 class _Orbits:
     """Orbits of chain states under ``_jch_group``, told apart by linear features.
 
-    The features of a state, rows of photons then spins, are ``modes @
-    features``, one column per state: on a line or ring the key of its image
-    under each group element (the image under g puts site g[c] at position
-    c, so modes g[c] and N + g[c] take the key weights of position c);
-    all-to-all the code photons - base*spin of each site.  A move changes
-    the features by a fixed amount.  An orbit's key is the smallest key of
-    its states: the smallest image key on a line or ring, and all-to-all the
-    key of the state with its site codes sorted, which puts the excited
-    two-level systems first (the low bits of the spin digit) and the
-    smaller photon numbers first within each kind.
+    The group is S_N all-to-all and, on every topology, at kappa = 0, where
+    the walk then finds N + 1 orbits, one per number of excited two-level
+    systems.  The features of a state, rows of photons then spins, are
+    ``modes @ features``, one column per state: on a line or ring with
+    hopping the key of its image under each group element (the image under
+    g puts site g[c] at position c, so modes g[c] and N + g[c] take the key
+    weights of position c); under S_N the code photons - base*spin of each
+    site.  A move changes the features by a fixed amount.  An orbit's key
+    is the smallest key of its states: the smallest image key on a line or
+    ring, and under S_N the key of the state with its site codes sorted,
+    which puts the excited two-level systems first (the low bits of the spin
+    digit) and the smaller photon numbers first within each kind.
     """
 
     def __init__(self, params: ModelParams, base: int):
@@ -457,7 +461,7 @@ class _Orbits:
         """Number of states in each orbit: |G| / |stabilizer|.
 
         The number of distinct images on a line or ring; N! / prod(r!) over
-        the runs of r equal site codes all-to-all.
+        the runs of r equal site codes under S_N.
         """
         feats = np.sort(feats.T, axis=1)
         if self.group is not None:

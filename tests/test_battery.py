@@ -354,6 +354,86 @@ def test_energy_bound_stops_the_scan_with_the_same_result(params, engine, force_
     assert (a.e_max, a.t_e_max, a.e_at_tau) == (b.e_max, b.t_e_max, b.e_at_tau)
 
 
+def same_result(a, b):
+    fields = ("p_max", "tau", "e_max", "t_e_max", "e_at_tau")
+    return all(getattr(a, f) == getattr(b, f) for f in fields)
+
+
+@pytest.mark.parametrize(
+    "params, windows",
+    [
+        # Stops short of the third window, which a scan in whole chunks builds.
+        (dicke(n=15, m=1, beta=0.5, n_max=60), 2),
+        # The charging peak lies past t*, which the scan reaches in doubling steps.
+        (dicke(n=10, m=6, beta=0.05, n_max=300), None),
+    ],
+)
+def test_scan_stops_at_the_last_sample_that_can_win(params, windows):
+    system = QuenchSystem(params)
+    assert (system.engine, system.batch) == ("chebyshev", 8)
+    a = max_power(system, SearchConfig())
+    built = len(system._eval._windows)
+    chunked = QuenchSystem(params)
+    c = max_power(Recording(chunked), SearchConfig())
+    b = max_power(HiddenBound(QuenchSystem(params)), SearchConfig())
+    assert built < len(chunked._eval._windows)
+    if windows is not None:
+        assert built == windows
+    assert same_result(a, b) and same_result(a, c)
+    n = a.series.shape[0]
+    assert n < c.series.shape[0] and np.array_equal(a.series, b.series[:n])
+    t_star = system.energy_bound / np.max(a.series[:, 1] / a.series[:, 0])
+    assert (a.t_e_max > t_star) == (windows is None)
+
+
+def test_dense_scan_makes_the_calls_of_whole_chunks(force_engine):
+    force_engine("dense")
+    params = dicke(n=15, m=1, beta=0.5, n_max=75)
+    now, chunked = CallLog(QuenchSystem(params)), CallLog(Recording(QuenchSystem(params)))
+    assert now.batch == 128 and not hasattr(chunked, "batch")
+    assert same_result(max_power(now, SearchConfig()), max_power(chunked, SearchConfig()))
+    assert now.calls == chunked.calls
+    assert [len(call) for call in now.calls if len(call) > 1] == [128, 128]
+
+
+@pytest.mark.parametrize("batch", [1, 8, 128])
+@pytest.mark.parametrize("omega", [0.011, 0.05, 0.3, 1.7])
+def test_scan_in_batches_is_a_prefix_of_the_chunked_scan(batch, omega):
+    class Bounded(SyntheticOscillation):
+        energy_bound = 1.0
+
+    batched = Bounded(omega)
+    batched.batch = batch
+    config = SearchConfig(t_max=200.0, n_samples=1000)
+    now, chunked = CallLog(batched), CallLog(Bounded(omega))
+    a = max_power(now, config)
+    b = max_power(chunked, config)
+    c = max_power(SyntheticOscillation(omega), config)
+    assert same_result(a, b) and same_result(a, c)
+    n = a.series.shape[0]
+    assert n <= b.series.shape[0] and np.array_equal(a.series, c.series[:n])
+    scans = [call for call in now.calls if len(call) > 1]
+    assert all(len(call) % batch == 0 or call[-1] == c.series[-1, 0] for call in scans)
+
+
+def test_no_request_crosses_the_chunk_where_the_chunked_scan_stops():
+    # The first 128 samples put t* at 300; the second bump, at 160, lowers
+    # it to about 160, so a scan in whole chunks stops at 256.  A request
+    # for every sample up to the first t* would run on to 300.
+    class TwoBumps:
+        energy_bound = 1.0
+        batch = 8
+
+        def on_grid(self, ts):
+            ts = np.asarray(ts)
+            return np.exp(-(((ts - 160.0) / 15.0) ** 2)) + np.exp(-(((ts - 10.0) / 3.0) ** 2)) / 30
+
+    config = SearchConfig(t_max=400.0, n_samples=400)
+    result = max_power(TwoBumps(), config)
+    assert result.series.shape[0] == 256
+    assert 150.0 < result.tau < 160.0 <= result.t_e_max
+
+
 @pytest.mark.parametrize(
     "make, t_max",
     [
@@ -395,8 +475,9 @@ def test_grid_values_do_not_depend_on_the_other_times_in_the_call(params, engine
     system = QuenchSystem(params)
     grid = SearchConfig().grid(params)
     whole = system.on_grid(grid)
-    chunks = [system.on_grid(grid[i : i + 128]) for i in range(0, grid.shape[0], 128)]
-    assert np.array_equal(whole, np.concatenate(chunks))
+    for size in (128, system.batch):
+        chunks = [system.on_grid(grid[i : i + size]) for i in range(0, grid.shape[0], size)]
+        assert np.array_equal(whole, np.concatenate(chunks))
     if engine == "chebyshev":
         # The refinements ask for one time per call.
         singles = grid[::37]
@@ -555,9 +636,9 @@ def full_basis_energy(params, ts):
         (dicke(n=15, m=1, beta=0.5, n_max=75), 608),  # parity halves 1,216
         (dicke(n=10, m=1, beta=0.5, n_max=50), 281),  # of 561
         (dicke(n=6, m=1, beta=0.5, beta_prime=0.0), 7),  # excitations conserved: N + 1
-        # Independent cavities reach 2^N = 16 of 192 states; the reversal
-        # pairs them into 10 symmetric states.
-        (jch(n=4, m=1, beta=0.05), 10),
+        # Independent cavities reach 2^N = 16 of 192 states; every site
+        # permutation is a symmetry, so they fall into N + 1 = 5 orbits.
+        (jch(n=4, m=1, beta=0.05), 5),
         # The symmetric sector of the reversal, D_4 and S_4.
         (jch(n=4, m=1, beta=0.05, kappa=0.1), 100),
         (jch(n=4, m=1, beta=0.05, kappa=0.1, topology=Topology.RING), 36),
@@ -579,12 +660,31 @@ def test_block_matches_full_basis(params, block_dim, force_engine):
 def test_uncoupled_cavities_evolve_two_states_each():
     # The full sector (28,814 states) is too large for a dense reference; at
     # kappa = 0 each cavity swaps its photon with its two-level system, and
-    # the reversal pairs the 2^7 = 128 products into 72 symmetric states.
+    # the site permutations sort the 2^7 = 128 products into 8 orbits, one
+    # per number of excited two-level systems.
     params = jch(n=7, m=1, beta=0.05)
     system = QuenchSystem(params)
-    assert (system.dim, system.block_dim, system.engine) == (28_814, 72, "dense")
+    assert (system.dim, system.block_dim, system.engine) == (28_814, 8, "dense")
     ts = np.linspace(0.25, default_horizon(params), 173)
     assert np.max(np.abs(system.on_grid(ts) - 7 * np.sin(0.05 * ts) ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("topology", list(Topology))
+def test_uncoupled_cavities_walk_one_orbit_per_excitation_count(topology, n, m):
+    # Without hopping every site permutation is a symmetry: the orbit of k
+    # excited two-level systems holds C(N, k) of the 2^N product states.
+    params = jch(n=n, m=m, beta=0.05, topology=topology)
+    block = build_quench_block(params)
+    excited = np.rint(block.jz / params.omega_a).astype(int)
+    assert block.dim == n + 1
+    assert sorted(excited) == list(range(n + 1))
+    assert [int(size) for size in block.sizes] == [math.comb(n, k) for k in excited]
+    system = QuenchSystem(params)
+    ts = np.linspace(0.25, default_horizon(params), 173)
+    expected = n * np.sin(0.05 * math.sqrt(m) * ts) ** 2
+    assert np.max(np.abs(system.on_grid(ts) - expected)) <= 1e-12
 
 
 SYMMETRIC_CASES = [
