@@ -68,32 +68,20 @@ DENSE_LIMIT = 2500
 
 # Fixed estimates of each engine's run time in seconds on a block of d
 # states with nnz stored entries.  Dense: _DENSE_CUBE d^3 for eigh plus
-# _DENSE_SQUARE d^2 for the scan and the refinement, as priced when the
-# refinement was golden-section search; the Brent refinement asks for
-# about a quarter as many single times, and the constants are kept so that
-# every block keeps its engine.  Chebyshev: _CHEB_FIXED for the disc bound
-# and set-up, then per window _CHEB_WINDOW plus _CHEB_FLOP per flop of its
-# ``order`` sparse products (2 nnz each) and its Gram forms (order d
-# each).  A window covers a fixed phase, so the window count follows the
-# disc half-width times the scan length; the scan is taken to stop at
-# 1/_SCAN_SHARE of the default horizon, the earliest stop on any preset
-# point while the scan stopped in whole chunks of 128 (256 of 4,096
-# samples).  The constants are a least-squares fit, in relative error, to
-# both engines' times on the 179 preset points of 40 to 2,700 states
-# (2-vCPU Xeon, OpenBLAS); the engine they pick cost within 0.1 % of the
-# faster one summed over each preset.  They are fixed, so the choice of
-# engine is the same on every run and host; the results' bytes
-# hold on the same host at the same BLAS thread count (with one thread
-# instead of two, 10 of 60 dicke_m rows and 34 of 152 fig5 rows differ, by
-# at most 1.9e-14 relative).  They predate the stacked Gram product and
-# the folded Bessel table, which made each window cheaper, and the
-# two-sided windows, which need about half as many (the count above is
-# still one window per phase); they are kept so that every block runs on
-# the engine it ran on before.  For the same reason they still price a
-# chiral block's window (``dynamics``), which takes half the products and
-# half the Gram work, at the general window's cost.  They also predate the
-# one-product jump, the row-wise disc bound, the flush of tiny entries and
-# the scan's stop at a sample.
+# _DENSE_SQUARE d^2 for the scan and the refinement.  Chebyshev:
+# _CHEB_FIXED for the disc bound and set-up, then per window _CHEB_WINDOW
+# plus _CHEB_FLOP per flop of its ``order`` sparse products (2 nnz each)
+# and its Gram forms (order d each), a chiral block's window (``dynamics``)
+# priced as a general one.  The window count is one per fixed phase: the
+# disc half-width times the scan length, with the scan taken to stop at
+# 1/_SCAN_SHARE of the default horizon.  The constants are a least-squares
+# fit, in relative error, to both engines' times on the 179 preset points
+# of 40 to 2,700 states (2-vCPU Xeon, OpenBLAS); the engine they picked
+# cost within 0.1 % of the faster one summed over each preset.  They are
+# fixed rather than measured on the host, so that every run on every host
+# picks the same engine for a block and the results' bytes hold on the
+# same host at the same BLAS thread count;
+# ``test_engine_follows_the_cost_estimates`` pins the choice.
 _DENSE_CUBE = 1.6e-11
 _DENSE_SQUARE = 2.4e-7
 _CHEB_FIXED = 9.5e-3

@@ -36,15 +36,15 @@ H on the orbit sums the quench reaches: a breadth-first walk from the
 quench state that tells orbits apart by a canonical key, the smallest key
 of their states.
 
-The collective ladder is derived from the parameters by ``_dicke_ladder``,
-the one place that knows its rows: photon numbers 0..n_max, row
-``n * (N + 1) + q``.  ``_dicke_entries`` lists H on the whole ladder: numpy
-computes the diagonal and one half of every Hermitian pair of
-off-diagonal elements at once, and the pairs are then mirrored, so exact
-bitwise symmetry holds.  The ladder's block is that matrix cut to the
-states its quench reaches, which the conservation laws give as masks on
-the rows: the parity of n + q, and n - q or n + q itself when one of the
-couplings is off.
+The collective ladder holds photon numbers 0..n_max and q = 0..N systems
+in the ground state, row ``n * (N + 1) + q``.  The ladder's block is built
+on the rows its quench reaches, which the conservation laws give: the
+rows of the quench's parity of n + q, or the at most N + 1 rows of its
+n - q or n + q when one coupling is off.  ``_dicke_entries`` lists H on
+those rows: numpy computes the diagonal and one half of every Hermitian
+pair of off-diagonal elements at once, finds each target by its ladder
+key, and mirrors the pairs, so exact bitwise symmetry holds.
+``build_csr`` lists H on the whole ladder, the block's reference.
 
 Both builders give the block as its stored entries, numpy (row, col,
 value) triplets with no (row, col) pair listed twice.  The dense engine
@@ -314,8 +314,17 @@ def _jch_diagonal(params: ModelParams, modes: np.ndarray) -> np.ndarray:
     return params.omega_c * modes[:, :n].sum(axis=1) + params.omega_a * modes[:, n:].sum(axis=1)
 
 
+def _check_cap(what: str, dim: int) -> None:
+    """``CapacityError`` when ``what`` holds more than ``state_cap()`` states."""
+    cap = state_cap()
+    if dim > cap:
+        raise CapacityError(
+            f"{what} holds {dim} states, over the cap of {cap} set by physical memory"
+        )
+
+
 def _dicke_ladder(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Photons ``n`` and ground-state systems ``q`` of each row of the collective ladder.
+    """Photons ``n`` and ground-state systems ``q`` of each row of the whole collective ladder.
 
     Ordered by ``(n, q)`` ascending over n <= n_max photons and q <= N,
     so row ``n * (N + 1) + q``.  Raises ``ValueError`` for a chain, and
@@ -326,31 +335,27 @@ def _dicke_ladder(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("a chain has no collective ladder: build_quench_block walks its block")
     nsys, n_max = params.n, params.n_max_value
     dim = (n_max + 1) * (nsys + 1)
-    cap = state_cap()
-    if dim > cap:
-        raise CapacityError(
-            f"ladder for N={nsys}, n_max={n_max} holds {dim} states, "
-            f"over the cap of {cap} set by physical memory"
-        )
+    _check_cap(f"ladder for N={nsys}, n_max={n_max}", dim)
     return np.divmod(np.arange(dim, dtype=np.int64), nsys + 1)
 
 
 def _dicke_entries(
     params: ModelParams, n: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H of the collective model on the ladder rows ``(n, q)`` of ``_dicke_ladder``, as entries.
+    """H of the collective model on the ladder rows ``(n, q)``, as entries.
 
-    Returns ``(rows, cols, values)``: the diagonal, then each Hermitian
-    pair of off-diagonal elements.  Ladder amplitudes use j = N/2,
-    m_j = N/2 - q:
+    The rows are in ladder order, and with each row they hold every row its
+    couplings absorb a photon into.  Returns ``(rows, cols, values)``,
+    numbered in the given rows: the diagonal, then each Hermitian pair of
+    off-diagonal elements.  Ladder amplitudes use j = N/2, m_j = N/2 - q:
 
         photon absorbed, spin raised  (n, q) -> (n-1, q-1):  sqrt(n) * J+ amplitude, weight g
         photon absorbed, spin lowered (n, q) -> (n-1, q+1):  sqrt(n) * J- amplitude, weight g'
 
-    A row's target lies N + 1 - dq rows before it.  Their Hermitian
-    partners are the mirrored entries, and emission targets above the
-    photon cutoff are dropped by the truncation.  Each pair is listed once
-    and mirrored, so no (row, col) pair repeats.
+    A target is found by its ladder key ``n * (N + 1) + q``.  Their
+    Hermitian partners are the mirrored entries, and emission targets
+    outside the rows are dropped.  Each pair is listed once and mirrored,
+    so no (row, col) pair repeats.
     """
     nsys = params.n
     scale = 1.0 / math.sqrt(nsys) if params.normalization is Normalization.SQRT_N else 1.0
@@ -366,6 +371,7 @@ def _dicke_entries(
         diag = params.omega_c * (n + mj)
     else:
         diag = params.omega_c * n + params.omega_a * (nsys - q)
+    key = n * (nsys + 1) + q
     src, dst, vals = [], [], []
     for g, dq, allowed in ((g_rot, -1, q >= 1), (g_cnt, 1, q <= nsys - 1)):
         if g == 0.0:
@@ -375,7 +381,7 @@ def _dicke_entries(
         rows = np.flatnonzero((n > 0) & allowed & (amp != 0.0))
         vals.append(g * amp[rows])
         src.append(rows)
-        dst.append(rows - (nsys + 1 - dq))
+        dst.append(np.searchsorted(key, key[rows] - (nsys + 1 - dq)))
     idx = np.arange(n.shape[0])
     rows = np.concatenate([idx, *src, *dst])
     cols = np.concatenate([idx, *dst, *src])
@@ -393,8 +399,9 @@ def build_csr(params: ModelParams) -> scipy.sparse.csr_array:
     """Sparse symmetric H on the whole collective ladder; ``.toarray()`` gives the dense matrix.
 
     Row ``n * (N + 1) + q`` holds n photons and q systems in the ground
-    state, n <= n_max.  The reference the ladder's quench block is cut
-    from.  Raises ``ValueError`` for a chain.
+    state, n <= n_max.  The reference that the ladder's quench block,
+    built from its own rows, is checked against: the block is this matrix
+    cut to the rows the quench reaches.  Raises ``ValueError`` for a chain.
     """
     n, q = _dicke_ladder(params)
     return _csr(*_dicke_entries(params, n, q), n.shape[0])
@@ -486,9 +493,9 @@ class QuenchBlock:
     sums, less the energy w_c*N*m that every state of the sector has in
     common.  For the collective model every row is one ladder state
     (``sizes`` all 1), in ladder order, and H is ``build_csr``'s matrix
-    cut to the rows of the quench's conserved quantities
-    (``_ladder_block``).  ``jz`` is the stored-energy observable, and row
-    ``start`` is the quench state, an orbit of its own.  ``sector_dim``
+    cut to the rows of the quench's conserved quantities, listed on those
+    rows alone (``_ladder_block``).  ``jz`` is the stored-energy
+    observable, and row ``start`` is the quench state, an orbit of its own.  ``sector_dim``
     counts the states of the space the block is cut from: the chain's
     excitation sector (``jch_sector_dim``) or the whole ladder,
     (n_max + 1) * (N + 1).
@@ -529,9 +536,9 @@ def build_quench_block(params: ModelParams) -> QuenchBlock:
     """The block of H that the quench of ``params`` evolves, for either model.
 
     A chain walks its orbits from the quench state (``_chain_block``); the
-    collective ladder is built whole and cut to the rows of its quench's
-    conserved quantities (``_ladder_block``).  Raises ``CapacityError``
-    before a builder passes ``state_cap()`` states.
+    collective ladder is built on the rows of its quench's conserved
+    quantities (``_ladder_block``).  Raises ``CapacityError`` before a
+    builder passes ``state_cap()`` states.
     """
     if params.model is Model.DICKE:
         return _ladder_block(params)
@@ -633,44 +640,45 @@ def _chain_block(params: ModelParams) -> QuenchBlock:
 
 
 def _ladder_block(params: ModelParams) -> QuenchBlock:
-    """The collective ladder cut to the states its quench reaches, by the conservation laws.
+    """H on the rows of the collective ladder that its quench reaches, by the conservation laws.
 
     The quench state holds N*m photons and every system in its ground
     state; ``MissingStateError`` when the cutoff leaves it off the ladder
     (n_max < N*m).  Every coupling term moves one photon and one two-level
     system, so n + q keeps its parity (the Dicke parity); the rotating
     terms alone conserve n - q and the counter-rotating ones alone n + q.
-    The block is the ladder rows of the quench's parity, narrowed to its
-    n - q when beta' = 0 and to its n + q when beta = 0.  Each of those
-    rows is joined to the quench state by a path of nonzero couplings, so
-    the block is exactly the set the quench reaches.
+    With both couplings on, the rows are the whole ladder's rows of the
+    quench's parity.  Otherwise they are the rows of its n - q (beta' = 0)
+    or n + q (beta = 0), one per q, or its own row alone: at most N + 1,
+    checked against ``state_cap()`` with no other row enumerated.  Each row
+    is joined to the quench state by nonzero couplings, so the block is
+    exactly the set the quench reaches.
     """
-    n, q = _dicke_ladder(params)
-    photons, nsys = params.n * params.m, params.n
-    if photons > params.n_max_value:
+    nsys, n_max, photons = params.n, params.n_max_value, params.n * params.m
+    if photons > n_max:
         raise MissingStateError(
             f"initial state ({photons} photons) is outside the ladder; "
             f"the cutoff must satisfy n_max >= n * m"
         )
-    keep = (n + q) % 2 == (photons + nsys) % 2
-    if params.beta_prime_value == 0.0:
-        keep &= n - q == photons - nsys
-    if params.beta == 0.0:
-        keep &= n + q == photons + nsys
-    keep = np.flatnonzero(keep)
-    # Each ladder row's number in the block, -1 off it; an entry stays when
-    # both of its ends do.
-    number = np.full(n.shape[0], -1)
-    number[keep] = np.arange(keep.shape[0])
+    beta, beta_prime = params.beta, params.beta_prime_value
+    if beta != 0.0 and beta_prime != 0.0:
+        n, q = _dicke_ladder(params)
+        keep = (n + q) % 2 == (photons + nsys) % 2
+        n, q = n[keep], q[keep]
+    else:
+        # In ladder order: n rises with q when beta' = 0 and falls when beta = 0.
+        step = 1 if beta_prime == 0.0 else -1
+        q = np.arange(nsys + 1)[::step] if beta or beta_prime else np.array([nsys])
+        n = photons + step * (q - nsys)
+        n, q = n[n <= n_max], q[n <= n_max]
+        _check_cap(f"the quench block of N={nsys}, m={params.m}", n.shape[0])
     rows, cols, values = _dicke_entries(params, n, q)
-    rows, cols = number[rows], number[cols]
-    kept = (rows >= 0) & (cols >= 0)
     return QuenchBlock(
-        sizes=np.ones(keep.shape[0], dtype=np.int64),
-        rows=rows[kept],
-        cols=cols[kept],
-        values=values[kept],
-        jz=params.omega_a * (nsys - q[keep]),
-        start=int(np.searchsorted(keep, photons * (nsys + 1) + nsys)),
-        sector_dim=n.shape[0],
+        sizes=np.ones(n.shape[0], dtype=np.int64),
+        rows=rows,
+        cols=cols,
+        values=values,
+        jz=params.omega_a * (nsys - q),
+        start=int(np.searchsorted(n * (nsys + 1) + q, photons * (nsys + 1) + nsys)),
+        sector_dim=(n_max + 1) * (nsys + 1),
     )

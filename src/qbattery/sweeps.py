@@ -214,32 +214,29 @@ def _relative_difference(a: float, b: float) -> float:
     return abs(a - b) / denom
 
 
-def _mark_convergence(spec: SweepSpec, rows: list[SweepRow]) -> None:
-    mults = sorted(spec.cutoff_multipliers)
-    if len(mults) < 2:
-        return
-    per_point = len(spec.cutoff_multipliers)
-    for start in range(0, len(rows), per_point):
-        group = {m: r for m, r in zip(spec.cutoff_multipliers, rows[start : start + per_point])}
-        top, second = group[mults[-1]], group[mults[-2]]
+def run_sweep(spec: SweepSpec, jobs: int | None = None) -> list[SweepRow]:
+    """All rows for one sweep spec: by axis value, then cutoff multiplier in spec order.
+
+    A point runs at each of its cutoffs in turn, and its rows get their
+    ``cutoff_converged`` verdict before the next point starts: whether
+    ``p_max`` at the two largest cutoffs agrees within
+    ``CONVERGENCE_THRESHOLD``.  The verdict is None with fewer than two
+    cutoffs, when either of those two rows failed, and on a failed row.
+    ``jobs`` is accepted for compatibility and has no effect: points run serially.
+    """
+    rows = []
+    for value in spec.values:
+        point = {mult: _run_point(spec, value, mult) for mult in spec.cutoff_multipliers or (None,)}
+        rows += point.values()
+        if len(point) < 2:
+            continue
+        second, top = (point[mult] for mult in sorted(point)[-2:])
         if top.error or second.error:
             continue
         verdict = bool(_relative_difference(top.p_max, second.p_max) < CONVERGENCE_THRESHOLD)
-        for row in rows[start : start + per_point]:
+        for row in point.values():
             if not row.error:
                 row.cutoff_converged = verdict
-
-
-def run_sweep(spec: SweepSpec, jobs: int | None = None) -> list[SweepRow]:
-    """All rows for one sweep spec, ordered by (axis value, cutoff multiplier).
-
-    ``jobs`` is accepted for compatibility and has no effect: points run serially.
-    """
-    mults: tuple = spec.cutoff_multipliers if spec.cutoff_multipliers else (None,)
-    points = [(value, mult) for value in spec.values for mult in mults]
-    rows = [_run_point(spec, value, mult) for value, mult in points]
-    if spec.cutoff_multipliers:
-        _mark_convergence(spec, rows)
     return rows
 
 

@@ -11,7 +11,10 @@ None of them builds the way the package does:
 * ``operator_chain`` builds the chain's H from ladder operators on the
   product space of every cavity and its two-level system;
 * ``scaled_discs_by_columns`` takes the disc bound's power steps on one
-  (dim, 2) array, both edges in each sparse product.
+  (dim, 2) array, both edges in each sparse product;
+* ``X_STAR`` and ``C1`` are the closed-form quotient maximum of
+  E = sin^2(x): its argument, the root of tan(x) = 2x, and its value,
+  max sin^2(x) / x.
 """
 
 import math
@@ -21,6 +24,24 @@ import numpy as np
 import scipy.sparse as sp
 
 from qbattery.hamiltonians import Model, Normalization, Topology, _key_base, _pack_keys, build_csr
+
+
+def tan_2x_root():
+    """Root of tan(x) = 2x on (pi/4, pi/2), by bisection; fixes the quotient argmax."""
+    lo, hi = math.pi / 4.0 + 1e-12, math.pi / 2.0 - 1e-12
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if math.tan(mid) - 2.0 * mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+X_STAR = tan_2x_root()
+# max_x sin^2(x) / x: the quotient maximum p_max = N beta sqrt(m) C1 of N
+# systems in the rotating-wave limit, each with E = sin^2(beta sqrt(m) t).
+C1 = math.sin(X_STAR) ** 2 / X_STAR
 
 
 def bonds(params):

@@ -1,10 +1,10 @@
 """End-to-end acceptance suite.
 
-Ten checks covering closed-form equivalence, scaling laws, conservation,
-an independent integrator oracle, and byte-level determinism.  Each test
-carries an explicit wall-clock budget and prints one summary line when it
-passes (visible with ``pytest -s``); the pytest verdict itself is the
-pass/fail record.
+Eleven checks covering closed-form equivalence, scaling laws, conservation,
+an independent integrator oracle, a large-m limit, and byte-level
+determinism.  Each test carries an explicit wall-clock budget and prints
+one summary line when it passes (visible with ``pytest -s``); the pytest
+verdict itself is the pass/fail record.
 """
 
 import math
@@ -36,6 +36,8 @@ from qbattery.hamiltonians import (
 from qbattery.sweeps import Axis, Scaling, SweepSpec, convergence_check, fit_power_law, run_sweep
 
 from oracles import (
+    C1,
+    X_STAR,
     chain_sector,
     dicke_ladder,
     flat_index,
@@ -59,21 +61,6 @@ def finish(k, t0, budget, label):
     elapsed = time.perf_counter() - t0
     assert elapsed < budget, f"check {k} took {elapsed:.1f} s, budget {budget:.0f} s"
     print(f"check {k:02d} PASS [{elapsed:.1f} s] {label}")
-
-
-def quotient_root():
-    """Root of tan(x) = 2x on (pi/4, pi/2), by bisection; fixes the quotient argmax."""
-    lo, hi = math.pi / 4.0 + 1e-12, math.pi / 2.0 - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.tan(mid) - 2.0 * mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-X_STAR = quotient_root()
 
 
 def rel_diff(a, b):
@@ -464,3 +451,30 @@ def test_10_deterministic_sweep_output(tmp_path):
     assert first == second
     assert len(first.splitlines()) == 16  # header plus 3 hoppings x 5 sizes
     finish(10, t0, 300.0, f"two runs, {len(first)} identical bytes")
+
+
+# ---------------------------------------------------------------------------
+# 11. The rotating-only cut approaches the classical-field limit N beta sqrt(m) c1.
+
+
+def test_11_rotating_cut_approaches_its_large_m_limit():
+    # With beta' = 0 (the Tavis-Cummings model) N*m photons drive each system
+    # like a classical field as m grows, so E -> N sin^2(beta sqrt(m) t) and
+    # p_max -> N beta sqrt(m) C1 from below, with a gap of order 1/m: (1 -
+    # ratio) m lies between 0.086 (N=2) and 0.171 (N=40, m=10).  N=40 at
+    # m=1000 is a block of 41 states cut from a ladder of 8,200,041.
+    t0 = time.perf_counter()
+    worst = 0.0
+    for n in (2, 10, 40):
+        ms = np.array([10, 100, 1000])
+        gaps = []
+        for m in ms:
+            p_max = charge(dicke(n=n, m=int(m), beta=BETA, beta_prime=0.0)).p_max
+            gaps.append(1.0 - p_max / (n * BETA * math.sqrt(m) * C1))
+        gaps = np.array(gaps)
+        assert np.all(gaps > 0.0), f"N={n}: 1 - ratio {gaps}"
+        assert np.all(np.diff(gaps) < 0.0), f"N={n}: 1 - ratio {gaps}"
+        assert np.all(gaps * ms < 0.2), f"N={n}: (1 - ratio) m {gaps * ms}"
+        worst = max(worst, float(np.max(gaps * ms)))
+    assert C1 == pytest.approx(0.7246114, abs=1e-7)
+    finish(11, t0, 10.0, f"largest (1 - ratio) m = {worst:.3f}")

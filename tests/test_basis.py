@@ -124,6 +124,19 @@ def test_capacity_cap(cap_states):
     assert build_quench_block(params).sector_dim == 256
 
 
+@pytest.mark.parametrize("beta, beta_prime", [(0.05, 0.0), (0.0, 0.05)])
+def test_one_coupling_cut_enumerates_only_its_rows(cap_states, beta, beta_prime):
+    # Either one-coupling cut at N=40, m=1000 holds 41 of the 8,200,041
+    # ladder states: the cap judges the cut's own rows, never the ladder.
+    params = dicke(n=40, m=1000, beta=beta, beta_prime=beta_prime)
+    cap_states(41)
+    block = build_quench_block(params)
+    assert (block.dim, block.sector_dim) == (41, 8_200_041)
+    cap_states(40)
+    with pytest.raises(CapacityError, match="holds 41 states, over the cap of 40"):
+        build_quench_block(params)
+
+
 def test_key_overflow_raises_before_enumeration(cap_states):
     # 2^16 spin patterns times 17^16 photon digits cannot be packed into int64,
     # so the walk must stop before it keys a single state.  The sector holds

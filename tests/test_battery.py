@@ -29,7 +29,7 @@ from qbattery.hamiltonians import (
     jch_sector_dim,
 )
 
-from oracles import full_quench
+from oracles import X_STAR, full_quench
 
 
 def jch(**kw):
@@ -38,22 +38,6 @@ def jch(**kw):
 
 def dicke(**kw):
     return ModelParams(model=Model.DICKE, **kw)
-
-
-def tan_2x_root():
-    """Root of tan(x) = 2x on (pi/4, pi/2), found by bisection on cot(x) - 1/(2x)."""
-    f = lambda x: math.tan(x) - 2.0 * x
-    lo, hi = math.pi / 4.0 + 1e-12, math.pi / 2.0 - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-X_STAR = tan_2x_root()
 
 
 class SyntheticOscillation:

@@ -191,6 +191,29 @@ def test_cutoff_multipliers_fill_convergence_flag():
     assert all(r.cutoff_converged is True for r in rows)
 
 
+def cutoff_rows(mults, n=2, beta=0.5):
+    base = dicke(n=n, m=1, beta=beta)
+    return run_sweep(SweepSpec(base=base, axis=Axis.N, values=(n,), cutoff_multipliers=mults))
+
+
+def test_cutoff_verdict_compares_the_two_largest_cutoffs():
+    # Rows come in spec order, and every row carries the verdict of 5x against 4x.
+    rows = cutoff_rows((5, 1, 4))
+    assert [r.n_max for r in rows] == [10, 2, 8]
+    assert [r.cutoff_converged for r in rows] == [True, True, True]
+    # A cutoff of N*m photons is far from converged.
+    assert [r.cutoff_converged for r in cutoff_rows((1, 2))] == [False, False]
+    assert [r.cutoff_converged for r in cutoff_rows((4,))] == [None]
+
+
+def test_cutoff_verdict_needs_both_largest_rows(cap_states):
+    # At N=4 the 5x ladder holds 105 states, over the cap, and the 4x one 85.
+    cap_states(100)
+    four, five = cutoff_rows((4, 5), n=4)
+    assert CapacityError.__name__ in five.error and five.cutoff_converged is None
+    assert four.error == "" and four.cutoff_converged is None
+
+
 # ---------------------------------------------------------------------------
 # Power-law fitting.
 
