@@ -5,20 +5,21 @@
 runs it on the engine with the lower fixed cost estimate.  The battery
 energy at time t is
 
-    E(t) = w_c * ( <Jz>(t) - <Jz>(0) ),
+    E(t) = w_c * <Jz>(t),
 
 with Jz the diagonal stored-energy observable (w_a per excited two-level
-system).  The charging power is the quotient P(t) = E(t) / t, not the
-derivative dE/dt; the headline quantity is its maximum over a scan window,
+system; the quench row stores nothing).  The charging power is the
+quotient P(t) = E(t) / t, not the derivative dE/dt; the headline
+quantity is its maximum over a scan window,
 
     P_max = max_t E(t) / t,      tau = argmax_t E(t) / t.
 
 A uniform coarse scan locates the global quotient maximum, then Brent's
 method refines it, starting from the three grid samples around it.  The
 scan runs in requests of increasing t and stops at the last sample that
-can win: E(t) never exceeds the bound E_bound = w_c * (max Jz - <Jz>(0))
-over the evolved block, so past t* = E_bound / P_best every quotient lies
-below the best one seen.  The first charging peak after tau (the first
+can win: E(t) never exceeds the bound E_bound = w_c * max Jz over the
+evolved block, so past t* = E_bound / P_best every quotient lies below
+the best one seen.  The first charging peak after tau (the first
 local maximum of E past the quotient maximum) is refined the same way and
 reported as a diagnostic alongside.
 
@@ -199,23 +200,20 @@ def _cheaper_engine(
 ) -> tuple[str, tuple[float, float] | None]:
     """The engine with the lower cost estimate for ``block``, and its disc bounds if computed.
 
-    A block whose dense estimate is below Chebyshev's fixed cost goes
-    dense without bounding its spectrum; a block above ``DENSE_LIMIT``
-    goes Chebyshev.  Otherwise Chebyshev is first priced from the range of
-    H's diagonal.  Each diagonal entry is the energy of one basis state,
-    so the spectrum, and every disc bound on it, spans at least that
-    range, and the estimate grows with the width it is given: a block that
-    dense beats at this lower estimate goes dense without bounding its
-    spectrum, as it would with the bound.  Only the remaining blocks take
-    the disc bounds, which set the window count and which the Chebyshev
-    engine then reuses.
+    A block above ``DENSE_LIMIT`` goes Chebyshev.  Otherwise Chebyshev is
+    first priced from the range of H's diagonal.  Each diagonal entry is
+    the energy of one basis state, so the spectrum, and every disc bound
+    on it, spans at least that range, and the estimate grows with the
+    width it is given: a block that dense beats at this lower estimate
+    goes dense without bounding its spectrum, as it would with the bound.
+    That takes in every block whose dense estimate is below Chebyshev's
+    fixed cost.  Only the remaining blocks take the disc bounds, which set
+    the window count and which the Chebyshev engine then reuses.
     """
     d = block.dim
     if d > DENSE_LIMIT:
         return "chebyshev", None
     dense = _DENSE_CUBE * d**3 + _DENSE_SQUARE * d**2
-    if dense < _CHEB_FIXED:
-        return "dense", None
     phase = ChebyshevEngine._WINDOW_PHASE
     order = ChebyshevEngine._WINDOW_ORDER
     flops = order * (2 * block.values.shape[0] + order * d)
@@ -256,22 +254,20 @@ class QuenchSystem:
     def __init__(self, params: ModelParams):
         self.params = params
         block = build_quench_block(params)
-        jz, start = block.jz, block.start
         self.dim = block.sector_dim
         self.block_dim = block.dim
-        self._jz0 = float(jz[start])
-        self.energy_bound = params.omega_c * (float(jz.max()) - self._jz0)
+        self.energy_bound = params.omega_c * float(block.jz.max())
         psi0 = np.zeros(self.block_dim)
-        psi0[start] = 1.0
+        psi0[block.start] = 1.0
         self.engine, bounds = _cheaper_engine(block, default_horizon(params))
         if self.engine == "dense":
-            self._eval = EigenEngine(diagonalize(block.dense()), psi0, [jz])
+            self._eval = EigenEngine(diagonalize(block.dense()), psi0, [block.jz])
         else:
-            self._eval = ChebyshevEngine(block.h, psi0, [jz], bounds)
+            self._eval = ChebyshevEngine(block.h, psi0, [block.jz], bounds)
         self.batch = self._eval.batch
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
-        return self.params.omega_c * (self._eval.on_grid(ts)[0] - self._jz0)
+        return self.params.omega_c * self._eval.on_grid(ts)[0]
 
 
 def energy_series(params: ModelParams, t_grid: np.ndarray) -> np.ndarray:

@@ -10,15 +10,15 @@ Subcommands:
 * ``sweep``: run a named preset and write the results table.
 * ``convergence``: compare collective-model photon cutoffs.
 
-Each flag is declared once, in ``_FLAGS``: its name, default, help and
-argparse keywords.  That table builds every subcommand's parser and the
+Each flag is declared once, in ``_FLAGS``: its name, default, help, the
+commands that read it and argparse keywords.  That table builds every
+subcommand's parser, the notices of values a command ignores, and the
 parser of ``--config`` files: a flat JSON object keyed by the long flag
 names, whose values become ``--name=value`` tokens (``true`` adds a
 switch and ``false`` leaves it off, a ``false`` on any other flag is an
 error; ``null`` adds nothing; a list joins with commas), so a file value
 meets the same rule as the flag, whatever the command.
-Flags given override the file, which overrides the defaults.  A value
-the command does not read prints a notice on stderr.  The results
+Flags given override the file, which overrides the defaults.  The results
 table's columns are declared once too, in ``_COLUMNS``, and a sweep's
 ``--plot-out`` script draws one curve per sweep of the preset, derived
 from ``preset_specs``.  All file output is plain CSV with
@@ -98,60 +98,7 @@ class RunConfig:
     plot_out: str | None
 
 
-class _Flag(NamedTuple):
-    """One flag, ``--name`` with dashes; but for ``config``, ``name`` is also a config key."""
-
-    name: str
-    default: object
-    help: str
-    options: dict = {}  # further argparse keywords
-    model: bool = False  # a model value, which 'rabi' and 'sweep' do not read
-    command: str | None = None  # the only command that takes it
-
-
-# Every flag, in --help order.
-_FLAGS = (
-    _Flag("n", None, "number of cavities / two-level systems", {"type": int}, model=True),
-    _Flag("m", 1, "photons prepared per cavity (default 1)", {"type": int}, model=True),
-    _Flag("beta", None, "rotating coupling strength", {"type": float}, model=True),
-    _Flag(
-        "beta_prime", "same", "counter-rotating coupling: a number, or 'same' to mirror beta",
-        model=True,
-    ),
-    _Flag("kappa", 0.0, "photon hopping between cavities", {"type": float}, model=True),
-    _Flag("omega_c", 1.0, "mode energy (default 1)", {"type": float}, model=True),
-    _Flag("omega_a", 1.0, "two-level splitting (default 1)", {"type": float}, model=True),
-    _Flag("topology", "line", "hopping graph", {"choices": ["line", "ring", "all"]}, model=True),
-    _Flag(
-        "normalization", "sqrt-n", "collective coupling normalization",
-        {"choices": ["sqrt-n", "none"]}, model=True,
-    ),
-    _Flag("cutoff_mult", None, "photon cutoff multiplier(s) of n*m, e.g. '5' or '4,5'", model=True),
-    _Flag("t_max", None, "scan window length", {"type": float}),
-    _Flag("samples", 4096, "coarse scan sample count (default 4096)", {"type": int}),
-    _Flag("rel_tol", 1e-6, "refinement tolerance (default 1e-6)", {"type": float}),
-    _Flag("out", None, "results table CSV path"),
-    _Flag("series_out", None, "energy series CSV path"),
-    _Flag("plot_out", None, "plot script path"),
-    _Flag("config", None, "JSON file of flag values; flags win on conflict"),
-    _Flag("jobs", None, "accepted and ignored; sweep points run serially", {"type": int}),
-    _Flag(
-        "literal_eq10", False, "collective model: use the alternative printed matrix convention",
-        {"action": "store_true"}, model=True,
-    ),
-    _Flag(
-        "timing", False, "include wall-clock timings in the table (breaks byte reproducibility)",
-        {"action": "store_true"},
-    ),
-    _Flag("delta", 0.0, "two-level/mode detuning (default 0)", {"type": float}, command="rabi"),
-    _Flag("preset", None, "which sweep to run", {"choices": list(preset_names())}, command="sweep"),
-)
-
-# The value of every config key when neither a flag nor the config file sets it.
-_DEFAULTS = {f.name: f.default for f in _FLAGS if f.name != "config"}
-_SWITCHES = {f.name for f in _FLAGS if f.options.get("action") == "store_true"}
-_MODEL_KEYS = tuple(f.name for f in _FLAGS if f.model)
-
+# Every command, with its --help line.
 _COMMANDS = (
     ("jch", "cavity-array battery quench"),
     ("dicke", "collective battery quench"),
@@ -159,12 +106,83 @@ _COMMANDS = (
     ("sweep", "run a named parameter sweep preset"),
     ("convergence", "collective-model photon cutoff comparison"),
 )
+_ALL = tuple(command for command, _ in _COMMANDS)
+_MODEL = ("jch", "dicke", "convergence")  # the commands that build a model
+_RUNS = _MODEL + ("rabi",)  # the commands that scan a time grid
+_COLLECTIVE = ("dicke", "convergence")
+_SINGLE = ("jch", "dicke")
+
+
+class _Flag(NamedTuple):
+    """One flag, ``--name`` with dashes; but for ``config``, ``name`` is also a config key.
+
+    Any command not in ``reads`` prints a notice that it ignores a value
+    other than ``default`` (``--jobs`` names all, to draw none).  Every
+    command's parser takes the flag, unless it is ``own`` to ``reads``.
+    """
+
+    name: str
+    default: object
+    help: str
+    reads: tuple[str, ...]
+    options: dict = {}  # further argparse keywords
+    own: bool = False
+
+
+# Every flag, in --help order.
+_FLAGS = (
+    _Flag("n", None, "number of cavities / two-level systems", _MODEL, {"type": int}),
+    _Flag("m", 1, "photons prepared per cavity (default 1)", _RUNS, {"type": int}),
+    _Flag("beta", None, "rotating coupling strength", _RUNS, {"type": float}),
+    _Flag(
+        "beta_prime", "same", "counter-rotating coupling: a number, or 'same' to mirror beta",
+        _COLLECTIVE,
+    ),
+    _Flag("kappa", 0.0, "photon hopping between cavities", ("jch",), {"type": float}),
+    _Flag("omega_c", 1.0, "mode energy (default 1)", _MODEL, {"type": float}),
+    _Flag("omega_a", 1.0, "two-level splitting (default 1)", _MODEL, {"type": float}),
+    _Flag("topology", "line", "hopping graph", ("jch",), {"choices": ["line", "ring", "all"]}),
+    _Flag(
+        "normalization", "sqrt-n", "collective coupling normalization", _COLLECTIVE,
+        {"choices": ["sqrt-n", "none"]},
+    ),
+    _Flag(
+        "cutoff_mult", None, "photon cutoff multiplier(s) of n*m, e.g. '5' or '4,5'", _COLLECTIVE,
+    ),
+    _Flag("t_max", None, "scan window length", _RUNS, {"type": float}),
+    _Flag("samples", 4096, "coarse scan sample count (default 4096)", _RUNS, {"type": int}),
+    _Flag("rel_tol", 1e-6, "refinement tolerance (default 1e-6)", _MODEL, {"type": float}),
+    _Flag("out", None, "results table CSV path", _SINGLE + ("sweep",)),
+    _Flag("series_out", None, "energy series CSV path", _SINGLE + ("rabi",)),
+    _Flag("plot_out", None, "plot script path", _SINGLE + ("rabi", "sweep")),
+    _Flag("config", None, "JSON file of flag values; flags win on conflict", _ALL),
+    _Flag("jobs", None, "accepted and ignored; sweep points run serially", _ALL, {"type": int}),
+    _Flag(
+        "literal_eq10", False, "collective model: use the alternative printed matrix convention",
+        _COLLECTIVE, {"action": "store_true"},
+    ),
+    _Flag(
+        "timing", False, "include wall-clock timings in the table (breaks byte reproducibility)",
+        _SINGLE + ("sweep",), {"action": "store_true"},
+    ),
+    _Flag(
+        "delta", 0.0, "two-level/mode detuning (default 0)", ("rabi",), {"type": float}, own=True
+    ),
+    _Flag(
+        "preset", None, "which sweep to run", ("sweep",), {"choices": list(preset_names())},
+        own=True,
+    ),
+)
+
+# The value of every config key when neither a flag nor the config file sets it.
+_DEFAULTS = {f.name: f.default for f in _FLAGS if f.name != "config"}
+_SWITCHES = {f.name for f in _FLAGS if f.options.get("action") == "store_true"}
 
 
 def _add_flags(parser: argparse.ArgumentParser, command: str | None = None):
     """Add the flags ``command`` takes (every flag for None) to ``parser``."""
     for f in _FLAGS:
-        if command is None or f.command in (None, command):
+        if command is None or not f.own or command in f.reads:
             parser.add_argument("--" + f.name.replace("_", "-"), help=f.help, **f.options)
     return parser
 
@@ -263,21 +281,6 @@ def _build_params(command: str, merged: dict) -> ModelParams:
     return params
 
 
-_COLLECTIVE_ONLY = ("beta_prime", "normalization", "cutoff_mult", "literal_eq10")
-_CHAIN_ONLY = ("kappa", "topology")
-
-# Per command, the values it does not read.  Giving one of them with a value
-# other than its default prints a notice; --jobs is accepted silently everywhere.
-_UNREAD = {
-    "jch": _COLLECTIVE_ONLY + ("delta", "preset"),
-    "dicke": _CHAIN_ONLY + ("delta", "preset"),
-    "rabi": tuple(k for k in _MODEL_KEYS if k not in ("m", "beta"))
-    + ("rel_tol", "preset", "out", "timing"),
-    "sweep": _MODEL_KEYS + ("t_max", "samples", "rel_tol", "delta", "series_out"),
-    "convergence": _CHAIN_ONLY + ("delta", "preset", "out", "series_out", "plot_out", "timing"),
-}
-
-
 def parse_run(argv: list[str]) -> RunConfig:
     """Parse argv (without the program name) into a resolved RunConfig.
 
@@ -302,20 +305,14 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     merged = {**_DEFAULTS, **file_values, **given}
 
     search = SearchConfig(merged["t_max"], merged["samples"], merged["rel_tol"])
-    params = None
-    rabi = None
-    preset = None
-    multipliers = None
-    if command in ("jch", "dicke"):
+    params = rabi = preset = multipliers = None
+    if command in _MODEL:
         params = _build_params(command, merged)
-    elif command == "rabi":
+    if command == "rabi":
         rabi = RabiParams(merged["delta"], _require(merged, "beta", command), merged["m"])
     elif command == "sweep":
         preset = _require(merged, "preset", command)
     elif command == "convergence":
-        if merged["n"] is None or merged["beta"] is None:
-            raise ConfigError(f"--n and --beta are required for '{command}'")
-        params = _build_params("dicke", {**merged, "cutoff_mult": None})
         multipliers = _parse_multipliers(merged["cutoff_mult"]) or (4, 5)
         if len(set(multipliers)) < 2:
             raise ConfigError("convergence needs at least two distinct cutoff multipliers")
@@ -328,7 +325,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("sweep needs --out for the results table")
     if command in ("jch", "dicke", "rabi") and plot_out is not None and series_out is None:
         raise ConfigError("--plot-out for a single run needs --series-out")
-    unread = [k for k in _UNREAD[command] if merged[k] != _DEFAULTS[k]]
+    unread = [f.name for f in _FLAGS if command not in f.reads and merged[f.name] != f.default]
     if unread:
         flags = ", ".join("--" + k.replace("_", "-") for k in unread)
         print(f"notice: '{command}' ignores {flags}", file=sys.stderr)

@@ -26,9 +26,11 @@ A chain of cavities conserves its excitation number, so its quench stays
 in the sector of N*m excitations.  That sector is never enumerated:
 ``jch_sector_dim`` gives its size in closed form, and ``_key_base`` and
 ``_pack_keys`` pack each state (per-cavity photon numbers and two-level
-occupations) into one integer key.  The chain's off-diagonal terms are
-listed once, in ``_jch_moves``, as moves of one quantum between modes (a
-photon between cavities, or between a cavity and its two-level system).
+occupations) into one int64 key, a digit per cavity for the photons it
+can hold: N*m with hopping, its own m without.  The chain's off-diagonal
+terms are listed once, in ``_jch_moves``, as moves of one quantum between
+modes (a photon between cavities, or between a cavity and its two-level
+system).
 Every automorphism of the hopping graph permutes the cavities without
 changing H, the quench state or the stored energy, so a chain's quench
 never leaves the span of the normalized orbit sums.  The chain's block is
@@ -214,17 +216,18 @@ def jch_sector_dim(n_cavities: int, m: int) -> int:
     )
 
 
-def _key_base(n_cavities: int, m: int) -> int:
+def _key_base(n_cavities: int, most: int) -> int:
     """Digit base of the sector's state keys; ``CapacityError`` when a key would overflow int64.
 
     A key reads the spin pattern as a little-endian bit integer in its top
-    digit, then the photon numbers as digits in base ``N*m + 1``, cavity 0
-    first, so every key lies below ``(2 * base) ** N``.
+    digit, then the photon numbers as digits in base ``most + 1``, cavity
+    0 first, so every key lies below ``(2 * base) ** N``.  ``most``, the
+    most photons a cavity holds, is N*m with hopping and m without.
     """
-    base = n_cavities * m + 1
+    base = most + 1
     if (2 * base) ** n_cavities > np.iinfo(np.int64).max:
         raise CapacityError(
-            f"sector for N={n_cavities}, m={m} has state keys too wide for 64-bit integers"
+            f"N={n_cavities}, {most} photons a cavity: state keys too wide for 64-bit integers"
         )
     return base
 
@@ -389,10 +392,11 @@ def _dicke_entries(
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int) -> scipy.sparse.csr_array:
-    """The (dim, dim) CSR matrix of the entries, in canonical form (sorted columns)."""
+    """CSR matrix of the entries, sorted columns; int32 indices, as dim < state_cap() < 2**31."""
     import scipy.sparse
 
-    return scipy.sparse.coo_array((values, (rows, cols)), shape=(dim, dim)).tocsr()
+    coords = (rows.astype(np.int32), cols.astype(np.int32))
+    return scipy.sparse.coo_array((values, coords), shape=(dim, dim)).tocsr()
 
 
 def build_csr(params: ModelParams) -> scipy.sparse.csr_array:
@@ -468,7 +472,8 @@ class _Orbits:
         """Number of states in each orbit: |G| / |stabilizer|.
 
         The number of distinct images on a line or ring; N! / prod(r!) over
-        the runs of r equal site codes under S_N.
+        the runs of r equal site codes under S_N, as exact Python integers,
+        since N! outgrows int64 from N = 21.
         """
         feats = np.sort(feats.T, axis=1)
         if self.group is not None:
@@ -479,7 +484,7 @@ class _Orbits:
         run_start[:, 1:] = feats[:, 1:] != feats[:, :-1]
         first = np.maximum.accumulate(np.where(run_start, pos, 0), axis=1)
         # The k-th site of a run contributes k, so a run of r sites gives r!.
-        return math.factorial(n) // np.prod(pos - first + 1, axis=1)
+        return math.factorial(n) // np.prod(pos - first + 1, axis=1, dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,7 +567,7 @@ def _chain_block(params: ModelParams) -> QuenchBlock:
     fit in int64, and as soon as more than ``state_cap()`` orbits are found.
     """
     n = params.n
-    orbits = _Orbits(params, _key_base(n, params.m))
+    orbits = _Orbits(params, _key_base(n, params.m if params.kappa == 0.0 else n * params.m))
     cap = state_cap()
     moves = _jch_moves(params)
     # How each move changes the features, one column per move.
@@ -621,7 +626,7 @@ def _chain_block(params: ModelParams) -> QuenchBlock:
     pairs, inverse = np.unique(pairs, return_inverse=True)
     row, col = np.divmod(pairs, found)
     sizes = orbits.sizes(np.concatenate(level_feats, axis=1))
-    h_low = np.bincount(inverse, weights=values) * np.sqrt(sizes[col] / sizes[row])
+    h_low = np.bincount(inverse, weights=values) * np.sqrt((sizes[col] / sizes[row]).astype(float))
     # Number the orbits in key order.
     order = np.argsort(np.concatenate(level_keys))
     number = np.empty(found, dtype=np.int64)

@@ -2,12 +2,10 @@
 
 Each sweep point is an independent pure computation (build the
 Hamiltonian block the quench reaches, evolve, extract the power
-maximum).  Points run one after the other in specification order.
-Running them side by side in a thread pool oversubscribed the cores,
-and parallel work inside a point buys little: on a 2-vCPU host the
-dicke_m preset took 7.5 s wall and 15.5 CPU-s with two BLAS threads,
-and 7.0 s and 7.5 CPU-s with one.  A failing point is recorded in its
-row rather than aborting the sweep.
+maximum).  Points run one after the other in specification order: side
+by side they would compete for the cores with the BLAS threads inside
+each point.  A failing point is recorded in its row rather than aborting
+the sweep.
 
 The scaled-power column makes the expected scaling collapses visible
 directly in the output table: P/N against N, P/sqrt(m) against m, and

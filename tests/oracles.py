@@ -14,7 +14,10 @@ None of them builds the way the package does:
   (dim, 2) array, both edges in each sparse product;
 * ``X_STAR`` and ``C1`` are the closed-form quotient maximum of
   E = sin^2(x): its argument, the root of tan(x) = 2x, and its value,
-  max sin^2(x) / x.
+  max sin^2(x) / x;
+* ``Y_STAR`` and ``C2`` are the same for E = (1 - J0(y)) / 2: its
+  argument, the root of y J1(y) = 1 - J0(y), and twice its value,
+  2 max (1 - J0(y)) / y.
 """
 
 import math
@@ -22,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import brentq
+from scipy.special import j0, j1
 
 from qbattery.hamiltonians import Model, Normalization, Topology, _key_base, _pack_keys, build_csr
 
@@ -42,6 +47,13 @@ X_STAR = tan_2x_root()
 # max_x sin^2(x) / x: the quotient maximum p_max = N beta sqrt(m) C1 of N
 # systems in the rotating-wave limit, each with E = sin^2(beta sqrt(m) t).
 C1 = math.sin(X_STAR) ** 2 / X_STAR
+
+# Deep strong coupling freezes the field quadrature, and a Fock state's
+# quadrature is arcsine-distributed at large m, so each of N systems
+# stores (1 - J0(4 beta sqrt(m) t)) / 2: p_max -> N beta sqrt(m) C2, at
+# tau beta sqrt(m) = Y_STAR / 4.
+Y_STAR = brentq(lambda y: y * j1(y) - (1.0 - j0(y)), 2.0, 3.5, xtol=1e-15)
+C2 = 2.0 * (1.0 - j0(Y_STAR)) / Y_STAR
 
 
 def bonds(params):
@@ -81,7 +93,7 @@ def chain_sector(n, m):
     total = n * m
     digits = np.indices((total + 1,) * n + (2,) * n).reshape(2 * n, -1).T
     digits = digits[digits.sum(axis=1) == total]
-    base = _key_base(n, m)
+    base = _key_base(n, n * m)
     keys = _pack_keys(digits[:, :n], digits[:, n:], base)
     order = np.argsort(keys)
     return Sector(digits[order, :n], digits[order, n:], keys[order], base)

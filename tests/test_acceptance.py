@@ -1,7 +1,7 @@
 """End-to-end acceptance suite.
 
-Eleven checks covering closed-form equivalence, scaling laws, conservation,
-an independent integrator oracle, a large-m limit, and byte-level
+Twelve checks covering closed-form equivalence, scaling laws, conservation,
+an independent integrator oracle, two large-m limits, and byte-level
 determinism.  Each test carries an explicit wall-clock budget and prints
 one summary line when it passes (visible with ``pytest -s``); the pytest
 verdict itself is the pass/fail record.
@@ -37,7 +37,9 @@ from qbattery.sweeps import Axis, Scaling, SweepSpec, convergence_check, fit_pow
 
 from oracles import (
     C1,
+    C2,
     X_STAR,
+    Y_STAR,
     chain_sector,
     dicke_ladder,
     flat_index,
@@ -478,3 +480,30 @@ def test_11_rotating_cut_approaches_its_large_m_limit():
         worst = max(worst, float(np.max(gaps * ms)))
     assert C1 == pytest.approx(0.7246114, abs=1e-7)
     finish(11, t0, 10.0, f"largest (1 - ratio) m = {worst:.3f}")
+
+
+# ---------------------------------------------------------------------------
+# 12. The full model deep in the strong regime approaches N beta sqrt(m) c2.
+
+
+def test_12_deep_strong_coupling_approaches_its_large_m_limit():
+    # At beta sqrt(m) >= 20 the field quadrature is frozen and each system
+    # stores (1 - J0(4 beta sqrt(m) t)) / 2, so p_max -> N beta sqrt(m) C2
+    # from above, at tau beta sqrt(m) = Y_STAR / 4.  The excess was 1.09e-3
+    # and 1.22e-3 at m = 100, 3.6e-4 and 4.1e-4 at m = 300, and 4.7e-4 at
+    # N = 4; tau lay within 1.4e-3.
+    t0 = time.perf_counter()
+    worst = 0.0
+    excess = {}
+    for n, m, beta in ((2, 100, 2.0), (2, 100, 5.0), (2, 300, 2.0), (2, 300, 5.0), (4, 100, 2.0)):
+        result = charge(dicke(n=n, m=m, beta=beta))
+        scale = beta * math.sqrt(m)
+        excess[n, m, beta] = result.p_max / (n * scale * C2) - 1.0
+        assert 0.0 < excess[n, m, beta] < 2e-3, f"N={n}, m={m}, beta={beta}"
+        assert abs(result.tau * scale / (Y_STAR / 4.0) - 1.0) < 2e-3, f"N={n}, m={m}, beta={beta}"
+        worst = max(worst, excess[n, m, beta])
+    for beta in (2.0, 5.0):
+        assert excess[2, 300, beta] < excess[2, 100, beta]
+    assert C2 == pytest.approx(0.8466563, abs=1e-7)
+    assert Y_STAR / 4.0 == pytest.approx(0.6895652, abs=1e-7)
+    finish(12, t0, 10.0, f"largest p_max / (N beta sqrt(m) c2) - 1 = {worst:.2e}")

@@ -29,7 +29,7 @@ from qbattery.hamiltonians import (
     jch_sector_dim,
 )
 
-from oracles import X_STAR, full_quench
+from oracles import C1, X_STAR, full_quench
 
 
 def jch(**kw):
@@ -669,6 +669,40 @@ def test_uncoupled_cavities_walk_one_orbit_per_excitation_count(topology, n, m):
     ts = np.linspace(0.25, default_horizon(params), 173)
     expected = n * np.sin(0.05 * math.sqrt(m) * ts) ** 2
     assert np.max(np.abs(system.on_grid(ts) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "params", [jch(n=6, m=1, beta=0.05, kappa=0.5), dicke(n=15, m=1, beta=0.5, n_max=75)]
+)
+def test_chebyshev_products_read_int32_indices(params):
+    # The line with hopping is chiral and moves to class order at its first
+    # jump; the ladder runs the general recurrence.
+    assert build_quench_block(params).h.indices.dtype == np.int32
+    system = QuenchSystem(params)
+    assert system.engine == "chebyshev"
+    assert system._eval._h_twice.indices.dtype == np.int32
+    max_power(system, SearchConfig(n_samples=512))
+    assert (system._eval._classes is not None) == (params.model is Model.JCH)
+    assert system._eval._h_twice.indices.dtype == np.int32
+    assert system._eval._h_twice.indptr.dtype == np.int32
+
+
+def test_thirty_one_uncoupled_cavities_charge_as_one_cavity_each():
+    # Without hopping each cavity is its own Rabi problem, so p_max is N
+    # times the closed form beta C1 of one cavity.  No photon leaves its
+    # cavity, so a key digit takes m + 1 values: (2 * 2)**31 fits int64, and
+    # N = 31 walks its 32 orbits, of C(31, k) states each, counted exactly
+    # although N! passes int64.  N = 32 overflows.
+    params = jch(n=31, m=1, beta=0.05)
+    block = build_quench_block(params)
+    excited = np.rint(block.jz / params.omega_a).astype(int)
+    assert block.sizes.tolist() == [math.comb(31, k) for k in excited]
+    system = QuenchSystem(params)
+    assert system.block_dim == 32
+    p_max = max_power(system, SearchConfig()).p_max
+    assert p_max == pytest.approx(31 * 0.05 * C1, rel=1e-12)
+    with pytest.raises(CapacityError, match="64-bit"):
+        QuenchSystem(jch(n=32, m=1, beta=0.05))
 
 
 SYMMETRIC_CASES = [

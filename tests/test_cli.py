@@ -133,6 +133,83 @@ def test_sweep_preset_override_notice(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# Every command's parser flags, and the flags it ignores with a notice.
+# --delta and --preset are on their own command's parser only; every other
+# flag is on every parser, so a config file may carry it.
+_PARSED = [
+    "--n", "--m", "--beta", "--beta-prime", "--kappa", "--omega-c", "--omega-a", "--topology",
+    "--normalization", "--cutoff-mult", "--t-max", "--samples", "--rel-tol", "--out",
+    "--series-out", "--plot-out", "--config", "--jobs", "--literal-eq10", "--timing",
+]
+PARSER_FLAGS = {
+    "jch": _PARSED,
+    "dicke": _PARSED,
+    "rabi": _PARSED + ["--delta"],
+    "sweep": _PARSED + ["--preset"],
+    "convergence": _PARSED,
+}
+IGNORED = {
+    "jch": {"--beta-prime", "--normalization", "--cutoff-mult", "--literal-eq10", "--delta",
+            "--preset"},
+    "dicke": {"--kappa", "--topology", "--delta", "--preset"},
+    "rabi": {"--n", "--beta-prime", "--kappa", "--omega-c", "--omega-a", "--topology",
+             "--normalization", "--cutoff-mult", "--rel-tol", "--out", "--literal-eq10",
+             "--timing", "--preset"},
+    "sweep": {"--n", "--m", "--beta", "--beta-prime", "--kappa", "--omega-c", "--omega-a",
+              "--topology", "--normalization", "--cutoff-mult", "--t-max", "--samples",
+              "--rel-tol", "--series-out", "--literal-eq10", "--delta"},
+    "convergence": {"--kappa", "--topology", "--out", "--series-out", "--plot-out", "--timing",
+                    "--delta", "--preset"},
+}
+
+
+def test_each_command_parses_its_flags():
+    parser = cli._build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert list(commands) == list(PARSER_FLAGS)
+    for command, sub in commands.items():
+        flags = [opt for action in sub._actions for opt in action.option_strings]
+        assert flags == ["-h", "--help"] + PARSER_FLAGS[command], command
+
+
+def test_each_command_names_every_value_it_ignores(tmp_path, capsys):
+    # A config file sets every key to a value other than its default; the
+    # notice names exactly the keys the command does not read.  --jobs is
+    # read by none and accepted silently by all.
+    values = {
+        "n": 3, "m": 2, "beta": 0.05, "beta_prime": "0.3", "kappa": 0.1, "omega_c": 1.1,
+        "omega_a": 1.2, "topology": "ring", "normalization": "none", "t_max": 10.0,
+        "samples": 64, "rel_tol": 1e-3, "out": "a.csv", "series_out": "b.csv",
+        "plot_out": "c.gp", "jobs": 2, "literal_eq10": True, "timing": True, "delta": 0.2,
+        "preset": "fig2",
+    }
+    assert set(values) | {"cutoff_mult", "config"} == {f.name for f in cli._FLAGS}
+    for command, ignored in IGNORED.items():
+        cfg = tmp_path / f"{command}.json"
+        cutoff = "4,5" if command == "convergence" else "4"
+        cfg.write_text(json.dumps({**values, "cutoff_mult": cutoff}))
+        parse_run([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        prefix = f"notice: '{command}' ignores "
+        assert err.startswith(prefix) and err.endswith("\n"), err
+        named = err[len(prefix):-1].split(", ")
+        assert len(named) == len(set(named)) and set(named) == ignored, command
+
+
+def test_rejected_flag_values_name_the_flag(capsys):
+    with pytest.raises(ConfigError, match="beta-prime must be a number or 'same'"):
+        parse_run(["dicke", "--n", "2", "--beta", "0.5", "--beta-prime", "strong"])
+    with pytest.raises(ConfigError, match="cutoff multipliers must be positive"):
+        parse_run(["dicke", "--n", "2", "--beta", "0.5", "--cutoff-mult", "0"])
+    # convergence resolves its model as dicke does, one required flag at a time.
+    with pytest.raises(ConfigError, match="--n is required for 'convergence'"):
+        parse_run(["convergence", "--beta", "0.5"])
+    with pytest.raises(ConfigError, match="--beta is required for 'convergence'"):
+        parse_run(["convergence", "--n", "2"])
+    assert main(["convergence", "--beta", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: --n is required for 'convergence'\n"
+
+
 def test_config_file_supplies_values_and_flags_win(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"beta": 0.1, "samples": 512, "kappa": 0.3}))
@@ -338,6 +415,26 @@ def test_rabi_series_matches_closed_form(tmp_path, capsys):
     assert "omega: 0.05" in out
     data = np.loadtxt(series, delimiter=",", skiprows=1)
     assert np.max(np.abs(data[:, 1] - np.sin(0.05 * data[:, 0]) ** 2)) <= 1e-12
+
+
+def test_single_run_prints_search_notices(capsys):
+    # Nothing couples, so the energy stays flat: the search's notice goes to
+    # stderr and the run still succeeds.
+    assert main(["dicke", "--n", "2", "--beta", "0", "--beta-prime", "0", "--samples", "64"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "notice: energy stayed flat over the scan window; no charging happens\n"
+    assert "p_max: 0" in captured.out
+
+
+def test_rabi_and_sweep_write_their_plot_scripts(tmp_path, capsys):
+    series, plot = tmp_path / "rabi.csv", tmp_path / "rabi.gp"
+    argv = ["rabi", "--beta", "0.05", "--series-out", str(series), "--plot-out", str(plot)]
+    assert main(argv) == 0
+    assert plot.read_text() == emit_series_plot(str(series))
+    table, plot = tmp_path / "fig4.csv", tmp_path / "fig4.gp"
+    assert main(["sweep", "--preset", "fig4", "--out", str(table), "--plot-out", str(plot)]) == 0
+    assert plot.read_text() == emit_plot_script("fig4", str(table))
+    assert len(table.read_text().splitlines()) == 29
 
 
 def test_convergence_command_reports_verdict(capsys):

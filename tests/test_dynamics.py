@@ -390,6 +390,38 @@ def test_chiral_detection_refuses_a_start_on_both_classes():
     assert ChebyshevEngine._chiral_order(block.h, psi0 / np.sqrt(2.0)) is None
 
 
+def test_constant_diagonal_without_classes_keeps_the_general_path():
+    # A 5-cycle has a zero diagonal, so the engine keeps its start for the
+    # first jump to look for classes, but its odd cycle leaves none: the
+    # block runs on both parts from there on.
+    cycle = np.roll(np.eye(5), 1, axis=1)
+    h = 0.3 * (cycle + cycle.T)
+    psi0 = np.eye(5)[0]
+    jz = np.arange(5.0)
+    exact = EigenEngine(diagonalize(h), psi0, [jz])
+    cheb = ChebyshevEngine(scipy.sparse.csr_array(h), psi0, [jz])
+    assert cheb._start is not None
+    dt = cheb._dt
+    cheb.extend(4.5 * dt)
+    assert len(cheb._windows) == 3
+    assert cheb._start is None and cheb._classes is None and cheb._state.shape == (2, 5)
+    ts = np.linspace(0.1, 5.0 * dt, 97)
+    assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
+
+
+def test_chebyshev_checks_shapes_and_takes_an_empty_grid():
+    h, _, jz, psi0 = _system(jch(n=2, m=1, beta=0.3, kappa=0.2))
+    with pytest.raises(ValueError, match="square"):
+        ChebyshevEngine(h[:, :-1], psi0, [jz])
+    with pytest.raises(ValueError, match="initial vector"):
+        ChebyshevEngine(h, psi0[:-1], [jz])
+    with pytest.raises(ValueError, match="observable length"):
+        ChebyshevEngine(h, psi0, [jz, jz[:-1]])
+    cheb = ChebyshevEngine(h, psi0, [jz, jz])
+    assert cheb.on_grid(np.empty(0)).shape == (2, 0)
+    assert not cheb._windows
+
+
 def _state_parts(cheb):
     """The state's real and imaginary parts; a chiral block holds them on its two classes."""
     if cheb._classes is None:

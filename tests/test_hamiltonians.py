@@ -274,7 +274,7 @@ def test_walk_group_is_the_automorphism_group_of_the_hopping_graph(n, topology):
     # theirs.
     sector = chain_sector(n, 1)
     h = reference_dense(params, sector)
-    orbits = hamiltonians._Orbits(params, _key_base(n, 1))
+    orbits = hamiltonians._Orbits(params, _key_base(n, n * params.m))
     feats = (np.hstack([sector.photons, sector.spins]) @ orbits.features).T
     keys = orbits.keys(feats)
     images = []
@@ -478,3 +478,21 @@ def test_params_refuse_a_topology_given_as_a_string():
 def test_params_refuse_a_normalization_given_as_a_string():
     with pytest.raises(ValueError, match="normalization must be a Normalization"):
         dicke(n=4, m=1, beta=0.5, normalization="sqrt-n")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        jch(n=4, m=2, beta=0.05, kappa=0.2),
+        jch(n=5, m=1, beta=0.05, kappa=0.1, topology=Topology.RING),
+        jch(n=5, m=1, beta=0.05, kappa=0.1, topology=Topology.ALL_TO_ALL),
+        dicke(n=6, m=2, beta=0.5, beta_prime=0.0),
+        dicke(n=6, m=2, beta=0.0, beta_prime=0.5),
+    ],
+)
+def test_quench_row_stores_no_energy(params):
+    # The quench state has every two-level system in its ground state, so
+    # E(t) = w_c <Jz>(t) needs no offset.
+    block = build_quench_block(params)
+    assert block.jz[block.start] == 0.0
+    assert block.jz.min() == 0.0
