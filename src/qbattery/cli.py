@@ -11,13 +11,15 @@ Subcommands:
 * ``convergence``: compare collective-model photon cutoffs.
 
 Each flag is declared once, in ``_FLAGS``: its name, default, help, the
-commands that read it and argparse keywords.  That table builds every
-subcommand's parser, the notices of values a command ignores, and the
+commands that read it and argparse keywords (its syntax rule).  That
+table builds every subcommand's parser, each taking every flag, and the
 parser of ``--config`` files: a flat JSON object keyed by the long flag
 names, whose values become ``--name=value`` tokens (``true`` adds a
 switch and ``false`` leaves it off, a ``false`` on any other flag is an
 error; ``null`` adds nothing; a list joins with commas), so a file value
-meets the same rule as the flag, whatever the command.
+meets the same rule as the flag, whatever the command.  A value that a
+command does not read draws a notice and is reset to its default: only
+its readers check its range.
 Flags given override the file, which overrides the defaults.  The results
 table's columns are declared once too, in ``_COLUMNS``, and a sweep's
 ``--plot-out`` script draws one curve per sweep of the preset, derived
@@ -116,9 +118,9 @@ _SINGLE = ("jch", "dicke")
 class _Flag(NamedTuple):
     """One flag, ``--name`` with dashes; but for ``config``, ``name`` is also a config key.
 
-    Any command not in ``reads`` prints a notice that it ignores a value
-    other than ``default`` (``--jobs`` names all, to draw none).  Every
-    command's parser takes the flag, unless it is ``own`` to ``reads``.
+    Every command's parser takes the flag.  A command not in ``reads``
+    ignores it: a value other than ``default`` draws a notice and is reset
+    to ``default`` (``--jobs`` names all, to draw none).
     """
 
     name: str
@@ -126,7 +128,22 @@ class _Flag(NamedTuple):
     help: str
     reads: tuple[str, ...]
     options: dict = {}  # further argparse keywords
-    own: bool = False
+
+
+def _beta_prime(value: str) -> float | None:
+    """A number, or None for 'same'."""
+    try:
+        return None if value.strip().lower() == "same" else float(value)
+    except ValueError:
+        msg = f"beta-prime must be a number or 'same', got {value!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+
+
+def _multipliers(value: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(item) for item in value.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cutoff-mult must be integers, got {value!r}") from None
 
 
 # Every flag, in --help order.
@@ -135,8 +152,8 @@ _FLAGS = (
     _Flag("m", 1, "photons prepared per cavity (default 1)", _RUNS, {"type": int}),
     _Flag("beta", None, "rotating coupling strength", _RUNS, {"type": float}),
     _Flag(
-        "beta_prime", "same", "counter-rotating coupling: a number, or 'same' to mirror beta",
-        _COLLECTIVE,
+        "beta_prime", None, "counter-rotating coupling: a number, or 'same' to mirror beta",
+        _COLLECTIVE, {"type": _beta_prime},
     ),
     _Flag("kappa", 0.0, "photon hopping between cavities", ("jch",), {"type": float}),
     _Flag("omega_c", 1.0, "mode energy (default 1)", _MODEL, {"type": float}),
@@ -148,6 +165,7 @@ _FLAGS = (
     ),
     _Flag(
         "cutoff_mult", None, "photon cutoff multiplier(s) of n*m, e.g. '5' or '4,5'", _COLLECTIVE,
+        {"type": _multipliers},
     ),
     _Flag("t_max", None, "scan window length", _RUNS, {"type": float}),
     _Flag("samples", 4096, "coarse scan sample count (default 4096)", _RUNS, {"type": int}),
@@ -165,13 +183,8 @@ _FLAGS = (
         "timing", False, "include wall-clock timings in the table (breaks byte reproducibility)",
         _SINGLE + ("sweep",), {"action": "store_true"},
     ),
-    _Flag(
-        "delta", 0.0, "two-level/mode detuning (default 0)", ("rabi",), {"type": float}, own=True
-    ),
-    _Flag(
-        "preset", None, "which sweep to run", ("sweep",), {"choices": list(preset_names())},
-        own=True,
-    ),
+    _Flag("delta", 0.0, "two-level/mode detuning (default 0)", ("rabi",), {"type": float}),
+    _Flag("preset", None, "which sweep to run", ("sweep",), {"choices": list(preset_names())}),
 )
 
 # The value of every config key when neither a flag nor the config file sets it.
@@ -179,11 +192,9 @@ _DEFAULTS = {f.name: f.default for f in _FLAGS if f.name != "config"}
 _SWITCHES = {f.name for f in _FLAGS if f.options.get("action") == "store_true"}
 
 
-def _add_flags(parser: argparse.ArgumentParser, command: str | None = None):
-    """Add the flags ``command`` takes (every flag for None) to ``parser``."""
+def _add_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     for f in _FLAGS:
-        if command is None or not f.own or command in f.reads:
-            parser.add_argument("--" + f.name.replace("_", "-"), help=f.help, **f.options)
+        parser.add_argument("--" + f.name.replace("_", "-"), help=f.help, **f.options)
     return parser
 
 
@@ -195,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, desc in _COMMANDS:
         # Flags not given stay unset, so a config-file value can stand in for them.
-        _add_flags(sub.add_parser(command, help=desc, argument_default=argparse.SUPPRESS), command)
+        _add_flags(sub.add_parser(command, help=desc, argument_default=argparse.SUPPRESS))
     return parser
 
 
@@ -231,27 +242,6 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path}: {err}") from None
 
 
-def _parse_beta_prime(value: str) -> float | None:
-    if value.strip().lower() == "same":
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"beta-prime must be a number or 'same', got {value!r}") from None
-
-
-def _parse_multipliers(value: str | None) -> tuple[int, ...] | None:
-    if value is None:
-        return None
-    try:
-        mults = tuple(int(item) for item in value.split(","))
-    except ValueError:
-        raise ConfigError(f"cutoff-mult must be integers, got {value!r}") from None
-    if any(m < 1 for m in mults):
-        raise ConfigError("cutoff multipliers must be positive integers")
-    return mults
-
-
 def _require(merged: dict, key: str, command: str):
     if merged[key] is None:
         raise ConfigError(f"--{key.replace('_', '-')} is required for '{command}'")
@@ -265,7 +255,7 @@ def _build_params(command: str, merged: dict) -> ModelParams:
         n=_require(merged, "n", command),
         m=merged["m"],
         beta=_require(merged, "beta", command),
-        beta_prime=_parse_beta_prime(merged["beta_prime"]),
+        beta_prime=merged["beta_prime"],
         kappa=merged["kappa"],
         omega_c=merged["omega_c"],
         omega_a=merged["omega_a"],
@@ -273,7 +263,7 @@ def _build_params(command: str, merged: dict) -> ModelParams:
         normalization=Normalization(merged["normalization"]),
         literal_elements=merged["literal_eq10"],
     )
-    mults = _parse_multipliers(merged["cutoff_mult"])
+    mults = merged["cutoff_mult"]
     if command == "dicke" and mults is not None:
         if len(mults) != 1:
             raise ConfigError("a single run takes exactly one cutoff multiplier")
@@ -284,9 +274,10 @@ def _build_params(command: str, merged: dict) -> ModelParams:
 def parse_run(argv: list[str]) -> RunConfig:
     """Parse argv (without the program name) into a resolved RunConfig.
 
-    An unknown or badly typed flag exits with argparse's usage message;
-    every other rejected value, from a flag or the config file, raises
-    ConfigError.
+    An unknown flag, or a value its flag's ``type`` or ``choices`` refuses,
+    exits with argparse's usage message; from the config file it raises
+    ConfigError.  A value the command ignores draws a notice and is reset
+    to its default.  Every other rejected value raises ConfigError.
     """
     args = _build_parser().parse_args(argv)
     try:
@@ -303,6 +294,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     config = given.pop("config", None)
     file_values = _load_config_file(config) if config else {}
     merged = {**_DEFAULTS, **file_values, **given}
+    unread = [f.name for f in _FLAGS if command not in f.reads and merged[f.name] != f.default]
+    if unread:
+        flags = ", ".join("--" + k.replace("_", "-") for k in unread)
+        print(f"notice: '{command}' ignores {flags}", file=sys.stderr)
+        merged.update((name, _DEFAULTS[name]) for name in unread)
 
     search = SearchConfig(merged["t_max"], merged["samples"], merged["rel_tol"])
     params = rabi = preset = multipliers = None
@@ -313,7 +309,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     elif command == "sweep":
         preset = _require(merged, "preset", command)
     elif command == "convergence":
-        multipliers = _parse_multipliers(merged["cutoff_mult"]) or (4, 5)
+        multipliers = merged["cutoff_mult"] or (4, 5)
+        for mult in multipliers:
+            params.with_cutoff(mult)  # refuses a multiplier below 1
         if len(set(multipliers)) < 2:
             raise ConfigError("convergence needs at least two distinct cutoff multipliers")
 
@@ -325,10 +323,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("sweep needs --out for the results table")
     if command in ("jch", "dicke", "rabi") and plot_out is not None and series_out is None:
         raise ConfigError("--plot-out for a single run needs --series-out")
-    unread = [f.name for f in _FLAGS if command not in f.reads and merged[f.name] != f.default]
-    if unread:
-        flags = ", ".join("--" + k.replace("_", "-") for k in unread)
-        print(f"notice: '{command}' ignores {flags}", file=sys.stderr)
     return RunConfig(
         command=command,
         params=params,

@@ -110,14 +110,14 @@ class MissingStateError(LookupError):
 
 
 def _check_int(name: str, value) -> None:
-    """Raise ValueError unless ``operator.index`` takes ``value``.
+    """Raise ValueError unless ``value`` is an integer other than a bool.
 
     A count given as a float, even an integral one, is refused: downstream
     it would be misread (a photon cutoff of 26.0, a quench row rounded from
-    n * m).
+    n * m).  So is a bool, which ``operator.index`` reads as 0 or 1.
     """
     try:
-        operator.index(value)
+        operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 

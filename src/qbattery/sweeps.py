@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .battery import PowerResult, QuenchSystem, SearchConfig, charge, max_power
-from .hamiltonians import Model, ModelParams, _check_int
+from .hamiltonians import Model, ModelParams
 
 __all__ = [
     "Axis",
@@ -91,9 +91,7 @@ class SweepSpec:
         if self.cutoff_multipliers and self.base.model is not Model.DICKE:
             raise ValueError("cutoff multipliers only apply to the collective model")
         for mult in self.cutoff_multipliers:
-            _check_int("cutoff multiplier", mult)
-        if any(mult < 1 for mult in self.cutoff_multipliers):
-            raise ValueError("cutoff multipliers must be positive integers")
+            self.base.with_cutoff(mult)  # refuses a multiplier that is not a positive integer
         if len(set(self.cutoff_multipliers)) != len(self.cutoff_multipliers):
             raise ValueError("cutoff multipliers must be distinct")
         if self.axis in (Axis.N, Axis.M) and any(not float(v).is_integer() for v in self.values):

@@ -104,6 +104,11 @@ def test_rabi_oracle_degenerate():
         rabi_oracle(RabiParams(delta=0.0, beta=0.0))
 
 
+def test_rabi_params_refuse_a_bool_count():
+    with pytest.raises(ValueError, match="integer"):
+        RabiParams(delta=0.0, beta=0.1, m=True)
+
+
 def test_rabi_params_validation():
     with pytest.raises(ValueError):
         RabiParams(delta=0.0, beta=-0.1)

@@ -134,20 +134,14 @@ def test_sweep_preset_override_notice(tmp_path, capsys):
 
 
 # Every command's parser flags, and the flags it ignores with a notice.
-# --delta and --preset are on their own command's parser only; every other
-# flag is on every parser, so a config file may carry it.
+# Every flag is on every parser, as a config file may carry any key.
 _PARSED = [
     "--n", "--m", "--beta", "--beta-prime", "--kappa", "--omega-c", "--omega-a", "--topology",
     "--normalization", "--cutoff-mult", "--t-max", "--samples", "--rel-tol", "--out",
-    "--series-out", "--plot-out", "--config", "--jobs", "--literal-eq10", "--timing",
+    "--series-out", "--plot-out", "--config", "--jobs", "--literal-eq10", "--timing", "--delta",
+    "--preset",
 ]
-PARSER_FLAGS = {
-    "jch": _PARSED,
-    "dicke": _PARSED,
-    "rabi": _PARSED + ["--delta"],
-    "sweep": _PARSED + ["--preset"],
-    "convergence": _PARSED,
-}
+PARSER_FLAGS = {command: _PARSED for command in ("jch", "dicke", "rabi", "sweep", "convergence")}
 IGNORED = {
     "jch": {"--beta-prime", "--normalization", "--cutoff-mult", "--literal-eq10", "--delta",
             "--preset"},
@@ -196,10 +190,16 @@ def test_each_command_names_every_value_it_ignores(tmp_path, capsys):
         assert len(named) == len(set(named)) and set(named) == ignored, command
 
 
-def test_rejected_flag_values_name_the_flag(capsys):
-    with pytest.raises(ConfigError, match="beta-prime must be a number or 'same'"):
+def test_rejected_flag_values_name_the_flag(tmp_path, capsys):
+    # A malformed value is a usage error as a flag, and a ConfigError from a file.
+    with pytest.raises(SystemExit) as info:
         parse_run(["dicke", "--n", "2", "--beta", "0.5", "--beta-prime", "strong"])
-    with pytest.raises(ConfigError, match="cutoff multipliers must be positive"):
+    assert info.value.code == 2 and "--beta-prime" in capsys.readouterr().err
+    cfg = tmp_path / "strong.json"
+    cfg.write_text(json.dumps({"beta_prime": "strong"}))
+    with pytest.raises(ConfigError, match="must be a number or 'same'"):
+        parse_run(["dicke", "--n", "2", "--beta", "0.5", "--config", str(cfg)])
+    with pytest.raises(ConfigError, match="cutoff multiplier must be positive"):
         parse_run(["dicke", "--n", "2", "--beta", "0.5", "--cutoff-mult", "0"])
     # convergence resolves its model as dicke does, one required flag at a time.
     with pytest.raises(ConfigError, match="--n is required for 'convergence'"):
@@ -208,6 +208,42 @@ def test_rejected_flag_values_name_the_flag(capsys):
         parse_run(["convergence", "--n", "2"])
     assert main(["convergence", "--beta", "0.5"]) == 2
     assert capsys.readouterr().err == "error: --n is required for 'convergence'\n"
+
+
+# A base run per command, and a well-formed value per flag that the
+# commands reading it refuse: an ignored value must have no effect at all.
+_BASE = {
+    "jch": ["jch", "--n", "2", "--beta", "0.05"],
+    "dicke": ["dicke", "--n", "2", "--beta", "0.5"],
+    "rabi": ["rabi", "--beta", "0.1", "--series-out", "p.csv"],
+    "sweep": ["sweep", "--preset", "fig2", "--out", "p.csv"],
+    "convergence": ["convergence", "--n", "2", "--beta", "0.5"],
+}
+_REFUSED = {
+    "--n": "0", "--m": "0", "--beta": "nan", "--beta-prime": "-1", "--kappa": "-1",
+    "--omega-c": "0", "--omega-a": "0", "--topology": "ring", "--normalization": "none",
+    "--cutoff-mult": "0", "--t-max": "-1", "--samples": "2", "--rel-tol": "0",
+    "--out": "p.csv", "--series-out": "p.csv", "--plot-out": "p.csv", "--literal-eq10": None,
+    "--timing": None, "--delta": "0.1", "--preset": "fig2",
+}
+
+
+def test_an_ignored_value_is_inert(capsys):
+    assert set(_REFUSED) == set().union(*IGNORED.values())
+    cases = [
+        (command, [flag] + ([] if _REFUSED[flag] is None else [_REFUSED[flag]]))
+        for command, ignored in IGNORED.items()
+        for flag in sorted(ignored)
+    ]
+    # Ignored output paths that name the same file as each other.
+    cases.append(("convergence", ["--out", "p.csv", "--plot-out", "p.csv"]))
+    for command, extra in cases:
+        expected = parse_run(_BASE[command])
+        assert capsys.readouterr().err == ""
+        assert parse_run(_BASE[command] + extra) == expected, (command, extra)
+        err = capsys.readouterr().err
+        assert err.startswith(f"notice: '{command}' ignores "), (command, extra)
+        assert all(arg in err for arg in extra if arg.startswith("--")), (command, extra)
 
 
 def test_config_file_supplies_values_and_flags_win(tmp_path):

@@ -462,6 +462,17 @@ def test_params_validation_and_derived_fields():
     assert dicke(n=np.int64(4), m=1, beta=0.5).n_max_value == 20
 
 
+def test_counts_refuse_a_bool():
+    # operator.index(True) is 1, and a table row would print N and m as "true".
+    for values in ({"n": True}, {"m": True}, {"n": True, "m": True}, {"n_max": False}):
+        with pytest.raises(ValueError, match="integer"):
+            dicke(**{"n": 4, "m": 1, "beta": 0.5, **values})
+    with pytest.raises(ValueError, match="integer"):
+        jch(n=True, m=True, beta=0.05)
+    with pytest.raises(ValueError, match="integer"):
+        dicke(n=4, m=1, beta=0.5).with_cutoff(True)
+
+
 # A string compares unequal to every enum member, so it used to fall through
 # to the last branch of a dispatch: topology="line" hopped all-to-all and
 # normalization="sqrt-n" ran unnormalized.

@@ -108,6 +108,14 @@ def test_spec_validation():
     SweepSpec(base=base, axis=Axis.KAPPA, values=(0.5, 1.5))
 
 
+def test_spec_multipliers_meet_the_cutoff_rule():
+    # Each multiplier is checked by ModelParams.with_cutoff, which refuses a bool.
+    base = dicke(n=2, m=1, beta=0.5)
+    for mults, match in (((True, 2), "integer"), ((0, 2), "positive")):
+        with pytest.raises(ValueError, match=match):
+            SweepSpec(base=base, axis=Axis.N, values=(2, 3), cutoff_multipliers=mults)
+
+
 # ---------------------------------------------------------------------------
 # Running sweeps.
 
