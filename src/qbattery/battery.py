@@ -76,18 +76,24 @@ DENSE_LIMIT = 2500
 # priced as a general one.  The window count is one per fixed phase: the
 # disc half-width times the scan length, with the scan taken to stop at
 # 1/_SCAN_SHARE of the default horizon.  The constants are a least-squares
-# fit, in relative error, to both engines' times on the 179 preset points
-# of 40 to 2,700 states (2-vCPU Xeon, OpenBLAS); the engine they picked
-# cost within 0.1 % of the faster one summed over each preset.  They are
-# fixed rather than measured on the host, so that every run on every host
-# picks the same engine for a block and the results' bytes hold on the
-# same host at the same BLAS thread count;
-# ``test_engine_follows_the_cost_estimates`` pins the choice.
-_DENSE_CUBE = 1.6e-11
-_DENSE_SQUARE = 2.4e-7
-_CHEB_FIXED = 9.5e-3
-_CHEB_WINDOW = 3.2e-3
-_CHEB_FLOP = 3.1e-10
+# fit, in relative error, to both engines' times on the 182 points of 40
+# to 2,756 states of the five presets: for each engine, the build and
+# search of a point (``max_power(QuenchSystem(p), SearchConfig())`` with
+# the engine forced, the block built beforehand), the least of six runs
+# over two sessions on a 2-vCPU Xeon with numpy 2.4.6, SciPy 1.17.1 and
+# two OpenBLAS threads.  The fit's rms relative residual is 0.31 for
+# dense and 0.16 for Chebyshev; the engines it picks cost, summed over
+# each preset's points, 1.2 % more than the faster engine per point on
+# fig5 and 0.0 % on fig2, fig3 and dicke_m.  They are fixed rather than
+# measured on the host, so that every run on every host picks the same
+# engine for a block and the results' bytes hold on the same host at the
+# same BLAS thread count; ``test_engine_follows_the_cost_estimates`` and
+# ``test_benchmark_chain_blocks_keep_their_engines`` pin the choice.
+_DENSE_CUBE = 2.3e-11
+_DENSE_SQUARE = 1.2e-7
+_CHEB_FIXED = 2.2e-3
+_CHEB_WINDOW = 5.7e-4
+_CHEB_FLOP = 9.5e-11
 _SCAN_SHARE = 16
 
 _FLAT_TOL = 1e-12

@@ -32,6 +32,7 @@ to keep the default output reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -448,15 +449,22 @@ def emit_series_plot(series_path: str, image_path: str | None = None) -> str:
 # Command drivers.
 
 
+@contextlib.contextmanager
+def _notices():
+    """Print each distinct warning the block raised as one ``notice:`` line on stderr."""
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always")
+        yield
+    for message in dict.fromkeys(str(note.message) for note in notes):
+        print(f"notice: {message}", file=sys.stderr)
+
+
 def _run_single(run: RunConfig) -> int:
     start = time.perf_counter()
     system = QuenchSystem(run.params)
-    with warnings.catch_warnings(record=True) as notes:
-        warnings.simplefilter("always")
+    with _notices():
         result = max_power(system, run.search)
-    wall = time.perf_counter() - start
-    for note in notes:
-        print(f"notice: {note.message}", file=sys.stderr)
+        wall = time.perf_counter() - start
     print(
         f"model: {run.params.model.value}   dim: {system.dim}   block: {system.block_dim}   "
         f"engine: {system.engine}"
@@ -508,7 +516,8 @@ def _run_sweep(run: RunConfig) -> int:
 
 
 def _run_convergence(run: RunConfig) -> int:
-    converged, max_rel_diff = convergence_check(run.params, run.multipliers, run.search)
+    with _notices():
+        converged, max_rel_diff = convergence_check(run.params, run.multipliers, run.search)
     print(f"converged: {'true' if converged else 'false'}")
     print(f"max_rel_diff: {format_float(max_rel_diff)}")
     return 0

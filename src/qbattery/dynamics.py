@@ -21,20 +21,23 @@ and His Circles, 2004).  Evolution proceeds in two-sided windows: each is
 expanded at a center c and answers every time c + tau with |tau| <= dt,
 since the expansion sum_k gamma_k (-i)^k J_k(a tau) T_k(Hs) holds for
 negative tau too.  In a window, the expansion vectors w_k = T_k(Hs)
-psi(c) of the state's real and imaginary parts are the rows of one array
-S, run from the stored 2 Hs.  Scaled in place by sqrt(diag), S gives the
-Gram matrix G_kk' = <w_k| diag |w_k'> of each tracked diagonal
-observable from one symmetric product S S^T, stored folded with the
-phases of the coefficients as the real R = Re(gamma_k gamma_k' i^(k-k')
-G_kk').  The observable at c + tau is then the real form J^T R J with
-J_k = J_k(a tau).  The first window sits at c = 0, covers [0, dt] and
-expands only the real initial state; the next centers are 2 dt, 4 dt and
-so on, so reaching t takes 1 + ceil((t - dt) / (2 dt)) windows.  The
-state jumps 2 dt to the next center by continuing the window's
-recurrence from its last two vectors up to the order a phase of 2 a dt
-needs, in rows of the array the windows expand into, and one product
-folds them into the state; the jump runs only when the next window is
-asked for.  The landed state and the vectors that seed a jump lose their
+psi(c) = x_k + i y_k are the rows [x_k | y_k] of one array S, run as one
+recurrence on [x | y] with the block-diagonal matrix of two copies of
+the stored 2 Hs, which sums each row as 2 Hs alone would: one sparse
+product a step for both parts.  Scaled in place by sqrt(diag), S gives
+the Gram matrix G_kk' = <w_k| diag |w_k'> of each tracked diagonal
+observable, Re G from one symmetric product S S^T and Im G = X Y^T -
+Y X^T from one product of its halves, stored folded with the phases of
+the coefficients as the real R = Re(gamma_k gamma_k' i^(k-k') G_kk').
+The observable at c + tau is then the real form J^T R J with J_k =
+J_k(a tau).  The first window sits at c = 0, covers [0, dt] and expands
+only the real initial state, with 2 Hs itself; the next centers are
+2 dt, 4 dt and so on, so reaching t takes 1 + ceil((t - dt) / (2 dt))
+windows.  The state jumps 2 dt to the next center by continuing the
+window's recurrence from its last two rows up to the order a phase of
+2 a dt needs, in rows of the array the windows expand into, and one
+product folds them into the state; the jump runs only when the next
+window is asked for.  The landed state and the vectors that seed a jump lose their
 entries below 1e-60 (``_FLUSH``), which would turn subnormal.  Every
 J_k(x) comes from the trapezoidal rule for Bessel's integral (the
 Jacobi-Anger expansion), on 256 points in a window and 512 for the jump,
@@ -49,17 +52,17 @@ without hopping.  Centered on that constant, 2 Hs maps each class into
 the other, so the state at every center is x + i y with x on C0 and y on
 C1, and T_k x and T_k y have complementary supports.  One real
 recurrence on w = x + y then serves both: on C0 row k of W is x_k for
-even k and y_k for odd k, on C1 the other.  So a chiral window takes
-order - 1 products and its jump one recurrence; it holds one (order,
-dim) array, with the states ordered by class once so that each class's
-columns are contiguous, and folds its jump and gets its Gram matrix with
-one product per class, G_c = W_c diag_c W_c^T: Re G = G_0 + G_1 and
-Im G_kk' = (-1)^k (G_0 - G_1).  A block whose diagonal is one constant is
-centered on it; the engine then looks for the classes itself, by a
-breadth-first walk from the initial state at the first jump.  The first
-window is the general one, real (y = 0) and of the same cost, so a block
-that one window covers never pays for the walk.  Every other block takes
-the general path throughout.
+even k and y_k for odd k, on C1 the other.  So a chiral window takes the
+general window's order - 1 products, each on dim entries rather than 2
+dim; it holds one (order, dim) array, with the states ordered by class
+once so that each class's columns are contiguous, and folds its jump and
+gets its Gram matrix with one product per class, G_c = W_c diag_c W_c^T:
+Re G = G_0 + G_1 and Im G_kk' = (-1)^k (G_0 - G_1).  A block whose
+diagonal is one constant is centered on it; the engine then looks for the
+classes itself, by a breadth-first walk from the initial state at the
+first jump.  The first window is the general one, real (y = 0) and of
+the same cost, so a block that one window covers never pays for the
+walk.  Every other block takes the general path throughout.
 
 Both engines take the Hamiltonian block that ``build_quench_block``
 builds for either model: over orbits for a chain, and as the whole
@@ -192,8 +195,10 @@ class ChebyshevEngine:
     square roots.  A window scales its Chebyshev vectors in place for the
     last diagonal and one reused copy of them for every other, so tracking
     more than one diagonal doubles a window's memory.  Windows and jumps
-    share one work array: order rows while the state is real or the block
-    chiral, 2 order once a general block's state turns complex.  ``bounds``
+    share one work array: order rows of dim while the state is real or the
+    block chiral, of 2 dim ([x_k | y_k]) once a general block's state
+    turns complex.  Every window takes order - 1 sparse products and every
+    jump one recurrence.  ``bounds``
     holds (lo, hi) from ``_scaled_discs(h)`` when the caller has already
     computed them.  The engine lazily extends its covered time range, one
     two-sided window of [c - dt, c + dt] at a time (the first only
@@ -272,6 +277,13 @@ class ChebyshevEngine:
         self._half = half
         # 2 Hs: doubling is exact, so the recurrence keeps the bits of Hs.
         self._h_twice = (h - scipy.sparse.eye_array(dim, format="csr") * center) * (2.0 / half)
+        # A block whose diagonal is not one constant runs the general path:
+        # its complex state takes the block-diagonal pair of 2 Hs, held here
+        # until the first jump lands, and the real first window and jump
+        # take the pair's first block.
+        self._h_pair = None
+        if self._start is None:
+            self._h_pair, self._h_twice = _pair(self._h_twice)
         self._dt = self._WINDOW_PHASE / half
         ks = np.arange(self._JUMP_ORDER)
         # gamma_k (-i)^k; each product in the fold is 0, +-1, +-2 or +-4, so
@@ -281,28 +293,36 @@ class ChebyshevEngine:
         self._fold_re, self._fold_im = fold.real.copy(), fold.imag.copy()
         x = np.array([2.0 * half * self._dt])
         self._jump = phases * self._bessel(x, self._JUMP_ORDER, self._JUMP_BESSEL_POINTS)[0, 0]
+        # The jump's coefficients as two rows, Re and Im: first for the
+        # window's orders, then for the jump's own.
+        self._coefs = tuple(
+            np.stack([c.real, c.imag]) for c in np.split(self._jump, [self._WINDOW_ORDER])
+        )
         # The columns of each class, C0 first, once a chiral block has
         # taken its classes; else None.
         self._classes: tuple[slice, slice] | None = None
         self._windows: list[_Window] = []
         self._starts: np.ndarray = np.empty(0)
         self._t_end = 0.0
-        # The real and imaginary parts as rows; on a chiral block, once it
-        # has taken its classes, the one row x + y, whose parts sit on C0 and C1.
+        # The real and imaginary parts as rows, which read as one vector
+        # [x | y]; on a chiral block, once it has taken its classes, the one
+        # row x + y, whose parts sit on C0 and C1.
         self._state = np.stack([psi0, np.zeros(dim)])
-        # The last two window vectors of each part while a jump is pending;
-        # the state then holds the jump's sum over the window's vectors.
+        # The last two window vectors while a jump is pending; the state then
+        # holds the jump's sum over the window's vectors.
         self._tails: list[np.ndarray] = []
-        self._work = np.empty((0, dim))
+        self._work = np.empty(0)
 
     @classmethod
     def window_bytes(cls, dim: int) -> int:
         """Bytes of the (order, dim) arrays one window holds at once.
 
-        The real and imaginary expansion vectors, the rows of the engine's
-        one work array, which the Gram step scales in place; tracking more
-        than one diagonal adds one scaled copy.  The jump to the next center
-        reuses those rows, beside the four vectors that seed it.  A chiral
+        The real and imaginary expansion vectors, the rows [x_k | y_k] of
+        the engine's one work array, which the Gram step scales in place;
+        tracking more than one diagonal adds one scaled copy.  The jump to
+        the next center reuses those rows, beside the two rows that seed
+        it.  The sparse matrix, the block-diagonal pair of 2 Hs on a
+        general block, is the engine's own and not counted.  A chiral
         block holds half of this, the one recurrence on x + y; the count
         stays the general one, which bounds both, so ``state_cap()`` does
         not depend on the block.
@@ -316,7 +336,8 @@ class ChebyshevEngine:
         d starts at 1 (the plain discs) and takes power steps on +-diag(h) +
         |offdiag(h)| + shift, one column per edge; no step raises the largest
         ratio (M d)_i / d_i.  Only an underflow in d could, so the bound is
-        also held to the plain discs.
+        also held to the plain discs.  With a constant diagonal the two
+        weights are equal, and so are their steps, so one row serves both.
         """
         import scipy.sparse
 
@@ -325,13 +346,15 @@ class ChebyshevEngine:
         radius = off @ np.ones(d.shape[0])
         shift = cls._DISC_SHIFT * float(radius.max(initial=0.0)) + 1e-12
         weights = np.stack([d - d.min(), d.max() - d]) + shift
-        v = np.ones((2, d.shape[0]))
+        if (weights[0] == weights[1]).all():
+            weights = weights[:1]
+        v = np.ones(weights.shape)
         for _ in range(cls._DISC_STEPS):
             for row, weight in zip(v, weights):
                 step = off @ row + weight * row
                 np.maximum(step / step.max(), np.finfo(float).tiny, out=row)
         scaled = [(off @ row) / row for row in v]
-        lo = max(np.min(d - scaled[1]), np.min(d - radius))
+        lo = max(np.min(d - scaled[-1]), np.min(d - radius))
         hi = min(np.max(d + scaled[0]), np.max(d + radius))
         return float(lo), float(hi)
 
@@ -422,38 +445,45 @@ class ChebyshevEngine:
         for k in range(2, self._WINDOW_ORDER):
             np.subtract(self._h_twice @ q[k - 1], q[k - 2], out=q[k])
 
-    def _work_rows(self, rows: int) -> np.ndarray:
-        """The first ``rows`` rows of the work array, replaced by a larger one once it is freed."""
-        if len(self._work) < rows:
+    def _work_rows(self, rows: int, width: int) -> np.ndarray:
+        """``rows`` rows of ``width`` on the work array, replaced by a larger one once it is freed."""
+        if self._work.size < rows * width:
             self._work = None
-            self._work = np.empty((rows, self._state.shape[1]))
-        return self._work[:rows]
+            self._work = np.empty(rows * width)
+        return self._work[: rows * width].reshape(rows, width)
 
-    @staticmethod
-    def _mix(c: np.ndarray, parts: int) -> np.ndarray:
-        """The real matrix that folds sum_k c_k T_k psi, from its parts' rows, into the state."""
-        return np.block([[c.real, -c.imag], [c.imag, c.real]])[:, : parts * len(c)]
+    def _fold(self, coefs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """sum_k c_k (x_k + i y_k) as its real and imaginary parts, from rows [x_k | y_k].
+
+        ``coefs`` holds Re c_k and Im c_k as its two rows, and one product
+        takes both against every row; rows of x_k alone (a real state) give
+        the two parts directly.
+        """
+        sums = coefs @ rows
+        if rows.shape[1] == self._state.shape[1]:
+            return sums
+        (re_x, re_y), (im_x, im_y) = sums.reshape(2, 2, -1)
+        return np.stack([re_x - im_y, im_x + re_y])
 
     def _land(self) -> None:
-        """Finish the pending jump: each part's recurrence runs on from its
-        last two window vectors to the jump order, in the work array's rows,
-        and one product folds them into the state, which is then flushed.
+        """Finish the pending jump: the recurrence runs on from the window's
+        last two vectors to the jump order, in the work array's rows, and
+        one product folds them into the state, which is then flushed.
 
-        The coefficient of T_k is real for even k and imaginary for odd k,
-        so each vector of the real part adds to one part of the state, and
-        each of the imaginary part (times i) to the other.  On a chiral
-        block each class adds to the part it holds, one product per class.
+        The rows are [x_k | y_k] on a general block, x_k alone after the real
+        first window, and x + y on a chiral block, where each class adds to
+        the part it holds, one product per class.
         """
         order, steps = self._WINDOW_ORDER, self._JUMP_ORDER - self._WINDOW_ORDER
-        rows = self._work_rows(len(self._tails) * steps)
-        for part, (prev, last) in enumerate(self._tails):
-            for row in rows[part * steps : (part + 1) * steps]:
-                prev, last = last, np.subtract(self._h_twice @ last, prev, out=row)
+        prev, last = self._tails
+        rows = self._work_rows(steps, last.shape[0])
+        for row in rows:
+            prev, last = last, np.subtract(self._h_twice @ last, prev, out=row)
         if self._classes is not None:
             for rho, cols in zip(self._rho, self._classes):
                 self._state[0, cols] += rho[order:] @ rows[:, cols]
         else:
-            self._state += self._mix(self._jump[order:], len(self._tails)) @ rows
+            self._state += self._fold(self._coefs[1], rows)
         self._state[np.abs(self._state) < self._FLUSH] = 0.0
         self._tails = []
 
@@ -463,11 +493,13 @@ class ChebyshevEngine:
         Until then the block runs the general path, whose first window is
         real anyway, so a block that one window covers never pays for the
         walk.  Every sum that made the state added exact zeros off each
-        part's class, so x + y holds both parts exactly.
+        part's class, so x + y holds both parts exactly.  A block without
+        classes builds the block-diagonal pair of 2 Hs for its complex state.
         """
         chiral = self._chiral_order(self._h_twice, self._start)
         self._start = None
         if chiral is None:
+            self._h_pair = _pair(self._h_twice)[0]
             return
         order, split = chiral
         self._h_twice = self._h_twice[order][:, order]
@@ -487,45 +519,47 @@ class ChebyshevEngine:
         )
 
     def _advance_window(self) -> None:
-        order = self._WINDOW_ORDER
+        order, dim = self._WINDOW_ORDER, self._state.shape[1]
         if self._tails:
             self._land()
             if self._start is not None:
                 self._take_classes()
-        parts = self._state
         # The state stays real until the first jump; every product with its
-        # zero imaginary part would be zero, so none is taken.
-        if parts.shape[0] == 2 and not parts[1].any():
-            parts = parts[:1]
-        # Rows: the real part's vectors, then the imaginary part's.
-        s = self._work_rows(parts.shape[0] * order)
-        for i, part in enumerate(parts):
-            self._expand(part, s[i * order : (i + 1) * order])
+        # zero imaginary part would be zero, so none is taken.  From then on
+        # a general block expands the one vector [x | y] with the
+        # block-diagonal 2 Hs, built once: one product a step for both parts.
+        if not self._windows:
+            vector = self._state[0]
+        else:
+            vector = self._state.reshape(-1)
+            if self._h_pair is not None:
+                self._h_twice, self._h_pair = self._h_pair, None
+        s = self._work_rows(order, vector.shape[0])
+        self._expand(vector, s)
         # The jump to the next center starts as the sum over these vectors.
         # The spectrum's midpoint E adds the global phase exp(-i*E*2dt); it
         # cancels in every bilinear form evaluated here, so the stored state
         # simply omits it.
         if self._classes is not None:
-            self._state = np.empty((1, s.shape[1]))
+            self._state = np.empty((1, dim))
             for rho, cols in zip(self._rho, self._classes):
                 np.matmul(rho[:order], s[:, cols], out=self._state[0, cols])
         else:
-            self._state = self._mix(self._jump[:order], parts.shape[0]) @ s
-        tails = s.reshape(-1, order, s.shape[1])[:, -2:]
-        self._tails = list(np.where(np.abs(tails) < self._FLUSH, 0.0, tails))
+            self._state = self._fold(self._coefs[0], s)
+        self._tails = list(np.where(np.abs(s[-2:]) < self._FLUSH, 0.0, s[-2:]))
+        parts = s.reshape(order, -1, dim)
         forms = []
         scratch = None
         for i, root in enumerate(self._roots):
-            # G = Q^H diag Q with Q = q_re + i q_im (rows are vectors) comes
-            # from the symmetric product of the stacked rows scaled by
-            # sqrt(diag): its real part is gram, its imaginary part skew.
-            # The last diagonal scales the vectors themselves, every other
-            # one reused copy.  The product is symmetric, so both parts are
-            # formed in place on its blocks.
+            # G = Q^H diag Q with Q = X + i Y (rows are vectors): Re G = X X^T
+            # + Y Y^T and Im G = X Y^T - Y X^T, each part scaled by
+            # sqrt(diag).  The last diagonal scales the vectors themselves,
+            # every other one reused copy.
             if i < len(self._roots) - 1:
-                w = scratch = np.multiply(s, root, out=scratch)
+                w = scratch = np.multiply(parts, root, out=scratch)
             else:
-                w = np.multiply(s, root, out=s)
+                w = np.multiply(parts, root, out=parts)
+            w = w.reshape(order, -1)
             if self._classes is not None:
                 # One symmetric product over each class's columns.
                 g0, g1 = (w[:, cols] @ w[:, cols].T for cols in self._classes)
@@ -533,16 +567,15 @@ class ChebyshevEngine:
                 g1 *= self._fold_classes[1]
                 forms.append(np.add(g0, g1, out=g0))
                 continue
+            # Re G over both parts' columns in one symmetric product.
             g = w @ w.T
-            if len(parts) == 1:
-                forms.append(self._fold_re * g)
-                continue
-            gram, skew = g[:order, :order], g[:order, order:]
-            gram += g[order:, order:]
-            skew -= g[order:, :order]
-            gram *= self._fold_re
-            skew *= self._fold_im
-            forms.append(gram - skew)
+            g *= self._fold_re
+            if parts.shape[1] == 2:
+                a = w[:, :dim] @ w[:, dim:].T
+                skew = a - a.T
+                skew *= self._fold_im
+                g -= skew
+            forms.append(g)
         center = self._windows[-1].center + 2.0 * self._dt if self._windows else 0.0
         window = _Window(t0=self._t_end, center=center, forms=forms)
         self._windows.append(window)
@@ -571,6 +604,23 @@ class ChebyshevEngine:
             for i, form in enumerate(window.forms):
                 out[i, sel] = np.einsum("bsk,bsk->bs", j, j @ form).reshape(-1)[: taus.shape[0]]
         return out
+
+
+def _pair(h: scipy.sparse.csr_array) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
+    """The block-diagonal [[h, 0], [0, h]], and its first block as a copy of h on its arrays.
+
+    Each row keeps the entries of h's row in their order, so a product sums
+    every row as h's own product does.
+    """
+    import scipy.sparse
+
+    dim, nnz = h.shape[0], h.indptr[-1]
+    data = np.concatenate([h.data[:nnz], h.data[:nnz]])
+    indices = np.concatenate([h.indices[:nnz], h.indices[:nnz] + dim])
+    indptr = np.concatenate([h.indptr, h.indptr[1:] + nnz])
+    pair = scipy.sparse.csr_array((data, indices, indptr), shape=(2 * dim, 2 * dim))
+    first = scipy.sparse.csr_array((data[:nnz], indices[:nnz], indptr[: dim + 1]), shape=h.shape)
+    return pair, first
 
 
 def _physical_memory() -> int:

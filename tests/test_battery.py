@@ -29,6 +29,8 @@ from qbattery.hamiltonians import (
     jch_sector_dim,
 )
 
+from qbattery.sweeps import _point_params, preset_specs
+
 from oracles import C1, X_STAR, full_quench
 
 
@@ -816,8 +818,8 @@ def test_block_sets_the_diagonalized_size(monkeypatch, force_engine):
 
 
 def test_engine_follows_the_cost_estimates():
-    # The fig5 beta = 0.5 curve at cutoffs 4x and 5x n*m: dense up to 281
-    # states, Chebyshev from 488.
+    # The fig5 beta = 0.5 curve at cutoffs 4x and 5x n*m: dense up to 78
+    # states, Chebyshev from 226.
     picked = {
         (n, mult): QuenchSystem(dicke(n=n, m=1, beta=0.5).with_cutoff(mult))
         for n in (2, 5, 10, 15)
@@ -828,8 +830,8 @@ def test_engine_follows_the_cost_estimates():
         (2, 5): (17, "dense"),
         (5, 4): (63, "dense"),
         (5, 5): (78, "dense"),
-        (10, 4): (226, "dense"),
-        (10, 5): (281, "dense"),
+        (10, 4): (226, "chebyshev"),
+        (10, 5): (281, "chebyshev"),
         (15, 4): (488, "chebyshev"),
         (15, 5): (608, "chebyshev"),
     }
@@ -840,9 +842,29 @@ def test_engine_follows_the_cost_estimates():
         (514, "chebyshev"),
         (2_687, "chebyshev"),
     ]
-    # Weak coupling scans a long horizon in many windows, so dense wins at 1,061.
-    weak = QuenchSystem(dicke(n=20, m=1, beta=0.05, n_max=100))
-    assert (weak.block_dim, weak.engine) == (1_061, "dense")
+    # Weak coupling scans a long horizon in many windows, so dense wins at
+    # 533 states, and Chebyshev only from 553.
+    weak = [QuenchSystem(dicke(n=n, m=1, beta=0.05, n_max=n_max)) for n, n_max in ((14, 70), (16, 64))]
+    assert [(s.block_dim, s.engine) for s in weak] == [(533, "dense"), (553, "chebyshev")]
+
+
+def test_benchmark_chain_blocks_keep_their_engines():
+    # Every block of the fig2 and fig4 presets and of the two benchmark
+    # chains (the N=7 line without hopping, the N=6 all-to-all sector):
+    # Chebyshev on fig2's N=5 and N=6 lines with hopping, dense everywhere
+    # else, so that their tables keep their bytes through a refit.
+    chebyshev = {(n, kappa) for n in (5, 6) for kappa in (0.05, 0.5)}
+    for preset in ("fig2", "fig4"):
+        for spec in preset_specs(preset):
+            for value in spec.values:
+                params = _point_params(spec, value, None)
+                expected = "chebyshev" if (params.n, params.kappa) in chebyshev else "dense"
+                assert QuenchSystem(params).engine == expected, params
+    for params in (
+        jch(n=7, m=1, beta=0.05),
+        jch(n=6, m=1, beta=0.05, kappa=0.05, topology=Topology.ALL_TO_ALL),
+    ):
+        assert QuenchSystem(params).engine == "dense"
 
 
 def test_dense_limit_caps_the_dense_engine(monkeypatch):
@@ -868,7 +890,7 @@ def test_disc_bound_is_computed_at_most_once_and_never_for_tiny_blocks(monkeypat
         jch(n=3, m=1, beta=0.05, kappa=1.0),
         jch(n=7, m=1, beta=0.05),
         jch(n=6, m=1, beta=0.05, kappa=0.05, topology=Topology.ALL_TO_ALL),
-        dicke(n=8, m=1, beta=0.5, n_max=40),
+        dicke(n=6, m=1, beta=0.5, n_max=30),
     ]
     assert [QuenchSystem(p).engine for p in tiny] == ["dense"] * len(tiny)
     assert calls == []
@@ -877,8 +899,8 @@ def test_disc_bound_is_computed_at_most_once_and_never_for_tiny_blocks(monkeypat
     # choice and reused by the engine; past DENSE_LIMIT, bounded by the
     # engine alone.
     for params, engine, bounded in (
-        (dicke(n=20, m=1, beta=0.05, n_max=100), "dense", []),
-        (jch(n=4, m=2, beta=0.05, kappa=0.05, topology=Topology.RING), "dense", [215]),
+        (dicke(n=14, m=1, beta=0.05, n_max=70), "dense", []),
+        (dicke(n=8, m=1, beta=0.5, n_max=40), "dense", [185]),
         (dicke(n=15, m=1, beta=0.5, n_max=75), "chebyshev", [608]),
         (jch(n=6, m=1, beta=0.05, kappa=0.5), "chebyshev", [2_687]),
     ):

@@ -473,6 +473,17 @@ def test_rabi_and_sweep_write_their_plot_scripts(tmp_path, capsys):
     assert len(table.read_text().splitlines()) == 29
 
 
+def test_convergence_prints_search_notices(capsys):
+    # 64 samples put the quotient maximum on the first one at both cutoffs:
+    # one notice line, no Python warning with its source path.
+    assert main(["convergence", "--n", "2", "--beta", "0.5", "--samples", "64"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "notice: quotient maximum sits at the lower scan edge; treat tau as a bound\n"
+    )
+    assert "converged: true" in captured.out
+
+
 def test_convergence_command_reports_verdict(capsys):
     assert main(["convergence", "--n", "2", "--beta", "0.05", "--samples", "256"]) == 0
     out = capsys.readouterr().out

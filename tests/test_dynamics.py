@@ -298,17 +298,22 @@ def test_first_chebyshev_window_propagates_only_the_real_part():
     params = jch(n=2, m=1, beta=0.2, kappa=0.3, omega_a=1.1)
     sparse, h, jz, psi0 = _system(params)
     cheb = ChebyshevEngine(sparse, psi0, [jz])
+    # 2 Hs and the block-diagonal pair that waits for the complex state.
     counting = cheb._h_twice = Counting(cheb._h_twice)
+    cheb._h_pair = Counting(cheb._h_pair, counting)
     order = ChebyshevEngine._WINDOW_ORDER
     jump = ChebyshevEngine._JUMP_ORDER - order
     cheb.extend(0.0)
     assert (len(cheb._windows), counting.products) == (1, order - 1)
+    assert cheb._h_twice.shape == (h.shape[0],) * 2
     # The jump from the real state runs one recurrence on; the window at
-    # 2 dt expands both parts, and its own jump waits for the next window.
+    # 2 dt expands both parts in one recurrence on [x | y], and its own jump
+    # waits for the next window.
     cheb.extend(2.5 * cheb._dt)
-    assert (len(cheb._windows), counting.products) == (2, 3 * (order - 1) + jump)
+    assert (len(cheb._windows), counting.products) == (2, 2 * (order - 1) + jump)
+    assert cheb._h_twice.shape == (2 * h.shape[0],) * 2
     cheb.extend(4.5 * cheb._dt)
-    assert (len(cheb._windows), counting.products) == (3, 5 * (order - 1) + 3 * jump)
+    assert (len(cheb._windows), counting.products) == (3, 3 * (order - 1) + 2 * jump)
     assert cheb._classes is None
     ts = np.linspace(0.0, cheb._t_end, 41)
     exact = EigenEngine(diagonalize(h), psi0, [jz])
@@ -432,13 +437,21 @@ def _state_parts(cheb):
     return parts
 
 
+def _chebyshev_rows(h_twice, vector, order):
+    """T_k(Hs) vector for k < order, from 2 Hs, as rows."""
+    rows = [vector, 0.5 * (h_twice @ vector)]
+    while len(rows) < order:
+        rows.append(h_twice @ rows[-1] - rows[-2])
+    return np.array(rows)
+
+
 def _forms_by_three_products(cheb, diags):
-    """The next window's forms from its Chebyshev vectors, each Gram block a product of its own."""
+    """The next window's forms from each part's Chebyshev vectors, each Gram block a product of its own."""
     state_re, state_im = _state_parts(cheb)
     order, dim = ChebyshevEngine._WINDOW_ORDER, state_re.shape[0]
-    q_re, q_im = np.empty((order, dim)), np.empty((order, dim))
-    cheb._expand(state_re, q_re)
-    cheb._expand(state_im, q_im)
+    # One block of the engine's 2 Hs, which is block-diagonal once it pairs the parts.
+    h_twice = cheb._h_twice[:dim, :dim]
+    q_re, q_im = (_chebyshev_rows(h_twice, part, order) for part in (state_re, state_im))
     forms = []
     for diag in diags:
         g_ri = (q_re * diag) @ q_im.T
@@ -556,16 +569,18 @@ def test_chiral_window_memory_is_half_of_window_bytes():
 
 @pytest.mark.parametrize("omega_a, chiral", [(1.0, True), (1.1, False)])
 def test_one_work_array_holds_what_the_windows_need(omega_a, chiral):
-    # Order rows for a chiral block's one recurrence; 2 order once a general
-    # block's state turns complex at the first jump.
+    # Order rows of dim for a chiral block's one recurrence; order rows of
+    # [x | y], 2 dim wide, once a general block's state turns complex at the
+    # first jump.
     block, psi0 = _quench_start(jch(n=5, m=1, beta=0.05, kappa=0.5, omega_a=omega_a))
     cheb = ChebyshevEngine(block.h, psi0, [block.jz])
     order = ChebyshevEngine._WINDOW_ORDER
     cheb.extend(0.0)
-    assert cheb._work.shape == (order, block.dim)
+    assert cheb._work.shape == (order * block.dim,)
     cheb.extend(4.5 * cheb._dt)
     assert (cheb._classes is not None) == chiral
-    assert cheb._work.shape == ((1 if chiral else 2) * order, block.dim)
+    assert cheb._work.shape == ((1 if chiral else 2) * order * block.dim,)
+    assert cheb._work.nbytes <= ChebyshevEngine.window_bytes(block.dim)
 
 
 @pytest.mark.parametrize(
@@ -604,6 +619,27 @@ def test_scaled_discs_equal_the_column_reference(params):
     h = build_quench_block(params).h
     expected = scaled_discs_by_columns(h, ChebyshevEngine._DISC_STEPS, ChebyshevEngine._DISC_SHIFT)
     assert ChebyshevEngine._scaled_discs(h) == expected
+
+
+@pytest.mark.parametrize("omega_a, rows", [(1.0, 1), (1.1, 2)])
+def test_equal_disc_weights_iterate_one_row(monkeypatch, omega_a, rows):
+    # At resonance the line's diagonal is one constant, so both weight rows
+    # are equal: one row takes the power steps, and the bounds are the
+    # two-row reference's to the bit.  Detuned, both rows run.
+    h = build_quench_block(jch(n=6, m=1, beta=0.05, kappa=0.05, omega_a=omega_a)).h
+    expected = scaled_discs_by_columns(h, ChebyshevEngine._DISC_STEPS, ChebyshevEngine._DISC_SHIFT)
+    products = []
+    matmul = scipy.sparse.csr_array.__matmul__
+
+    def counting(matrix, vector):
+        products.append(vector.shape)
+        return matmul(matrix, vector)
+
+    monkeypatch.setattr(scipy.sparse.csr_array, "__matmul__", counting)
+    assert ChebyshevEngine._scaled_discs(h) == expected
+    # The plain radius, the steps and the scaled radius of each row.
+    assert len(products) == 1 + rows * (ChebyshevEngine._DISC_STEPS + 1)
+    assert set(products) == {(h.shape[0],)}
 
 
 def test_scaled_discs_are_tight_on_a_line_and_cut_the_windows():

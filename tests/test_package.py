@@ -75,7 +75,7 @@ def test_first_quench_leaves_csgraph_unimported():
         "print(qbattery.__file__)\n"
         "print(len(loaded()))\n"
         "charge(ModelParams(model=Model.JCH, n=2, beta=0.05, kappa=0.05))\n"
-        "dicke = QuenchSystem(ModelParams(model=Model.DICKE, n=10, beta=0.5))\n"
+        "dicke = QuenchSystem(ModelParams(model=Model.DICKE, n=5, beta=0.5))\n"
         "max_power(dicke, SearchConfig())\n"
         "print(dicke.engine, len(loaded()))\n"
         "line = QuenchSystem(ModelParams(model=Model.JCH, n=6, beta=0.05, kappa=0.5))\n"
