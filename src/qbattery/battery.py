@@ -88,7 +88,13 @@ DENSE_LIMIT = 2500
 # measured on the host, so that every run on every host picks the same
 # engine for a block and the results' bytes hold on the same host at the
 # same BLAS thread count; ``test_engine_follows_the_cost_estimates`` and
-# ``test_benchmark_chain_blocks_keep_their_engines`` pin the choice.
+# ``test_benchmark_chain_blocks_keep_their_engines`` pin the choice.  The
+# fit predates the engine's direct calls of SciPy's sparse kernel
+# (``dynamics._product``), which made a window and its jump on 281-608
+# states 25-40 % cheaper; the constants were kept, so the engines they pick
+# now cost about 1.5 % more than the faster one on fig5 and 0.0 % on
+# dicke_m, and dense keeps some blocks of 144-488 states that Chebyshev
+# now runs faster.
 _DENSE_CUBE = 2.3e-11
 _DENSE_SQUARE = 1.2e-7
 _CHEB_FIXED = 2.2e-3

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -199,6 +200,8 @@ def _add_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing leaves the parser as it was.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbattery",

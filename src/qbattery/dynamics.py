@@ -24,7 +24,14 @@ negative tau too.  In a window, the expansion vectors w_k = T_k(Hs)
 psi(c) = x_k + i y_k are the rows [x_k | y_k] of one array S, run as one
 recurrence on [x | y] with the block-diagonal matrix of two copies of
 the stored 2 Hs, which sums each row as 2 Hs alone would: one sparse
-product a step for both parts.  Scaled in place by sqrt(diag), S gives
+product a step for both parts.  Each sparse product, of a window, a
+jump or the disc bound's power steps, is one call of the kernel that
+SciPy's ``csr_array @ vector`` runs, written into a row that already
+exists (``_product``): on a few hundred states that product's per-call
+checks cost more than its arithmetic.  2 Hs and |offdiag(H)| are built
+with numpy from H's arrays, each row with the entries SciPy's
+subtraction would leave, in the same order, so every product keeps its
+bits.  Scaled in place by sqrt(diag), S gives
 the Gram matrix G_kk' = <w_k| diag |w_k'> of each tracked diagonal
 observable, Re G from one symmetric product S S^T and Im G = X Y^T -
 Y X^T from one product of its halves, stored folded with the phases of
@@ -242,8 +249,6 @@ class ChebyshevEngine:
         diags: list[np.ndarray],
         bounds: tuple[float, float] | None = None,
     ):
-        import scipy.sparse
-
         if h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be square")
         dim = h.shape[0]
@@ -276,7 +281,7 @@ class ChebyshevEngine:
         self._center = center
         self._half = half
         # 2 Hs: doubling is exact, so the recurrence keeps the bits of Hs.
-        self._h_twice = (h - scipy.sparse.eye_array(dim, format="csr") * center) * (2.0 / half)
+        self._h_twice = _minus_diagonal(h, np.full(dim, center)) * (2.0 / half)
         # A block whose diagonal is not one constant runs the general path:
         # its complex state takes the block-diagonal pair of 2 Hs, held here
         # until the first jump lands, and the real first window and jump
@@ -334,26 +339,31 @@ class ChebyshevEngine:
         """Bounds on the spectrum of ``h``: the Gershgorin discs of D^-1 h D, similar to h.
 
         d starts at 1 (the plain discs) and takes power steps on +-diag(h) +
-        |offdiag(h)| + shift, one column per edge; no step raises the largest
-        ratio (M d)_i / d_i.  Only an underflow in d could, so the bound is
-        also held to the plain discs.  With a constant diagonal the two
-        weights are equal, and so are their steps, so one row serves both.
+        |offdiag(h)| + shift, one row of d per edge: a step takes one
+        sparse product per row, then scales both rows in one elementwise
+        pass.  No step raises the largest ratio (M d)_i / d_i.  Only an
+        underflow in d could, so the bound is also held to the plain discs.
+        With a constant diagonal the two weights are equal, and so are their
+        steps, so one row serves both.
         """
-        import scipy.sparse
-
         d = h.diagonal()
-        off = abs(h - scipy.sparse.diags_array(d)).tocsr()
-        radius = off @ np.ones(d.shape[0])
+        off = abs(_minus_diagonal(h, d))
+        radius = _product(off, np.ones(d.shape[0]), np.empty(d.shape[0]))
         shift = cls._DISC_SHIFT * float(radius.max(initial=0.0)) + 1e-12
         weights = np.stack([d - d.min(), d.max() - d]) + shift
         if (weights[0] == weights[1]).all():
             weights = weights[:1]
         v = np.ones(weights.shape)
+        step = np.empty(weights.shape)
         for _ in range(cls._DISC_STEPS):
-            for row, weight in zip(v, weights):
-                step = off @ row + weight * row
-                np.maximum(step / step.max(), np.finfo(float).tiny, out=row)
-        scaled = [(off @ row) / row for row in v]
+            for row, out in zip(v, step):
+                _product(off, row, out)
+            step += weights * v
+            step /= step.max(axis=1, keepdims=True)
+            np.maximum(step, np.finfo(float).tiny, out=v)
+        for row, out in zip(v, step):
+            _product(off, row, out)
+        scaled = step / v
         lo = max(np.min(d - scaled[-1]), np.min(d - radius))
         hi = min(np.max(d + scaled[0]), np.max(d + radius))
         return float(lo), float(hi)
@@ -441,9 +451,11 @@ class ChebyshevEngine:
     def _expand(self, vector: np.ndarray, q: np.ndarray) -> None:
         """Fill the rows of ``q`` with the Chebyshev vectors T_k(Hs) vector, k = 0..order-1."""
         q[0] = vector
-        np.multiply(self._h_twice @ vector, 0.5, out=q[1])
+        _product(self._h_twice, vector, q[1])
+        q[1] *= 0.5
         for k in range(2, self._WINDOW_ORDER):
-            np.subtract(self._h_twice @ q[k - 1], q[k - 2], out=q[k])
+            _product(self._h_twice, q[k - 1], q[k])
+            q[k] -= q[k - 2]
 
     def _work_rows(self, rows: int, width: int) -> np.ndarray:
         """``rows`` rows of ``width`` on the work array, replaced by a larger one once it is freed."""
@@ -478,7 +490,8 @@ class ChebyshevEngine:
         prev, last = self._tails
         rows = self._work_rows(steps, last.shape[0])
         for row in rows:
-            prev, last = last, np.subtract(self._h_twice @ last, prev, out=row)
+            _product(self._h_twice, last, row)
+            prev, last = last, np.subtract(row, prev, out=row)
         if self._classes is not None:
             for rho, cols in zip(self._rho, self._classes):
                 self._state[0, cols] += rho[order:] @ rows[:, cols]
@@ -604,6 +617,59 @@ class ChebyshevEngine:
             for i, form in enumerate(window.forms):
                 out[i, sel] = np.einsum("bsk,bsk->bs", j, j @ form).reshape(-1)[: taus.shape[0]]
         return out
+
+
+@functools.cache
+def _csr_matvec():
+    from scipy.sparse._sparsetools import csr_matvec
+
+    return csr_matvec
+
+
+def _product(h: scipy.sparse.csr_array, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``h @ x`` written into ``out``, a C-contiguous row of dim floats that is not ``x``.
+
+    One call of the kernel that SciPy's own product runs, on a zeroed
+    output, so each row sums the same terms in the same order, to the bit;
+    it skips that product's per-call checks and dispatch, most of a call's
+    cost on blocks of a few hundred states.
+    """
+    out.fill(0.0)
+    _csr_matvec()(h.shape[0], h.shape[1], h.indptr, h.indices, h.data, x, out)
+    return out
+
+
+def _minus_diagonal(h: scipy.sparse.csr_array, shift: np.ndarray) -> scipy.sparse.csr_array:
+    """h - diag(shift) as SciPy's sparse subtraction leaves it, built from h's arrays.
+
+    Each row keeps its columns in ascending order, gains a diagonal entry
+    where h stores none and the shift is nonzero, and loses every entry
+    that comes out 0, so a product sums each row's terms as it would on
+    SciPy's result.  A matrix with unsorted or repeated columns is summed
+    into that form first.
+    """
+    import scipy.sparse
+
+    if not h.has_canonical_format:
+        h = h.copy()
+        h.sum_duplicates()
+    dim, nnz = h.shape[0], h.indptr[-1]
+    indptr, indices, data = h.indptr, h.indices[:nnz], h.data[:nnz]
+    rows = np.repeat(np.arange(dim, dtype=indices.dtype), np.diff(indptr))
+    lack = shift != 0
+    lack[indices[indices == rows]] = False
+    if lack.any():
+        # A missing diagonal goes after the row's columns below it.
+        below = np.concatenate([[0], np.cumsum(indices < rows)])
+        gap = np.flatnonzero(lack)
+        at = indptr[gap] + below[indptr[gap + 1]] - below[indptr[gap]]
+        rows, indices = np.insert(rows, at, gap), np.insert(indices, at, gap)
+        data = np.insert(data, at, 0.0)
+    data = data - np.where(indices == rows, shift[rows], 0.0)
+    keep = data != 0
+    indptr = np.zeros(dim + 1, dtype=indices.dtype)
+    np.cumsum(np.bincount(rows[keep], minlength=dim), out=indptr[1:])
+    return scipy.sparse.csr_array((data[keep], indices[keep], indptr), shape=h.shape)
 
 
 def _pair(h: scipy.sparse.csr_array) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:

@@ -271,49 +271,40 @@ def test_chebyshev_tracks_multiple_observables():
             assert np.array_equal(rows[0], alone.on_grid(ts)[0])
 
 
-class Counting:
-    """Stands in for the engine's 2 Hs and counts its sparse products.
+@pytest.fixture
+def products(monkeypatch):
+    """The vector shapes of the engine's sparse products, one per call of ``dynamics._product``."""
+    taken = []
+    product = dynamics._product
 
-    A reordered copy, which a chiral block takes at its first jump, counts
-    on the same tally; every other attribute is the matrix's.
-    """
+    def counting(h, x, out):
+        taken.append(x.shape)
+        return product(h, x, out)
 
-    def __init__(self, matrix, tally=None):
-        self.matrix, self.products = matrix, 0
-        self.tally = tally if tally is not None else self
-
-    def __matmul__(self, vector):
-        self.tally.products += 1
-        return self.matrix @ vector
-
-    def __getitem__(self, index):
-        return Counting(self.matrix[index], self.tally)
-
-    def __getattr__(self, name):
-        return getattr(self.matrix, name)
+    monkeypatch.setattr(dynamics, "_product", counting)
+    return taken
 
 
-def test_first_chebyshev_window_propagates_only_the_real_part():
+def test_first_chebyshev_window_propagates_only_the_real_part(products):
     # Detuned, so the block is not chiral and runs the general path.
     params = jch(n=2, m=1, beta=0.2, kappa=0.3, omega_a=1.1)
     sparse, h, jz, psi0 = _system(params)
     cheb = ChebyshevEngine(sparse, psi0, [jz])
-    # 2 Hs and the block-diagonal pair that waits for the complex state.
-    counting = cheb._h_twice = Counting(cheb._h_twice)
-    cheb._h_pair = Counting(cheb._h_pair, counting)
+    products.clear()
     order = ChebyshevEngine._WINDOW_ORDER
     jump = ChebyshevEngine._JUMP_ORDER - order
     cheb.extend(0.0)
-    assert (len(cheb._windows), counting.products) == (1, order - 1)
+    assert (len(cheb._windows), len(products)) == (1, order - 1)
     assert cheb._h_twice.shape == (h.shape[0],) * 2
     # The jump from the real state runs one recurrence on; the window at
     # 2 dt expands both parts in one recurrence on [x | y], and its own jump
     # waits for the next window.
     cheb.extend(2.5 * cheb._dt)
-    assert (len(cheb._windows), counting.products) == (2, 2 * (order - 1) + jump)
+    assert (len(cheb._windows), len(products)) == (2, 2 * (order - 1) + jump)
+    assert products == [(h.shape[0],)] * (order - 1 + jump) + [(2 * h.shape[0],)] * (order - 1)
     assert cheb._h_twice.shape == (2 * h.shape[0],) * 2
     cheb.extend(4.5 * cheb._dt)
-    assert (len(cheb._windows), counting.products) == (3, 3 * (order - 1) + 2 * jump)
+    assert (len(cheb._windows), len(products)) == (3, 3 * (order - 1) + 2 * jump)
     assert cheb._classes is None
     ts = np.linspace(0.0, cheb._t_end, 41)
     exact = EigenEngine(diagonalize(h), psi0, [jz])
@@ -335,11 +326,11 @@ def _quench_start(params):
         jch(n=6, m=1, beta=0.05, kappa=0.5, topology=Topology.RING),
     ],
 )
-def test_chiral_windows_run_one_recurrence_and_match_the_eigenbasis(params):
+def test_chiral_windows_run_one_recurrence_and_match_the_eigenbasis(params, products):
     block, psi0 = _quench_start(params)
     exact = EigenEngine(diagonalize(block.h.toarray()), psi0, [block.jz])
     cheb = ChebyshevEngine(block.h, psi0, [block.jz])
-    counting = cheb._h_twice = Counting(cheb._h_twice)
+    products.clear()
     order = ChebyshevEngine._WINDOW_ORDER
     jump = ChebyshevEngine._JUMP_ORDER - order
     dt = cheb._dt
@@ -347,18 +338,18 @@ def test_chiral_windows_run_one_recurrence_and_match_the_eigenbasis(params):
     # the real initial state, the first jump finds the classes, and every
     # later window and jump runs on x + y.
     cheb.extend(0.0)
-    assert (len(cheb._windows), counting.products) == (1, order - 1)
+    assert (len(cheb._windows), len(products)) == (1, order - 1)
     assert cheb._classes is None
     cheb.extend(2.5 * dt)
     assert cheb._classes is not None
-    assert (len(cheb._windows), counting.products) == (2, 2 * (order - 1) + jump)
+    assert (len(cheb._windows), len(products)) == (2, 2 * (order - 1) + jump)
     cheb.extend(4.5 * dt)
-    assert (len(cheb._windows), counting.products) == (3, 3 * (order - 1) + 2 * jump)
+    assert (len(cheb._windows), len(products)) == (3, 3 * (order - 1) + 2 * jump)
     # Both sides of the centers 2 dt and 4 dt.
     offsets = np.array([-1.0, -0.7, -0.3, 0.0, 0.4, 0.9, 1.0])
     ts = np.concatenate([2 * dt + offsets * dt, 4 * dt + offsets * dt])
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
-    assert counting.products == 3 * (order - 1) + 2 * jump
+    assert len(products) == 3 * (order - 1) + 2 * jump
 
 
 @pytest.mark.parametrize(
@@ -622,24 +613,65 @@ def test_scaled_discs_equal_the_column_reference(params):
 
 
 @pytest.mark.parametrize("omega_a, rows", [(1.0, 1), (1.1, 2)])
-def test_equal_disc_weights_iterate_one_row(monkeypatch, omega_a, rows):
+def test_equal_disc_weights_iterate_one_row(products, omega_a, rows):
     # At resonance the line's diagonal is one constant, so both weight rows
     # are equal: one row takes the power steps, and the bounds are the
     # two-row reference's to the bit.  Detuned, both rows run.
     h = build_quench_block(jch(n=6, m=1, beta=0.05, kappa=0.05, omega_a=omega_a)).h
     expected = scaled_discs_by_columns(h, ChebyshevEngine._DISC_STEPS, ChebyshevEngine._DISC_SHIFT)
-    products = []
-    matmul = scipy.sparse.csr_array.__matmul__
-
-    def counting(matrix, vector):
-        products.append(vector.shape)
-        return matmul(matrix, vector)
-
-    monkeypatch.setattr(scipy.sparse.csr_array, "__matmul__", counting)
     assert ChebyshevEngine._scaled_discs(h) == expected
     # The plain radius, the steps and the scaled radius of each row.
     assert len(products) == 1 + rows * (ChebyshevEngine._DISC_STEPS + 1)
     assert set(products) == {(h.shape[0],)}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        jch(n=6, m=1, beta=0.05, kappa=0.5),
+        jch(n=5, m=1, beta=0.05, kappa=0.5, omega_a=1.1),
+        dicke(n=10, m=1, beta=0.5),
+    ],
+)
+def test_direct_products_and_matrices_equal_scipys(params):
+    # The engine calls SciPy's CSR kernel itself and builds 2 Hs and
+    # |offdiag(H)| from H's arrays; both must equal SciPy's product and
+    # arithmetic to the bit.  The resonant line stores a zero diagonal,
+    # which centering on it must drop as SciPy's subtraction does.
+    block, psi0 = _quench_start(params)
+    h, dim = block.h, block.dim
+    cheb = ChebyshevEngine(h, psi0, [block.jz])
+    twice = (h - scipy.sparse.eye_array(dim, format="csr") * cheb._center) * (2.0 / cheb._half)
+    d = h.diagonal()
+    off = abs(h - scipy.sparse.diags_array(d)).tocsr()
+    for got, want in ((cheb._h_twice, twice), (abs(dynamics._minus_diagonal(h, d)), off)):
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    pair = dynamics._pair(twice)[0]
+    xy = np.sin(np.arange(2 * dim) + 0.5) * np.exp(-0.01 * np.arange(2 * dim))
+    for matrix, vector in ((h, xy[:dim]), (twice, xy[:dim]), (pair, xy)):
+        got = dynamics._product(matrix, vector, np.full(vector.shape, np.nan))
+        assert np.array_equal(got, matrix @ vector)
+
+
+def test_minus_diagonal_inserts_missing_diagonals_and_sums_repeats():
+    # Rows 1 and 2 store no diagonal, row 0 an explicit zero, and row 3
+    # lists its columns out of order with a repeat: h - c I must hold
+    # what SciPy's subtraction holds, once SciPy's result is summed into
+    # sorted columns too.
+    data = np.array([0.0, 1.0, 3.0, 1.0, 5.0, 5.0, -1.0, 3.0, -2.0])
+    indices = np.array([0, 1, 3, 0, 2, 1, 3, 0, 3], dtype=np.int32)
+    indptr = np.array([0, 3, 5, 6, 9], dtype=np.int32)
+    h = scipy.sparse.csr_array((data, indices, indptr), shape=(4, 4))
+    for c in (0.0, 0.5, -3.0):
+        want = h - scipy.sparse.eye_array(4, format="csr") * c
+        want.sum_duplicates()
+        got = dynamics._minus_diagonal(h, np.full(4, c))
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    # The caller's matrix keeps its own order.
+    assert h.indices.tolist() == [0, 1, 3, 0, 2, 1, 3, 0, 3]
 
 
 def test_scaled_discs_are_tight_on_a_line_and_cut_the_windows():
@@ -692,7 +724,7 @@ def _short_line_block():
 
 
 @pytest.mark.parametrize("make", [_short_line_block, _dicke_block_with_photons])
-def test_two_sided_windows_match_the_eigenbasis(make):
+def test_two_sided_windows_match_the_eigenbasis(make, products):
     h, start, diags = make()
     psi0 = np.zeros(h.shape[0])
     psi0[start] = 1.0
@@ -711,10 +743,10 @@ def test_two_sided_windows_match_the_eigenbasis(make):
         assert len(cheb._windows) == 1 + math.ceil((t - dt) / (2 * dt))
     # The jump to the next center waits for that window, so no time up to
     # the end of the last one takes a sparse product.
-    counting = cheb._h_twice = Counting(cheb._h_twice)
+    products.clear()
     late = np.linspace(cheb._windows[-1].t0, cheb._t_end, 17)
     assert np.max(np.abs(cheb.on_grid(late) - exact.on_grid(late))) <= 1e-10
-    assert counting.products == 0
+    assert len(products) == 0
 
 
 def test_engines_reject_non_finite_times():
