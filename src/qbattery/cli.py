@@ -49,6 +49,7 @@ from .hamiltonians import CapacityError, Model, ModelParams, Normalization, Topo
 from .sweeps import (
     Scaling,
     SweepRow,
+    _check_cutoffs,
     convergence_check,
     preset_names,
     preset_specs,
@@ -178,10 +179,6 @@ _FLAGS = (
     _Flag("config", None, "JSON file of flag values; flags win on conflict", _ALL),
     _Flag("jobs", None, "accepted and ignored; sweep points run serially", _ALL, {"type": int}),
     _Flag(
-        "literal_eq10", False, "collective model: use the alternative printed matrix convention",
-        _COLLECTIVE, {"action": "store_true"},
-    ),
-    _Flag(
         "timing", False, "include wall-clock timings in the table (breaks byte reproducibility)",
         _SINGLE + ("sweep",), {"action": "store_true"},
     ),
@@ -265,7 +262,6 @@ def _build_params(command: str, merged: dict) -> ModelParams:
         omega_a=merged["omega_a"],
         topology=Topology(merged["topology"]),
         normalization=Normalization(merged["normalization"]),
-        literal_elements=merged["literal_eq10"],
     )
     mults = merged["cutoff_mult"]
     if command == "dicke" and mults is not None:
@@ -314,10 +310,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         preset = _require(merged, "preset", command)
     elif command == "convergence":
         multipliers = merged["cutoff_mult"] or (4, 5)
-        for mult in multipliers:
-            params.with_cutoff(mult)  # refuses a multiplier below 1
-        if len(set(multipliers)) < 2:
-            raise ConfigError("convergence needs at least two distinct cutoff multipliers")
+        _check_cutoffs(params, multipliers, compare=True)
 
     out, series_out, plot_out = merged["out"], merged["series_out"], merged["plot_out"]
     given = [p for p in (out, series_out, plot_out) if p is not None]

@@ -133,12 +133,6 @@ class ModelParams:
     the collective-model photon cutoff, defaulting to ``5 * n * m``.
     ``model``, ``topology`` and ``normalization`` must be members of their
     enums; their string values are refused.
-
-    ``literal_elements`` switches the collective matrix to an alternative
-    printed convention in which the photon energy multiplies the coupling
-    block and the diagonal reads w_c (n + N/2 - q); at the default
-    operating point w_c = w_a = 1 the two conventions agree up to a
-    constant diagonal shift, which leaves the extracted energy unchanged.
     """
 
     model: Model
@@ -152,7 +146,6 @@ class ModelParams:
     topology: Topology = Topology.LINE
     normalization: Normalization = Normalization.SQRT_N
     n_max: int | None = None
-    literal_elements: bool = False
 
     def __post_init__(self) -> None:
         # A string would compare unequal to every member and quietly take
@@ -364,16 +357,10 @@ def _dicke_entries(
     scale = 1.0 / math.sqrt(nsys) if params.normalization is Normalization.SQRT_N else 1.0
     g_rot = params.beta * scale
     g_cnt = params.beta_prime_value * scale
-    if params.literal_elements:
-        g_rot *= params.omega_c
-        g_cnt *= params.omega_c
     j = nsys / 2.0
     jj = j * (j + 1.0)
     mj = j - q
-    if params.literal_elements:
-        diag = params.omega_c * (n + mj)
-    else:
-        diag = params.omega_c * n + params.omega_a * (nsys - q)
+    diag = params.omega_c * n + params.omega_a * (nsys - q)
     key = n * (nsys + 1) + q
     src, dst, vals = [], [], []
     for g, dq, allowed in ((g_rot, -1, q >= 1), (g_cnt, 1, q <= nsys - 1)):

@@ -67,13 +67,30 @@ class NonpositiveValueError(ValueError):
     """A log-log fit needs strictly positive powers and axis values."""
 
 
+def _check_cutoffs(params: ModelParams, multipliers: tuple, compare: bool = False) -> None:
+    """Refuse cutoff multipliers that break the rule, before anything runs.
+
+    Collective model only; each a positive integer (``with_cutoff``), none
+    repeated, and at least two for a comparison (``compare``).
+    """
+    if multipliers and params.model is not Model.DICKE:
+        raise ValueError("cutoff multipliers only apply to the collective model")
+    for mult in multipliers:
+        params.with_cutoff(mult)
+    if len(set(multipliers)) != len(multipliers):
+        raise ValueError("cutoff multipliers must be distinct")
+    if compare and len(multipliers) < 2:
+        raise InsufficientDataError("need at least two cutoff multipliers to compare")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One axis of values swept on top of a base configuration.
 
-    ``cutoff_multipliers`` (collective model only) runs every point at each
+    ``cutoff_multipliers`` (see ``_check_cutoffs``) runs every point at each
     photon cutoff ``mult * n * m``, producing one row per (value, cutoff)
-    and a convergence verdict between the two largest cutoffs.
+    and a convergence verdict between the two largest cutoffs.  The kappa
+    axis and scaling are for chains: the collective model has no hopping.
     """
 
     base: ModelParams
@@ -88,12 +105,10 @@ class SweepSpec:
             raise ValueError("sweep needs at least one axis value")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("axis values must be strictly increasing")
-        if self.cutoff_multipliers and self.base.model is not Model.DICKE:
-            raise ValueError("cutoff multipliers only apply to the collective model")
-        for mult in self.cutoff_multipliers:
-            self.base.with_cutoff(mult)  # refuses a multiplier that is not a positive integer
-        if len(set(self.cutoff_multipliers)) != len(self.cutoff_multipliers):
-            raise ValueError("cutoff multipliers must be distinct")
+        _check_cutoffs(self.base, self.cutoff_multipliers)
+        kappa = self.axis is Axis.KAPPA or self.scaling is Scaling.TIMES_KAPPA
+        if kappa and self.base.model is Model.DICKE:
+            raise ValueError("the collective model has no kappa to sweep or scale by")
         if self.axis in (Axis.N, Axis.M) and any(not float(v).is_integer() for v in self.values):
             raise ValueError(f"{self.axis.name} axis values must be integers")
 
@@ -210,6 +225,11 @@ def _relative_difference(a: float, b: float) -> float:
     return abs(a - b) / denom
 
 
+def _converged(second: float, top: float) -> bool:
+    """The cutoff verdict: p_max at the two largest cutoffs agrees within the threshold."""
+    return bool(_relative_difference(top, second) < CONVERGENCE_THRESHOLD)
+
+
 def run_sweep(spec: SweepSpec, jobs: int | None = None) -> list[SweepRow]:
     """All rows for one sweep spec: by axis value, then cutoff multiplier in spec order.
 
@@ -229,7 +249,7 @@ def run_sweep(spec: SweepSpec, jobs: int | None = None) -> list[SweepRow]:
         second, top = (point[mult] for mult in sorted(point)[-2:])
         if top.error or second.error:
             continue
-        verdict = bool(_relative_difference(top.p_max, second.p_max) < CONVERGENCE_THRESHOLD)
+        verdict = _converged(second.p_max, top.p_max)
         for row in point.values():
             if not row.error:
                 row.cutoff_converged = verdict
@@ -267,16 +287,12 @@ def convergence_check(
 
     Returns ``(converged, max_rel_diff)`` where convergence is judged on
     the two largest cutoffs and ``max_rel_diff`` spans all consecutive
-    pairs.
+    pairs.  The multipliers meet ``_check_cutoffs`` before any run starts.
     """
-    if params.model is not Model.DICKE:
-        raise ValueError("cutoff convergence applies to the collective model")
-    mults = sorted(set(multipliers))
-    if len(mults) < 2:
-        raise InsufficientDataError("need at least two cutoff multipliers to compare")
-    powers = [charge(params.with_cutoff(mult), search).p_max for mult in mults]
+    _check_cutoffs(params, multipliers, compare=True)
+    powers = [charge(params.with_cutoff(mult), search).p_max for mult in sorted(multipliers)]
     diffs = [_relative_difference(a, b) for a, b in zip(powers[1:], powers[:-1])]
-    return bool(diffs[-1] < CONVERGENCE_THRESHOLD), float(max(diffs))
+    return _converged(powers[-2], powers[-1]), float(max(diffs))
 
 
 # ---------------------------------------------------------------------------

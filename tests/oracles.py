@@ -18,6 +18,8 @@ None of them builds the way the package does:
 * ``Y_STAR`` and ``C2`` are the same for E = (1 - J0(y)) / 2: its
   argument, the root of y J1(y) = 1 - J0(y), and twice its value,
   2 max (1 - J0(y)) / y.
+* ``driven_limit`` is the crossover between them, G(b): one two-level
+  system driven by a classical field, averaged over the field's phase.
 """
 
 import math
@@ -54,6 +56,39 @@ C1 = math.sin(X_STAR) ** 2 / X_STAR
 # tau beta sqrt(m) = Y_STAR / 4.
 Y_STAR = brentq(lambda y: y * j1(y) - (1.0 - j0(y)), 2.0, 3.5, xtol=1e-15)
 C2 = 2.0 * (1.0 - j0(Y_STAR)) / Y_STAR
+
+
+def driven_limit(b, phases=64, dt=1e-3):
+    """G(b) and b tau: the large-m limit p_max -> N beta sqrt(m) G(beta sqrt(m)) at w_c = w_a = 1.
+
+    N*m photons drive each two-level system like the classical field
+    2 b cos(t + phi) sigma_x, with b = beta sqrt(m) and the phase phi of a
+    Fock state, uniform.  G(b) = max_t <P_e(t)> / (b t), with the excited
+    population averaged over phi on a midpoint rule (exact for a smooth
+    periodic integrand well before 64 points).  Each step of dt is the
+    exact 2x2 exponential of H at the step's midpoint, and a parabola
+    through the best sample and its neighbours refines the maximum.
+    G tends to C1 as b -> 0 and to C2 as b -> infinity.
+    """
+    phi = 2.0 * math.pi * (np.arange(phases) + 0.5) / phases
+    steps = math.ceil(2.0 / (b * dt))  # b t up to 2, past both limits' argmax
+    ground = np.ones(phases, dtype=complex)
+    excited = np.zeros(phases, dtype=complex)
+    quotient = np.zeros(steps + 1)
+    for k in range(steps):
+        # H = [[0, v], [v, 1]] = I/2 + v sigma_x - sigma_z/2, up to the phase of I/2.
+        v = 2.0 * b * np.cos((k + 0.5) * dt + phi)
+        r = np.sqrt(v * v + 0.25)
+        c, s = np.cos(r * dt), -1j * np.sin(r * dt) / r
+        ground, excited = (
+            c * ground + s * (v * excited - 0.5 * ground),
+            c * excited + s * (v * ground + 0.5 * excited),
+        )
+        quotient[k + 1] = np.mean(np.abs(excited) ** 2) / (b * dt * (k + 1))
+    k = int(np.argmax(quotient))
+    lo, mid, hi = quotient[k - 1 : k + 2]
+    shift = 0.5 * (lo - hi) / (lo - 2.0 * mid + hi)
+    return float(mid - 0.25 * (lo - hi) * shift), b * dt * (k + shift)
 
 
 def bonds(params):
@@ -160,17 +195,11 @@ def reference_dense(params, basis):
         scale = 1.0 / math.sqrt(nsys) if params.normalization is Normalization.SQRT_N else 1.0
         g_rot = params.beta * scale
         g_cnt = params.beta_prime_value * scale
-        if params.literal_elements:
-            g_rot *= params.omega_c
-            g_cnt *= params.omega_c
         j = nsys / 2.0
         jj = j * (j + 1.0)
         for i, (n, q) in enumerate(zip(basis.n.tolist(), basis.q.tolist())):
             mj = j - q
-            if params.literal_elements:
-                h[i, i] = params.omega_c * (n + mj)
-            else:
-                h[i, i] = params.omega_c * n + params.omega_a * (nsys - q)
+            h[i, i] = params.omega_c * n + params.omega_a * (nsys - q)
             if n > 0 and g_rot != 0.0 and q >= 1:
                 h[basis.rows[n - 1, q - 1], i] += g_rot * math.sqrt(n * (jj - mj * (mj + 1.0)))
             if n > 0 and g_cnt != 0.0 and q <= nsys - 1:

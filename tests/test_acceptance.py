@@ -1,10 +1,10 @@
 """End-to-end acceptance suite.
 
-Twelve checks covering closed-form equivalence, scaling laws, conservation,
-an independent integrator oracle, two large-m limits, and byte-level
-determinism.  Each test carries an explicit wall-clock budget and prints
-one summary line when it passes (visible with ``pytest -s``); the pytest
-verdict itself is the pass/fail record.
+Thirteen checks covering closed-form equivalence, scaling laws, conservation,
+an independent integrator oracle, two large-m limits and the crossover
+between them, and byte-level determinism.  Each test carries an explicit
+wall-clock budget and prints one summary line when it passes (visible with
+``pytest -s``); the pytest verdict itself is the pass/fail record.
 """
 
 import math
@@ -42,6 +42,7 @@ from oracles import (
     Y_STAR,
     chain_sector,
     dicke_ladder,
+    driven_limit,
     flat_index,
     full_quench,
     operator_chain,
@@ -375,7 +376,7 @@ SMALL_CONFIGS = (
     dicke(n=1, m=1, beta=0.5, n_max=14),
     dicke(n=2, m=1, beta=0.5, beta_prime=0.0, n_max=9),
     dicke(n=2, m=1, beta=0.3, beta_prime=0.7, n_max=9, normalization=Normalization.NONE),
-    dicke(n=3, m=1, beta=0.5, n_max=7, literal_elements=True),
+    dicke(n=3, m=1, beta=0.5, n_max=7, omega_a=1.3),
 )
 
 
@@ -507,3 +508,23 @@ def test_12_deep_strong_coupling_approaches_its_large_m_limit():
     assert C2 == pytest.approx(0.8466563, abs=1e-7)
     assert Y_STAR / 4.0 == pytest.approx(0.6895652, abs=1e-7)
     finish(12, t0, 10.0, f"largest p_max / (N beta sqrt(m) c2) - 1 = {worst:.2e}")
+
+
+# ---------------------------------------------------------------------------
+# 13. Between the two limits, the full model follows the driven system's G(b).
+
+
+@pytest.mark.slow
+def test_13_full_model_follows_the_crossover_between_c1_and_c2():
+    # At beta sqrt(m) = 0.5 neither limit holds: the classically driven
+    # system gives G / c1 = 0.9566 at tau beta sqrt(m) = 0.6068, and N = 10
+    # at m = 100 (27,506 states, Chebyshev) gave 0.9569 and 0.6067.
+    t0 = time.perf_counter()
+    n, m, beta = 10, 100, 0.05
+    scale = beta * math.sqrt(m)
+    g, x = driven_limit(scale)
+    result = charge(dicke(n=n, m=m, beta=beta))
+    ratio = result.p_max / (n * scale) / C1
+    assert abs(ratio - g / C1) < 1e-3, f"p_max / (N beta sqrt(m) c1) = {ratio}, G / c1 = {g / C1}"
+    assert abs(result.tau * scale - x) < 1e-3, f"tau beta sqrt(m) = {result.tau * scale}, G's {x}"
+    finish(13, t0, 60.0, f"ratio {ratio:.4f} against G/c1 {g / C1:.4f}")

@@ -586,14 +586,6 @@ def test_dense_and_sparse_engines_agree_on_power(force_engine):
     assert r1.tau == pytest.approx(r2.tau, rel=1e-6)
 
 
-def test_literal_matrix_convention_leaves_energy_unchanged():
-    ts = np.linspace(0.5, 40.0, 80)
-    base = dict(n=2, m=1, beta=0.5, beta_prime=0.2, n_max=10)
-    physical = energy_series(dicke(**base), ts)[:, 1]
-    literal = energy_series(dicke(**base, literal_elements=True), ts)[:, 1]
-    assert np.max(np.abs(physical - literal)) <= 1e-10
-
-
 def test_energy_series_validation(force_engine):
     params = jch(n=1, m=1, beta=0.05)
     with pytest.raises(ValueError):

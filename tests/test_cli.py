@@ -21,7 +21,14 @@ from qbattery.cli import (
     write_table,
 )
 from qbattery.hamiltonians import Model, ModelParams, Topology
-from qbattery.sweeps import Axis, SweepRow, SweepSpec, preset_names, preset_specs
+from qbattery.sweeps import (
+    Axis,
+    SweepRow,
+    SweepSpec,
+    convergence_check,
+    preset_names,
+    preset_specs,
+)
 
 
 def row_template(**overrides):
@@ -138,20 +145,17 @@ def test_sweep_preset_override_notice(tmp_path, capsys):
 _PARSED = [
     "--n", "--m", "--beta", "--beta-prime", "--kappa", "--omega-c", "--omega-a", "--topology",
     "--normalization", "--cutoff-mult", "--t-max", "--samples", "--rel-tol", "--out",
-    "--series-out", "--plot-out", "--config", "--jobs", "--literal-eq10", "--timing", "--delta",
-    "--preset",
+    "--series-out", "--plot-out", "--config", "--jobs", "--timing", "--delta", "--preset",
 ]
 PARSER_FLAGS = {command: _PARSED for command in ("jch", "dicke", "rabi", "sweep", "convergence")}
 IGNORED = {
-    "jch": {"--beta-prime", "--normalization", "--cutoff-mult", "--literal-eq10", "--delta",
-            "--preset"},
+    "jch": {"--beta-prime", "--normalization", "--cutoff-mult", "--delta", "--preset"},
     "dicke": {"--kappa", "--topology", "--delta", "--preset"},
     "rabi": {"--n", "--beta-prime", "--kappa", "--omega-c", "--omega-a", "--topology",
-             "--normalization", "--cutoff-mult", "--rel-tol", "--out", "--literal-eq10",
-             "--timing", "--preset"},
+             "--normalization", "--cutoff-mult", "--rel-tol", "--out", "--timing", "--preset"},
     "sweep": {"--n", "--m", "--beta", "--beta-prime", "--kappa", "--omega-c", "--omega-a",
               "--topology", "--normalization", "--cutoff-mult", "--t-max", "--samples",
-              "--rel-tol", "--series-out", "--literal-eq10", "--delta"},
+              "--rel-tol", "--series-out", "--delta"},
     "convergence": {"--kappa", "--topology", "--out", "--series-out", "--plot-out", "--timing",
                     "--delta", "--preset"},
 }
@@ -174,8 +178,7 @@ def test_each_command_names_every_value_it_ignores(tmp_path, capsys):
         "n": 3, "m": 2, "beta": 0.05, "beta_prime": "0.3", "kappa": 0.1, "omega_c": 1.1,
         "omega_a": 1.2, "topology": "ring", "normalization": "none", "t_max": 10.0,
         "samples": 64, "rel_tol": 1e-3, "out": "a.csv", "series_out": "b.csv",
-        "plot_out": "c.gp", "jobs": 2, "literal_eq10": True, "timing": True, "delta": 0.2,
-        "preset": "fig2",
+        "plot_out": "c.gp", "jobs": 2, "timing": True, "delta": 0.2, "preset": "fig2",
     }
     assert set(values) | {"cutoff_mult", "config"} == {f.name for f in cli._FLAGS}
     for command, ignored in IGNORED.items():
@@ -223,8 +226,8 @@ _REFUSED = {
     "--n": "0", "--m": "0", "--beta": "nan", "--beta-prime": "-1", "--kappa": "-1",
     "--omega-c": "0", "--omega-a": "0", "--topology": "ring", "--normalization": "none",
     "--cutoff-mult": "0", "--t-max": "-1", "--samples": "2", "--rel-tol": "0",
-    "--out": "p.csv", "--series-out": "p.csv", "--plot-out": "p.csv", "--literal-eq10": None,
-    "--timing": None, "--delta": "0.1", "--preset": "fig2",
+    "--out": "p.csv", "--series-out": "p.csv", "--plot-out": "p.csv", "--timing": None,
+    "--delta": "0.1", "--preset": "fig2",
 }
 
 
@@ -272,9 +275,8 @@ def test_config_file_rejections(tmp_path):
         parse_run(["jch", "--n", "2", "--beta", "0.05", "--config", str(tmp_path / "absent.json")])
     # Each value meets its flag's rule: none is rounded, coerced to a bool or dropped.
     for i, values in enumerate((
-        {"normalization": "bogus"}, {"samples": "many"}, {"m": 0},
-        {"timing": "false"}, {"literal_eq10": "false"}, {"n": 2.7},
-        {"samples": 512.9}, {"cutoff_mult": [4.7]}, {"m": True},
+        {"normalization": "bogus"}, {"samples": "many"}, {"m": 0}, {"timing": "false"},
+        {"n": 2.7}, {"samples": 512.9}, {"cutoff_mult": [4.7]}, {"m": True},
         {"kappa": False}, {"out": False},
     )):
         bad_value = tmp_path / f"d{i}.json"
@@ -283,9 +285,9 @@ def test_config_file_rejections(tmp_path):
             parse_run(["dicke", "--beta", "0.5", "--config", str(bad_value)])
     # A switch alone takes false.
     switches_off = tmp_path / "e.json"
-    switches_off.write_text(json.dumps({"n": 2, "timing": False, "literal_eq10": False}))
+    switches_off.write_text(json.dumps({"n": 2, "timing": False}))
     run = parse_run(["dicke", "--beta", "0.5", "--config", str(switches_off)])
-    assert run.timing is False and run.params.literal_elements is False
+    assert run.timing is False
 
 
 @pytest.mark.parametrize(
@@ -295,8 +297,8 @@ def test_config_file_rejections(tmp_path):
          "--m", "2", "--omega-a", "1.3", "--t-max", "200", "--samples", "512",
          "--rel-tol", "1e-8", "--jobs", "2", "--timing"],
         ["dicke", "--n", "6", "--beta", "0.5", "--beta-prime", "0.3",
-         "--normalization", "none", "--cutoff-mult", "4", "--literal-eq10",
-         "--out", "table.csv", "--series-out", "series.csv"],
+         "--normalization", "none", "--cutoff-mult", "4", "--out", "table.csv",
+         "--series-out", "series.csv"],
         ["rabi", "--beta", "0.1", "--delta", "0.2", "--m", "3"],
         ["convergence", "--n", "4", "--beta", "0.5", "--cutoff-mult", "3,5"],
     ],
@@ -540,6 +542,33 @@ def test_state_cap_is_no_option(tmp_path, capsys, cap_states):
     cap_states(104)
     assert main(["convergence", "--n", "4", "--beta", "0.5"]) == 1
     assert "cap of 104 set by physical memory" in capsys.readouterr().err
+
+
+def test_one_collective_matrix_convention(tmp_path, capsys):
+    # The collective model has one Hamiltonian: no flag or config key picks another.
+    with pytest.raises(SystemExit) as err:
+        main(["dicke", "--n", "2", "--beta", "0.5", "--literal-eq10"])
+    assert err.value.code == 2 and "--literal-eq10" in capsys.readouterr().err
+    cfg = tmp_path / "literal.json"
+    cfg.write_text(json.dumps({"literal_eq10": True}))
+    assert main(["dicke", "--n", "2", "--beta", "0.5", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'literal_eq10'\n"
+
+
+@pytest.mark.parametrize("mults", [(4, 4), (0, 5), (5,)])
+def test_cutoff_rule_reads_the_same_everywhere(mults, capsys):
+    # The sweep, the library comparison and the command refuse bad
+    # multipliers with one message; a sweep alone may take a single cutoff.
+    params = ModelParams(model=Model.DICKE, n=2, beta=0.5)
+    with pytest.raises(ValueError) as refused:
+        convergence_check(params, multipliers=mults)
+    message = str(refused.value)
+    if len(mults) > 1:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(base=params, axis=Axis.N, values=(2,), cutoff_multipliers=mults)
+    argv = ["convergence", "--n", "2", "--beta", "0.5", "--cutoff-mult"]
+    assert main(argv + [",".join(map(str, mults))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_readme_flags_match_the_flag_table():

@@ -207,17 +207,6 @@ def test_truncation_drops_elements_above_cutoff():
     assert np.array_equal(small, large[:12, :12])
 
 
-def test_literal_convention_is_constant_diagonal_shift_at_unit_energies():
-    physical = dense(dicke(n=3, m=1, beta=0.4, beta_prime=0.2, n_max=6))
-    literal = dense(dicke(n=3, m=1, beta=0.4, beta_prime=0.2, n_max=6, literal_elements=True))
-    diff = physical - literal
-    off = diff - np.diag(np.diag(diff))
-    assert np.max(np.abs(off)) == 0.0
-    shifts = np.diag(diff)
-    assert np.allclose(shifts, shifts[0])
-    assert shifts[0] == pytest.approx(3 / 2)  # half the two-level count
-
-
 # ---------------------------------------------------------------------------
 # Shared structure.
 
@@ -406,7 +395,7 @@ def reached_rows(h, start):
         (dicke(n=4, m=2, beta=0.5, beta_prime=0.3, n_max=8), 23),  # n_max = N*m
         (dicke(n=1, m=1, beta=0.5), 6),  # one system: the parity halves 12
         (dicke(n=4, m=2, beta=0.5, beta_prime=0.3, n_max=9), 25),  # n_max = N*m + 1
-        (dicke(n=3, m=2, beta=0.5, beta_prime=0.2, literal_elements=True), 62),
+        (dicke(n=3, m=2, beta=0.5, beta_prime=0.2), 62),  # odd N, m = 2, default cutoff
         (dicke(n=5, m=1, beta=0.5, normalization=Normalization.NONE), 78),
         (dicke(n=6, m=1, beta=0.05, beta_prime=2.0), 109),  # counter-rotating dominant
     ],

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qbattery.battery import SearchConfig, SearchNotice
+from qbattery.battery import QuenchSystem, SearchConfig, SearchNotice
 from qbattery.hamiltonians import CapacityError, Model, ModelParams, Topology
 from qbattery.sweeps import (
     Axis,
@@ -103,6 +103,16 @@ def test_spec_validation():
         SweepSpec(base=base, axis=Axis.N, values=(2.5, 3))
     with pytest.raises(ValueError):
         SweepSpec(base=base, axis=Axis.M, values=(1, 1.5))
+    # The collective model reads no kappa: neither its axis nor its scaling.
+    with pytest.raises(ValueError, match="kappa"):
+        SweepSpec(base=dicke(n=2, m=1, beta=0.5), axis=Axis.KAPPA, values=(0.1, 0.2))
+    with pytest.raises(ValueError, match="kappa"):
+        SweepSpec(
+            base=dicke(n=2, m=1, beta=0.5),
+            axis=Axis.N,
+            values=(2, 3),
+            scaling=Scaling.TIMES_KAPPA,
+        )
     # Integral floats are fine on the integer axes, any float on the others.
     SweepSpec(base=base, axis=Axis.N, values=(2.0, 3.0))
     SweepSpec(base=base, axis=Axis.KAPPA, values=(0.5, 1.5))
@@ -279,6 +289,19 @@ def test_convergence_check_input_validation():
         convergence_check(dicke(n=2, m=1, beta=0.5), multipliers=(4,))
     with pytest.raises(ValueError):
         convergence_check(jch(n=2, m=1, beta=0.5))
+
+
+def test_convergence_check_refuses_bad_multipliers_before_any_run(monkeypatch):
+    def build(self, params):
+        raise AssertionError(f"built a quench at n_max={params.n_max} before the rule was met")
+
+    monkeypatch.setattr(QuenchSystem, "__init__", build)
+    params = dicke(n=8, m=1, beta=0.5)
+    with pytest.raises(ValueError, match="integer"):
+        convergence_check(params, multipliers=(4, 4.5))
+    # A repeat is refused, not dropped.
+    with pytest.raises(ValueError, match="distinct"):
+        convergence_check(params, multipliers=(4, 4, 5))
 
 
 # ---------------------------------------------------------------------------
