@@ -36,7 +36,9 @@ changing H, the quench state or the stored energy, so a chain's quench
 never leaves the span of the normalized orbit sums.  The chain's block is
 H on the orbit sums the quench reaches: a breadth-first walk from the
 quench state that tells orbits apart by a canonical key, the smallest key
-of their states.
+of their states.  The walk depends only on N, m, the topology and which
+couplings are on, so ``_chain_walk`` keeps it for the next point of the
+same structure, which computes only the values of H.
 
 The collective ladder holds photon numbers 0..n_max and q = 0..N systems
 in the ground state, row ``n * (N + 1) + q``.  The ladder's block is built
@@ -60,6 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -132,7 +135,10 @@ class ModelParams:
     ground state.  ``beta_prime=None`` means "same as beta".  ``n_max`` is
     the collective-model photon cutoff, defaulting to ``5 * n * m``.
     ``model``, ``topology`` and ``normalization`` must be members of their
-    enums; their string values are refused.
+    enums; their string values are refused.  So is a field the model never
+    reads: ``kappa`` other than 0 or ``topology`` other than ``LINE`` for
+    the collective model, and ``beta_prime``, ``n_max`` or a
+    ``normalization`` other than ``SQRT_N`` for a chain.
     """
 
     model: Model
@@ -171,6 +177,18 @@ class ModelParams:
             raise ValueError("mode and two-level energies must be finite and positive")
         if self.n_max is not None and self.n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
+        # A field the model never reads would be ignored without a word.
+        if self.model is Model.DICKE:
+            unread = {"kappa": self.kappa != 0.0, "topology": self.topology is not Topology.LINE}
+        else:
+            unread = {
+                "beta_prime": self.beta_prime is not None,
+                "n_max": self.n_max is not None,
+                "normalization": self.normalization is not Normalization.SQRT_N,
+            }
+        named = [name for name, given in unread.items() if given]
+        if named:
+            raise ValueError(f"the {self.model.value} model never reads {', '.join(named)}")
 
     @property
     def delta(self) -> float:
@@ -252,7 +270,7 @@ def _jch_moves(params: ModelParams):
     Modes 0..N-1 are the cavities' photon numbers and N..2N-1 their
     two-level systems.  A move takes one quantum from its source mode to its
     target mode, with matrix element ``coef * sqrt(x_source) *
-    sqrt(x_target + 1)`` (``_jch_amplitudes``).  The photon-removing half of
+    sqrt(x_target + 1)`` (``_chain_block``).  The photon-removing half of
     each Hermitian pair comes first: cavity c to its own two-level system,
     and cavity a to cavity b along each bond (a, b).  The reverse of each
     move follows, in the same order, so that every neighbour of a state is
@@ -293,21 +311,6 @@ def _jch_apply(moves, modes: np.ndarray, rows: np.ndarray, terms: np.ndarray) ->
     states[k, source[terms]] -= 1
     states[k, target[terms]] += 1
     return states
-
-
-def _jch_amplitudes(moves, modes: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Matrix element of move ``terms[i]`` out of state ``modes[rows[i]]``."""
-    source, target, coef = moves
-    return (
-        coef[terms]
-        * np.sqrt(modes[rows, source[terms]])
-        * np.sqrt(modes[rows, target[terms]] + 1)
-    )
-
-
-def _jch_diagonal(params: ModelParams, modes: np.ndarray) -> np.ndarray:
-    n = params.n
-    return params.omega_c * modes[:, :n].sum(axis=1) + params.omega_a * modes[:, n:].sum(axis=1)
 
 
 def _check_cap(what: str, dim: int) -> None:
@@ -538,6 +541,114 @@ def build_quench_block(params: ModelParams) -> QuenchBlock:
 
 
 def _chain_block(params: ModelParams) -> QuenchBlock:
+    """H of a chain's quench on the orbits of its walk (``_chain_walk``).
+
+    The walk fixes the entries; this point's beta, kappa, w_c and w_a give
+    their values, summed as one walk summed them: each orbit's diagonal,
+    then the move amplitudes, into each (row, col) pair by ``np.bincount``,
+    times the pair's orbit-size factor.
+    """
+    walk = _chain_walk(params)
+    jz = params.omega_a * walk.spins
+    # Every state holds n*m excitations, so dropping w_c*n*m from the diagonal
+    # changes only a global phase; it keeps the eigenvalues, and so their
+    # rounding, of the size of the couplings.
+    diagonal = params.omega_c * walk.photons + jz - params.omega_c * params.n * params.m
+    amplitudes = _jch_moves(params)[2][walk.terms] * walk.root_source * walk.root_target
+    h_low = np.bincount(walk.pairs, weights=np.r_[diagonal, amplitudes]) * walk.factor
+    return QuenchBlock(
+        sizes=walk.sizes,
+        rows=walk.rows,
+        cols=walk.cols,
+        values=h_low[walk.mirror],
+        jz=jz,
+        start=walk.start,
+        sector_dim=walk.sector_dim,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _Walk:
+    """What a chain's walk finds: everything of its block but the values of H.
+
+    Per orbit, in key order: ``sizes``, and the ``photons`` and excited
+    two-level systems (``spins``) that each of its states holds.  Per kept
+    move out of an orbit's representative: its term in ``_jch_moves``, and
+    sqrt of the quanta in its source mode and of one more than those in its
+    target mode.  ``pairs`` gives each orbit's diagonal, then each kept
+    move, its (row, col) pair; ``factor`` is each pair's sqrt(|col| /
+    |row|), and ``mirror`` lists the pairs, then the off-diagonal ones
+    again, in the order of the block's ``rows`` and ``cols``.  Its arrays
+    refuse writes, since the blocks of every point of one structure share
+    them.
+    """
+
+    sizes: np.ndarray
+    photons: np.ndarray
+    spins: np.ndarray
+    terms: np.ndarray
+    root_source: np.ndarray
+    root_target: np.ndarray
+    pairs: np.ndarray
+    factor: np.ndarray
+    mirror: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    start: int
+    sector_dim: int
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.sizes.shape[0]
+
+
+# Walks by what they depend on, least recently used first (``_chain_walk``).
+_walks: dict[tuple, _Walk] = {}
+_walks_lock = threading.Lock()
+
+
+def _chain_walk(params: ModelParams) -> _Walk:
+    """The walk of a chain's quench, from the cache when one of the same structure was kept.
+
+    A walk depends only on N, m, the topology and which of kappa and beta
+    are nonzero, its key.  A walk of at most ``state_cap() // 8`` orbits is
+    kept, and the least recently used are dropped while the kept walks'
+    orbits sum past that bound.  A kept walk still raises ``CapacityError``
+    when it holds more orbits than ``state_cap()``.
+    """
+    key = (params.n, params.m, params.topology, params.kappa != 0.0, params.beta != 0.0)
+    cap = state_cap()
+    with _walks_lock:
+        walk = _walks.pop(key, None)
+    if walk is None:
+        walk = _walk(params, cap)
+    else:
+        _check_orbits(params, walk.dim, cap)
+    bound = cap // 8
+    if walk.dim <= bound:
+        with _walks_lock:
+            _walks[key] = walk
+            held = sum(kept.dim for kept in _walks.values())
+            while held > bound:
+                held -= _walks.pop(next(iter(_walks))).dim
+    return walk
+
+
+def _check_orbits(params: ModelParams, found: int, cap: int) -> None:
+    """``CapacityError`` when a chain's quench reaches more than ``cap`` orbits."""
+    if found > cap:
+        raise CapacityError(
+            f"the quench of N={params.n}, m={params.m} reaches more orbits than the cap of "
+            f"{cap} set by physical memory"
+        )
+
+
+def _walk(params: ModelParams, cap: int) -> _Walk:
     """Walk a chain's orbits breadth-first from the quench state.
 
     Each level applies every move (``_jch_moves``) to the orbits
@@ -551,11 +662,10 @@ def _chain_block(params: ModelParams) -> QuenchBlock:
     summed from the moves out of r_o.  Each pair is summed once, from the
     orbit the walk found first, and mirrored, so h is bitwise symmetric.
     Raises ``CapacityError`` before walking when the state keys would not
-    fit in int64, and as soon as more than ``state_cap()`` orbits are found.
+    fit in int64, and as soon as more than ``cap`` orbits are found.
     """
     n = params.n
     orbits = _Orbits(params, _key_base(n, params.m if params.kappa == 0.0 else n * params.m))
-    cap = state_cap()
     moves = _jch_moves(params)
     # How each move changes the features, one column per move.
     shift = (orbits.features[moves[1]] - orbits.features[moves[0]]).T
@@ -596,36 +706,33 @@ def _chain_block(params: ModelParams) -> QuenchBlock:
         level_keys.append(uniq[new])
         before, level = level, (uniq[new], found)
         found += new.shape[0]
-        if found > cap:
-            raise CapacityError(
-                f"the quench of N={n}, m={params.m} reaches more orbits than the cap of "
-                f"{cap} set by physical memory"
-            )
+        _check_orbits(params, found, cap)
     modes = np.concatenate(levels)
     src, terms = np.concatenate(src), np.concatenate(terms)
-    # Every state holds n*m excitations, so dropping w_c*n*m from the diagonal
-    # changes only a global phase; it keeps the eigenvalues, and so their
-    # rounding, of the size of the couplings.
-    diagonal = _jch_diagonal(params, modes) - params.omega_c * n * params.m
-    values = np.r_[diagonal, _jch_amplitudes(moves, modes, src, terms)]
     diag = np.arange(found)
     pairs = np.r_[diag, np.concatenate(dst)] * found + np.r_[diag, src]
     pairs, inverse = np.unique(pairs, return_inverse=True)
     row, col = np.divmod(pairs, found)
     sizes = orbits.sizes(np.concatenate(level_feats, axis=1))
-    h_low = np.bincount(inverse, weights=values) * np.sqrt((sizes[col] / sizes[row]).astype(float))
-    # Number the orbits in key order.
+    # Number the orbits in key order.  Each pair takes one orbit's diagonal,
+    # so the diagonals may be reordered without changing any sum.
     order = np.argsort(np.concatenate(level_keys))
     number = np.empty(found, dtype=np.int64)
     number[order] = diag
-    row, col = number[row], number[col]
-    off = row != col
-    return QuenchBlock(
+    row_key, col_key = number[row], number[col]
+    off = row_key != col_key
+    return _Walk(
         sizes=sizes[order],
-        rows=np.r_[row, col[off]],
-        cols=np.r_[col, row[off]],
-        values=np.r_[h_low, h_low[off]],
-        jz=params.omega_a * modes[order, n:].sum(axis=1),
+        photons=modes[order, :n].sum(axis=1),
+        spins=modes[order, n:].sum(axis=1),
+        terms=terms,
+        root_source=np.sqrt(modes[src, moves[0][terms]]),
+        root_target=np.sqrt(modes[src, moves[1][terms]] + 1),
+        pairs=np.r_[inverse[order], inverse[found:]],
+        factor=np.sqrt((sizes[col] / sizes[row]).astype(float)),
+        mirror=np.r_[np.arange(pairs.shape[0]), np.flatnonzero(off)],
+        rows=np.r_[row_key, col_key[off]],
+        cols=np.r_[col_key, row_key[off]],
         start=int(number[0]),
         sector_dim=jch_sector_dim(n, params.m),
     )

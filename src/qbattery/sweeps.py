@@ -1,8 +1,11 @@
 """Parameter sweeps over system size, photon filling, hopping, and coupling.
 
-Each sweep point is an independent pure computation (build the
-Hamiltonian block the quench reaches, evolve, extract the power
-maximum).  Points run one after the other in specification order: side
+Each sweep point builds the Hamiltonian block the quench reaches,
+evolves it and extracts the power maximum.  Chain points of one
+structure (N, m, topology, and which of kappa and beta are nonzero)
+share one orbit walk, which the first of them makes and the cache in
+``hamiltonians`` keeps; each point still gives the row it would give
+alone.  Points run one after the other in specification order: side
 by side they would compete for the cores with the BLAS threads inside
 each point.  A failing point is recorded in its row rather than aborting
 the sweep.

@@ -2,12 +2,16 @@
 
 import itertools
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qbattery import hamiltonians
 from qbattery.hamiltonians import (
+    CapacityError,
     MissingStateError,
     Model,
     ModelParams,
@@ -18,6 +22,7 @@ from qbattery.hamiltonians import (
     build_quench_block,
     jch_sector_dim,
 )
+from qbattery.sweeps import preset_specs, run_sweep
 
 from oracles import chain_sector, dicke_ladder, flat_index, operator_chain, reference_dense
 
@@ -481,6 +486,30 @@ def test_params_refuse_a_normalization_given_as_a_string():
 
 
 @pytest.mark.parametrize(
+    "model, field, value, default",
+    [
+        (Model.DICKE, "kappa", 0.5, 0.0),
+        (Model.DICKE, "topology", Topology.RING, Topology.LINE),
+        (Model.JCH, "beta_prime", 0.3, None),
+        (Model.JCH, "n_max", 1, None),
+        (Model.JCH, "normalization", Normalization.NONE, Normalization.SQRT_N),
+    ],
+)
+def test_params_refuse_a_field_the_model_never_reads(model, field, value, default):
+    # Ignored without a word, the field would leave the result as without it.
+    with pytest.raises(ValueError, match=f"the {model.value} model never reads {field}$"):
+        ModelParams(model=model, n=2, beta=0.05, **{field: value})
+    ModelParams(model=model, n=2, beta=0.05, **{field: default})
+
+
+def test_params_name_every_field_the_model_never_reads():
+    with pytest.raises(ValueError, match="never reads kappa, topology$"):
+        dicke(n=3, beta=0.5, kappa=0.7, topology=Topology.RING)
+    with pytest.raises(ValueError, match="never reads n_max$"):
+        jch(n=2, beta=0.05).with_cutoff(4)
+
+
+@pytest.mark.parametrize(
     "params",
     [
         jch(n=4, m=2, beta=0.05, kappa=0.2),
@@ -496,3 +525,146 @@ def test_quench_row_stores_no_energy(params):
     block = build_quench_block(params)
     assert block.jz[block.start] == 0.0
     assert block.jz.min() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The walk cache: the points of one chain structure share one walk.
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Run the test on an empty walk cache; returns the params of each walk it makes."""
+    monkeypatch.setattr(hamiltonians, "_walks", {})
+    made = []
+    walk = hamiltonians._walk
+
+    def counting(params, cap):
+        made.append(params)
+        return walk(params, cap)
+
+    monkeypatch.setattr(hamiltonians, "_walk", counting)
+    return made
+
+
+def block_fields(block):
+    """Every field of a block, arrays as their dtype and bytes (orbit sizes as integers)."""
+    out = [block.start, block.sector_dim]
+    for name in ("sizes", "rows", "cols", "values", "jz"):
+        a = getattr(block, name)
+        out += [a.dtype, a.tolist() if a.dtype == object else a.tobytes()]
+    return out
+
+
+FIG4_KAPPAS = tuple(np.geomspace(0.005, 1.0, 13))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [jch(n=n, beta=0.05, kappa=kappa) for n in (2, 3) for kappa in FIG4_KAPPAS]
+    + [jch(n=n, beta=0.05, kappa=kappa) for n in range(2, 7) for kappa in (0.05, 0.5)]
+    + [jch(n=3, m=2, beta=beta, kappa=0.1) for beta in (0.02, 0.3, 1.5)]
+    + [
+        jch(n=5, m=1, beta=0.05, kappa=0.1, topology=Topology.RING),
+        jch(n=4, m=2, beta=0.05, kappa=0.3, topology=Topology.ALL_TO_ALL),
+        jch(n=4, m=1, beta=0.05, kappa=0.2, omega_a=1.3),
+        jch(n=3, m=2, beta=0.05, omega_c=0.9, omega_a=1.4),
+    ],
+)
+def test_a_cached_walk_gives_the_block_of_a_fresh_one(walks, params):
+    # Another point of the same structure walks first; this one reads its walk.
+    build_quench_block(replace(params, beta=0.7, kappa=2.5 * params.kappa, omega_a=1.1))
+    cached = build_quench_block(params)
+    assert len(walks) == 1
+    hamiltonians._walks.clear()
+    fresh = build_quench_block(params)
+    assert len(walks) == 2
+    assert block_fields(cached) == block_fields(fresh)
+
+
+def test_a_kappa_sweep_walks_once_per_structure(walks):
+    # fig4: 14 kappas at N = 2 and 3, of which kappa = 0 has its own walk.
+    for spec in preset_specs("fig4"):
+        assert all(row.error == "" for row in run_sweep(spec))
+    assert [(p.n, p.kappa != 0.0) for p in walks] == [(2, False), (2, True), (3, False), (3, True)]
+    # Which couplings are on decides which moves the walk takes.
+    walks.clear()
+    for beta, kappa in ((0.05, 0.0), (0.05, 0.1), (0.0, 0.1), (0.3, 0.0), (0.2, 0.7), (0.0, 0.4)):
+        build_quench_block(jch(n=4, m=1, beta=beta, kappa=kappa))
+    assert [(p.beta, p.kappa) for p in walks] == [(0.05, 0.0), (0.05, 0.1), (0.0, 0.1)]
+
+
+def test_cached_arrays_refuse_writes(walks):
+    block = build_quench_block(jch(n=3, m=1, beta=0.05, kappa=0.1))
+    (walk,) = hamiltonians._walks.values()
+    arrays = [v for v in vars(walk).values() if isinstance(v, np.ndarray)]
+    assert arrays
+    for a in arrays + [block.sizes, block.rows, block.cols]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    # The values are this point's own.
+    assert block.values.flags.writeable and block.jz.flags.writeable
+
+
+def test_the_cache_keeps_at_most_an_eighth_of_the_cap(walks, cap_states):
+    line = jch(n=6, m=1, beta=0.05, kappa=0.5)  # 2,687 orbits
+    ring = jch(n=6, m=1, beta=0.05, kappa=0.5, topology=Topology.RING)  # 500
+    every = jch(n=6, m=1, beta=0.05, kappa=0.5, topology=Topology.ALL_TO_ALL)  # 65
+    cap_states(8 * 2_687 - 1)
+    assert build_quench_block(line).dim == 2_687
+    assert hamiltonians._walks == {}
+    # At the bound it is kept, and the next point reads it.
+    cap_states(8 * 2_687)
+    for params in (line, line):
+        build_quench_block(params)
+    assert len(walks) == 2 and len(hamiltonians._walks) == 1
+    # Past the bound, the least recently used walk goes first.
+    cap_states(8 * 565)
+    for params in (ring, every, ring):
+        build_quench_block(params)
+    assert [w.dim for w in hamiltonians._walks.values()] == [65, 500]
+    build_quench_block(replace(every, n=5))  # 36 orbits
+    assert [w.dim for w in hamiltonians._walks.values()] == [500, 36]
+    assert len(walks) == 5
+
+
+def test_a_cached_walk_still_meets_the_cap(walks, cap_states):
+    params = jch(n=6, m=1, beta=0.05, kappa=0.5)
+    build_quench_block(params)
+    assert len(hamiltonians._walks) == 1
+    cap_states(2_686)
+    with pytest.raises(CapacityError, match="reaches more orbits than the cap of 2686"):
+        build_quench_block(params)
+    assert len(walks) == 1
+
+
+def test_threads_share_the_walk_cache(walks, cap_states):
+    # Eight threads build blocks of five structures (22, 10, 10, 100 and 36
+    # orbits) under a bound of 60 orbits, so the cache drops walks as others
+    # read it, and never keeps the largest.
+    structures = [jch(n=n, m=1, beta=0.05, kappa=0.3, topology=t) for n in (3, 4) for t in Topology][:5]
+    expected = [block_fields(build_quench_block(p)) for p in structures]
+    hamiltonians._walks.clear()
+    cap_states(8 * 60)
+    failures, results = [], []
+
+    def build(offset):
+        try:
+            for i in range(150):
+                k = (i + offset) % len(structures)
+                results.append(block_fields(build_quench_block(structures[k])) == expected[k])
+        except Exception as err:  # a thread's error would otherwise go unseen
+            failures.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == [] and results == [True] * 1200
+    assert sum(w.dim for w in hamiltonians._walks.values()) <= 60
