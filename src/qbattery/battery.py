@@ -275,7 +275,7 @@ class QuenchSystem:
         if self.engine == "dense":
             self._eval = EigenEngine(diagonalize(block.dense()), psi0, [block.jz])
         else:
-            self._eval = ChebyshevEngine(block.h, psi0, [block.jz], bounds)
+            self._eval = ChebyshevEngine(block.h, psi0, [block.jz], bounds, block.odd)
         self.batch = self._eval.batch
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:

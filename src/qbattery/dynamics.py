@@ -55,32 +55,34 @@ randomness is involved anywhere, so results are bit-reproducible run to run.
 A block is chiral when its diagonal is one constant and every
 off-diagonal entry joins the classes C0 and C1 of states at even and odd
 distance from the initial one: a resonant line, an even ring, any chain
-without hopping.  Centered on that constant, 2 Hs maps each class into
-the other, so the state at every center is x + i y with x on C0 and y on
-C1, and T_k x and T_k y have complementary supports.  One real
-recurrence on w = x + y then serves both: on C0 row k of W is x_k for
-even k and y_k for odd k, on C1 the other.  So a chiral window takes the
-general window's order - 1 products, each on dim entries rather than 2
-dim; it holds one (order, dim) array, with the states ordered by class
-once so that each class's columns are contiguous, and folds its jump and
-gets its Gram matrix with one product per class, G_c = W_c diag_c W_c^T:
-Re G = G_0 + G_1 and Im G_kk' = (-1)^k (G_0 - G_1).  A block whose
-diagonal is one constant is centered on it; the engine then looks for the
-classes itself, by a breadth-first walk from the initial state at the
-first jump.  The first window is the general one, real (y = 0) and of
-the same cost, so a block that one window covers never pays for the
-walk.  Every other block takes the general path throughout.
+without hopping, the ladder's rotating cut at resonance.  Centered on
+that constant, 2 Hs maps each class into the other, so the state at
+every center is x + i y with x on C0 and y on C1, and T_k x and T_k y
+have complementary supports.  One real recurrence on w = x + y then
+serves both: on C0 row k of W is x_k for even k and y_k for odd k, on C1
+the other.  So a chiral window takes the general window's order - 1
+products, each on dim entries rather than 2 dim; it holds one (order,
+dim) array, with the states ordered by class once so that each class's
+columns are contiguous, and folds its jump and gets its Gram matrix with
+one product per class, G_c = W_c diag_c W_c^T: Re G = G_0 + G_1 and Im
+G_kk' = (-1)^k (G_0 - G_1).  A block whose diagonal is one constant is
+centered on it.  Its builder gives the classes (``QuenchBlock.odd``),
+which the engine checks in one pass over 2 Hs and takes at the first
+jump: the first window is the general one, real (y = 0) and of the same
+cost, and ordering the states before it would change the order in which
+each row of 2 Hs is summed.  Every other block takes the general path
+throughout.
 
 Both engines take the Hamiltonian block that ``build_quench_block``
 builds for either model: over orbits for a chain, and as the whole
 ladder cut by its conserved quantities for the collective model.  The
 eigendecomposition gets it as a dense array (``QuenchBlock.dense``), the
-Chebyshev engine as a sparse matrix (``QuenchBlock.h``); SciPy is
-imported by the Chebyshev engine's methods alone, so a dense quench runs
-on numpy.  They take a list of observables, each a 1-D array holding its
-diagonal, and answer one call, ``on_grid(ts)``: one row per observable,
-its value at every requested time, each row from the same operations as
-if it were tracked alone.  A single time is a grid of one.
+Chebyshev engine as a sparse matrix (``QuenchBlock.h``) and its classes;
+SciPy is imported by the Chebyshev engine's methods alone, so a dense
+quench runs on numpy.  They take a list of observables, each a 1-D array
+holding its diagonal, and answer one call, ``on_grid(ts)``: one row per
+observable, its value at every requested time, each row from the same
+operations as if it were tracked alone.  A single time is a grid of one.
 """
 
 from __future__ import annotations
@@ -211,9 +213,11 @@ class ChebyshevEngine:
     two-sided window of [c - dt, c + dt] at a time (the first only
     [0, dt]); querying any t within the range never touches the large
     vectors again.  A block whose diagonal is one constant is centered on
-    it; if it is chiral (see the module docstring), the first jump puts the
-    states in class order, and every later window and jump runs one
-    recurrence.  ``batch`` is the number of times it computes together.
+    it; given ``odd``, the rows at odd distance from those ``psi0`` holds,
+    it is chiral (see the module docstring), or ``ValueError`` is raised
+    if they are not its classes.  The first jump then puts the states in
+    class order, and every later window and jump runs one recurrence.
+    ``batch`` is the number of times it computes together.
     """
 
     batch = _PAD_COLUMNS
@@ -248,6 +252,7 @@ class ChebyshevEngine:
         psi0: np.ndarray,
         diags: list[np.ndarray],
         bounds: tuple[float, float] | None = None,
+        odd: np.ndarray | None = None,
     ):
         if h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be square")
@@ -255,6 +260,8 @@ class ChebyshevEngine:
         psi0 = np.asarray(psi0, dtype=float)
         if psi0.shape != (dim,):
             raise ValueError("initial vector length does not match the Hamiltonian")
+        if odd is not None and np.shape(odd) != (dim,):
+            raise ValueError("classes must hold one flag per basis state")
         self._roots = []
         for d in diags:
             d = np.asarray(d, dtype=float)
@@ -265,30 +272,35 @@ class ChebyshevEngine:
             self._roots.append(np.sqrt(d))
         lo, hi = bounds if bounds is not None else self._scaled_discs(h)
         diagonal = h.diagonal()
-        # A block whose diagonal is one constant may be chiral: it is centered
-        # on that constant, so that 2 Hs has a zero diagonal, and the states
-        # psi0 holds are kept until the first jump looks for the classes.
+        # A constant diagonal is the center, so that 2 Hs has a zero diagonal.
         constant = diagonal.size and (diagonal == diagonal[0]).all()
-        self._start = psi0 != 0 if constant else None
-        if self._start is None:
-            center = 0.5 * (hi + lo)
-            half = 0.5 * (hi - lo)
-        else:
+        if constant:
             center = float(diagonal[0])
             half = max(hi - center, center - lo)
+        else:
+            center = 0.5 * (hi + lo)
+            half = 0.5 * (hi - lo)
         # Pad so the true spectrum sits strictly inside [-1, 1] after scaling.
         half = half * (1.0 + 1e-9) + 1e-12
         self._center = center
         self._half = half
         # 2 Hs: doubling is exact, so the recurrence keeps the bits of Hs.
         self._h_twice = _minus_diagonal(h, np.full(dim, center)) * (2.0 / half)
-        # A block whose diagonal is not one constant runs the general path:
+        # The classes of a chiral block, held until the first jump puts the
+        # states in their order.  Every other block runs the general path:
         # its complex state takes the block-diagonal pair of 2 Hs, held here
         # until the first jump lands, and the real first window and jump
         # take the pair's first block.
+        self._odd = np.asarray(odd, dtype=bool) if constant and odd is not None else None
         self._h_pair = None
-        if self._start is None:
+        if self._odd is None:
             self._h_pair, self._h_twice = _pair(self._h_twice)
+        elif psi0[self._odd].any() or (
+            np.repeat(self._odd, np.diff(self._h_twice.indptr)) == self._odd[self._h_twice.indices]
+        ).any():
+            # psi0 lies on C0, and every entry of 2 Hs, whose constant
+            # diagonal the centering dropped, joins C0 and C1.
+            raise ValueError("the classes do not make the block chiral about the initial vector")
         self._dt = self._WINDOW_PHASE / half
         ks = np.arange(self._JUMP_ORDER)
         # gamma_k (-i)^k; each product in the fold is 0, +-1, +-2 or +-4, so
@@ -367,47 +379,6 @@ class ChebyshevEngine:
         lo = max(np.min(d - scaled[-1]), np.min(d - radius))
         hi = min(np.max(d + scaled[0]), np.max(d + radius))
         return float(lo), float(hi)
-
-    @staticmethod
-    def _chiral_order(h: scipy.sparse.csr_array, psi0: np.ndarray) -> tuple[np.ndarray, int] | None:
-        """The states ordered class C0 first and the size of C0, or None if ``h`` is not chiral.
-
-        ``h`` is chiral about ``psi0`` when its diagonal is one constant and
-        each off-diagonal entry joins C0 and C1, the states at even and odd
-        breadth-first distance from those where ``psi0`` (a vector or a
-        mask) is nonzero.  The walk takes one sparse product per level on
-        the off-diagonal pattern, stored as 0/1 in single precision, which
-        counts neighbours exactly; an entry within a level closes an odd
-        cycle, or joins two states of ``psi0``.  States it never reaches
-        keep zero amplitude and join C1.
-        """
-        import scipy.sparse
-
-        d = h.diagonal()
-        if not d.size or (d != d[0]).any():
-            return None
-        rows = np.repeat(np.arange(d.shape[0]), np.diff(h.indptr))
-        edges = ((h.indices != rows) & (h.data != 0)).astype(np.float32)
-        pattern = scipy.sparse.csr_array((edges, h.indices, h.indptr), shape=h.shape)
-        unseen = psi0 == 0
-        odd = np.zeros(d.shape[0], dtype=bool)
-        frontier = (~unseen).astype(np.float32)
-        level = 0
-        while True:
-            reach = pattern @ frontier
-            if reach @ frontier > 0:
-                return None
-            new = reach > 0
-            new &= unseen
-            if not new.any():
-                break
-            unseen ^= new
-            level += 1
-            if level % 2:
-                odd |= new
-            frontier = new.astype(np.float32)
-        odd |= unseen
-        return np.argsort(odd, kind="stable"), int(d.shape[0] - np.count_nonzero(odd))
 
     @classmethod
     @functools.cache
@@ -504,17 +475,14 @@ class ChebyshevEngine:
         """At the first jump, move a chiral block to class order and one recurrence on x + y.
 
         Until then the block runs the general path, whose first window is
-        real anyway, so a block that one window covers never pays for the
-        walk.  Every sum that made the state added exact zeros off each
-        part's class, so x + y holds both parts exactly.  A block without
-        classes builds the block-diagonal pair of 2 Hs for its complex state.
+        real anyway; putting the states in class order before it would
+        change the order in which each row of 2 Hs is summed.  Every sum
+        that made the state added exact zeros off each part's class, so
+        x + y holds both parts exactly.
         """
-        chiral = self._chiral_order(self._h_twice, self._start)
-        self._start = None
-        if chiral is None:
-            self._h_pair = _pair(self._h_twice)[0]
-            return
-        order, split = chiral
+        order = np.argsort(self._odd, kind="stable")
+        split = order.shape[0] - np.count_nonzero(self._odd)
+        self._odd = None
         self._h_twice = self._h_twice[order][:, order]
         self._roots = [root[order] for root in self._roots]
         self._state = np.add(*self._state)[order][None]
@@ -535,7 +503,7 @@ class ChebyshevEngine:
         order, dim = self._WINDOW_ORDER, self._state.shape[1]
         if self._tails:
             self._land()
-            if self._start is not None:
+            if self._odd is not None:
                 self._take_classes()
         # The state stays real until the first jump; every product with its
         # zero imaginary part would be zero, so none is taken.  From then on

@@ -51,10 +51,10 @@ key, and mirrors the pairs, so exact bitwise symmetry holds.
 ``build_csr`` lists H on the whole ladder, the block's reference.
 
 Both builders give the block as its stored entries, numpy (row, col,
-value) triplets with no (row, col) pair listed twice.  The dense engine
-scatters them into a matrix (``QuenchBlock.dense``); only the Chebyshev
-engine, the disc bound and ``build_csr`` need a SciPy CSR matrix, so
-SciPy is imported where one is built and a dense quench never loads it.
+value) triplets in CSR order with no pair listed twice, and the classes
+its couplings join.  The dense engine scatters them into a matrix; only
+the Chebyshev engine, the disc bound and ``build_csr`` wrap them in a
+SciPy CSR matrix, so a dense quench never loads SciPy.
 """
 
 from __future__ import annotations
@@ -345,8 +345,9 @@ def _dicke_entries(
 
     The rows are in ladder order, and with each row they hold every row its
     couplings absorb a photon into.  Returns ``(rows, cols, values)``,
-    numbered in the given rows: the diagonal, then each Hermitian pair of
-    off-diagonal elements.  Ladder amplitudes use j = N/2, m_j = N/2 - q:
+    numbered in the given rows and in CSR order (``_csr_order``): the
+    diagonal and each Hermitian pair of off-diagonal elements.  Ladder
+    amplitudes use j = N/2, m_j = N/2 - q:
 
         photon absorbed, spin raised  (n, q) -> (n-1, q-1):  sqrt(n) * J+ amplitude, weight g
         photon absorbed, spin lowered (n, q) -> (n-1, q+1):  sqrt(n) * J- amplitude, weight g'
@@ -378,15 +379,25 @@ def _dicke_entries(
     idx = np.arange(n.shape[0])
     rows = np.concatenate([idx, *src, *dst])
     cols = np.concatenate([idx, *dst, *src])
-    return rows, cols, np.concatenate([diag, *vals, *vals])
+    return _csr_order(rows, cols, np.concatenate([diag, *vals, *vals]))
+
+
+def _csr_order(rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries sorted by row, then column; int32 indices, as dim < state_cap() < 2**31.
+
+    No (row, col) pair repeats, so one sort of row * 2**32 + col orders them.
+    """
+    order = np.argsort(rows.astype(np.int64) << 32 | cols)
+    return rows[order].astype(np.int32), cols[order].astype(np.int32), data[order]
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int) -> scipy.sparse.csr_array:
-    """CSR matrix of the entries, sorted columns; int32 indices, as dim < state_cap() < 2**31."""
+    """CSR matrix that wraps ``cols`` and ``values``, entries in ``_csr_order``."""
     import scipy.sparse
 
-    coords = (rows.astype(np.int32), cols.astype(np.int32))
-    return scipy.sparse.coo_array((values, coords), shape=(dim, dim)).tocsr()
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    return scipy.sparse.csr_array((values, cols, indptr), shape=(dim, dim))
 
 
 def build_csr(params: ModelParams) -> scipy.sparse.csr_array:
@@ -496,11 +507,15 @@ class QuenchBlock:
     (n_max + 1) * (N + 1).
 
     H is held as its stored entries: ``values[i]`` at ``(rows[i],
-    cols[i])``, each pair listed once, each off-diagonal entry beside its
-    bitwise-equal mirror.  ``dense()`` scatters them into the matrix that
-    ``eigh`` takes; ``h``, the CSR matrix of the Chebyshev engine and the
-    disc bound, is built from them on first use, which is the first time
-    the block imports SciPy.
+    cols[i])``, each pair listed once, each off-diagonal entry with a
+    bitwise-equal mirror, in CSR order (by row, then column; int32
+    indices).  ``dense()`` scatters them into the matrix that ``eigh``
+    takes; ``h``, the CSR matrix of the Chebyshev engine and the disc
+    bound, wraps ``cols`` and ``values`` on first use, which is the first
+    time the block imports SciPy.  ``odd`` flags the rows at odd distance
+    from ``start`` when every coupling joins an even row to an odd one, as
+    on every ladder block and on a chain whose walk takes no move within a
+    level; else it is ``None``.
     """
 
     sizes: np.ndarray
@@ -510,6 +525,7 @@ class QuenchBlock:
     jz: np.ndarray
     start: int
     sector_dim: int
+    odd: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -517,7 +533,7 @@ class QuenchBlock:
 
     @functools.cached_property
     def h(self) -> scipy.sparse.csr_array:
-        """H as a CSR matrix with sorted columns; built once, on first use."""
+        """H as a CSR matrix on the block's own arrays; built once, on first use."""
         return _csr(self.rows, self.cols, self.values, self.dim)
 
     def dense(self) -> np.ndarray:
@@ -564,6 +580,7 @@ def _chain_block(params: ModelParams) -> QuenchBlock:
         jz=jz,
         start=walk.start,
         sector_dim=walk.sector_dim,
+        odd=walk.odd,
     )
 
 
@@ -577,10 +594,11 @@ class _Walk:
     sqrt of the quanta in its source mode and of one more than those in its
     target mode.  ``pairs`` gives each orbit's diagonal, then each kept
     move, its (row, col) pair; ``factor`` is each pair's sqrt(|col| /
-    |row|), and ``mirror`` lists the pairs, then the off-diagonal ones
-    again, in the order of the block's ``rows`` and ``cols``.  Its arrays
-    refuse writes, since the blocks of every point of one structure share
-    them.
+    |row|), and ``mirror`` picks each of the block's entries from the
+    pairs, in the CSR order of its ``rows`` and ``cols``.  ``odd`` is the
+    block's (``QuenchBlock``): the parity of each orbit's level, or
+    ``None`` when a move stays within a level.  Its arrays refuse writes,
+    since the blocks of every point of one structure share them.
     """
 
     sizes: np.ndarray
@@ -596,6 +614,7 @@ class _Walk:
     cols: np.ndarray
     start: int
     sector_dim: int
+    odd: np.ndarray | None
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -661,6 +680,8 @@ def _walk(params: ModelParams, cap: int) -> _Walk:
 
     summed from the moves out of r_o.  Each pair is summed once, from the
     orbit the walk found first, and mirrored, so h is bitwise symmetric.
+    A move leads to the level before, the same level or the next one; when
+    none stays within a level, every coupling joins a level of each parity.
     Raises ``CapacityError`` before walking when the state keys would not
     fit in int64, and as soon as more than ``cap`` orbits are found.
     """
@@ -678,6 +699,7 @@ def _walk(params: ModelParams, cap: int) -> _Walk:
     # level or the next one, so only the last two levels are looked up.
     before = level = (level_keys[0], 0)
     found = 1
+    within = False
     while frontier.shape[0]:
         rows, level_terms = _jch_applicable(moves, frontier)
         reached = feats[:, rows] + shift[:, level_terms]
@@ -687,6 +709,7 @@ def _walk(params: ModelParams, cap: int) -> _Walk:
             at = np.minimum(np.searchsorted(keys, uniq), keys.shape[0] - 1)
             hit = keys[at] == uniq
             index[hit] = first + at[hit]
+        within |= bool((index >= level[1]).any())
         new = np.flatnonzero(index < 0)
         index[new] = found + np.arange(new.shape[0])
         # Keep each pair once, from the orbit found first (the diagonal too).
@@ -721,6 +744,10 @@ def _walk(params: ModelParams, cap: int) -> _Walk:
     number[order] = diag
     row_key, col_key = number[row], number[col]
     off = row_key != col_key
+    rows, cols = np.r_[row_key, col_key[off]], np.r_[col_key, row_key[off]]
+    mirror = np.r_[np.arange(pairs.shape[0]), np.flatnonzero(off)]
+    rows, cols, mirror = _csr_order(rows, cols, mirror)
+    parity = np.concatenate([np.full(k.shape[0], i % 2 == 1) for i, k in enumerate(level_keys)])
     return _Walk(
         sizes=sizes[order],
         photons=modes[order, :n].sum(axis=1),
@@ -730,11 +757,12 @@ def _walk(params: ModelParams, cap: int) -> _Walk:
         root_target=np.sqrt(modes[src, moves[1][terms]] + 1),
         pairs=np.r_[inverse[order], inverse[found:]],
         factor=np.sqrt((sizes[col] / sizes[row]).astype(float)),
-        mirror=np.r_[np.arange(pairs.shape[0]), np.flatnonzero(off)],
-        rows=np.r_[row_key, col_key[off]],
-        cols=np.r_[col_key, row_key[off]],
+        mirror=mirror,
+        rows=rows,
+        cols=cols,
         start=int(number[0]),
         sector_dim=jch_sector_dim(n, params.m),
+        odd=None if within else parity[order],
     )
 
 
@@ -751,7 +779,8 @@ def _ladder_block(params: ModelParams) -> QuenchBlock:
     or n + q (beta = 0), one per q, or its own row alone: at most N + 1,
     checked against ``state_cap()`` with no other row enumerated.  Each row
     is joined to the quench state by nonzero couplings, so the block is
-    exactly the set the quench reaches.
+    exactly the set the quench reaches, and each coupling moves q by one,
+    so a row's distance from the quench state has the parity of N - q.
     """
     nsys, n_max, photons = params.n, params.n_max_value, params.n * params.m
     if photons > n_max:
@@ -780,4 +809,5 @@ def _ladder_block(params: ModelParams) -> QuenchBlock:
         jz=params.omega_a * (nsys - q),
         start=int(np.searchsorted(n * (nsys + 1) + q, photons * (nsys + 1) + nsys)),
         sector_dim=(n_max + 1) * (nsys + 1),
+        odd=(nsys - q) % 2 == 1,
     )

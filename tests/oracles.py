@@ -12,6 +12,8 @@ None of them builds the way the package does:
   product space of every cavity and its two-level system;
 * ``scaled_discs_by_columns`` takes the disc bound's power steps on one
   (dim, 2) array, both edges in each sparse product;
+* ``bipartite_classes`` finds the two classes that a block's couplings
+  join by SciPy's breadth-first graph search;
 * ``X_STAR`` and ``C1`` are the closed-form quotient maximum of
   E = sin^2(x): its argument, the root of tan(x) = 2x, and its value,
   max sin^2(x) / x;
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import brentq
+from scipy.sparse.csgraph import shortest_path
 from scipy.special import j0, j1
 
 from qbattery.hamiltonians import Model, Normalization, Topology, _key_base, _pack_keys, build_csr
@@ -286,3 +289,22 @@ def scaled_discs_by_columns(h, steps, shift):
     lo = max(np.min(d - scaled[:, 1]), np.min(d - radius))
     hi = min(np.max(d + scaled[:, 0]), np.max(d + radius))
     return float(lo), float(hi)
+
+
+def bipartite_classes(h, start):
+    """The rows at odd distance from ``start`` in the graph of ``h``'s nonzeros off the diagonal.
+
+    Distances come from SciPy's unweighted shortest paths.  ``None`` unless
+    ``start`` reaches every row and each edge joins a row at even distance
+    to one at odd distance.
+    """
+    coo = sp.coo_array(h)
+    edge = (coo.row != coo.col) & (coo.data != 0)
+    graph = sp.csr_array((np.ones(np.count_nonzero(edge)), (coo.row[edge], coo.col[edge])), shape=h.shape)
+    dist = shortest_path(graph, directed=False, unweighted=True, indices=start)
+    if not np.isfinite(dist).all():
+        return None
+    odd = dist.astype(np.int64) % 2 == 1
+    if (odd[coo.row[edge]] == odd[coo.col[edge]]).any():
+        return None
+    return odd

@@ -19,7 +19,7 @@ from qbattery.hamiltonians import (
     build_quench_block,
 )
 
-from oracles import full_quench, scaled_discs_by_columns
+from oracles import bipartite_classes, full_quench, scaled_discs_by_columns
 
 
 def one_point(engine, t):
@@ -215,9 +215,11 @@ def test_real_products_match_complex_formula(monkeypatch):
     ],
 )
 def test_chebyshev_matches_eigenbasis(params):
+    # The resonant chains are chiral on their whole sector, whose classes
+    # the reference search finds.
     sparse, h, jz, psi0 = _system(params)
     exact = EigenEngine(diagonalize(h), psi0, [jz])
-    cheb = ChebyshevEngine(sparse, psi0, [jz])
+    cheb = ChebyshevEngine(sparse, psi0, [jz], odd=bipartite_classes(sparse, np.argmax(psi0)))
     ts = np.linspace(0.0, 150.0, 301)
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
     for t in (0.0, 0.05, 1.7, 149.3):
@@ -248,18 +250,20 @@ def test_chebyshev_deterministic_across_instances():
 
 
 def test_chebyshev_tracks_multiple_observables():
-    # Resonant, so the Chebyshev engine takes its chiral classes at the
-    # first jump, and detuned, so it stays on the general path.
+    # Resonant, so the Chebyshev engine takes the chiral classes it is given
+    # at the first jump, and detuned, so it stays on the general path with
+    # the same classes.
     for omega_a, chiral in ((1.0, True), (1.1, False)):
         params = jch(n=2, m=1, beta=0.3, kappa=0.2, omega_a=omega_a)
         sparse, h, jz, psi0 = _system(params)
+        odd = bipartite_classes(sparse, np.argmax(psi0))
         photons = params.n * params.m - jz / params.omega_a
         spec = diagonalize(h)
-        cheb = ChebyshevEngine(sparse, psi0, [jz, photons])
+        cheb = ChebyshevEngine(sparse, psi0, [jz, photons], odd=odd)
         ts = np.linspace(0.0, 8.0 * cheb._dt, 61)
         engines = (
             (EigenEngine(spec, psi0, [jz, photons]), EigenEngine(spec, psi0, [jz])),
-            (cheb, ChebyshevEngine(sparse, psi0, [jz])),
+            (cheb, ChebyshevEngine(sparse, psi0, [jz], odd=odd)),
         )
         dense, chebyshev = (both.on_grid(ts) for both, _ in engines)
         assert (cheb._classes is not None) == chiral
@@ -329,14 +333,14 @@ def _quench_start(params):
 def test_chiral_windows_run_one_recurrence_and_match_the_eigenbasis(params, products):
     block, psi0 = _quench_start(params)
     exact = EigenEngine(diagonalize(block.h.toarray()), psi0, [block.jz])
-    cheb = ChebyshevEngine(block.h, psi0, [block.jz])
+    cheb = ChebyshevEngine(block.h, psi0, [block.jz], odd=block.odd)
     products.clear()
     order = ChebyshevEngine._WINDOW_ORDER
     jump = ChebyshevEngine._JUMP_ORDER - order
     dt = cheb._dt
     # One real recurrence per window and per jump: the first window expands
-    # the real initial state, the first jump finds the classes, and every
-    # later window and jump runs on x + y.
+    # the real initial state, the first jump takes the block's classes, and
+    # every later window and jump runs on x + y.
     cheb.extend(0.0)
     assert (len(cheb._windows), len(products)) == (1, order - 1)
     assert cheb._classes is None
@@ -362,45 +366,61 @@ def test_chiral_windows_run_one_recurrence_and_match_the_eigenbasis(params, prod
         (jch(n=3, m=1, beta=0.05, kappa=0.5, topology=Topology.ALL_TO_ALL), False),
         (jch(n=5, m=1, beta=0.05, kappa=0.5, omega_a=1.1), False),
         (dicke(n=15, m=1, beta=0.5, n_max=75), False),
+        (dicke(n=6, m=1, beta=0.5, beta_prime=0.0), True),
     ],
 )
 def test_chiral_detection(params, chiral):
+    # A block is chiral when its builder gives it classes and its diagonal
+    # is one constant: an odd ring and all-to-all hopping have no classes,
+    # and a detuned line and the whole ladder no constant diagonal.
     block, psi0 = _quench_start(params)
-    found = ChebyshevEngine._chiral_order(block.h, psi0)
-    assert (found is not None) == chiral
-    if found is not None:
-        # In class order, no entry off the diagonal stays within a class,
-        # and the initial state is on the first.
-        order, split = found
-        off = block.h[order][:, order] - scipy.sparse.diags_array(block.h.diagonal())
-        assert off[:split, :split].count_nonzero() == 0
-        assert off[split:, split:].count_nonzero() == 0
-        assert not psi0[order][split:].any()
+    cheb = ChebyshevEngine(block.h, psi0, [block.jz], odd=block.odd)
+    cheb.extend(2.5 * cheb._dt)
+    assert (cheb._classes is not None) == chiral
+    if chiral:
+        # In class order, no entry of 2 Hs stays within a class, and the
+        # initial state is on the first.
+        first, second = cheb._classes
+        assert cheb._h_twice.diagonal().tolist() == [0.0] * block.dim
+        assert cheb._h_twice[first, first].count_nonzero() == 0
+        assert cheb._h_twice[second, second].count_nonzero() == 0
+        assert not psi0[np.argsort(block.odd, kind="stable")][second].any()
 
 
-def test_chiral_detection_refuses_a_start_on_both_classes():
+def test_chiral_classes_must_hold_the_start_and_split_every_coupling():
     block, psi0 = _quench_start(jch(n=5, m=1, beta=0.05, kappa=0.5))
     row = block.h[[block.start]]
     neighbor = row.indices[row.indices != block.start][0]
-    psi0[neighbor] = 1.0
-    assert ChebyshevEngine._chiral_order(block.h, psi0 / np.sqrt(2.0)) is None
+    ChebyshevEngine(block.h, psi0, [block.jz], odd=block.odd)
+    # A start on the odd class, or on both; a coupling within a class.
+    both = psi0.copy()
+    both[neighbor] = 1.0
+    joined = block.odd.copy()
+    joined[neighbor] = False
+    for start, odd in ((psi0, ~block.odd), (both / np.sqrt(2.0), block.odd), (psi0, joined)):
+        with pytest.raises(ValueError, match="chiral"):
+            ChebyshevEngine(block.h, start, [block.jz], odd=odd)
+    with pytest.raises(ValueError, match="one flag per basis state"):
+        ChebyshevEngine(block.h, psi0, [block.jz], odd=block.odd[:-1])
 
 
 def test_constant_diagonal_without_classes_keeps_the_general_path():
-    # A 5-cycle has a zero diagonal, so the engine keeps its start for the
-    # first jump to look for classes, but its odd cycle leaves none: the
-    # block runs on both parts from there on.
+    # A 5-cycle has a zero diagonal, but its odd cycle leaves no classes:
+    # the engine pairs 2 Hs at once, expands the real first window with the
+    # pair's first block, and runs on both parts from the first jump on.
     cycle = np.roll(np.eye(5), 1, axis=1)
     h = 0.3 * (cycle + cycle.T)
+    assert bipartite_classes(h, 0) is None
     psi0 = np.eye(5)[0]
     jz = np.arange(5.0)
     exact = EigenEngine(diagonalize(h), psi0, [jz])
     cheb = ChebyshevEngine(scipy.sparse.csr_array(h), psi0, [jz])
-    assert cheb._start is not None
+    assert cheb._center == 0.0
+    assert cheb._h_pair.shape == (10, 10) and cheb._h_twice.shape == (5, 5)
     dt = cheb._dt
     cheb.extend(4.5 * dt)
     assert len(cheb._windows) == 3
-    assert cheb._start is None and cheb._classes is None and cheb._state.shape == (2, 5)
+    assert cheb._classes is None and cheb._state.shape == (2, 5)
     ts = np.linspace(0.1, 5.0 * dt, 97)
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
 
@@ -454,7 +474,7 @@ def _forms_by_three_products(cheb, diags):
 def _chain_block_with_photons(params):
     block = build_quench_block(params)
     photons = params.n * params.m - block.jz / params.omega_a
-    return block.h, block.start, [block.jz, photons]
+    return block, [block.jz, photons]
 
 
 def _line_block_with_photons():
@@ -472,17 +492,17 @@ def _dicke_block_with_photons():
     block = build_quench_block(params)
     # At w_c = w_a = 1 the diagonal is n + (N - q) and jz is N - q.
     photons = block.h.diagonal() - block.jz
-    return block.h, block.start, [block.jz, photons]
+    return block, [block.jz, photons]
 
 
 @pytest.mark.parametrize(
     "make", [_line_block_with_photons, _dicke_block_with_photons, _resonant_line_block_with_photons]
 )
 def test_stacked_gram_forms_match_separate_products(make):
-    h, start, diags = make()
-    psi0 = np.zeros(h.shape[0])
-    psi0[start] = 1.0
-    cheb = ChebyshevEngine(h, psi0, diags)
+    block, diags = make()
+    psi0 = np.zeros(block.dim)
+    psi0[block.start] = 1.0
+    cheb = ChebyshevEngine(block.h, psi0, diags, odd=block.odd)
     # The first window is real; the third, at 4 dt, holds both parts.
     for window in (0, 2):
         while len(cheb._windows) < window:
@@ -492,7 +512,7 @@ def test_stacked_gram_forms_match_separate_products(make):
         ordered = diags
         if cheb._classes is not None:
             # A chiral block holds its states in class order from the first jump.
-            order, _ = ChebyshevEngine._chiral_order(h, psi0)
+            order = np.argsort(block.odd, kind="stable")
             ordered = [diag[order] for diag in diags]
         expected = _forms_by_three_products(cheb, ordered)
         cheb._advance_window()
@@ -550,7 +570,7 @@ def test_chiral_window_memory_is_half_of_window_bytes():
     # while not seeing the old one freed); the next two windows and their
     # jumps run on x + y, one (order, dim) array each.
     block, psi0 = _quench_start(jch(n=6, m=1, beta=0.05, kappa=0.5))
-    cheb = ChebyshevEngine(block.h, psi0, [block.jz])
+    cheb = ChebyshevEngine(block.h, psi0, [block.jz], odd=block.odd)
     cheb.extend(2.5 * cheb._dt)
     assert cheb._classes is not None
     peak = _traced_peak(cheb, 6.5 * cheb._dt)
@@ -564,7 +584,7 @@ def test_one_work_array_holds_what_the_windows_need(omega_a, chiral):
     # [x | y], 2 dim wide, once a general block's state turns complex at the
     # first jump.
     block, psi0 = _quench_start(jch(n=5, m=1, beta=0.05, kappa=0.5, omega_a=omega_a))
-    cheb = ChebyshevEngine(block.h, psi0, [block.jz])
+    cheb = ChebyshevEngine(block.h, psi0, [block.jz], odd=block.odd)
     order = ChebyshevEngine._WINDOW_ORDER
     cheb.extend(0.0)
     assert cheb._work.shape == (order * block.dim,)
@@ -720,16 +740,17 @@ def test_expansion_orders_and_jump_coefficients_match_jv():
 
 def _short_line_block():
     block = build_quench_block(jch(n=5, m=1, beta=0.05, kappa=0.5))
-    return block.h, block.start, [block.jz]
+    return block, [block.jz]
 
 
 @pytest.mark.parametrize("make", [_short_line_block, _dicke_block_with_photons])
 def test_two_sided_windows_match_the_eigenbasis(make, products):
-    h, start, diags = make()
-    psi0 = np.zeros(h.shape[0])
-    psi0[start] = 1.0
+    block, diags = make()
+    h = block.h
+    psi0 = np.zeros(block.dim)
+    psi0[block.start] = 1.0
     exact = EigenEngine(diagonalize(h.toarray()), psi0, diags[:1])
-    cheb = ChebyshevEngine(h, psi0, diags[:1])
+    cheb = ChebyshevEngine(h, psi0, diags[:1], odd=block.odd)
     dt = cheb._dt
     # Both sides of the second and third centers, 2 dt and 4 dt.
     offsets = np.array([-1.0, -0.7, -0.3, 0.0, 0.4, 0.9, 1.0])
@@ -737,7 +758,7 @@ def test_two_sided_windows_match_the_eigenbasis(make, products):
     assert np.max(np.abs(cheb.on_grid(ts) - exact.on_grid(ts))) <= 1e-10
     assert [w.center for w in cheb._windows] == [0.0, 2 * dt, 4 * dt]
     # Reaching t takes 1 + ceil((t - dt) / (2 dt)) windows.
-    cheb = ChebyshevEngine(h, psi0, diags[:1])
+    cheb = ChebyshevEngine(h, psi0, diags[:1], odd=block.odd)
     for t in np.array([0.5, 2.9, 3.2, 6.1, 9.7, 13.4]) * dt:
         cheb.extend(t)
         assert len(cheb._windows) == 1 + math.ceil((t - dt) / (2 * dt))

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from qbattery import hamiltonians
 from qbattery.hamiltonians import (
@@ -24,7 +25,14 @@ from qbattery.hamiltonians import (
 )
 from qbattery.sweeps import preset_specs, run_sweep
 
-from oracles import chain_sector, dicke_ladder, flat_index, operator_chain, reference_dense
+from oracles import (
+    bipartite_classes,
+    chain_sector,
+    dicke_ladder,
+    flat_index,
+    operator_chain,
+    reference_dense,
+)
 
 
 def jch(**kw):
@@ -370,7 +378,7 @@ def test_model_specific_builders_check_model():
 
 def assert_entries_listed_once(block):
     """No (row, col) pair of the block's entries repeats, so both of its matrices hold their bits."""
-    pairs = block.rows * block.dim + block.cols
+    pairs = block.rows.astype(np.int64) * block.dim + block.cols
     assert np.unique(pairs).shape == pairs.shape == block.values.shape
     assert block.h.nnz == block.values.shape[0]
     assert block.dense().tobytes() == block.h.toarray().tobytes()
@@ -419,6 +427,57 @@ def test_ladder_block_is_the_whole_ladder_cut_to_the_states_reached(params, bloc
     assert_entries_listed_once(block)
     assert np.array_equal(block.jz, params.omega_a * (params.n - ladder.q[keep]))
     assert block.start == np.count_nonzero(keep < start)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        jch(n=n, m=m, beta=0.05, kappa=kappa, topology=topology)
+        for topology in Topology
+        for n in range(2, 7)
+        for kappa in (0.0, 0.05, 0.5)
+        for m in (1, 2)
+    ]
+    + [
+        dicke(n=6, m=1, beta=0.5, beta_prime=0.0),
+        dicke(n=6, m=1, beta=0.0, beta_prime=0.5),
+        dicke(n=15, m=1, beta=0.5, n_max=75),
+    ],
+)
+def test_block_classes_are_those_of_a_breadth_first_search(params):
+    # The walk's level parity, or the ladder's parity of N - q, is the
+    # parity of each row's distance from the quench state; a move within a
+    # level (all-to-all hopping) leaves no two classes.
+    block = build_quench_block(params)
+    expected = bipartite_classes(block.h, block.start)
+    if expected is None:
+        assert block.odd is None
+    else:
+        assert block.odd is not None and block.odd.dtype == bool
+        assert np.array_equal(block.odd, expected)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        jch(n=6, m=1, beta=0.05, kappa=0.5),
+        jch(n=4, m=2, beta=0.11, kappa=0.23, omega_a=1.2, topology=Topology.RING),
+        jch(n=4, m=2, beta=0.05, kappa=0.3, topology=Topology.ALL_TO_ALL),
+        dicke(n=15, m=1, beta=0.5, n_max=75),
+        dicke(n=6, m=1, beta=0.0, beta_prime=0.5),
+    ],
+)
+def test_block_arrays_are_the_csr_of_their_entries(params):
+    # The entries come in CSR order, so ``h`` only wraps them: its arrays
+    # are those SciPy's conversion of the same entries gives, to the bit.
+    block = build_quench_block(params)
+    coords = (block.rows.astype(np.int32), block.cols.astype(np.int32))
+    want = scipy.sparse.coo_array((block.values, coords), shape=(block.dim,) * 2).tocsr()
+    for name in ("indptr", "indices", "data"):
+        got = getattr(block.h, name)
+        assert got.dtype == getattr(want, name).dtype
+        assert got.tobytes() == getattr(want, name).tobytes()
+    assert block.h.indices.dtype == block.h.indptr.dtype == np.int32
 
 
 def test_params_validation_and_derived_fields():
@@ -548,8 +607,8 @@ def walks(monkeypatch):
 
 def block_fields(block):
     """Every field of a block, arrays as their dtype and bytes (orbit sizes as integers)."""
-    out = [block.start, block.sector_dim]
-    for name in ("sizes", "rows", "cols", "values", "jz"):
+    out = [block.start, block.sector_dim, block.odd is None]
+    for name in ("sizes", "rows", "cols", "values", "jz") + (() if block.odd is None else ("odd",)):
         a = getattr(block, name)
         out += [a.dtype, a.tolist() if a.dtype == object else a.tobytes()]
     return out
@@ -598,7 +657,7 @@ def test_cached_arrays_refuse_writes(walks):
     (walk,) = hamiltonians._walks.values()
     arrays = [v for v in vars(walk).values() if isinstance(v, np.ndarray)]
     assert arrays
-    for a in arrays + [block.sizes, block.rows, block.cols]:
+    for a in arrays + [block.sizes, block.rows, block.cols, block.odd]:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
     # The values are this point's own.
